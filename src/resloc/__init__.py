@@ -36,7 +36,6 @@ from .spaces import (
     adapt_space,
     find_generic_direction,
     is_generic,
-    kappa_k_integral,
     kappa_s_integral,
     kappa_t_integral,
     localization_sum,

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from . import kernels, linalg
+from . import kernels
 from .datasets import BUNDLED, Dataset, SchemaError, load_dataset
 from .residues import VariableOrdering, res_x_plus
 from .spaces import (
@@ -28,6 +28,7 @@ from .spaces import (
     NonGenericError,
     RestrictedClass,
     find_generic_direction,
+    generator_products,
     localization_sum,
 )
 from .symcore import (
@@ -44,12 +45,15 @@ __all__ = ["main"]
 
 
 def _digest(source: str) -> str:
-    if source in BUNDLED:
-        raw = resources.files("resloc").joinpath("data", f"{source}.json").read_bytes()
-    else:
-        with open(source, "rb") as fh:
-            raw = fh.read()
+    if source not in BUNDLED:
+        return _file_digest(source)
+    raw = resources.files("resloc").joinpath("data", f"{source}.json").read_bytes()
     return hashlib.sha256(raw).hexdigest()
+
+
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _fs(q) -> str:
@@ -95,11 +99,6 @@ def _report(command: str, source: str, parameters: dict) -> dict:
             "checks": [], "pass": True}
 
 
-def _file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _add_check(report: dict, name: str, ok: bool, detail: str):
     report["checks"].append({"name": name, "pass": bool(ok), "detail": detail})
     if not ok:
@@ -109,22 +108,6 @@ def _add_check(report: dict, name: str, ok: bool, detail: str):
 # -- validate ------------------------------------------------------------------
 
 
-def _generator_products(ds: Dataset, max_degree: int):
-    """All products of the declared generators with total degree <= max_degree."""
-    nonunit = [(n, c) for n, c in ds.generators if c.degree > 0]
-    out: list[tuple[str, RestrictedClass]] = []
-
-    def grow(idx: int, label_parts: list[str], cls: RestrictedClass):
-        out.append(("*".join(label_parts) or "one", cls))
-        for i in range(idx, len(nonunit)):
-            name, gen = nonunit[i]
-            if cls.degree + gen.degree <= max_degree:
-                grow(i, label_parts + [name], cls * gen)
-
-    grow(0, [], RestrictedClass.unit(ds.space))
-    return out
-
-
 def cmd_validate(args) -> int:
     try:
         ds = load_dataset(args.dataset)
@@ -132,6 +115,9 @@ def cmd_validate(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     max_degree = args.max_degree if args.max_degree is not None else ds.space.dim
+    if max_degree < 0:
+        sys.stderr.write(f"error: --max-degree: must be >= 0, got {max_degree}\n")
+        return 2
     report = _report("validate", args.dataset, {"max_degree": max_degree})
     _add_check(report, "schema", True,
                f"{len(ds.space.components)} components, "
@@ -142,9 +128,11 @@ def cmd_validate(args) -> int:
     except NonGenericError:
         _add_check(report, "generic-direction", False, "no generic direction in range")
 
+    names = [name for name, cls in ds.generators if cls.degree > 0]
     failures = []
     checked = 0
-    for label, cls in _generator_products(ds, max_degree):
+    for exps, cls in generator_products(ds.space, ds.generators, max_degree):
+        label = "*".join(names[i] for i, e in enumerate(exps) for _ in range(e)) or "one"
         total = localization_sum(ds.space, cls)
         if not total.is_polynomial():
             failures.append(f"{label}: localization sum has a pole: {total}")
@@ -239,6 +227,11 @@ def _build_model(ds: Dataset, max_degree: int):
     return kernels.build_model(ds.space, ds.generators, build_to)
 
 
+def _degrees(args) -> list[int]:
+    """The checked degrees; the model may be built further than these."""
+    return list(range(0, args.max_degree + 1, 2))
+
+
 def _kernel_circle(ds: Dataset, args, report: dict) -> None:
     try:
         xi = CircleDirection(tuple(int(v) for v in args.circle.split(",")))
@@ -249,23 +242,18 @@ def _kernel_circle(ds: Dataset, args, report: dict) -> None:
         raise SchemaError(f"--circle: expected {ds.space.vars.count} integers")
     report["parameters"]["xi"] = list(xi.vector)
     model = _build_model(ds, args.max_degree)
-    degrees = list(range(0, args.max_degree + 1, 2))
-    results = []
-    for d in degrees:
-        kernel = kernels.residue_kernel_circle(model, xi, d)
-        minus = kernels.tw_subspace(model, xi, "minus", d)
-        plus = kernels.tw_subspace(model, xi, "plus", d)
-        direct = linalg.intersect_trivially(minus.coeffs, plus.coeffs)
-        equal = linalg.span_equal(kernel.coeffs, minus.coeffs + plus.coeffs)
-        results.append({"degree": d,
-                        "residue_kernel": _subspace_json(model, kernel),
-                        "one_sided_minus": _subspace_json(model, minus),
-                        "one_sided_plus": _subspace_json(model, plus),
-                        "sum_direct": direct, "equal": equal})
-        _add_check(report, f"circle-split-degree-{d}", direct and equal,
-                   f"kernel dim {kernel.dim} vs {minus.dim}+{plus.dim}, "
-                   f"direct={direct}")
-    report["results"]["degrees"] = results
+    rows = kernels.check_circle_kernel_split(model, xi, degrees=_degrees(args))
+    report["results"]["degrees"] = [
+        {"degree": r.degree,
+         "residue_kernel": _subspace_json(model, r.kernel),
+         "one_sided_minus": _subspace_json(model, r.minus),
+         "one_sided_plus": _subspace_json(model, r.plus),
+         "sum_direct": r.sum_direct, "equal": r.equal}
+        for r in rows]
+    for r in rows:
+        _add_check(report, f"circle-split-degree-{r.degree}", r.ok,
+                   f"kernel dim {r.kernel_dim} vs {r.minus_dim}+{r.plus_dim}, "
+                   f"direct={r.sum_direct}")
     pairing = kernels.CirclePairing(ds.space, xi)
     ref = ds.generator(args.calibrate)
     report["results"]["calibration"] = {
@@ -275,11 +263,12 @@ def _kernel_circle(ds: Dataset, args, report: dict) -> None:
 
 def _kernel_full(ds: Dataset, args, report: dict) -> None:
     model = _build_model(ds, args.max_degree)
-    degrees = list(range(0, args.max_degree + 1, 2))
     ordering = _parse_ordering(args, ds.space.vars.count)
     pairing = kernels.TorusPairing(ds.space, ordering=ordering)
     report["parameters"]["xi"] = list(pairing.xi.vector)
-    chambers = kernels.enumerate_generic_directions(ds.space, box=args.chamber_box)
+    rows, chambers = kernels.check_full_kernel(model, degrees=_degrees(args),
+                                               chamber_box=args.chamber_box,
+                                               pairing=pairing)
     if not chambers.complete:
         report["warnings"].append(
             "chamber enumeration may be incomplete (ambient rank > 3); "
@@ -289,23 +278,14 @@ def _kernel_full(ds: Dataset, args, report: dict) -> None:
         "expected": chambers.expected,
         "complete": chambers.complete,
         "representatives": [list(c.representative.vector) for c in chambers.chambers]}
-    results = []
-    for d in degrees:
-        kernel = kernels.torus_kernel(model, d, pairing)
-        stacked = []
-        for chamber in chambers.chambers:
-            for side in ("minus", "plus"):
-                stacked.extend(
-                    kernels.tw_subspace(model, chamber.representative, side, d).coeffs)
-        equal = linalg.span_equal(kernel.coeffs, stacked)
-        results.append({"degree": d,
-                        "kernel": _subspace_json(model, kernel),
-                        "chamber_sum_dim": linalg.rank(stacked),
-                        "equal": equal})
-        _add_check(report, f"full-kernel-degree-{d}", equal,
-                   f"kernel dim {kernel.dim} vs chamber sum "
-                   f"dim {linalg.rank(stacked)}")
-    report["results"]["degrees"] = results
+    report["results"]["degrees"] = [
+        {"degree": r.degree, "kernel": _subspace_json(model, r.kernel),
+         "chamber_sum_dim": r.chamber_sum_dim, "equal": r.equal}
+        for r in rows]
+    for r in rows:
+        _add_check(report, f"full-kernel-degree-{r.degree}", r.equal,
+                   f"kernel dim {r.kernel_dim} vs chamber sum "
+                   f"dim {r.chamber_sum_dim}")
     ref = ds.generator(args.calibrate)
     report["results"]["calibration"] = {
         "class": args.calibrate,
@@ -321,8 +301,7 @@ def _kernel_nonabelian(ds: Dataset, args, report: dict) -> None:
     ordering = _parse_ordering(args, ds.space.vars.count)
     pairing = kernels.TorusPairing(ds.space, ordering=ordering)
     report["parameters"]["xi"] = list(pairing.xi.vector)
-    degrees = list(range(0, args.max_degree + 1, 2))
-    rows = weylgrp.check_nonabelian_kernels(model, ds.weyl, degrees, pairing)
+    rows = weylgrp.check_nonabelian_kernels(model, ds.weyl, _degrees(args), pairing)
     report["results"]["degrees"] = [
         {"degree": r.degree, "invariant_dim": r.invariant_dim,
          "pairing_kernel_dim": r.pairing_kernel_dim,
@@ -355,9 +334,16 @@ def _kernel_nonabelian(ds: Dataset, args, report: dict) -> None:
 def _parse_ordering(args, nvars: int) -> VariableOrdering | None:
     if args.ordering is None and args.delta is None:
         return None
-    order = (tuple(int(v) for v in args.ordering.split(","))
-             if args.ordering is not None else tuple(range(nvars)))
-    delta = Fraction(args.delta) if args.delta is not None else Q(1)
+    try:
+        order = (tuple(int(v) for v in args.ordering.split(","))
+                 if args.ordering is not None else tuple(range(nvars)))
+    except ValueError:
+        raise SchemaError(f"--ordering: expected comma-separated integers, "
+                          f"got {args.ordering!r}")
+    try:
+        delta = Fraction(args.delta) if args.delta is not None else Q(1)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"--delta: expected a rational p/q, got {args.delta!r}")
     ordering = VariableOrdering(order, delta)
     ordering.validated(nvars)
     return ordering
@@ -378,6 +364,9 @@ def cmd_kernel(args) -> int:
         return 2
     if args.max_degree is None:
         args.max_degree = ds.space.dim
+    if args.max_degree < 0:
+        sys.stderr.write(f"error: --max-degree: must be >= 0, got {args.max_degree}\n")
+        return 2
     report = _report("kernel", args.dataset,
                      {"mode": modes[0], "max_degree": args.max_degree,
                       "ordering": args.ordering, "delta": args.delta,

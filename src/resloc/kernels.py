@@ -9,7 +9,7 @@ model basis of their degree, so span comparisons are exact rank computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -17,20 +17,19 @@ from math import gcd
 from . import linalg
 from .residues import VariableOrdering, res_x_plus
 from .spaces import (
-    AdaptedSpace,
     CircleDirection,
     HamiltonianSpace,
     NonGenericError,
     RestrictedClass,
     adapt_space,
     find_generic_direction,
+    generator_products,
     is_generic,
     kappa_t_integral_adapted,
 )
 from .symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
-    LinearForm,
     Q,
     RationalSection,
     ValidationError,
@@ -116,22 +115,13 @@ class DegreeTruncatedModel:
 
     def _build(self):
         space = self.space
-        nonunit = [(name, cls) for name, cls in self.generators if cls.degree > 0]
+        names = [name for name, cls in self.generators if cls.degree > 0]
         # all multisets of non-unit generators within the degree budget
-        monomials: list[tuple[tuple[int, ...], RestrictedClass, str]] = []
-
-        def grow(idx: int, exps: list[int], cls: RestrictedClass, deg: int):
-            label_parts = [f"{nonunit[i][0]}" + (f"^{e}" if e > 1 else "")
+        monomials: list[tuple[RestrictedClass, str]] = []
+        for exps, cls in generator_products(space, self.generators, self.max_degree):
+            label_parts = [names[i] + (f"^{e}" if e > 1 else "")
                            for i, e in enumerate(exps) if e]
-            monomials.append((tuple(exps), cls, "*".join(label_parts) or "1"))
-            for i in range(idx, len(nonunit)):
-                d = nonunit[i][1].degree
-                if deg + d <= self.max_degree:
-                    exps2 = list(exps)
-                    exps2[i] += 1
-                    grow(i, exps2, cls * nonunit[i][1], deg + d)
-
-        grow(0, [0] * len(nonunit), RestrictedClass.unit(space), 0)
+            monomials.append((cls, "*".join(label_parts) or "1"))
 
         nvars = space.vars.count
         var_monomials: dict[int, list[tuple[int, ...]]] = {}
@@ -140,7 +130,7 @@ class DegreeTruncatedModel:
 
         for degree in range(0, self.max_degree + 1, 2):
             candidates: list[tuple[str, RestrictedClass]] = []
-            for exps, cls, label in monomials:
+            for cls, label in monomials:
                 gdeg = cls.degree
                 if gdeg > degree or (degree - gdeg) % 2:
                     continue
@@ -312,11 +302,23 @@ def residue_kernel_circle(model: DegreeTruncatedModel, xi: CircleDirection,
 @dataclass
 class CircleKernelRow:
     degree: int
-    kernel_dim: int
-    minus_dim: int
-    plus_dim: int
+    kernel: Subspace
+    minus: Subspace
+    plus: Subspace
     sum_direct: bool
     equal: bool
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.kernel.dim
+
+    @property
+    def minus_dim(self) -> int:
+        return self.minus.dim
+
+    @property
+    def plus_dim(self) -> int:
+        return self.plus.dim
 
     @property
     def ok(self) -> bool:
@@ -337,7 +339,7 @@ def check_circle_kernel_split(model: DegreeTruncatedModel, xi: CircleDirection,
         plus = tw_subspace(model, xi, "plus", d)
         direct = linalg.intersect_trivially(minus.coeffs, plus.coeffs)
         equal = linalg.span_equal(kernel.coeffs, minus.coeffs + plus.coeffs)
-        rows.append(CircleKernelRow(d, kernel.dim, minus.dim, plus.dim, direct, equal))
+        rows.append(CircleKernelRow(d, kernel, minus, plus, direct, equal))
     return rows
 
 
@@ -536,9 +538,13 @@ def torus_kernel(model: DegreeTruncatedModel, degree: int,
 @dataclass
 class FullKernelRow:
     degree: int
-    kernel_dim: int
+    kernel: Subspace
     chamber_sum_dim: int
     equal: bool
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.kernel.dim
 
     @property
     def ok(self) -> bool:
@@ -564,9 +570,11 @@ def check_full_kernel(model: DegreeTruncatedModel,
         for chamber in chambers.chambers:
             for side in ("minus", "plus"):
                 stacked.extend(tw_subspace(model, chamber.representative, side, d).coeffs)
-        sum_dim = linalg.rank(stacked) if stacked else 0
-        rows.append(FullKernelRow(d, kernel.dim, sum_dim,
-                                  linalg.span_equal(kernel.coeffs, stacked)))
+        # span_equal(kernel, stacked), reusing the rank of the stacked rows
+        sum_dim = linalg.rank(stacked)
+        equal = (linalg.rank(kernel.coeffs) == sum_dim
+                 == linalg.rank(kernel.coeffs + stacked))
+        rows.append(FullKernelRow(d, kernel, sum_dim, equal))
     return rows, chambers
 
 

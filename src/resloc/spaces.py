@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .residues import (
     MomentTerm,
@@ -42,12 +42,11 @@ __all__ = [
     "adapt_space",
     "is_generic",
     "find_generic_direction",
+    "generator_products",
     "localization_sum",
     "kappa_s_integral",
-    "KappaSResult",
     "kappa_t_integral",
     "kappa_t_integral_adapted",
-    "kappa_k_integral",
     "pairing_matrix",
 ]
 
@@ -140,12 +139,6 @@ class HamiltonianSpace:
         for f in self.components:
             if f.name == name:
                 return f
-        raise KeyError(name)
-
-    def component_index(self, name: str) -> int:
-        for i, f in enumerate(self.components):
-            if f.name == name:
-                return i
         raise KeyError(name)
 
     def euler_class(self, f: FixedComponent) -> EquivariantPolynomial:
@@ -254,6 +247,30 @@ class RestrictedClass:
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}: {p}" for n, p in self.restrictions.items())
         return f"RestrictedClass(deg {self.degree}; {inner})"
+
+
+def generator_products(space: HamiltonianSpace,
+                       generators: list[tuple[str, RestrictedClass]],
+                       max_degree: int) -> Iterator[tuple[tuple[int, ...], RestrictedClass]]:
+    """Every product of the positive-degree generators with total degree at
+    most max_degree, as (exponents, class).
+
+    Exponents are indexed by the positive-degree generators in their given
+    order.  Products come depth first, starting from the unit, and each is
+    multiplied out in generator order, so callers see a fixed sequence.
+    """
+    nonunit = [cls for _, cls in generators if cls.degree > 0]
+    exps = [0] * len(nonunit)
+
+    def grow(idx: int, cls: RestrictedClass):
+        yield tuple(exps), cls
+        for i in range(idx, len(nonunit)):
+            if cls.degree + nonunit[i].degree <= max_degree:
+                exps[i] += 1
+                yield from grow(i, cls * nonunit[i])
+                exps[i] -= 1
+
+    yield from grow(0, RestrictedClass.unit(space))
 
 
 # -- circle directions and coordinate adaptation ----------------------------
@@ -424,21 +441,11 @@ def localization_sum(space: HamiltonianSpace, eta: RestrictedClass) -> RationalS
     return total
 
 
-@dataclass
-class KappaSResult:
-    """Circle-level Kirwan integral: a polynomial in the non-circle variables
-    (up to a global constant), plus the bookkeeping of the computation."""
-
-    value: EquivariantPolynomial
-    plus_components: tuple[str, ...]
-    basis: tuple[tuple[int, ...], ...]
-    xi: CircleDirection
-
-
 def kappa_s_integral(space: HamiltonianSpace, eta: RestrictedClass,
-                     xi: CircleDirection, method: str = "poles") -> KappaSResult:
+                     xi: CircleDirection, method: str = "poles") -> EquivariantPolynomial:
     """Residue form of the circle-level Kirwan integral: sum over components on
-    the positive side of the residue in the circle variable.
+    the positive side of the residue in the circle variable.  The value is a
+    polynomial in the non-circle variables, up to a global constant.
 
     The residue axis is the sign-normalized generator of the circle's line, so
     reversing the circle swaps the selected side without flipping the operator;
@@ -453,21 +460,18 @@ def kappa_s_integral(space: HamiltonianSpace, eta: RestrictedClass,
     adapted = adapt_space(space, axis)
     eta_a = adapted.transform_class(eta)
     total = RationalSection.zero(space.vars, POINT_ALGEBRA)
-    plus = []
     for f in adapted.space.components:
         if (lead > 0) == (f.moment[0] > 0):
-            plus.append(f.name)
             term = adapted.space.localization_term(f, eta_a.restrictions[f.name])
             total = total + res_x_plus(term, 0, method=method)
     if total.involves(0):
         raise ArithmeticError("circle-level integral still involves the circle variable")
     try:
-        value = total.as_polynomial()
+        return total.as_polynomial()
     except Exception as exc:
         raise ValidationError(
             "circle-level Kirwan integral is not a polynomial; "
             "the fixed-point data is inconsistent") from exc
-    return KappaSResult(value, tuple(plus), adapted.basis, xi)
 
 
 def kappa_t_integral_adapted(adapted: AdaptedSpace, eta_adapted: RestrictedClass,
@@ -502,15 +506,6 @@ def kappa_t_integral(space: HamiltonianSpace, eta: RestrictedClass,
         xi = find_generic_direction(space)
     adapted = adapt_space(space, xi)
     return kappa_t_integral_adapted(adapted, adapted.transform_class(eta), ordering)
-
-
-def kappa_k_integral(space: HamiltonianSpace, eta: RestrictedClass,
-                     d_class: EquivariantPolynomial,
-                     xi: CircleDirection | None = None,
-                     ordering: VariableOrdering | None = None) -> Fraction:
-    """Nonabelian Kirwan integral (up to a global constant): torus-level
-    integral against the square of the antisymmetric root product."""
-    return kappa_t_integral(space, eta.mul_pure(d_class * d_class), xi, ordering)
 
 
 def pairing_matrix(basis: list[RestrictedClass],

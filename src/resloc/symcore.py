@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Q = Fraction
 
@@ -565,13 +565,6 @@ class EquivariantPolynomial:
                 out.terms[(tuple(ne), b)] = c
         return out
 
-    def divisible_by_form(self, form: LinearForm) -> bool:
-        try:
-            self.div_exact_linear(form)
-            return True
-        except ExactDivisionError:
-            return False
-
     # -- rendering ---------------------------------------------------------
 
     def sorted_items(self):
@@ -677,14 +670,6 @@ class RationalSection:
 
     def is_zero(self) -> bool:
         return self.numer.is_zero()
-
-    def denominator_polynomial(self) -> EquivariantPolynomial:
-        out = EquivariantPolynomial.one(self.vars, POINT_ALGEBRA)
-        for form, mult in sorted(self.denom.items(), key=lambda kv: kv[0].coeffs):
-            fp = EquivariantPolynomial.from_linear_form(self.vars, form)
-            for _ in range(mult):
-                out = out * fp
-        return out
 
     def involves(self, var: int) -> bool:
         return self.numer.involves(var) or any(f.involves(var) for f in self.denom)

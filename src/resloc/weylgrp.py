@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .kernels import DegreeTruncatedModel, Subspace, TorusPairing, torus_kernel
-from .spaces import HamiltonianSpace, RestrictedClass
+from .spaces import HamiltonianSpace, RestrictedClass, kappa_t_integral
 from .symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
@@ -239,13 +239,13 @@ class WeylData:
 
 def kappa_k_integral(weyl: WeylData, eta: RestrictedClass,
                      xi=None, ordering=None) -> Fraction:
-    """Nonabelian Kirwan integral of a group-invariant class: the torus-level
-    integral against the square of the positive-root product."""
-    from .spaces import kappa_k_integral as torus_level
-
+    """Nonabelian Kirwan integral (up to a global constant) of a group-invariant
+    class: the torus-level integral against the square of the positive-root
+    product."""
     if not weyl.is_invariant(eta):
         raise ValidationError("class is not invariant under the group")
-    return torus_level(weyl.space, eta, weyl.d_polynomial(), xi, ordering)
+    d = weyl.d_polynomial()
+    return kappa_t_integral(weyl.space, eta.mul_pure(d * d), xi, ordering)
 
 
 def brion_divide(weyl: WeylData, cls: RestrictedClass) -> RestrictedClass:

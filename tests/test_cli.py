@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, report shape, and byte determinism."""
 
-import copy
 import json
 
 import pytest
@@ -177,6 +176,17 @@ def test_kernel_full_with_delta(capsys):
                                "--ordering", "0", "--delta", "5")
     assert code == 0 and report["pass"]
     assert report["results"]["calibration"]["value"] == "-5"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("kernel", "s2", "--full", "--ordering", "a"), "--ordering"),
+    (("kernel", "s2", "--full", "--delta", "x"), "--delta"),
+    (("kernel", "s2", "--full", "--max-degree", "-2"), "--max-degree"),
+    (("validate", "s2", "--max-degree", "-1"), "--max-degree"),
+])
+def test_malformed_flag_exits_two(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and flag in err and not out
 
 
 def test_kernel_nonabelian_s2cubed(capsys):

@@ -15,8 +15,8 @@ from resloc.spaces import (
     RestrictedClass,
     adapt_space,
     find_generic_direction,
+    generator_products,
     is_generic,
-    kappa_k_integral,
     kappa_s_integral,
     kappa_t_integral,
     localization_sum,
@@ -188,6 +188,14 @@ def test_adapted_moment_is_pairing(s2xs2):
 # -- localization sums -----------------------------------------------------------
 
 
+def test_generator_products_depth_first(s2xs2):
+    u1, u2 = s2xs2.generator("u1"), s2xs2.generator("u2")
+    got = list(generator_products(s2xs2.space, s2xs2.generators, 4))
+    assert [exps for exps, _ in got] == [(0, 0), (1, 0), (2, 0), (1, 1), (0, 1), (0, 2)]
+    assert got[0][1] == RestrictedClass.unit(s2xs2.space)
+    assert got[3][1] == u1 * u2 and got[5][1] == u2 * u2
+
+
 def test_localization_sum_s2(s2):
     sp = s2.space
     u = s2.generator("u")
@@ -225,13 +233,11 @@ def test_localization_detects_bad_data(s2):
 def test_kappa_s_unit_both_sides(s2):
     sp = s2.space
     plus = kappa_s_integral(sp, RestrictedClass.unit(sp), CircleDirection.make((1,)))
-    assert plus.value == EquivariantPolynomial.constant(sp.vars, -1)
-    assert plus.plus_components == ("N",)
+    assert plus == EquivariantPolynomial.constant(sp.vars, -1)
     # reversing the circle swaps the selected side; the fixed-point sum of the
     # two one-sided values is the full localization sum, which vanishes here
     minus = kappa_s_integral(sp, RestrictedClass.unit(sp), CircleDirection.make((-1,)))
-    assert minus.value == EquivariantPolynomial.constant(sp.vars, 1)
-    assert minus.plus_components == ("S",)
+    assert minus == EquivariantPolynomial.constant(sp.vars, 1)
 
 
 def test_kappa_s_kills_class_supported_on_minus_side(s2):
@@ -239,7 +245,7 @@ def test_kappa_s_kills_class_supported_on_minus_side(s2):
     x = EquivariantPolynomial.variable(sp.vars, 0)
     eta = RestrictedClass(sp, 2, {"N": x, "S": EquivariantPolynomial.zero(sp.vars)})
     got = kappa_s_integral(sp, eta, CircleDirection.make((1,)))
-    assert got.value.is_zero()
+    assert got.is_zero()
 
 
 def test_kappa_s_rejects_nongeneric(s2xs2):
@@ -255,7 +261,7 @@ def test_kappa_s_methods_agree_on_generators(s2xs2):
     for _, g in s2xs2.generators:
         a = kappa_s_integral(sp, g, xi, method="poles")
         b = kappa_s_integral(sp, g, xi, method="series")
-        assert a.value == b.value
+        assert a == b
 
 
 # -- torus-level integral ----------------------------------------------------------
@@ -295,22 +301,11 @@ def test_kappa_t_rejects_bad_ordering(s2xs2):
         kappa_t_integral(s2xs2.space, unit, ordering=VariableOrdering((0, 0)))
 
 
-# -- nonabelian integral -----------------------------------------------------------
-
-
-def test_kappa_k_s2cubed(s2cubed):
+def test_kappa_t_against_root_square_s2cubed(s2cubed):
+    # the nonabelian integral of the unit; weylgrp.kappa_k_integral gives the same
     sp = s2cubed.space
     x = EquivariantPolynomial.variable(sp.vars, 0)
     assert kappa_t_integral(sp, RestrictedClass.unit(sp).mul_pure(x * x)) == 2
-    assert kappa_k_integral(sp, RestrictedClass.unit(sp), x) == 2
-
-
-def test_kappa_k_positive_degree(s2cubed):
-    sp = s2cubed.space
-    x = EquivariantPolynomial.variable(sp.vars, 0)
-    u1 = s2cubed.generator("u1")
-    sym = (u1.scale(2) - RestrictedClass.unit(sp).mul_pure(x)).scale(Q(1, 2))
-    assert kappa_k_integral(sp, sym, x) == 0
 
 
 # -- pairing matrices --------------------------------------------------------------
@@ -321,7 +316,7 @@ def test_pairing_matrix_kappa_s_unit(s2):
     xi = CircleDirection.make((1,))
 
     def integral(c):
-        return kappa_s_integral(sp, c, xi).value.constant_value()
+        return kappa_s_integral(sp, c, xi).constant_value()
 
     assert pairing_matrix([RestrictedClass.unit(sp)], integral) == [[Q(-1)]]
 
