@@ -21,8 +21,6 @@ from .symcore import (
 from .residues import (
     MomentTerm,
     VariableOrdering,
-    euler_series_residue,
-    iterated_res,
     iterated_residue_selected,
     res_x_plus,
 )
@@ -34,18 +32,18 @@ from .spaces import (
     NonGenericError,
     RestrictedClass,
     adapt_space,
+    circle_integral,
     find_generic_direction,
     is_generic,
     kappa_s_integral,
     kappa_t_integral,
     localization_sum,
+    torus_integral,
 )
 from .kernels import (
     ChamberSet,
-    CirclePairing,
     DegreeTruncatedModel,
     Subspace,
-    TorusPairing,
     build_model,
     check_circle_kernel_split,
     check_full_kernel,
@@ -53,7 +51,6 @@ from .kernels import (
     residue_kernel_circle,
     torus_kernel,
     tw_subspace,
-    validate_flowup_class,
 )
 from .weylgrp import (
     WeylData,

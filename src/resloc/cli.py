@@ -26,10 +26,11 @@ from .residues import VariableOrdering, res_x_plus
 from .spaces import (
     CircleDirection,
     NonGenericError,
-    RestrictedClass,
+    circle_integral,
     find_generic_direction,
     generator_products,
     localization_sum,
+    torus_integral,
 )
 from .symcore import (
     POINT_ALGEBRA,
@@ -254,21 +255,20 @@ def _kernel_circle(ds: Dataset, args, report: dict) -> None:
         _add_check(report, f"circle-split-degree-{r.degree}", r.ok,
                    f"kernel dim {r.kernel_dim} vs {r.minus_dim}+{r.plus_dim}, "
                    f"direct={r.sum_direct}")
-    pairing = kernels.CirclePairing(ds.space, xi)
-    ref = ds.generator(args.calibrate)
+    integral = circle_integral(ds.space, xi)
     report["results"]["calibration"] = {
         "class": args.calibrate,
-        "value": str(pairing.value(ref, RestrictedClass.unit(ds.space)))}
+        "value": str(integral(ds.generator(args.calibrate)))}
 
 
 def _kernel_full(ds: Dataset, args, report: dict) -> None:
     model = _build_model(ds, args.max_degree)
     ordering = _parse_ordering(args, ds.space.vars.count)
-    pairing = kernels.TorusPairing(ds.space, ordering=ordering)
-    report["parameters"]["xi"] = list(pairing.xi.vector)
+    integral = torus_integral(ds.space, ordering=ordering)
+    report["parameters"]["xi"] = list(integral.adapted.xi.vector)
     rows, chambers = kernels.check_full_kernel(model, degrees=_degrees(args),
                                                chamber_box=args.chamber_box,
-                                               pairing=pairing)
+                                               integral=integral)
     if not chambers.complete:
         report["warnings"].append(
             "chamber enumeration may be incomplete (ambient rank > 3); "
@@ -286,10 +286,9 @@ def _kernel_full(ds: Dataset, args, report: dict) -> None:
         _add_check(report, f"full-kernel-degree-{r.degree}", r.equal,
                    f"kernel dim {r.kernel_dim} vs chamber sum "
                    f"dim {r.chamber_sum_dim}")
-    ref = ds.generator(args.calibrate)
     report["results"]["calibration"] = {
         "class": args.calibrate,
-        "value": _fs(pairing.value(ref, RestrictedClass.unit(ds.space)))}
+        "value": _fs(integral(ds.generator(args.calibrate)))}
 
 
 def _kernel_nonabelian(ds: Dataset, args, report: dict) -> None:
@@ -299,9 +298,9 @@ def _kernel_nonabelian(ds: Dataset, args, report: dict) -> None:
         raise SchemaError("--nonabelian requires a dataset with a weyl section")
     model = _build_model(ds, args.max_degree)
     ordering = _parse_ordering(args, ds.space.vars.count)
-    pairing = kernels.TorusPairing(ds.space, ordering=ordering)
-    report["parameters"]["xi"] = list(pairing.xi.vector)
-    rows = weylgrp.check_nonabelian_kernels(model, ds.weyl, _degrees(args), pairing)
+    integral = torus_integral(ds.space, ordering=ordering)
+    report["parameters"]["xi"] = list(integral.adapted.xi.vector)
+    rows = weylgrp.check_nonabelian_kernels(model, ds.weyl, _degrees(args), integral)
     report["results"]["degrees"] = [
         {"degree": r.degree, "invariant_dim": r.invariant_dim,
          "pairing_kernel_dim": r.pairing_kernel_dim,
@@ -315,7 +314,7 @@ def _kernel_nonabelian(ds: Dataset, args, report: dict) -> None:
     spans = []
     two_r = 2 * len(ds.weyl.positive_roots)
     for src in range(two_r, args.max_degree + 1, 2):
-        row = weylgrp.check_antisymmetrized_span(model, ds.weyl, src, pairing)
+        row = weylgrp.check_antisymmetrized_span(model, ds.weyl, src, integral)
         spans.append({"source_degree": row.source_degree,
                       "target_degree": row.target_degree,
                       "span_dim": row.span_dim, "kernel_dim": row.kernel_dim,
@@ -325,10 +324,9 @@ def _kernel_nonabelian(ds: Dataset, args, report: dict) -> None:
                    f"at degree {row.target_degree}")
     report["results"]["antisymmetrized_spans"] = spans
     dcls = ds.weyl.d_class()
-    ref = ds.generator(args.calibrate)
     report["results"]["calibration"] = {
         "class": args.calibrate,
-        "value": _fs(pairing.value(ref * dcls, dcls))}
+        "value": _fs(integral(ds.generator(args.calibrate) * dcls * dcls))}
 
 
 def _parse_ordering(args, nvars: int) -> VariableOrdering | None:
@@ -344,9 +342,11 @@ def _parse_ordering(args, nvars: int) -> VariableOrdering | None:
         delta = Fraction(args.delta) if args.delta is not None else Q(1)
     except (ValueError, ZeroDivisionError):
         raise SchemaError(f"--delta: expected a rational p/q, got {args.delta!r}")
-    ordering = VariableOrdering(order, delta)
-    ordering.validated(nvars)
-    return ordering
+    try:
+        return VariableOrdering(order, delta).validated(nvars)
+    except ValidationError as exc:
+        flag = "--ordering" if sorted(order) != list(range(nvars)) else "--delta"
+        raise SchemaError(f"{flag}: {exc}") from exc
 
 
 def cmd_kernel(args) -> int:

@@ -15,23 +15,24 @@ from itertools import combinations
 from math import gcd
 
 from . import linalg
-from .residues import VariableOrdering, res_x_plus
+# Not called here; the name stays because perfbench/test_perfbench.py checks
+# that tracing rebinds kernels.res_x_plus.
+from .residues import res_x_plus  # noqa: F401
 from .spaces import (
     CircleDirection,
     HamiltonianSpace,
+    KirwanIntegral,
     NonGenericError,
     RestrictedClass,
-    adapt_space,
-    find_generic_direction,
+    circle_integral,
     generator_products,
     is_generic,
-    kappa_t_integral_adapted,
+    torus_integral,
 )
 from .symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
     Q,
-    RationalSection,
     ValidationError,
     monomial_sort_key,
 )
@@ -44,14 +45,13 @@ __all__ = [
     "build_model",
     "Subspace",
     "tw_subspace",
-    "CirclePairing",
+    "pairing_kernel",
     "residue_kernel_circle",
     "CircleKernelRow",
     "check_circle_kernel_split",
     "Chamber",
     "ChamberSet",
     "enumerate_generic_directions",
-    "TorusPairing",
     "torus_kernel",
     "FullKernelRow",
     "check_full_kernel",
@@ -234,40 +234,33 @@ def tw_subspace(model: DegreeTruncatedModel, xi: CircleDirection, side: str,
     return Subspace(degree, linalg.nullspace(rows, ncols=len(basis)))
 
 
-# -- circle-level residue kernel ---------------------------------------------
+# -- pairing kernels -----------------------------------------------------------
 
 
-class CirclePairing:
-    """Pairing of classes through the circle-level Kirwan integral for a fixed
-    generic direction; values are polynomials in the non-circle variables."""
+def pairing_kernel(integral: KirwanIntegral, classes: list[RestrictedClass],
+                   testing: list[RestrictedClass]) -> list[list[Fraction]]:
+    """Null space, in the coordinates of ``classes``, of the pairing
+    (eta, zeta) -> integral(eta * zeta) against every testing class.
 
-    def __init__(self, space: HamiltonianSpace, xi: CircleDirection, method: str = "poles"):
-        violations = is_generic(space, xi)
-        if violations:
-            raise NonGenericError(f"direction {xi.vector} is not generic", violations)
-        self.space = space
-        self.xi = xi.primitive()
-        self.method = method
-        self.adapted = adapt_space(space, self.xi)
-        self._plus = [f for f in self.adapted.space.components if f.moment[0] > 0]
-
-    def adapt(self, cls: RestrictedClass) -> RestrictedClass:
-        return self.adapted.transform_class(cls)
-
-    def value_adapted(self, product: RestrictedClass) -> EquivariantPolynomial:
-        total = RationalSection.zero(self.space.vars, POINT_ALGEBRA)
-        for f in self._plus:
-            term = self.adapted.space.localization_term(f, product.restrictions[f.name])
-            total = total + res_x_plus(term, 0, method=self.method)
-        try:
-            return total.as_polynomial()
-        except Exception as exc:
-            raise ValidationError(
-                "circle-level pairing is not polynomial; fixed-point data is "
-                "inconsistent") from exc
-
-    def value(self, eta: RestrictedClass, zeta: RestrictedClass) -> EquivariantPolynomial:
-        return self.value_adapted(self.adapt(eta * zeta))
+    Every class is adapted once and the products of adapted classes are
+    evaluated.  A scalar value gives one row per testing class, a polynomial
+    value one row per monomial.
+    """
+    if not classes:
+        return []
+    rows: list[list[Fraction]] = []
+    if testing:
+        adapted = [integral.adapt(cls) for cls in classes]
+        for zeta in testing:
+            z = integral.adapt(zeta)
+            values = [integral.of_adapted(b * z) for b in adapted]
+            if not isinstance(values[0], EquivariantPolynomial):
+                rows.append(values)
+                continue
+            monomials = sorted({key for v in values for key in v.terms},
+                               key=lambda key: (monomial_sort_key(key[0]), key[1]))
+            rows.extend([v.terms.get(mono, Q(0)) for v in values] for mono in monomials)
+    return linalg.nullspace(rows, ncols=len(classes))
 
 
 def _testing_degrees(model: DegreeTruncatedModel, slack: int = 0) -> list[int]:
@@ -284,19 +277,11 @@ def residue_kernel_circle(model: DegreeTruncatedModel, xi: CircleDirection,
     (module generators of the quotient cohomology); enlarging by
     ``testing_slack`` degrees lets callers confirm the null space is stable.
     """
-    pairing = CirclePairing(model.space, xi, method=method)
-    basis = model.basis_by_degree[degree]
-    adapted_basis = [pairing.adapt(el.cls) for el in basis]
-    rows: list[list[Fraction]] = []
-    for zdeg in _testing_degrees(model, testing_slack):
-        for zel in model.basis_by_degree[zdeg]:
-            z_adapted = pairing.adapt(zel.cls)
-            values = [pairing.value_adapted(b * z_adapted) for b in adapted_basis]
-            monomials = sorted({key for v in values for key in v.terms},
-                               key=lambda key: (monomial_sort_key(key[0]), key[1]))
-            for mono in monomials:
-                rows.append([v.terms.get(mono, Q(0)) for v in values])
-    return Subspace(degree, linalg.nullspace(rows, ncols=len(basis)))
+    integral = circle_integral(model.space, xi, method=method)
+    testing = [el.cls for zdeg in _testing_degrees(model, testing_slack)
+               for el in model.basis_by_degree[zdeg]]
+    classes = [el.cls for el in model.basis_by_degree[degree]]
+    return Subspace(degree, pairing_kernel(integral, classes, testing))
 
 
 @dataclass
@@ -494,45 +479,17 @@ def enumerate_generic_directions(space: HamiltonianSpace, box: int = 8) -> Chamb
 # -- torus-level kernel -------------------------------------------------------
 
 
-class TorusPairing:
-    """Scalar pairing of classes through the torus-level Kirwan integral for a
-    fixed generic innermost direction and residue ordering."""
-
-    def __init__(self, space: HamiltonianSpace, xi: CircleDirection | None = None,
-                 ordering: VariableOrdering | None = None):
-        if xi is None:
-            xi = find_generic_direction(space)
-        self.space = space
-        self.xi = xi.primitive()
-        self.adapted = adapt_space(space, self.xi)
-        self.ordering = ordering
-
-    def adapt(self, cls: RestrictedClass) -> RestrictedClass:
-        return self.adapted.transform_class(cls)
-
-    def value_adapted(self, product: RestrictedClass) -> Fraction:
-        return kappa_t_integral_adapted(self.adapted, product, self.ordering)
-
-    def value(self, eta: RestrictedClass, zeta: RestrictedClass) -> Fraction:
-        return self.value_adapted(self.adapt(eta * zeta))
-
-
 def torus_kernel(model: DegreeTruncatedModel, degree: int,
-                 pairing: TorusPairing | None = None) -> Subspace:
+                 integral: KirwanIntegral | None = None) -> Subspace:
     """Null space of the torus-level pairing against the complementary-degree
     model slice; slices with no complementary classes are unconstrained."""
-    if pairing is None:
-        pairing = TorusPairing(model.space)
-    basis = model.basis_by_degree[degree]
-    n = model.space.vars.count
-    comp_degree = model.space.dim - 2 * n - degree
-    rows: list[list[Fraction]] = []
-    if 0 <= comp_degree <= model.max_degree:
-        adapted_basis = [pairing.adapt(el.cls) for el in basis]
-        for zel in model.basis_by_degree[comp_degree]:
-            z_adapted = pairing.adapt(zel.cls)
-            rows.append([pairing.value_adapted(b * z_adapted) for b in adapted_basis])
-    return Subspace(degree, linalg.nullspace(rows, ncols=len(basis)))
+    if integral is None:
+        integral = torus_integral(model.space)
+    comp_degree = model.space.dim - 2 * model.space.vars.count - degree
+    testing = ([el.cls for el in model.basis_by_degree[comp_degree]]
+               if 0 <= comp_degree <= model.max_degree else [])
+    classes = [el.cls for el in model.basis_by_degree[degree]]
+    return Subspace(degree, pairing_kernel(integral, classes, testing))
 
 
 @dataclass
@@ -554,18 +511,18 @@ class FullKernelRow:
 def check_full_kernel(model: DegreeTruncatedModel,
                       degrees: list[int] | None = None,
                       chamber_box: int = 8,
-                      pairing: TorusPairing | None = None
+                      integral: KirwanIntegral | None = None
                       ) -> tuple[list[FullKernelRow], ChamberSet]:
     """Degreewise comparison of the torus-level kernel with the span, over all
     chambers, of the two one-sided vanishing subspaces."""
     if degrees is None:
         degrees = list(range(0, model.max_degree + 1, 2))
     chambers = enumerate_generic_directions(model.space, box=chamber_box)
-    if pairing is None:
-        pairing = TorusPairing(model.space)
+    if integral is None:
+        integral = torus_integral(model.space)
     rows = []
     for d in degrees:
-        kernel = torus_kernel(model, d, pairing)
+        kernel = torus_kernel(model, d, integral)
         stacked: list[list[Fraction]] = []
         for chamber in chambers.chambers:
             for side in ("minus", "plus"):

@@ -22,14 +22,13 @@ Kirwan integrals use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
-    GradedAlgebra,
     LinearForm,
     Q,
     RationalSection,

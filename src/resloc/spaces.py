@@ -23,6 +23,7 @@ from .residues import (
 from .symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
+    ExactDivisionError,
     GradedAlgebra,
     LinearForm,
     Q,
@@ -44,10 +45,11 @@ __all__ = [
     "find_generic_direction",
     "generator_products",
     "localization_sum",
+    "KirwanIntegral",
+    "circle_integral",
+    "torus_integral",
     "kappa_s_integral",
     "kappa_t_integral",
-    "kappa_t_integral_adapted",
-    "pairing_matrix",
 ]
 
 
@@ -441,80 +443,109 @@ def localization_sum(space: HamiltonianSpace, eta: RestrictedClass) -> RationalS
     return total
 
 
-def kappa_s_integral(space: HamiltonianSpace, eta: RestrictedClass,
-                     xi: CircleDirection, method: str = "poles") -> EquivariantPolynomial:
-    """Residue form of the circle-level Kirwan integral: sum over components on
-    the positive side of the residue in the circle variable.  The value is a
-    polynomial in the non-circle variables, up to a global constant.
+@dataclass(frozen=True)
+class KirwanIntegral:
+    """A Kirwan integral: a linear functional on restriction data, bound to the
+    adapted space its residues are taken in.
 
-    The residue axis is the sign-normalized generator of the circle's line, so
-    reversing the circle swaps the selected side without flipping the operator;
-    the two values then cancel against each other in the fixed-point sum.
+    ``adapt`` moves a class into the adapted coordinates and ``of_adapted``
+    evaluates a class already there, so a caller pairing many products adapts
+    each factor once and multiplies adapted classes.
+    """
+
+    adapted: AdaptedSpace
+    of_adapted: Callable[[RestrictedClass], Fraction | EquivariantPolynomial]
+
+    def adapt(self, eta: RestrictedClass) -> RestrictedClass:
+        return self.adapted.transform_class(eta)
+
+    def __call__(self, eta: RestrictedClass) -> Fraction | EquivariantPolynomial:
+        return self.of_adapted(self.adapt(eta))
+
+
+def circle_integral(space: HamiltonianSpace, xi: CircleDirection,
+                    axis: CircleDirection | None = None,
+                    method: str = "poles") -> KirwanIntegral:
+    """Residue form of the circle-level Kirwan integral: sum over the components
+    on the positive side of xi of the residue in the circle variable.  Values
+    are polynomials in the non-circle variables, up to a global constant.
+
+    The residue is taken along ``axis``, which is xi (the default) or -xi; the
+    two choices give different operators, e.g. on the 2-sphere with xi = (-1)
+    the unit integrates to -1 along xi and to 1 along -xi.
     """
     violations = is_generic(space, xi)
     if violations:
         raise NonGenericError(f"direction {xi.vector} is not generic", violations)
     xi = xi.primitive()
-    lead = next(c for c in xi.vector if c)
-    axis = xi if lead > 0 else CircleDirection(tuple(-c for c in xi.vector))
+    axis = xi if axis is None else axis.primitive()
+    if axis.vector not in (xi.vector, tuple(-c for c in xi.vector)):
+        raise ValidationError("the residue axis must be the circle direction or its negative")
     adapted = adapt_space(space, axis)
-    eta_a = adapted.transform_class(eta)
-    total = RationalSection.zero(space.vars, POINT_ALGEBRA)
-    for f in adapted.space.components:
-        if (lead > 0) == (f.moment[0] > 0):
-            term = adapted.space.localization_term(f, eta_a.restrictions[f.name])
+    # the components on xi's positive side, whichever way the axis points
+    plus = [f for f in adapted.space.components if (f.moment[0] > 0) == (axis == xi)]
+
+    def of_adapted(eta: RestrictedClass) -> EquivariantPolynomial:
+        total = RationalSection.zero(space.vars, POINT_ALGEBRA)
+        for f in plus:
+            term = adapted.space.localization_term(f, eta.restrictions[f.name])
             total = total + res_x_plus(term, 0, method=method)
-    if total.involves(0):
-        raise ArithmeticError("circle-level integral still involves the circle variable")
-    try:
-        return total.as_polynomial()
-    except Exception as exc:
-        raise ValidationError(
-            "circle-level Kirwan integral is not a polynomial; "
-            "the fixed-point data is inconsistent") from exc
+        if total.involves(0):
+            raise ArithmeticError("circle-level integral still involves the circle variable")
+        try:
+            return total.as_polynomial()
+        except ExactDivisionError as exc:
+            raise ValidationError(
+                "circle-level Kirwan integral is not a polynomial; "
+                "the fixed-point data is inconsistent") from exc
+
+    return KirwanIntegral(adapted, of_adapted)
 
 
-def kappa_t_integral_adapted(adapted: AdaptedSpace, eta_adapted: RestrictedClass,
-                             ordering: VariableOrdering | None = None) -> Fraction:
-    space = adapted.space
-    n = space.vars.count
+def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,
+                   ordering: VariableOrdering | None = None) -> KirwanIntegral:
+    """Torus-level Kirwan integral (up to a global constant) as a moment-
+    weighted iterated residue of the fixed-point sum, innermost residue taken
+    along a generic circle direction (the first one found when xi is None)."""
+    if xi is None:
+        xi = find_generic_direction(space)
+    adapted = adapt_space(space, xi)
     if ordering is None:
-        ordering = VariableOrdering(tuple(range(n)))
-    first = ordering.order[0]
-    for f in space.components:
-        if f.moment[first] == 0:
-            raise NonGenericError(
-                f"first-applied direction meets the moment of {f.name}",
-                [("moment", f.name)])
-        for w, _ in f.normal_lines:
-            if w.coeffs[first] == 0:
+        ordering = VariableOrdering(tuple(range(space.vars.count)))
+
+    def of_adapted(eta: RestrictedClass) -> Fraction:
+        first = ordering.order[0]
+        for f in adapted.space.components:
+            if f.moment[first] == 0:
                 raise NonGenericError(
-                    f"first-applied direction annihilates a weight at {f.name}",
-                    [("weight", f.name)])
-    terms = [MomentTerm(f.moment, space.localization_term(f, eta_adapted.restrictions[f.name]))
-             for f in space.components]
-    return iterated_residue_selected(terms, ordering)
+                    f"first-applied direction meets the moment of {f.name}",
+                    [("moment", f.name)])
+            for w, _ in f.normal_lines:
+                if w.coeffs[first] == 0:
+                    raise NonGenericError(
+                        f"first-applied direction annihilates a weight at {f.name}",
+                        [("weight", f.name)])
+        terms = [MomentTerm(f.moment,
+                            adapted.space.localization_term(f, eta.restrictions[f.name]))
+                 for f in adapted.space.components]
+        return iterated_residue_selected(terms, ordering)
+
+    return KirwanIntegral(adapted, of_adapted)
+
+
+def kappa_s_integral(space: HamiltonianSpace, eta: RestrictedClass,
+                     xi: CircleDirection, method: str = "poles") -> EquivariantPolynomial:
+    """The circle-level integral of one class, with the residue axis the
+    sign-normalized generator of the circle's line: reversing the circle then
+    swaps the selected side without flipping the operator, and the two values
+    cancel against each other in the fixed-point sum."""
+    lead = next((c for c in xi.vector if c), 0)
+    axis = CircleDirection(tuple(-c for c in xi.vector)) if lead < 0 else None
+    return circle_integral(space, xi, axis, method)(eta)
 
 
 def kappa_t_integral(space: HamiltonianSpace, eta: RestrictedClass,
                      xi: CircleDirection | None = None,
                      ordering: VariableOrdering | None = None) -> Fraction:
-    """Torus-level Kirwan integral (up to a global constant) as a moment-
-    weighted iterated residue of the fixed-point sum, innermost residue taken
-    along a generic circle direction."""
-    if xi is None:
-        xi = find_generic_direction(space)
-    adapted = adapt_space(space, xi)
-    return kappa_t_integral_adapted(adapted, adapted.transform_class(eta), ordering)
-
-
-def pairing_matrix(basis: list[RestrictedClass],
-                   integral: Callable[[RestrictedClass], Fraction]) -> list[list[Fraction]]:
-    """Symmetric matrix of integral(b_i * b_j)."""
-    n = len(basis)
-    mat = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = integral(basis[i] * basis[j])
-            mat[i][j] = mat[j][i] = v
-    return mat
+    """The torus-level integral of one class; see ``torus_integral``."""
+    return torus_integral(space, xi, ordering)(eta)

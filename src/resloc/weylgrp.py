@@ -13,8 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .kernels import DegreeTruncatedModel, Subspace, TorusPairing, torus_kernel
-from .spaces import HamiltonianSpace, RestrictedClass, kappa_t_integral
+from .kernels import DegreeTruncatedModel, Subspace, pairing_kernel, torus_kernel
+from .spaces import (
+    HamiltonianSpace,
+    KirwanIntegral,
+    RestrictedClass,
+    kappa_t_integral,
+    torus_integral,
+)
 from .symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
@@ -307,69 +313,51 @@ class NonabelianRow:
 
 def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
                              degrees: list[int],
-                             pairing: TorusPairing | None = None
+                             integral: KirwanIntegral | None = None
                              ) -> list[NonabelianRow]:
     """Compare, inside each invariant slice, three descriptions of the
     nonabelian kernel: the null space of the nonabelian pairing against
     invariant classes of complementary degree, the classes whose product with
     the positive-root factor lies in the torus-level kernel, and the classes
     whose product with its square does."""
-    if pairing is None:
-        pairing = TorusPairing(model.space)
+    if integral is None:
+        integral = torus_integral(model.space)
     space = model.space
     n = space.vars.count
     r = len(weyl.positive_roots)
     dcls = weyl.d_class()
     d2cls = dcls * dcls
-    unit_mult = RestrictedClass.unit(space)
     rows = []
     for d in degrees:
         inv = invariant_subspace(model, weyl, d)
         inv_classes = Subspace(d, inv.coeffs).classes(model)
+        once = [cls * dcls for cls in inv_classes]
+        twice = [cls * d2cls for cls in inv_classes]
 
         # (i) pairing kernel: kappa_T(eta * zeta * D^2) over invariant zeta
         comp = space.dim - 2 * n - 4 * r - d
+        in_range = 0 <= comp <= model.max_degree
         testing: list[RestrictedClass] = []
-        if 0 <= comp <= model.max_degree:
+        if in_range:
             testing = Subspace(comp, invariant_subspace(model, weyl, comp).coeffs
                                ).classes(model)
-        k_pair = _kernel_in_subspace(pairing, inv_classes, d2cls, testing)
+        k_pair = pairing_kernel(integral, twice, testing)
 
         # (ii) once-divided: D * eta in the torus-level kernel
-        comp1 = space.dim - 2 * n - 2 * r - d
-        testing1 = (model.basis_by_degree[comp1]
+        comp1 = comp + 2 * r
+        testing1 = ([el.cls for el in model.basis_by_degree[comp1]]
                     if 0 <= comp1 <= model.max_degree else [])
-        k_once = _kernel_in_subspace(pairing, inv_classes, dcls,
-                                     [el.cls for el in testing1])
+        k_once = pairing_kernel(integral, once, testing1)
 
         # (iii) twice-divided: D^2 * eta in the torus-level kernel
-        comp2 = space.dim - 2 * n - 4 * r - d
-        testing2 = (model.basis_by_degree[comp2]
-                    if 0 <= comp2 <= model.max_degree else [])
-        k_twice = _kernel_in_subspace(pairing, inv_classes, d2cls,
-                                      [el.cls for el in testing2])
+        testing2 = [el.cls for el in model.basis_by_degree[comp]] if in_range else []
+        k_twice = pairing_kernel(integral, twice, testing2)
 
         equal = (linalg.span_equal(k_pair, k_once)
                  and linalg.span_equal(k_once, k_twice))
         rows.append(NonabelianRow(d, len(inv_classes), len(k_pair),
                                   len(k_once), len(k_twice), equal))
     return rows
-
-
-def _kernel_in_subspace(pairing: TorusPairing, inv_classes: list[RestrictedClass],
-                        multiplier: RestrictedClass,
-                        testing: list[RestrictedClass]) -> list[list[Fraction]]:
-    """Null space, in the coordinates of the invariant basis, of the pairing
-    (eta, zeta) -> kappa_T(eta * multiplier * zeta)."""
-    k = len(inv_classes)
-    if k == 0:
-        return []
-    adapted = [pairing.adapt(cls * multiplier) for cls in inv_classes]
-    rows = []
-    for zeta in testing:
-        z = pairing.adapt(zeta)
-        rows.append([pairing.value_adapted(b * z) for b in adapted])
-    return linalg.nullspace(rows, ncols=k)
 
 
 @dataclass
@@ -383,16 +371,16 @@ class AntisymmetrizedSpanRow:
 
 def check_antisymmetrized_span(model: DegreeTruncatedModel, weyl: WeylData,
                                source_degree: int,
-                               pairing: TorusPairing | None = None
+                               integral: KirwanIntegral | None = None
                                ) -> AntisymmetrizedSpanRow:
     """The antisymmetrizations of a basis of the torus-level kernel, divided by
     the positive-root product, should span the nonabelian pairing kernel in the
     invariant slice of the complementary lower degree."""
-    if pairing is None:
-        pairing = TorusPairing(model.space)
+    if integral is None:
+        integral = torus_integral(model.space)
     r = len(weyl.positive_roots)
     target = source_degree - 2 * r
-    kernel = torus_kernel(model, source_degree, pairing)
+    kernel = torus_kernel(model, source_degree, integral)
     produced: list[list[Fraction]] = []
     for cls in kernel.classes(model):
         anti = weyl.antisymmetrize(cls)
@@ -410,8 +398,8 @@ def check_antisymmetrized_span(model: DegreeTruncatedModel, weyl: WeylData,
     testing = (Subspace(comp, invariant_subspace(model, weyl, comp).coeffs
                         ).classes(model)
                if 0 <= comp <= model.max_degree else [])
-    k_sub = _kernel_in_subspace(pairing, inv_classes, weyl.d_class() * weyl.d_class(),
-                                testing)
+    d2cls = weyl.d_class() * weyl.d_class()
+    k_sub = pairing_kernel(integral, [cls * d2cls for cls in inv_classes], testing)
     # k_sub is in invariant-basis coordinates; convert to slice coordinates
     kernel_vecs = []
     for c in k_sub:

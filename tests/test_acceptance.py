@@ -4,6 +4,7 @@ pass/fail line under pytest -v and asserting its own runtime budget.
 Everything here is exact rational arithmetic; there are no tolerances.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -11,13 +12,10 @@ import sys
 import time
 from fractions import Fraction as Q
 
-import pytest
-
 from resloc.datasets import bundled_names, load_dataset
 from resloc.kernels import build_model, check_circle_kernel_split, check_full_kernel
-from resloc.linalg import rank as mat_rank
 from resloc.residues import euler_series_residue, res_x_plus
-from resloc.spaces import RestrictedClass, localization_sum
+from resloc.spaces import RestrictedClass, localization_sum, torus_integral
 from resloc.symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
@@ -30,7 +28,6 @@ from resloc.weylgrp import (
     check_antisymmetrized_span,
     check_nonabelian_kernels,
 )
-from resloc.kernels import TorusPairing
 
 VARS = {n: Variables(("X", "Y1", "Y2")[:n]) for n in (1, 2, 3)}
 
@@ -222,7 +219,7 @@ def test_weyl_group_laws_randomized():
     ds = load_dataset("s2cubed-su2")
     model = build_model(ds.space, ds.generators, 6)
     weyl = ds.weyl
-    pairing = TorusPairing(ds.space)
+    integral = torus_integral(ds.space)
     rng = random.Random(5)
     images_cache = {id(w): w.variable_images(ds.space) for w in weyl.elements}
     dpoly = weyl.d_polynomial()
@@ -245,12 +242,11 @@ def test_weyl_group_laws_randomized():
     for _ in range(100):
         w = rng.choice(weyl.elements)
         eta, zeta = rand_class(rng.choice((0, 2, 4))), rand_class(rng.choice((0, 2)))
-        assert pairing.value(weyl.act(w, eta), weyl.act(w, zeta)) == \
-            pairing.value(eta, zeta)
+        assert integral(weyl.act(w, eta) * weyl.act(w, zeta)) == integral(eta * zeta)
     for _ in range(100):
         eta, zeta = rand_class(rng.choice((0, 2))), rand_class(rng.choice((0, 2)))
-        assert pairing.value(eta.mul_pure(dpoly), zeta.mul_pure(dpoly)) == \
-            pairing.value(eta.mul_pure(dpoly * dpoly), zeta)
+        assert integral(eta.mul_pure(dpoly) * zeta.mul_pure(dpoly)) == \
+            integral(eta.mul_pure(dpoly * dpoly) * zeta)
     divided = 0
     for _ in range(100):
         anti = weyl.antisymmetrize(rand_class(rng.choice((2, 4, 6))))
@@ -262,7 +258,8 @@ def test_weyl_group_laws_randomized():
 
 def test_cli_reports_are_deterministic(tmp_path):
     """Every CLI command, run twice in fresh interpreters on bundled data,
-    emits byte-identical reports."""
+    emits byte-identical reports, and those reports hash to the recorded
+    digests.  The residue report embeds its input path, so it has none."""
     expr = tmp_path / "expr.json"
     expr.write_text(json.dumps({
         "variables": ["X", "Y1"],
@@ -270,20 +267,36 @@ def test_cli_reports_are_deterministic(tmp_path):
         "denominator": [{"form": ["1", "-1"]}, {"form": ["1", "1"]}],
     }))
     commands = [
-        ["validate", "s2"],
-        ["validate", "s2xs2-t2"],
-        ["validate", "s2xs2-nonisolated"],
-        ["validate", "s2cubed-su2"],
-        ["residue", str(expr)],
-        ["kernel", "s2", "--circle", "1"],
-        ["kernel", "s2xs2-t2", "--circle", "1,2"],
-        ["kernel", "s2xs2-nonisolated", "--circle", "1"],
-        ["kernel", "s2", "--full"],
-        ["kernel", "s2xs2-t2", "--full"],
-        ["kernel", "s2cubed-su2", "--nonabelian"],
-        ["kernel", "s2", "--circle", "1", "--format", "text"],
+        (["validate", "s2"],
+         "c4ca14841808678ef73e2da2173d60b9932d65b733658eee697bfe1923d38cb8"),
+        (["validate", "s2xs2-t2"],
+         "6efd5b465704f0a4e262eb636417369f57885a7add2425d06daef579e3af68de"),
+        (["validate", "s2xs2-nonisolated"],
+         "40121cc5b6a3be6e04b6d0e318357ca3f2064bb546f56597d4188c97f5d6d43a"),
+        (["validate", "s2cubed-su2"],
+         "a20baa2c654eda24e63d23392af9fc772eefb5cc294a82ec3baebaf6842b3283"),
+        (["residue", str(expr)], None),
+        (["kernel", "s2", "--circle", "1"],
+         "b6802cc28e42a4086169fdc3467bd25b59dc2bbe46182f26320bdab2a6dcbed8"),
+        (["kernel", "s2xs2-t2", "--circle", "1,2"],
+         "174109630b62fd9877ae5c1f4bd46568addb8eee229982152b45962c08dd1c4b"),
+        (["kernel", "s2xs2-nonisolated", "--circle", "1"],
+         "bdf97245cd2a13e0b288b519feb01e61734842b15fe34150a2b9616d2916121c"),
+        (["kernel", "s2", "--full"],
+         "d1daa56eb2c2cbddffc5ad3621a83b2b4d015985a1c90c43d875ca710ad4c788"),
+        (["kernel", "s2xs2-t2", "--full"],
+         "72ab973176ac5d3f129d37190f1fded1a0e1df2b87c6d9339b4457a5991caba1"),
+        (["kernel", "s2cubed-su2", "--nonabelian"],
+         "7c4d7ad25888b1582849c26f05740aa95e36ccd336c3de5105d8139f57cd0ef0"),
+        (["kernel", "s2", "--circle", "1", "--format", "text"],
+         "37b64c17bb52be5db504e6d86adf33400fd01cda4308103cdc07684c5f8d45b5"),
+        # a negative leading entry: the calibration integrates along xi as given
+        (["kernel", "s2", "--circle=-1"],
+         "968aaa1f7328e4e722ee31156f80f9fb0464aff0637b43b5537f2c312a201eb2"),
+        (["kernel", "s2xs2-t2", "--circle=-1,2"],
+         "eebb1a5320a0f4dc787861fab084bf841eab457dff406095114983c194cee817"),
     ]
-    for argv in commands:
+    for argv, digest in commands:
         outs = []
         for _ in range(2):
             proc = subprocess.run([sys.executable, "-m", "resloc", *argv],
@@ -292,3 +305,6 @@ def test_cli_reports_are_deterministic(tmp_path):
             outs.append(proc.stdout)
         assert outs[0] == outs[1], f"nondeterministic report for {argv}"
         assert outs[0], f"empty report for {argv}"
+        if digest is not None:
+            assert hashlib.sha256(outs[0]).hexdigest() == digest, \
+                f"report bytes changed for {argv}"

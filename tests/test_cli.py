@@ -183,6 +183,8 @@ def test_kernel_full_with_delta(capsys):
     (("kernel", "s2", "--full", "--delta", "x"), "--delta"),
     (("kernel", "s2", "--full", "--max-degree", "-2"), "--max-degree"),
     (("validate", "s2", "--max-degree", "-1"), "--max-degree"),
+    (("kernel", "s2", "--full", "--ordering", "1"), "--ordering"),
+    (("kernel", "s2", "--full", "--delta", "0"), "--delta"),
 ])
 def test_malformed_flag_exits_two(capsys, argv, flag):
     code, out, err = run(capsys, *argv)

@@ -7,9 +7,7 @@ import pytest
 
 from resloc.datasets import load_dataset
 from resloc.kernels import (
-    CirclePairing,
     SignPattern,
-    TorusPairing,
     build_model,
     check_circle_kernel_split,
     check_full_kernel,
@@ -26,6 +24,9 @@ from resloc.spaces import (
     HamiltonianSpace,
     NonGenericError,
     RestrictedClass,
+    circle_integral,
+    kappa_s_integral,
+    torus_integral,
 )
 from resloc.symcore import (
     POINT_ALGEBRA,
@@ -187,16 +188,21 @@ def test_circle_kernel_methods_agree(s2xs2_model):
 
 
 def test_circle_pairing_matches_integral(s2xs2):
-    # the pairing used for kernel rows is the circle-level integral of products
-    from resloc.spaces import kappa_s_integral
-
+    # the pairing used for kernel rows integrates products along xi itself;
+    # kappa_s_integral takes the sign-normalized axis, which is xi here
     sp = s2xs2.space
     xi = CircleDirection.make((1, 2))
-    pairing = CirclePairing(sp, xi)
+    integral = circle_integral(sp, xi)
     u1 = s2xs2.generator("u1")
     unit = RestrictedClass.unit(sp)
     for eta, zeta in ((unit, unit), (u1, unit), (u1, u1)):
-        assert pairing.value(eta, zeta) == kappa_s_integral(sp, eta * zeta, xi)
+        assert integral(eta * zeta) == kappa_s_integral(sp, eta * zeta, xi)
+        assert integral.of_adapted(integral.adapt(eta) * integral.adapt(zeta)) == \
+            integral(eta * zeta)
+    # with a negative leading entry the two axes differ
+    reversed_xi = CircleDirection.make((-1, 2))
+    along_xi = circle_integral(sp, reversed_xi)(u1).constant_value()
+    assert along_xi == -kappa_s_integral(sp, u1, reversed_xi).constant_value() == Q(-1, 2)
 
 
 def test_circle_pairing_rejects_nongeneric():
@@ -208,7 +214,7 @@ def test_circle_pairing_rejects_nongeneric():
                            (lf(0, 1), EquivariantPolynomial.zero(vars))))
     space = HamiltonianSpace(vars, 4, [comp])
     with pytest.raises(NonGenericError):
-        CirclePairing(space, CircleDirection.make((1, 0)))
+        circle_integral(space, CircleDirection.make((1, 0)))
 
 
 # -- chamber enumeration -------------------------------------------------------------
@@ -295,16 +301,16 @@ def test_torus_kernel_s2(s2_model):
 
 def test_torus_kernel_unconstrained_above_complementary_range(s2xs2_model):
     # complementary degree is negative from degree 2 on: no constraints
-    pairing = TorusPairing(s2xs2_model.space)
-    sub = torus_kernel(s2xs2_model, 6, pairing)
+    integral = torus_integral(s2xs2_model.space)
+    sub = torus_kernel(s2xs2_model, 6, integral)
     assert sub.dim == len(s2xs2_model.basis_by_degree[6])
 
 
 def test_torus_pairing_fixed_direction_matches_default(s2xs2_model):
     unit = RestrictedClass.unit(s2xs2_model.space)
     for xi in ((1, 2), (-1, 2), (2, -1)):
-        pairing = TorusPairing(s2xs2_model.space, CircleDirection.make(xi))
-        assert pairing.value(unit, unit) == 1
+        integral = torus_integral(s2xs2_model.space, CircleDirection.make(xi))
+        assert integral(unit * unit) == 1
 
 
 # -- flow-up classes ---------------------------------------------------------------------

@@ -20,7 +20,6 @@ from resloc.spaces import (
     kappa_s_integral,
     kappa_t_integral,
     localization_sum,
-    pairing_matrix,
     unimodular_completion,
 )
 from resloc.symcore import (
@@ -306,23 +305,3 @@ def test_kappa_t_against_root_square_s2cubed(s2cubed):
     sp = s2cubed.space
     x = EquivariantPolynomial.variable(sp.vars, 0)
     assert kappa_t_integral(sp, RestrictedClass.unit(sp).mul_pure(x * x)) == 2
-
-
-# -- pairing matrices --------------------------------------------------------------
-
-
-def test_pairing_matrix_kappa_s_unit(s2):
-    sp = s2.space
-    xi = CircleDirection.make((1,))
-
-    def integral(c):
-        return kappa_s_integral(sp, c, xi).constant_value()
-
-    assert pairing_matrix([RestrictedClass.unit(sp)], integral) == [[Q(-1)]]
-
-
-def test_pairing_matrix_symmetric(s2xs2):
-    sp = s2xs2.space
-    basis = [RestrictedClass.unit(sp), s2xs2.generator("u1"), s2xs2.generator("u2")]
-    mat = pairing_matrix(basis, lambda c: kappa_t_integral(sp, c))
-    assert mat == [list(row) for row in zip(*mat)]
