@@ -277,7 +277,12 @@ def residue_kernel_circle(model: DegreeTruncatedModel, xi: CircleDirection,
     (module generators of the quotient cohomology); enlarging by
     ``testing_slack`` degrees lets callers confirm the null space is stable.
     """
-    integral = circle_integral(model.space, xi, method=method)
+    return _circle_kernel(model, circle_integral(model.space, xi, method=method),
+                          degree, testing_slack)
+
+
+def _circle_kernel(model: DegreeTruncatedModel, integral: KirwanIntegral,
+                   degree: int, testing_slack: int) -> Subspace:
     testing = [el.cls for zdeg in _testing_degrees(model, testing_slack)
                for el in model.basis_by_degree[zdeg]]
     classes = [el.cls for el in model.basis_by_degree[degree]]
@@ -314,12 +319,16 @@ def check_circle_kernel_split(model: DegreeTruncatedModel, xi: CircleDirection,
                               degrees: list[int] | None = None,
                               testing_slack: int = 0) -> list[CircleKernelRow]:
     """Degreewise comparison: circle-level residue kernel against the direct
-    sum of the two one-sided vanishing subspaces."""
+    sum of the two one-sided vanishing subspaces.
+
+    One circle integral serves every degree, so its residue terms are shared.
+    """
     if degrees is None:
         degrees = list(range(0, model.max_degree + 1, 2))
+    integral = circle_integral(model.space, xi)
     rows = []
     for d in degrees:
-        kernel = residue_kernel_circle(model, xi, d, testing_slack=testing_slack)
+        kernel = _circle_kernel(model, integral, d, testing_slack)
         minus = tw_subspace(model, xi, "minus", d)
         plus = tw_subspace(model, xi, "plus", d)
         direct = linalg.intersect_trivially(minus.coeffs, plus.coeffs)

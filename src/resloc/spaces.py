@@ -473,6 +473,11 @@ def circle_integral(space: HamiltonianSpace, xi: CircleDirection,
     The residue is taken along ``axis``, which is xi (the default) or -xi; the
     two choices give different operators, e.g. on the 2-sphere with xi = (-1)
     the unit integrates to -1 along xi and to 1 along -xi.
+
+    The integral is linear in each component's restriction, so the residue
+    term of every (component, restriction) pair is computed once and kept for
+    the life of the returned object; reuse one object across many classes.
+    The polynomiality check still runs on every evaluation.
     """
     violations = is_generic(space, xi)
     if violations:
@@ -484,12 +489,21 @@ def circle_integral(space: HamiltonianSpace, xi: CircleDirection,
     adapted = adapt_space(space, axis)
     # the components on xi's positive side, whichever way the axis points
     plus = [f for f in adapted.space.components if (f.moment[0] > 0) == (axis == xi)]
+    residues: dict[tuple[str, EquivariantPolynomial], RationalSection] = {}
+
+    def residue(f: FixedComponent, restriction: EquivariantPolynomial) -> RationalSection:
+        key = (f.name, restriction)
+        term = residues.get(key)
+        if term is None:
+            term = res_x_plus(adapted.space.localization_term(f, restriction), 0,
+                              method=method)
+            residues[key] = term
+        return term
 
     def of_adapted(eta: RestrictedClass) -> EquivariantPolynomial:
         total = RationalSection.zero(space.vars, POINT_ALGEBRA)
         for f in plus:
-            term = adapted.space.localization_term(f, eta.restrictions[f.name])
-            total = total + res_x_plus(term, 0, method=method)
+            total = total + residue(f, eta.restrictions[f.name])
         if total.involves(0):
             raise ArithmeticError("circle-level integral still involves the circle variable")
         try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from weakref import WeakKeyDictionary
 
 from . import linalg
 from .kernels import DegreeTruncatedModel, Subspace, pairing_kernel, torus_kernel
@@ -301,6 +302,23 @@ def invariant_subspace(model: DegreeTruncatedModel, weyl: WeylData,
     return Subspace(degree, linalg.nullspace(rows, ncols=k))
 
 
+# invariant slices by model, then by (group, degree); dropped with the model
+_invariant_slices: WeakKeyDictionary[DegreeTruncatedModel,
+                                     dict[tuple[WeylData, int], Subspace]] = \
+    WeakKeyDictionary()
+
+
+def _invariant_slice(model: DegreeTruncatedModel, weyl: WeylData,
+                     degree: int) -> Subspace:
+    """``invariant_subspace``, solved once per (model, group, degree); callers
+    must not modify the result."""
+    slices = _invariant_slices.setdefault(model, {})
+    inv = slices.get((weyl, degree))
+    if inv is None:
+        inv = slices[(weyl, degree)] = invariant_subspace(model, weyl, degree)
+    return inv
+
+
 @dataclass
 class NonabelianRow:
     degree: int
@@ -329,8 +347,8 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
     d2cls = dcls * dcls
     rows = []
     for d in degrees:
-        inv = invariant_subspace(model, weyl, d)
-        inv_classes = Subspace(d, inv.coeffs).classes(model)
+        inv = _invariant_slice(model, weyl, d)
+        inv_classes = inv.classes(model)
         once = [cls * dcls for cls in inv_classes]
         twice = [cls * d2cls for cls in inv_classes]
 
@@ -339,8 +357,7 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
         in_range = 0 <= comp <= model.max_degree
         testing: list[RestrictedClass] = []
         if in_range:
-            testing = Subspace(comp, invariant_subspace(model, weyl, comp).coeffs
-                               ).classes(model)
+            testing = _invariant_slice(model, weyl, comp).classes(model)
         k_pair = pairing_kernel(integral, twice, testing)
 
         # (ii) once-divided: D * eta in the torus-level kernel
@@ -392,11 +409,10 @@ def check_antisymmetrized_span(model: DegreeTruncatedModel, weyl: WeylData,
             raise ValidationError("divided antisymmetrization left the model span")
         produced.append(coeffs)
 
-    inv = invariant_subspace(model, weyl, target)
-    inv_classes = Subspace(target, inv.coeffs).classes(model)
+    inv = _invariant_slice(model, weyl, target)
+    inv_classes = inv.classes(model)
     comp = model.space.dim - 2 * model.space.vars.count - 4 * r - target
-    testing = (Subspace(comp, invariant_subspace(model, weyl, comp).coeffs
-                        ).classes(model)
+    testing = (_invariant_slice(model, weyl, comp).classes(model)
                if 0 <= comp <= model.max_degree else [])
     d2cls = weyl.d_class() * weyl.d_class()
     k_sub = pairing_kernel(integral, [cls * d2cls for cls in inv_classes], testing)

@@ -15,7 +15,12 @@ from fractions import Fraction as Q
 from resloc.datasets import bundled_names, load_dataset
 from resloc.kernels import build_model, check_circle_kernel_split, check_full_kernel
 from resloc.residues import euler_series_residue, res_x_plus
-from resloc.spaces import RestrictedClass, localization_sum, torus_integral
+from resloc.spaces import (
+    RestrictedClass,
+    generator_products,
+    localization_sum,
+    torus_integral,
+)
 from resloc.symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
@@ -130,16 +135,7 @@ def test_localization_sums_polynomial_on_all_datasets():
     for name in bundled_names():
         ds = load_dataset(name)
         dim = ds.space.dim
-        products = [RestrictedClass.unit(ds.space)]
-        frontier = [RestrictedClass.unit(ds.space)]
-        while frontier:
-            nxt = []
-            for cls in frontier:
-                for _, g in ds.generators:
-                    if g.degree and cls.degree + g.degree <= dim:
-                        nxt.append(cls * g)
-            products.extend(nxt)
-            frontier = nxt
+        products = [cls for _, cls in generator_products(ds.space, ds.generators, dim)]
         assert len(products) > 1
         for eta in products:
             total = localization_sum(ds.space, eta)

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from resloc import kernels, spaces
 from resloc.datasets import load_dataset
 from resloc.kernels import (
     SignPattern,
@@ -32,6 +33,7 @@ from resloc.symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
     LinearForm,
+    RationalSection,
     ValidationError,
     Variables,
 )
@@ -185,6 +187,65 @@ def test_circle_kernel_methods_agree(s2xs2_model):
     a = residue_kernel_circle(s2xs2_model, xi, 4, method="poles")
     b = residue_kernel_circle(s2xs2_model, xi, 4, method="series")
     assert a.coeffs == b.coeffs
+
+
+@pytest.mark.parametrize("method", ["poles", "series"])
+def test_circle_split_shared_integral_matches_fresh(s2xs2_model, nonisolated, method):
+    # one integral serves every degree; a fresh one per degree gives the same kernels
+    nonisolated_model = build_model(nonisolated.space, nonisolated.generators, 4)
+    for model, xi in ((s2xs2_model, (1, 2)), (nonisolated_model, (1,))):
+        xi = CircleDirection.make(xi)
+        shared = circle_integral(model.space, xi, method=method)
+        rows = check_circle_kernel_split(model, xi, degrees=[0, 2, 4])
+        for r in rows:
+            fresh = residue_kernel_circle(model, xi, r.degree, method=method)
+            assert r.kernel.coeffs == fresh.coeffs
+            assert kernels._circle_kernel(model, shared, r.degree, 0).coeffs == fresh.coeffs
+
+
+def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch):
+    calls = []
+    real = spaces.res_x_plus
+
+    def counted(h, var, method):
+        calls.append(h)
+        return real(h, var, method=method)
+
+    monkeypatch.setattr(spaces, "res_x_plus", counted)
+    xi = CircleDirection.make((1, 2))
+    integral = circle_integral(s2xs2_model.space, xi)
+    classes = [el.cls for el in s2xs2_model.basis_by_degree[4]]
+    values = [integral(cls) for cls in classes]
+    plus = partition(s2xs2_model.space, xi).plus
+    distinct = {(name, cls.restrictions[name]) for cls in classes for name in plus}
+    assert len(calls) == len(distinct) < len(classes) * len(plus)
+    assert [integral(cls) for cls in classes] == values
+    assert len(calls) == len(distinct)
+
+
+def test_circle_integral_checks_polynomiality_on_cache_hits(s2xs2, monkeypatch):
+    # u2 and u1 both vanish at NN, on the positive side of (1, 2), and differ
+    # at SN, the other component on that side
+    xi = CircleDirection.make((1, 2))
+    assert partition(s2xs2.space, xi).plus == ("NN", "SN")
+    u1, u2 = s2xs2.generator("u1"), s2xs2.generator("u2")
+    assert u1.restrictions["NN"] == u2.restrictions["NN"]
+    assert u1.restrictions["SN"] != u2.restrictions["SN"]
+    integral = circle_integral(s2xs2.space, xi)
+    assert integral(u2).is_zero()
+    # From here on every residue not yet computed gains a pole in the
+    # non-circle variable.  Evaluating u1 reuses the NN residue of u2 and
+    # computes a new one at SN, so the sum must fail the polynomiality check.
+    real = spaces.res_x_plus
+
+    def with_pole(h, var, method):
+        out = real(h, var, method=method)
+        return RationalSection(out.numer, {lf(0, 1): 1})
+
+    monkeypatch.setattr(spaces, "res_x_plus", with_pole)
+    assert integral(u2).is_zero()
+    with pytest.raises(ValidationError, match="not a polynomial"):
+        integral(u1)
 
 
 def test_circle_pairing_matches_integral(s2xs2):

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from resloc import weylgrp
 from resloc.datasets import load_dataset
 from resloc.kernels import build_model
 from resloc.spaces import RestrictedClass, torus_integral
@@ -169,6 +170,26 @@ def test_nonabelian_kernel_rows(model, ds):
              r.once_divided_dim, r.twice_divided_dim) for r in rows] == \
         [(0, 1, 0, 0, 0), (2, 3, 3, 3, 3), (4, 4, 4, 4, 4), (6, 4, 4, 4, 4)]
     assert all(r.equal for r in rows)
+
+
+def test_nonabelian_checks_solve_each_invariant_slice_once(ds, monkeypatch):
+    solved = []
+    real = weylgrp.invariant_subspace
+
+    def counted(model, weyl, degree):
+        solved.append(degree)
+        return real(model, weyl, degree)
+
+    monkeypatch.setattr(weylgrp, "invariant_subspace", counted)
+    fresh = build_model(ds.space, ds.generators, 6)
+    integral = torus_integral(ds.space)
+    check_nonabelian_kernels(fresh, ds.weyl, [0, 2, 4, 6], integral)
+    for src in (2, 4, 6):
+        check_antisymmetrized_span(fresh, ds.weyl, src, integral)
+    assert sorted(solved) == sorted(set(solved))
+    for degree in solved:
+        assert weylgrp._invariant_slices[fresh][(ds.weyl, degree)].coeffs == \
+            real(fresh, ds.weyl, degree).coeffs
 
 
 def test_antisymmetrized_span_rows(model, ds):
