@@ -109,6 +109,27 @@ def _add_check(report: dict, name: str, ok: bool, detail: str):
 # -- validate ------------------------------------------------------------------
 
 
+def _localization_failures(ds: Dataset, max_degree: int) -> tuple[int, list[str]]:
+    """Localization sums of the generator products through max_degree: the
+    number that are polynomials, and a line for each that has a pole or is
+    nonzero below the top degree (the ABBV identities fail)."""
+    names = [name for name, cls in ds.generators if cls.degree > 0]
+    failures = []
+    checked = 0
+    for exps, cls in generator_products(ds.space, ds.generators, max_degree):
+        label = "*".join(names[i] for i, e in enumerate(exps) for _ in range(e)) or "one"
+        total = localization_sum(ds.space, cls)
+        if not total.is_polynomial():
+            failures.append(f"{label}: localization sum has a pole: {total}")
+            continue
+        checked += 1
+        if cls.degree < ds.space.dim:
+            value = total.as_polynomial()
+            if not value.is_zero():
+                failures.append(f"{label}: below-top-degree sum is {value}, not 0")
+    return checked, failures
+
+
 def cmd_validate(args) -> int:
     try:
         ds = load_dataset(args.dataset)
@@ -129,20 +150,7 @@ def cmd_validate(args) -> int:
     except NonGenericError:
         _add_check(report, "generic-direction", False, "no generic direction in range")
 
-    names = [name for name, cls in ds.generators if cls.degree > 0]
-    failures = []
-    checked = 0
-    for exps, cls in generator_products(ds.space, ds.generators, max_degree):
-        label = "*".join(names[i] for i, e in enumerate(exps) for _ in range(e)) or "one"
-        total = localization_sum(ds.space, cls)
-        if not total.is_polynomial():
-            failures.append(f"{label}: localization sum has a pole: {total}")
-            continue
-        checked += 1
-        if cls.degree < ds.space.dim:
-            value = total.as_polynomial()
-            if not value.is_zero():
-                failures.append(f"{label}: below-top-degree sum is {value}, not 0")
+    checked, failures = _localization_failures(ds, max_degree)
     _add_check(report, "abbv-polynomiality", not failures,
                f"{checked} products through degree {max_degree}"
                + ("" if not failures else "; " + "; ".join(failures)))
@@ -267,16 +275,10 @@ def _kernel_full(ds: Dataset, args, report: dict) -> None:
     integral = torus_integral(ds.space, ordering=ordering)
     report["parameters"]["xi"] = list(integral.adapted.xi.vector)
     rows, chambers = kernels.check_full_kernel(model, degrees=_degrees(args),
-                                               chamber_box=args.chamber_box,
                                                integral=integral)
-    if not chambers.complete:
-        report["warnings"].append(
-            "chamber enumeration may be incomplete (ambient rank > 3); "
-            f"lattice box {args.chamber_box}")
     report["results"]["chambers"] = {
         "count": len(chambers.chambers),
         "expected": chambers.expected,
-        "complete": chambers.complete,
         "representatives": [list(c.representative.vector) for c in chambers.chambers]}
     report["results"]["degrees"] = [
         {"degree": r.degree, "kernel": _subspace_json(model, r.kernel),
@@ -367,11 +369,15 @@ def cmd_kernel(args) -> int:
     if args.max_degree < 0:
         sys.stderr.write(f"error: --max-degree: must be >= 0, got {args.max_degree}\n")
         return 2
+    _, failures = _localization_failures(ds, ds.space.dim)
+    if failures:
+        sys.stderr.write("error: inconsistent fixed-point data (run validate): "
+                         f"{failures[0]}\n")
+        return 2
     report = _report("kernel", args.dataset,
                      {"mode": modes[0], "max_degree": args.max_degree,
                       "ordering": args.ordering, "delta": args.delta,
-                      "calibrate": args.calibrate,
-                      "chamber_box": args.chamber_box})
+                      "calibrate": args.calibrate})
     try:
         if modes[0] == "circle":
             _kernel_circle(ds, args, report)
@@ -431,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", help="basis-change scale factor p/q")
     p.add_argument("--calibrate", default="one",
                    help="reference generator for reported integral values")
-    p.add_argument("--chamber-box", type=int, default=8,
-                   help="lattice radius for chamber sweeps above rank 3")
     _common_output_flags(p)
     p.set_defaults(func=cmd_kernel)
     return parser

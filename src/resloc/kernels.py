@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from . import linalg
@@ -350,8 +349,7 @@ class Chamber:
 class ChamberSet:
     normals: tuple[tuple[int, ...], ...]
     chambers: tuple[Chamber, ...]
-    complete: bool
-    expected: int | None = None
+    expected: int
 
 
 def _primitive_signed(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -383,106 +381,67 @@ def _arrangement_normals(space: HamiltonianSpace) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def _chamber_count(normals: list[tuple[int, ...]], n: int) -> int:
-    """Number of chambers of the central arrangement, by Moebius counting on
-    the intersection lattice; exact for ambient rank up to 3."""
-    total = 1  # ambient flat
-    total += len(normals)  # each hyperplane contributes |mu| = 1
-    if n == 1 or not normals:
-        return 2 if normals else 1
-    # codimension-2 flats: group hyperplane pairs by their intersection
-    flats: dict[tuple, list[int]] = {}
-    for i, j in combinations(range(len(normals)), 2):
-        if n == 2:
-            key = ("origin",)
-        else:
-            a, b = normals[i], normals[j]
-            cross = (a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0])
-            if not any(cross):
-                continue
-            key = _primitive_signed(cross)
-        flats.setdefault(key, [])
-    for key in flats:
-        if n == 2:
-            members = list(range(len(normals)))
-        else:
-            members = [i for i, w in enumerate(normals)
-                       if sum(a * b for a, b in zip(w, key)) == 0]
-        flats[key] = members
-    mu2_sum = 0
-    for members in flats.values():
-        mu2_sum += len(members) - 1
-    total += mu2_sum
-    if n == 3:
-        if linalg.rank([[Q(v) for v in w] for w in normals]) == 3:
-            mu3 = -(1 - len(normals) + mu2_sum)
-            total += abs(mu3)
-    return total
+def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
-def _lattice_sweep(n: int, radius: int):
-    for vec in sorted(_box_points(n, radius)):
-        g = 0
-        for v in vec:
-            g = gcd(g, v)
-        if g == 1:
-            yield vec
+def _signs(normals: list[tuple[int, ...]], point: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple((d > 0) - (d < 0) for d in (_dot(w, point) for w in normals))
 
 
-def _box_points(n: int, radius: int) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()]
-    out = []
-    for rest in _box_points(n - 1, radius):
-        for v in range(-radius, radius + 1):
-            out.append((v,) + rest)
-    return out
+def _chamber_points(normals: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """One primitive integer point inside each chamber of the central
+    arrangement in Q^n with these pairwise non-proportional normals.
 
-
-def enumerate_generic_directions(space: HamiltonianSpace, box: int = 8) -> ChamberSet:
-    """Chambers of the arrangement cut out by the moment values and weights.
-
-    For ambient rank up to 3 the chamber count is computed exactly and the
-    lattice sweep is widened until every chamber has a representative, so the
-    enumeration is complete.  In higher rank a bounded sweep is used and the
-    result is flagged as possibly incomplete.
+    Deletion-restriction on the last hyperplane H (Zaslavsky 1975): a chamber
+    of A minus H either misses H and is a chamber of A, or meets H in a chamber
+    of the restriction A^H and splits into the two chambers on either side of
+    it, so r(A) = r(A minus H) + r(A^H).
     """
-    n = space.vars.count
+    if not normals:
+        return [tuple(int(i == 0) for i in range(n))]
+    *rest, w = normals
+    # integer basis of H (the null space of w scaled by its leading entry, which
+    # is positive), and the other normals restricted to it
+    lead = next(i for i, v in enumerate(w) if v)
+    basis = []
+    for j in range(n):
+        if j != lead:
+            b = [0] * n
+            b[j], b[lead] = w[lead], -w[j]
+            basis.append(b)
+    restricted = sorted({_primitive_signed(tuple(_dot(u, b) for b in basis))
+                         for u in rest})
+    on_h = [tuple(sum(c * b[k] for c, b in zip(p, basis)) for k in range(n))
+            for p in _chamber_points(restricted, n - 1)]
+    cut = {_signs(rest, q) for q in on_h}
+    points = [p for p in _chamber_points(rest, n) if _signs(rest, p) not in cut]
+    for q in on_h:
+        # m*q +- w keeps the sign of every other normal u, as m*|u.q| > |u.w|
+        m = 1 + max((abs(_dot(u, w)) // abs(_dot(u, q)) for u in rest), default=0)
+        for side in (1, -1):
+            points.append(CircleDirection(tuple(m * a + side * b for a, b in zip(q, w)))
+                          .primitive().vector)
+    return points
+
+
+def enumerate_generic_directions(space: HamiltonianSpace) -> ChamberSet:
+    """Chambers of the arrangement cut out by the moment values and weights,
+    sorted by sign vector, each with a primitive generic representative.
+
+    The enumeration is exact at every rank; ``expected`` is the chamber count
+    of the deletion-restriction recursion, and the distinct generic sign
+    vectors of the representatives must reach it.
+    """
     normals = _arrangement_normals(space)
-    found: dict[tuple[int, ...], CircleDirection] = {}
-
-    def sweep(radius: int):
-        for vec in _lattice_sweep(n, radius):
-            signs = []
-            generic = True
-            for w in normals:
-                s = sum(a * b for a, b in zip(w, vec))
-                if s == 0:
-                    generic = False
-                    break
-                signs.append(1 if s > 0 else -1)
-            if generic:
-                found.setdefault(tuple(signs), CircleDirection(vec))
-
-    if n <= 3:
-        expected = _chamber_count(normals, n)
-        radius = max(2, box)
-        while True:
-            sweep(radius)
-            if len(found) >= expected:
-                break
-            radius *= 2
-            if radius > 4096:
-                raise ArithmeticError("chamber sweep failed to reach the expected count")
-        complete = True
-    else:
-        expected = None
-        sweep(box)
-        complete = False
-    chambers = tuple(Chamber(signs, rep) for signs, rep in sorted(found.items()))
-    return ChamberSet(tuple(normals), chambers, complete, expected)
+    points = _chamber_points(normals, space.vars.count)
+    signs = [_signs(normals, p) for p in points]
+    generic = {s for s in signs if 0 not in s}
+    if len(generic) != len(points):
+        raise ArithmeticError(f"{len(points)} chambers but {len(generic)} distinct "
+                              "generic sign vectors among their representatives")
+    chambers = tuple(Chamber(s, CircleDirection(p)) for s, p in sorted(zip(signs, points)))
+    return ChamberSet(tuple(normals), chambers, len(points))
 
 
 # -- torus-level kernel -------------------------------------------------------
@@ -519,14 +478,13 @@ class FullKernelRow:
 
 def check_full_kernel(model: DegreeTruncatedModel,
                       degrees: list[int] | None = None,
-                      chamber_box: int = 8,
                       integral: KirwanIntegral | None = None
                       ) -> tuple[list[FullKernelRow], ChamberSet]:
     """Degreewise comparison of the torus-level kernel with the span, over all
     chambers, of the two one-sided vanishing subspaces."""
     if degrees is None:
         degrees = list(range(0, model.max_degree + 1, 2))
-    chambers = enumerate_generic_directions(model.space, box=chamber_box)
+    chambers = enumerate_generic_directions(model.space)
     if integral is None:
         integral = torus_integral(model.space)
     rows = []

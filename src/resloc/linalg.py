@@ -16,7 +16,6 @@ __all__ = [
     "nullspace",
     "independent_indices",
     "solve_in_span",
-    "span_contains",
     "span_equal",
     "intersect_trivially",
 ]
@@ -104,14 +103,6 @@ def solve_in_span(basis: list[list[Fraction]], target: list[Fraction]) -> list[F
     for prow, pcol in zip(rref, pivots):
         coeffs[pcol] = prow[-1]
     return coeffs
-
-
-def span_contains(basis: list[list[Fraction]], vectors: list[list[Fraction]]) -> bool:
-    if not vectors:
-        return True
-    stacked = list(basis)
-    r = rank(stacked) if stacked else 0
-    return rank(stacked + vectors) == r
 
 
 def span_equal(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:

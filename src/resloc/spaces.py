@@ -290,10 +290,14 @@ def is_generic(space: HamiltonianSpace, xi: CircleDirection) -> list[tuple[str, 
     return violations
 
 
-def find_generic_direction(space: HamiltonianSpace, box: int = 8) -> CircleDirection:
-    """First generic primitive direction in a deterministic lattice sweep."""
+_GENERIC_SEARCH_RADIUS = 8
+
+
+def find_generic_direction(space: HamiltonianSpace) -> CircleDirection:
+    """First generic primitive direction in a deterministic lattice sweep of
+    growing radius, up to _GENERIC_SEARCH_RADIUS."""
     n = space.vars.count
-    for radius in range(1, box + 1):
+    for radius in range(1, _GENERIC_SEARCH_RADIUS + 1):
         candidates = []
         def walk(prefix):
             if len(prefix) == n:
@@ -312,7 +316,8 @@ def find_generic_direction(space: HamiltonianSpace, box: int = 8) -> CircleDirec
             xi = CircleDirection(vec)
             if not is_generic(space, xi):
                 return xi
-    raise NonGenericError(f"no generic direction in box of radius {box}", [])
+    raise NonGenericError(
+        f"no generic direction in box of radius {_GENERIC_SEARCH_RADIUS}", [])
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:

@@ -167,8 +167,22 @@ def test_kernel_full_s2xs2(capsys):
     code, report, _ = run_json(capsys, "kernel", "s2xs2-t2", "--full", "--max-degree", "4")
     assert code == 0 and report["pass"]
     chambers = report["results"]["chambers"]
-    assert chambers["count"] == 8 and chambers["complete"]
+    assert chambers["count"] == chambers["expected"] == 8
     assert report["results"]["calibration"]["value"] == "1"
+
+
+@pytest.mark.parametrize("mode", ["--full", "--circle=1,2"])
+def test_kernel_rejects_inconsistent_data(capsys, tmp_path, mode):
+    obj = dataset_to_json(load_dataset("s2xs2-t2"))
+    sn = next(c for c in obj["components"] if c["name"] == "SN")
+    sn["normal_lines"][0]["weight"] = [-v for v in sn["normal_lines"][0]["weight"]]
+    path = tmp_path / "negated.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "kernel", str(path), mode)
+    assert code == 2 and not out
+    assert "inconsistent fixed-point data" in err and "localization sum has a pole" in err
+    code, report, _ = run_json(capsys, "validate", str(path))
+    assert code == 1 and not report["pass"]
 
 
 def test_kernel_full_with_delta(capsys):

@@ -2,10 +2,11 @@
 kernel comparisons, chamber enumeration, and flow-up checks."""
 
 from fractions import Fraction as Q
+from itertools import combinations, product
 
 import pytest
 
-from resloc import kernels, spaces
+from resloc import kernels, linalg, spaces
 from resloc.datasets import load_dataset
 from resloc.kernels import (
     SignPattern,
@@ -284,7 +285,6 @@ def test_circle_pairing_rejects_nongeneric():
 def test_chamber_counts_on_datasets(s2, s2xs2, nonisolated):
     for ds, count in ((s2, 2), (s2xs2, 8), (nonisolated, 2)):
         chambers = enumerate_generic_directions(ds.space)
-        assert chambers.complete
         assert chambers.expected == count
         assert len(chambers.chambers) == count
 
@@ -308,23 +308,35 @@ def test_chambers_rank_one_weight_arrangement():
     assert {c.representative.vector for c in chambers.chambers} == {(1,), (-1,)}
 
 
-def test_chambers_rank_three_complete():
-    # (S^2)^3 with the full 3-torus: 3 coordinate planes + 4 diagonal planes
-    vars = Variables(("X", "Y1", "Y2"))
+@pytest.mark.parametrize("k, count", [(3, 32), (4, 192)])
+def test_chambers_exact_on_sphere_products(k, count):
+    # (S^2)^k with the full k-torus: k coordinate hyperplanes and 2^(k-1)
+    # hyperplanes orthogonal to the moment values (+-1, ..., +-1)
+    vars = Variables(("X",) + tuple(f"Y{i}" for i in range(1, k)))
     zero = EquivariantPolynomial.zero(vars)
     comps = []
-    for a in (1, -1):
-        for b in (1, -1):
-            for c in (1, -1):
-                name = f"{a}{b}{c}"
-                lines = ((lf(-a, 0, 0), zero), (lf(0, -b, 0), zero), (lf(0, 0, -c), zero))
-                comps.append(FixedComponent(name, (Q(a), Q(b), Q(c)), POINT_ALGEBRA, lines))
-    space = HamiltonianSpace(vars, 6, comps)
+    for signs in product((1, -1), repeat=k):
+        lines = tuple((lf(*(-s if j == i else 0 for j in range(k))), zero)
+                      for i, s in enumerate(signs))
+        comps.append(FixedComponent("".join(map(str, signs)), tuple(Q(s) for s in signs),
+                                    POINT_ALGEBRA, lines))
+    space = HamiltonianSpace(vars, 2 * k, comps)
     chambers = enumerate_generic_directions(space)
-    assert chambers.complete
-    assert len(chambers.chambers) == chambers.expected
-    # a wider sweep discovers no new sign patterns
+    # Whitney's formula: r(A) = sum over subsets S of A of (-1)^(|S| - rank S)
+    rows = [[Q(v) for v in w] for w in chambers.normals]
+    whitney = sum((-1) ** (size - linalg.rank(list(subset)))
+                  for size in range(len(rows) + 1)
+                  for subset in combinations(rows, size))
+    assert len(chambers.chambers) == chambers.expected == whitney == count
     patterns = {c.signs for c in chambers.chambers}
+    assert len(patterns) == count
+    for ch in chambers.chambers:
+        partition(space, ch.representative)  # raises if non-generic
+        assert ch.signs == tuple(1 if ch.representative.pair(w) > 0 else -1
+                                 for w in chambers.normals)
+    if k > 3:
+        return
+    # a wider sweep discovers no new sign patterns
     normals = chambers.normals
     extra = set()
     for x in range(-3, 4):
@@ -346,7 +358,7 @@ def test_chambers_rank_three_complete():
 
 def test_torus_kernel_s2xs2(s2xs2_model):
     rows, chambers = check_full_kernel(s2xs2_model, degrees=[0, 2, 4])
-    assert chambers.complete and len(chambers.chambers) == 8
+    assert len(chambers.chambers) == chambers.expected == 8
     assert [(r.degree, r.kernel_dim, r.chamber_sum_dim) for r in rows] == \
         [(0, 0, 0), (2, 4, 4), (4, 8, 8)]
     assert all(r.ok for r in rows)
@@ -354,7 +366,7 @@ def test_torus_kernel_s2xs2(s2xs2_model):
 
 def test_torus_kernel_s2(s2_model):
     rows, chambers = check_full_kernel(s2_model, degrees=[0, 2, 4])
-    assert chambers.complete and len(chambers.chambers) == 2
+    assert len(chambers.chambers) == chambers.expected == 2
     assert [(r.degree, r.kernel_dim, r.chamber_sum_dim) for r in rows] == \
         [(0, 0, 0), (2, 2, 2), (4, 2, 2)]
     assert all(r.ok for r in rows)
