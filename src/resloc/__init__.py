@@ -38,6 +38,7 @@ from .spaces import (
     kappa_s_integral,
     kappa_t_integral,
     localization_sum,
+    positive_side,
     torus_integral,
 )
 from .kernels import (
@@ -47,10 +48,10 @@ from .kernels import (
     build_model,
     check_circle_kernel_split,
     check_full_kernel,
+    circle_kernel,
     enumerate_generic_directions,
-    residue_kernel_circle,
     torus_kernel,
-    tw_subspace,
+    vanishing_subspace,
 )
 from .weylgrp import (
     WeylData,

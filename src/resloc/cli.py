@@ -21,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import kernels
-from .datasets import BUNDLED, Dataset, SchemaError, load_dataset
+from .datasets import BUNDLED, Dataset, SchemaError, load_dataset, load_expression
 from .residues import VariableOrdering, res_x_plus
 from .spaces import (
     CircleDirection,
@@ -32,15 +32,7 @@ from .spaces import (
     localization_sum,
     torus_integral,
 )
-from .symcore import (
-    POINT_ALGEBRA,
-    EquivariantPolynomial,
-    LinearForm,
-    Q,
-    RationalSection,
-    ValidationError,
-    Variables,
-)
+from .symcore import Q, ValidationError
 
 __all__ = ["main"]
 
@@ -162,48 +154,9 @@ def cmd_validate(args) -> int:
 # -- residue -------------------------------------------------------------------
 
 
-def _parse_expression(path: str):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    names = obj.get("variables")
-    if not isinstance(names, list) or not names:
-        raise SchemaError("$.variables: expected a nonempty array of names")
-    vars = Variables(tuple(names))
-    terms = {}
-    for t, term in enumerate(obj.get("numerator", [])):
-        coeff = Fraction(term["coeff"])
-        exps = tuple(term["exponents"])
-        if len(exps) != vars.count:
-            raise SchemaError(f"$.numerator[{t}]: expected {vars.count} exponents")
-        terms[(exps, 0)] = terms.get((exps, 0), Q(0)) + coeff
-    numer = EquivariantPolynomial(vars, POINT_ALGEBRA, terms)
-    denom: dict[LinearForm, int] = {}
-    for d, factor in enumerate(obj.get("denominator", [])):
-        coeffs = [Fraction(v) for v in factor["form"]]
-        if len(coeffs) != vars.count:
-            raise SchemaError(f"$.denominator[{d}].form: expected {vars.count} entries")
-        form = LinearForm.make(coeffs)
-        if form.is_zero():
-            raise SchemaError(f"$.denominator[{d}].form: zero form")
-        mult = int(factor.get("multiplicity", 1))
-        if mult < 1:
-            raise SchemaError(f"$.denominator[{d}].multiplicity: must be >= 1")
-        denom[form] = denom.get(form, 0) + mult
-    section = RationalSection(numer, denom)
-    var_name = obj.get("variable", names[0])
-    if var_name not in names:
-        raise SchemaError(f"$.variable: unknown variable {var_name!r}")
-    return section, names.index(var_name), var_name
-
-
 def cmd_residue(args) -> int:
     try:
-        section, var, var_name = _parse_expression(args.expression)
+        section, var, var_name = load_expression(args.expression)
     except (SchemaError, KeyError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

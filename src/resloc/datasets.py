@@ -1,5 +1,6 @@
 """Dataset files: JSON schema for fixed-point data, loaders with itemized
-schema errors, writers, and builders for the bundled examples.
+schema errors, writers, and builders for the bundled examples; also the loader
+of residue expression files (see the README), with the same errors.
 
 Schema (all rationals are strings "p/q" in lowest terms; weights and exponents
 are integer arrays):
@@ -36,10 +37,12 @@ from importlib import resources
 
 from .spaces import FixedComponent, HamiltonianSpace, RestrictedClass
 from .symcore import (
+    POINT_ALGEBRA,
     EquivariantPolynomial,
     GradedAlgebra,
     LinearForm,
     Q,
+    RationalSection,
     ValidationError,
     Variables,
 )
@@ -51,6 +54,7 @@ __all__ = [
     "dataset_from_json",
     "dataset_to_json",
     "load_dataset",
+    "load_expression",
     "bundled_names",
     "build_s2",
     "build_s2xs2_t2",
@@ -94,26 +98,33 @@ def _frac(value, path: str) -> Fraction:
     raise SchemaError(f"{path}: expected a rational 'p/q' string, got {value!r}")
 
 
+_KINDS = {int: "an integer", list: "an array", str: "a string", dict: "an object"}
+
+
+def _typed(value, kind, path: str):
+    """The value, if it has this JSON type; a bool is not an integer."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SchemaError(f"{path}: expected {_KINDS[kind]}")
+    return value
+
+
+def _rational_rows(rows: list, path: str) -> tuple[tuple[Fraction, ...], ...]:
+    """An array of arrays of rationals, e.g. a matrix."""
+    return tuple(tuple(_frac(v, f"{path}[{r}]") for v in _typed(row, list, f"{path}[{r}]"))
+                 for r, row in enumerate(rows))
+
+
 def _expect(obj, key, kind, path: str):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
+    _typed(obj, dict, path)
     if key not in obj:
         raise SchemaError(f"{path}.{key}: missing")
-    value = obj[key]
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise SchemaError(f"{path}.{key}: expected an integer")
-    if kind is list and not isinstance(value, list):
-        raise SchemaError(f"{path}.{key}: expected an array")
-    if kind is str and not isinstance(value, str):
-        raise SchemaError(f"{path}.{key}: expected a string")
-    if kind is dict and not isinstance(value, dict):
-        raise SchemaError(f"{path}.{key}: expected an object")
-    return value
+    return obj[key] if kind is None else _typed(obj[key], kind, f"{path}.{key}")
 
 
 def _algebra_from_json(obj, path: str) -> GradedAlgebra:
     basis = _expect(obj, "basis", list, path)
-    degrees = _expect(obj, "degrees", list, path)
+    degrees = [_typed(d, int, f"{path}.degrees[{n}]")
+               for n, d in enumerate(_expect(obj, "degrees", list, path))]
     table_rows = _expect(obj, "mult_table", list, path)
     integral = _expect(obj, "integral", list, path)
     top = _expect(obj, "top_degree", int, path)
@@ -121,7 +132,8 @@ def _algebra_from_json(obj, path: str) -> GradedAlgebra:
     for t, row in enumerate(table_rows):
         if not (isinstance(row, list) and len(row) == 4):
             raise SchemaError(f"{path}.mult_table[{t}]: expected [i, j, k, 'p/q']")
-        i, j, k, c = row
+        i, j, k = (_typed(v, int, f"{path}.mult_table[{t}][{n}]") for n, v in enumerate(row[:3]))
+        c = row[3]
         table.setdefault((i, j), {})[k] = (
             table.get((i, j), {}).get(k, Q(0))
             + _frac(c, f"{path}.mult_table[{t}]"))
@@ -132,22 +144,27 @@ def _algebra_from_json(obj, path: str) -> GradedAlgebra:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+def _term(term, count: int, path: str) -> tuple[tuple[int, ...], Fraction]:
+    """The exponents and the coefficient of one {"coeff", "exponents"} term."""
+    coeff = _frac(_expect(term, "coeff", None, path), f"{path}.coeff")
+    exps = _expect(term, "exponents", list, path)
+    if len(exps) != count or any(
+            isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps):
+        raise SchemaError(f"{path}.exponents: expected {count} nonnegative integers")
+    return tuple(exps), coeff
+
+
 def _poly_from_terms(vars: Variables, algebra: GradedAlgebra, terms, path: str
                      ) -> EquivariantPolynomial:
     if not isinstance(terms, list):
         raise SchemaError(f"{path}: expected an array of terms")
     out: dict[tuple[tuple[int, ...], int], Fraction] = {}
     for t, term in enumerate(terms):
-        coeff = _frac(_expect(term, "coeff", None, f"{path}[{t}]"), f"{path}[{t}].coeff")
-        exps = _expect(term, "exponents", list, f"{path}[{t}]")
+        exps, coeff = _term(term, vars.count, f"{path}[{t}]")
         b = _expect(term, "basis_index", int, f"{path}[{t}]")
-        if len(exps) != vars.count or any(
-                isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps):
-            raise SchemaError(f"{path}[{t}].exponents: expected {vars.count} "
-                              "nonnegative integers")
         if not 0 <= b < len(algebra.basis):
             raise SchemaError(f"{path}[{t}].basis_index: out of range")
-        key = (tuple(exps), b)
+        key = (exps, b)
         out[key] = out.get(key, Q(0)) + coeff
     return EquivariantPolynomial(vars, algebra, out)
 
@@ -156,8 +173,9 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
     rank = _expect(obj, "torus_rank", int, "$")
     dim = _expect(obj, "dim_M", int, "$")
     var_names = _expect(obj, "variables", list, "$")
-    if len(var_names) != rank or any(not isinstance(v, str) for v in var_names):
-        raise SchemaError("$.variables: expected torus_rank variable names")
+    if (len(var_names) != rank or any(not isinstance(v, str) for v in var_names)
+            or len(set(var_names)) != rank):
+        raise SchemaError("$.variables: expected torus_rank distinct variable names")
     vars = Variables(tuple(var_names))
 
     components = []
@@ -225,15 +243,16 @@ def _weyl_from_json(wobj, space: HamiltonianSpace) -> WeylData:
     elements = []
     for e, eobj in enumerate(_expect(wobj, "elements", list, path)):
         epath = f"{path}.elements[{e}]"
-        matrix = tuple(tuple(_frac(v, f"{epath}.matrix") for v in row)
-                       for row in _expect(eobj, "matrix", list, epath))
-        perm = tuple(_expect(eobj, "perm", list, epath))
-        maps = tuple(tuple(tuple(_frac(v, f"{epath}.algebra_maps") for v in row)
-                           for row in mat)
-                     for mat in _expect(eobj, "algebra_maps", list, epath))
+        matrix = _rational_rows(_expect(eobj, "matrix", list, epath), f"{epath}.matrix")
+        perm = tuple(_typed(v, int, f"{epath}.perm[{n}]")
+                     for n, v in enumerate(_expect(eobj, "perm", list, epath)))
+        maps = tuple(_rational_rows(_typed(mat, list, f"{epath}.algebra_maps[{m}]"),
+                                    f"{epath}.algebra_maps[{m}]")
+                     for m, mat in enumerate(_expect(eobj, "algebra_maps", list, epath)))
         elements.append(WeylElement(matrix, perm, maps))
-    roots = [LinearForm.make([_frac(v, f"{path}.positive_roots") for v in row])
-             for row in _expect(wobj, "positive_roots", list, path)]
+    roots = [LinearForm.make(row) for row in
+             _rational_rows(_expect(wobj, "positive_roots", list, path),
+                            f"{path}.positive_roots")]
     try:
         return WeylData(space, elements, roots)
     except ValidationError as exc:
@@ -317,6 +336,47 @@ def load_dataset(source: str) -> Dataset:
     return dataset_from_json(obj, name)
 
 
+def load_expression(path: str) -> tuple[RationalSection, int, str]:
+    """Load a residue expression file: the rational section, and the index and
+    name of the variable to take the residue in."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(
+                f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+    _typed(obj, dict, "$")
+    names = obj.get("variables")
+    if (not isinstance(names, list) or not names
+            or any(not isinstance(n, str) for n in names) or len(set(names)) != len(names)):
+        raise SchemaError("$.variables: expected a nonempty array of distinct names")
+    vars = Variables(tuple(names))
+    terms = {}
+    for t, term in enumerate(_typed(obj.get("numerator", []), list, "$.numerator")):
+        exps, coeff = _term(term, vars.count, f"$.numerator[{t}]")
+        terms[(exps, 0)] = terms.get((exps, 0), Q(0)) + coeff
+    numer = EquivariantPolynomial(vars, POINT_ALGEBRA, terms)
+    denom: dict[LinearForm, int] = {}
+    for d, factor in enumerate(_typed(obj.get("denominator", []), list, "$.denominator")):
+        dpath = f"$.denominator[{d}]"
+        coeffs = [_frac(v, f"{dpath}.form") for v in _expect(factor, "form", list, dpath)]
+        if len(coeffs) != vars.count:
+            raise SchemaError(f"{dpath}.form: expected {vars.count} entries")
+        form = LinearForm.make(coeffs)
+        if form.is_zero():
+            raise SchemaError(f"{dpath}.form: zero form")
+        mult = _typed(factor.get("multiplicity", 1), int, f"{dpath}.multiplicity")
+        if mult < 1:
+            raise SchemaError(f"{dpath}.multiplicity: must be >= 1")
+        denom[form] = denom.get(form, 0) + mult
+    section = RationalSection(numer, denom)
+    var_name = obj.get("variable", names[0])
+    if var_name not in names:
+        raise SchemaError(f"$.variable: unknown variable {var_name!r}")
+    return section, names.index(var_name), var_name
+
+
 def bundled_names() -> tuple[str, ...]:
     return BUNDLED
 
@@ -325,15 +385,12 @@ def bundled_names() -> tuple[str, ...]:
 
 
 def _point_line(vars, coeffs) -> tuple:
-    from .symcore import POINT_ALGEBRA
     return (LinearForm.make([Q(c) for c in coeffs]),
             EquivariantPolynomial.zero(vars, POINT_ALGEBRA))
 
 
 def build_s2() -> Dataset:
     """Rotation of the two-sphere: two fixed points at moment levels +-1."""
-    from .symcore import POINT_ALGEBRA
-
     vars = Variables(("X",))
     north = FixedComponent("N", (Q(1),), POINT_ALGEBRA, (_point_line(vars, [-1]),))
     south = FixedComponent("S", (Q(-1),), POINT_ALGEBRA, (_point_line(vars, [1]),))
@@ -346,8 +403,6 @@ def build_s2() -> Dataset:
 
 def build_s2xs2_t2() -> Dataset:
     """Product of two spheres with the full 2-torus: four isolated fixed points."""
-    from .symcore import POINT_ALGEBRA
-
     vars = Variables(("X", "Y"))
     data = [("NN", (1, 1), (-1, 0), (0, -1)),
             ("NS", (1, -1), (-1, 0), (0, 1)),
@@ -390,8 +445,6 @@ def build_s2cubed_su2() -> Dataset:
     """Triple product of spheres with the diagonal circle, together with the
     residual Weyl group Z/2 acting by the antipodal flip."""
     from itertools import product
-
-    from .symcore import POINT_ALGEBRA
 
     vars = Variables(("X",))
     signs = list(product((1, -1), repeat=3))

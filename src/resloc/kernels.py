@@ -26,6 +26,7 @@ from .spaces import (
     circle_integral,
     generator_products,
     is_generic,
+    positive_side,
     torus_integral,
 )
 from .symcore import (
@@ -37,15 +38,13 @@ from .symcore import (
 )
 
 __all__ = [
-    "SignPattern",
-    "partition",
     "ModelElement",
     "DegreeTruncatedModel",
     "build_model",
     "Subspace",
-    "tw_subspace",
+    "vanishing_subspace",
     "pairing_kernel",
-    "residue_kernel_circle",
+    "circle_kernel",
     "CircleKernelRow",
     "check_circle_kernel_split",
     "Chamber",
@@ -57,24 +56,6 @@ __all__ = [
     "FlowupReport",
     "validate_flowup_class",
 ]
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """Partition of the fixed components by the sign of the moment pairing."""
-
-    plus: tuple[str, ...]
-    minus: tuple[str, ...]
-
-
-def partition(space: HamiltonianSpace, xi: CircleDirection) -> SignPattern:
-    violations = is_generic(space, xi)
-    if violations:
-        raise NonGenericError(f"direction {xi.vector} is not generic", violations)
-    plus, minus = [], []
-    for f in space.components:
-        (plus if xi.pair(f.moment) > 0 else minus).append(f.name)
-    return SignPattern(tuple(plus), tuple(minus))
 
 
 # -- truncated model ---------------------------------------------------------
@@ -212,18 +193,11 @@ class Subspace:
         return out
 
 
-def tw_subspace(model: DegreeTruncatedModel, xi: CircleDirection, side: str,
-                degree: int) -> Subspace:
-    """Classes in the degree slice vanishing on the chosen moment side.
-
-    side "plus" kills restrictions to components with positive moment pairing,
-    side "minus" the other half.  These are the two one-sided kernels whose
-    direct sum the circle-level kernel theorem is about.
-    """
-    if side not in ("plus", "minus"):
-        raise ValidationError("side must be 'plus' or 'minus'")
-    pat = partition(model.space, xi)
-    names = set(pat.plus if side == "plus" else pat.minus)
+def vanishing_subspace(model: DegreeTruncatedModel, names: frozenset[str],
+                       degree: int) -> Subspace:
+    """Classes in the degree slice vanishing on the named components: the null
+    space of their restriction rows.  For the components on one side of a
+    generic circle, these are the one-sided subspaces of the kernel theorems."""
     keys = model.keys_by_degree[degree]
     basis = model.basis_by_degree[degree]
     rows = []
@@ -262,28 +236,16 @@ def pairing_kernel(integral: KirwanIntegral, classes: list[RestrictedClass],
     return linalg.nullspace(rows, ncols=len(classes))
 
 
-def _testing_degrees(model: DegreeTruncatedModel, slack: int = 0) -> list[int]:
-    cap = min(model.space.dim - 2 + slack, model.max_degree)
-    return list(range(0, cap + 1, 2))
-
-
-def residue_kernel_circle(model: DegreeTruncatedModel, xi: CircleDirection,
-                          degree: int, testing_slack: int = 0,
-                          method: str = "poles") -> Subspace:
+def circle_kernel(model: DegreeTruncatedModel, degree: int, integral: KirwanIntegral,
+                  testing_slack: int = 0) -> Subspace:
     """Null space of the circle-level pairing against the truncated testing set.
 
     The testing classes run over the model slices up to total degree dim - 2
     (module generators of the quotient cohomology); enlarging by
     ``testing_slack`` degrees lets callers confirm the null space is stable.
     """
-    return _circle_kernel(model, circle_integral(model.space, xi, method=method),
-                          degree, testing_slack)
-
-
-def _circle_kernel(model: DegreeTruncatedModel, integral: KirwanIntegral,
-                   degree: int, testing_slack: int) -> Subspace:
-    testing = [el.cls for zdeg in _testing_degrees(model, testing_slack)
-               for el in model.basis_by_degree[zdeg]]
+    cap = min(model.space.dim - 2 + testing_slack, model.max_degree)
+    testing = [el.cls for zdeg in range(0, cap + 1, 2) for el in model.basis_by_degree[zdeg]]
     classes = [el.cls for el in model.basis_by_degree[degree]]
     return Subspace(degree, pairing_kernel(integral, classes, testing))
 
@@ -324,12 +286,14 @@ def check_circle_kernel_split(model: DegreeTruncatedModel, xi: CircleDirection,
     """
     if degrees is None:
         degrees = list(range(0, model.max_degree + 1, 2))
-    integral = circle_integral(model.space, xi)
+    integral = circle_integral(model.space, xi)  # raises if xi is not generic
+    plus_side = positive_side(model.space, xi)
+    minus_side = frozenset(f.name for f in model.space.components) - plus_side
     rows = []
     for d in degrees:
-        kernel = _circle_kernel(model, integral, d, testing_slack)
-        minus = tw_subspace(model, xi, "minus", d)
-        plus = tw_subspace(model, xi, "plus", d)
+        kernel = circle_kernel(model, d, integral, testing_slack)
+        minus = vanishing_subspace(model, minus_side, d)
+        plus = vanishing_subspace(model, plus_side, d)
         direct = linalg.intersect_trivially(minus.coeffs, plus.coeffs)
         equal = linalg.span_equal(kernel.coeffs, minus.coeffs + plus.coeffs)
         rows.append(CircleKernelRow(d, kernel, minus, plus, direct, equal))
@@ -481,19 +445,24 @@ def check_full_kernel(model: DegreeTruncatedModel,
                       integral: KirwanIntegral | None = None
                       ) -> tuple[list[FullKernelRow], ChamberSet]:
     """Degreewise comparison of the torus-level kernel with the span, over all
-    chambers, of the two one-sided vanishing subspaces."""
+    chambers, of the two one-sided vanishing subspaces.  Chambers share sides,
+    so each distinct set (a chamber's positive side or its complement) is
+    reduced once per degree."""
     if degrees is None:
         degrees = list(range(0, model.max_degree + 1, 2))
     chambers = enumerate_generic_directions(model.space)
     if integral is None:
         integral = torus_integral(model.space)
+    everything = frozenset(f.name for f in model.space.components)
+    vanishing_sets: dict[frozenset[str], None] = {}
+    for chamber in chambers.chambers:
+        plus = positive_side(model.space, chamber.representative)
+        vanishing_sets.update(dict.fromkeys((everything - plus, plus)))
     rows = []
     for d in degrees:
         kernel = torus_kernel(model, d, integral)
-        stacked: list[list[Fraction]] = []
-        for chamber in chambers.chambers:
-            for side in ("minus", "plus"):
-                stacked.extend(tw_subspace(model, chamber.representative, side, d).coeffs)
+        stacked = [vec for names in vanishing_sets
+                   for vec in vanishing_subspace(model, names, d).coeffs]
         # span_equal(kernel, stacked), reusing the rank of the stacked rows
         sum_dim = linalg.rank(stacked)
         equal = (linalg.rank(kernel.coeffs) == sum_dim

@@ -42,6 +42,7 @@ __all__ = [
     "unimodular_completion",
     "adapt_space",
     "is_generic",
+    "positive_side",
     "find_generic_direction",
     "generator_products",
     "localization_sum",
@@ -290,6 +291,11 @@ def is_generic(space: HamiltonianSpace, xi: CircleDirection) -> list[tuple[str, 
     return violations
 
 
+def positive_side(space: HamiltonianSpace, xi: CircleDirection) -> frozenset[str]:
+    """Names of the components whose moment pairs positively with xi."""
+    return frozenset(f.name for f in space.components if xi.pair(f.moment) > 0)
+
+
 _GENERIC_SEARCH_RADIUS = 8
 
 
@@ -493,7 +499,8 @@ def circle_integral(space: HamiltonianSpace, xi: CircleDirection,
         raise ValidationError("the residue axis must be the circle direction or its negative")
     adapted = adapt_space(space, axis)
     # the components on xi's positive side, whichever way the axis points
-    plus = [f for f in adapted.space.components if (f.moment[0] > 0) == (axis == xi)]
+    plus_names = positive_side(space, xi)
+    plus = [f for f in adapted.space.components if f.name in plus_names]
     residues: dict[tuple[str, EquivariantPolynomial], RationalSection] = {}
 
     def residue(f: FixedComponent, restriction: EquivariantPolynomial) -> RationalSection:

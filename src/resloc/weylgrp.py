@@ -161,6 +161,8 @@ class WeylData:
                 raise ValidationError("group element matrix has wrong shape")
             if sorted(w.perm) != list(range(ncomp)):
                 raise ValidationError("group element does not permute the components")
+            if len(w.algebra_maps) != ncomp:
+                raise ValidationError("group element needs one algebra map per component")
             if w.sign() not in (Q(1), Q(-1)):
                 raise ValidationError("group element matrix must have determinant +-1")
             self._check_space_preserved(w)

@@ -68,6 +68,43 @@ def test_validate_missing_file_exits_two(capsys):
     assert code == 2 and "error" in err
 
 
+def _set(obj, path, value):
+    *keys, last = path
+    for key in keys:
+        obj = obj[key]
+    obj[last] = value
+
+
+@pytest.mark.parametrize("dataset, where, value, json_path", [
+    ("s2xs2-nonisolated", ("components", 0, "algebra", "mult_table", 0, 0), "a",
+     "$.components[0].algebra.mult_table[0][0]: expected an integer"),
+    ("s2xs2-nonisolated", ("components", 0, "algebra", "degrees", 1), "two",
+     "$.components[0].algebra.degrees[1]: expected an integer"),
+    ("s2cubed-su2", ("weyl", "elements", 1, "perm", 0), "7",
+     "$.weyl.elements[1].perm[0]: expected an integer"),
+    ("s2cubed-su2", ("weyl", "elements", 1, "algebra_maps", 0), 1,
+     "$.weyl.elements[1].algebra_maps[0]: expected an array"),
+    ("s2cubed-su2", ("weyl", "elements", 1, "matrix", 0), -1,
+     "$.weyl.elements[1].matrix[0]: expected an array"),
+    ("s2cubed-su2", ("weyl", "elements", 1, "matrix", 0), "-1",
+     "$.weyl.elements[1].matrix[0]: expected an array"),
+    ("s2cubed-su2", ("weyl", "elements", 1, "algebra_maps"), [[["1"]]],
+     "$.weyl: group element needs one algebra map per component"),
+    ("s2xs2-t2", ("variables",), ["X", "X"],
+     "$.variables: expected torus_rank distinct variable names"),
+], ids=["mult-table-index", "degree", "weyl-perm", "algebra-maps-entry",
+        "matrix-scalar-row", "matrix-string-row", "algebra-maps-count", "variables-not-distinct"])
+def test_dataset_loader_type_errors_exit_two(capsys, tmp_path, dataset, where, value,
+                                             json_path):
+    obj = dataset_to_json(load_dataset(dataset))
+    _set(obj, where, value)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "validate", str(p))
+    assert code == 2 and not out
+    assert json_path in err
+
+
 # -- residue ---------------------------------------------------------------------
 
 
@@ -137,6 +174,34 @@ def test_residue_zero_form_rejected(capsys, tmp_path):
     })
     code, _, err = run(capsys, "residue", path)
     assert code == 2 and "zero form" in err
+
+
+GOOD_EXPRESSION = {
+    "variables": ["X"],
+    "numerator": [{"coeff": "1", "exponents": [0]}],
+    "denominator": [{"form": ["1"]}],
+}
+
+
+@pytest.mark.parametrize("where, value, json_path", [
+    ((), [GOOD_EXPRESSION], "$: expected an object"),
+    (("numerator", 0), "1", "$.numerator[0]: expected an object"),
+    (("numerator", 0, "exponents"), 0, "$.numerator[0].exponents: expected an array"),
+    (("numerator", 0, "exponents"), [-1], "$.numerator[0].exponents: expected 1 nonnegative"),
+    (("denominator", 0, "form"), 1, "$.denominator[0].form: expected an array"),
+    (("variables",), [1], "$.variables: expected a nonempty array of distinct names"),
+    (("variables",), ["X", "X"], "$.variables: expected a nonempty array of distinct names"),
+], ids=["top-level-array", "term-not-object", "exponents-not-array", "negative-exponent",
+        "form-not-array", "variables-not-strings", "variables-not-distinct"])
+def test_residue_loader_rejects_malformed_input(capsys, tmp_path, where, value, json_path):
+    obj = json.loads(json.dumps(GOOD_EXPRESSION))
+    if where:
+        _set(obj, where, value)
+    else:
+        obj = value
+    code, out, err = run(capsys, "residue", write_expression(tmp_path, obj))
+    assert code == 2 and not out
+    assert json_path in err
 
 
 # -- kernel ----------------------------------------------------------------------

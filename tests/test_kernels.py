@@ -9,16 +9,14 @@ import pytest
 from resloc import kernels, linalg, spaces
 from resloc.datasets import load_dataset
 from resloc.kernels import (
-    SignPattern,
     build_model,
     check_circle_kernel_split,
     check_full_kernel,
+    circle_kernel,
     enumerate_generic_directions,
-    partition,
-    residue_kernel_circle,
     torus_kernel,
-    tw_subspace,
     validate_flowup_class,
+    vanishing_subspace,
 )
 from resloc.spaces import (
     CircleDirection,
@@ -27,7 +25,9 @@ from resloc.spaces import (
     NonGenericError,
     RestrictedClass,
     circle_integral,
+    is_generic,
     kappa_s_integral,
+    positive_side,
     torus_integral,
 )
 from resloc.symcore import (
@@ -113,7 +113,7 @@ def test_model_requires_unit(s2):
 
 
 def test_subspace_classes_reconstruction(s2_model):
-    sub = tw_subspace(s2_model, CircleDirection.make((1,)), "plus", 2)
+    sub = vanishing_subspace(s2_model, frozenset({"N"}), 2)
     [cls] = sub.classes(s2_model)
     assert cls.restrictions["N"].is_zero()
 
@@ -121,30 +121,24 @@ def test_subspace_classes_reconstruction(s2_model):
 # -- one-sided vanishing subspaces ----------------------------------------------
 
 
-def test_partition_both_directions(s2):
-    assert partition(s2.space, CircleDirection.make((1,))) == SignPattern(("N",), ("S",))
-    pat = partition(s2.space, CircleDirection.make((-1,)))
-    assert pat.plus == ("S",) and pat.minus == ("N",)
+def test_positive_side_both_directions(s2):
+    assert positive_side(s2.space, CircleDirection.make((1,))) == frozenset({"N"})
+    assert positive_side(s2.space, CircleDirection.make((-1,))) == frozenset({"S"})
 
 
-def test_tw_subspace_s2(s2_model):
+def test_vanishing_subspace_s2(s2_model):
     xi = CircleDirection.make((1,))
-    plus = tw_subspace(s2_model, xi, "plus", 2)
-    minus = tw_subspace(s2_model, xi, "minus", 2)
+    plus = vanishing_subspace(s2_model, positive_side(s2_model.space, xi), 2)
+    minus = vanishing_subspace(s2_model, frozenset({"S"}), 2)
     assert plus.dim == minus.dim == 1
-    # side plus vanishes on N, so it is spanned by u; minus by u - X
+    # the plus side vanishes on N, so it is spanned by u; the minus side by u - X
     assert plus.coeffs == [[Q(0), Q(1)]]
     assert minus.coeffs == [[Q(-1), Q(1)]]
 
 
-def test_tw_subspace_rejects_bad_side(s2_model):
-    with pytest.raises(ValidationError):
-        tw_subspace(s2_model, CircleDirection.make((1,)), "up", 2)
-
-
-def test_tw_subspace_rejects_nongeneric(s2xs2_model):
+def test_circle_split_rejects_nongeneric(s2xs2_model):
     with pytest.raises(NonGenericError):
-        tw_subspace(s2xs2_model, CircleDirection.make((1, 0)), "plus", 2)
+        check_circle_kernel_split(s2xs2_model, CircleDirection.make((1, 0)), degrees=[2])
 
 
 # -- circle-level kernel -----------------------------------------------------------
@@ -176,17 +170,17 @@ def test_circle_split_nonisolated(nonisolated):
 
 
 def test_circle_kernel_stable_under_testing_slack(s2xs2_model):
-    xi = CircleDirection.make((1, 2))
+    integral = circle_integral(s2xs2_model.space, CircleDirection.make((1, 2)))
     for d in (2, 4):
-        base = residue_kernel_circle(s2xs2_model, xi, d)
-        enlarged = residue_kernel_circle(s2xs2_model, xi, d, testing_slack=2)
+        base = circle_kernel(s2xs2_model, d, integral)
+        enlarged = circle_kernel(s2xs2_model, d, integral, testing_slack=2)
         assert base.dim == enlarged.dim
 
 
 def test_circle_kernel_methods_agree(s2xs2_model):
     xi = CircleDirection.make((2, 1))
-    a = residue_kernel_circle(s2xs2_model, xi, 4, method="poles")
-    b = residue_kernel_circle(s2xs2_model, xi, 4, method="series")
+    a = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi, method="poles"))
+    b = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi, method="series"))
     assert a.coeffs == b.coeffs
 
 
@@ -199,9 +193,10 @@ def test_circle_split_shared_integral_matches_fresh(s2xs2_model, nonisolated, me
         shared = circle_integral(model.space, xi, method=method)
         rows = check_circle_kernel_split(model, xi, degrees=[0, 2, 4])
         for r in rows:
-            fresh = residue_kernel_circle(model, xi, r.degree, method=method)
+            fresh = circle_kernel(model, r.degree,
+                                  circle_integral(model.space, xi, method=method))
             assert r.kernel.coeffs == fresh.coeffs
-            assert kernels._circle_kernel(model, shared, r.degree, 0).coeffs == fresh.coeffs
+            assert circle_kernel(model, r.degree, shared).coeffs == fresh.coeffs
 
 
 def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch):
@@ -217,7 +212,7 @@ def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch):
     integral = circle_integral(s2xs2_model.space, xi)
     classes = [el.cls for el in s2xs2_model.basis_by_degree[4]]
     values = [integral(cls) for cls in classes]
-    plus = partition(s2xs2_model.space, xi).plus
+    plus = positive_side(s2xs2_model.space, xi)
     distinct = {(name, cls.restrictions[name]) for cls in classes for name in plus}
     assert len(calls) == len(distinct) < len(classes) * len(plus)
     assert [integral(cls) for cls in classes] == values
@@ -228,7 +223,7 @@ def test_circle_integral_checks_polynomiality_on_cache_hits(s2xs2, monkeypatch):
     # u2 and u1 both vanish at NN, on the positive side of (1, 2), and differ
     # at SN, the other component on that side
     xi = CircleDirection.make((1, 2))
-    assert partition(s2xs2.space, xi).plus == ("NN", "SN")
+    assert positive_side(s2xs2.space, xi) == frozenset({"NN", "SN"})
     u1, u2 = s2xs2.generator("u1"), s2xs2.generator("u2")
     assert u1.restrictions["NN"] == u2.restrictions["NN"]
     assert u1.restrictions["SN"] != u2.restrictions["SN"]
@@ -295,8 +290,7 @@ def test_chamber_representatives_are_generic_and_distinct(s2xs2):
     for ch in chambers.chambers:
         assert ch.signs not in seen
         seen.add(ch.signs)
-        pat = partition(s2xs2.space, ch.representative)  # raises if non-generic
-        assert set(pat.plus) | set(pat.minus) == {f.name for f in s2xs2.space.components}
+        assert is_generic(s2xs2.space, ch.representative) == []
 
 
 def test_chambers_rank_one_weight_arrangement():
@@ -331,7 +325,7 @@ def test_chambers_exact_on_sphere_products(k, count):
     patterns = {c.signs for c in chambers.chambers}
     assert len(patterns) == count
     for ch in chambers.chambers:
-        partition(space, ch.representative)  # raises if non-generic
+        assert is_generic(space, ch.representative) == []
         assert ch.signs == tuple(1 if ch.representative.pair(w) > 0 else -1
                                  for w in chambers.normals)
     if k > 3:
@@ -362,6 +356,28 @@ def test_torus_kernel_s2xs2(s2xs2_model):
     assert [(r.degree, r.kernel_dim, r.chamber_sum_dim) for r in rows] == \
         [(0, 0, 0), (2, 4, 4), (4, 8, 8)]
     assert all(r.ok for r in rows)
+
+
+def test_full_kernel_reduces_each_vanishing_set_once(s2xs2_model, monkeypatch):
+    calls = []
+    real = kernels.vanishing_subspace
+
+    def counted(model, names, degree):
+        calls.append((names, degree))
+        return real(model, names, degree)
+
+    monkeypatch.setattr(kernels, "vanishing_subspace", counted)
+    rows, chambers = check_full_kernel(s2xs2_model, degrees=[0, 2, 4])
+    assert all(r.ok for r in rows)
+    everything = frozenset(f.name for f in s2xs2_model.space.components)
+    sides = {frozenset(f.name for f in s2xs2_model.space.components
+                       if ch.representative.pair(f.moment) > 0)
+             for ch in chambers.chambers}
+    distinct = sides | {everything - side for side in sides}
+    # 8 chambers, 16 (chamber, side) pairs, 4 distinct sets of two components
+    assert len(distinct) == 4 < 2 * len(chambers.chambers)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {(names, d) for names in distinct for d in (0, 2, 4)}
 
 
 def test_torus_kernel_s2(s2_model):
