@@ -57,7 +57,6 @@ from .weylgrp import (
     WeylData,
     WeylElement,
     brion_divide,
-    check_antisymmetrized_span,
     check_nonabelian_kernels,
     invariant_subspace,
 )

@@ -255,29 +255,26 @@ def _kernel_nonabelian(ds: Dataset, args, report: dict) -> None:
     ordering = _parse_ordering(args, ds.space.vars.count)
     integral = torus_integral(ds.space, ordering=ordering)
     report["parameters"]["xi"] = list(integral.adapted.xi.vector)
-    rows = weylgrp.check_nonabelian_kernels(model, ds.weyl, _degrees(args), integral)
+    rows, span_rows = weylgrp.check_nonabelian_kernels(model, ds.weyl, _degrees(args),
+                                                       integral)
     report["results"]["degrees"] = [
         {"degree": r.degree, "invariant_dim": r.invariant_dim,
          "pairing_kernel_dim": r.pairing_kernel_dim,
          "once_divided_dim": r.once_divided_dim,
          "twice_divided_dim": r.twice_divided_dim, "equal": r.equal}
         for r in rows]
+    report["results"]["antisymmetrized_spans"] = [
+        {"source_degree": r.source_degree, "target_degree": r.target_degree,
+         "span_dim": r.span_dim, "kernel_dim": r.kernel_dim, "equal": r.equal}
+        for r in span_rows]
     for r in rows:
         _add_check(report, f"nonabelian-degree-{r.degree}", r.equal,
                    f"invariant dim {r.invariant_dim}: pairing {r.pairing_kernel_dim}, "
                    f"once {r.once_divided_dim}, twice {r.twice_divided_dim}")
-    spans = []
-    two_r = 2 * len(ds.weyl.positive_roots)
-    for src in range(two_r, args.max_degree + 1, 2):
-        row = weylgrp.check_antisymmetrized_span(model, ds.weyl, src, integral)
-        spans.append({"source_degree": row.source_degree,
-                      "target_degree": row.target_degree,
-                      "span_dim": row.span_dim, "kernel_dim": row.kernel_dim,
-                      "equal": row.equal})
-        _add_check(report, f"antisymmetrized-span-{row.source_degree}", row.equal,
-                   f"span dim {row.span_dim} vs kernel dim {row.kernel_dim} "
-                   f"at degree {row.target_degree}")
-    report["results"]["antisymmetrized_spans"] = spans
+    for r in span_rows:
+        _add_check(report, f"antisymmetrized-span-{r.source_degree}", r.equal,
+                   f"span dim {r.span_dim} vs kernel dim {r.kernel_dim} "
+                   f"at degree {r.target_degree}")
     dcls = ds.weyl.d_class()
     report["results"]["calibration"] = {
         "class": args.calibrate,

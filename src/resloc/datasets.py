@@ -206,6 +206,7 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
     except ValidationError as exc:
         raise SchemaError(f"$.components: {exc}") from exc
 
+    unit = RestrictedClass.unit(space)
     generators = []
     for g, gobj in enumerate(_expect(obj, "generators", list, "$")):
         path = f"$.generators[{g}]"
@@ -223,14 +224,23 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
             raise SchemaError(f"{path}.restrictions: unknown components "
                               f"{sorted(unknown)}")
         try:
-            generators.append((gname, RestrictedClass(space, degree, restrictions)))
+            cls = RestrictedClass(space, degree, restrictions)
         except ValidationError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
+        if degree == 0:
+            first = restrictions[space.components[0].name]
+            if cls != unit.scale(first.terms.get((vars.zero_exps(), 0), Q(0))):
+                raise SchemaError(f"{path}: a degree-0 generator must restrict to "
+                                  "one and the same constant on every component")
+        generators.append((gname, cls))
     if len({n for n, _ in generators}) != len(generators):
         raise SchemaError("$.generators: names must be distinct")
-    if not any(cls.degree == 0 and cls == RestrictedClass.unit(space)
-               for _, cls in generators):
-        generators.insert(0, ("one", RestrictedClass.unit(space)))
+    if not any(cls.degree == 0 and cls == unit for _, cls in generators):
+        taken = next((g for g, (n, _) in enumerate(generators) if n == "one"), None)
+        if taken is not None:
+            raise SchemaError(f"$.generators[{taken}].name: \"one\" is kept for "
+                              "the unit class, which no generator equals")
+        generators.insert(0, ("one", unit))
 
     weyl = None
     if "weyl" in obj:

@@ -80,18 +80,24 @@ class DegreeTruncatedModel:
         self.basis_by_degree: dict[int, list[ModelElement]] = {}
         self._build()
 
-    def class_vector(self, cls: RestrictedClass, degree: int) -> list[Fraction]:
+    def class_vector(self, cls: RestrictedClass, degree: int) -> list[Fraction] | None:
+        """The restriction terms of cls at the degree's keys, or None when cls
+        has a term at another key (so it lies outside every span of the slice)."""
         keys = self.keys_by_degree[degree]
         out = []
         for ci, exps, b in keys:
             name = self.space.components[ci].name
             out.append(cls.restrictions[name].terms.get((exps, b), Q(0)))
-        return out
+        terms = sum(1 for p in cls.restrictions.values() for c in p.terms.values() if c)
+        return out if terms == sum(1 for v in out if v) else None
 
     def coefficients_of(self, cls: RestrictedClass, degree: int) -> list[Fraction] | None:
         """Coefficients over the degree basis, or None when outside the span."""
-        basis = [el.vector for el in self.basis_by_degree[degree]]
-        return linalg.solve_in_span(basis, self.class_vector(cls, degree))
+        vector = self.class_vector(cls, degree)
+        if vector is None:
+            return None
+        return linalg.solve_in_span([el.vector for el in self.basis_by_degree[degree]],
+                                    vector)
 
     def _build(self):
         space = self.space

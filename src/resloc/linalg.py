@@ -13,6 +13,7 @@ Q = Fraction
 __all__ = [
     "row_reduce",
     "rank",
+    "det",
     "nullspace",
     "independent_indices",
     "solve_in_span",
@@ -49,6 +50,14 @@ def row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
 
 def rank(rows: list[list[Fraction]]) -> int:
     return len(row_reduce(rows)[1])
+
+
+def det(rows) -> Fraction:
+    """Determinant of a small square matrix, by cofactor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * v * det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, v in enumerate(rows[0]) if v)
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping
 
+from . import linalg
 from .residues import (
     MomentTerm,
     VariableOrdering,
@@ -361,28 +362,15 @@ def unimodular_completion(xi: tuple[int, ...]) -> list[list[int]]:
     # invert u exactly; the inverse is integral because det u = +-1
     aug = [[Q(u[i][j]) for j in range(n)] + [Q(1 if j == i else 0) for j in range(n)]
            for i in range(n)]
-    from .linalg import row_reduce
-    rref, pivots = row_reduce(aug)
+    rref, pivots = linalg.row_reduce(aug)
     if pivots != list(range(n)):
         raise ValidationError("completion matrix is singular")
     inv = [[rref[i][n + j] for j in range(n)] for i in range(n)]
     basis = [[int(inv[i][j]) for j in range(n)] for i in range(n)]
-    det = _int_det(basis)
-    if det == -1 and n > 1:
+    if linalg.det(basis) == -1 and n > 1:
         for i in range(n):
             basis[i][1] = -basis[i][1]
     return basis
-
-
-def _int_det(mat: list[list[int]]) -> int:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _int_det(minor)
-    return total
 
 
 @dataclass

@@ -222,9 +222,6 @@ class GradedAlgebra:
             k += 1
         return k
 
-    def integrate_elt(self, elt: Mapping[int, Fraction]) -> Fraction:
-        return sum((c * self.integral[i] for i, c in elt.items()), Q(0))
-
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, GradedAlgebra) and self._key == other._key)
 
@@ -354,14 +351,6 @@ class EquivariantPolynomial:
             rest[var] = 0
             slot = out.setdefault(k, EquivariantPolynomial(self.vars, self.algebra))
             slot.terms[(tuple(rest), b)] = c
-        return out
-
-    def basis_coefficients(self) -> dict[int, "EquivariantPolynomial"]:
-        """Split into pure (unit-coefficient) polynomials per algebra basis index."""
-        out: dict[int, EquivariantPolynomial] = {}
-        for (e, b), c in self.terms.items():
-            slot = out.setdefault(b, EquivariantPolynomial(self.vars, POINT_ALGEBRA))
-            slot.terms[(e, 0)] = c
         return out
 
     # -- arithmetic --------------------------------------------------------

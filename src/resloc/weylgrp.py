@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from weakref import WeakKeyDictionary
 
 from . import linalg
 from .kernels import DegreeTruncatedModel, Subspace, pairing_kernel, torus_kernel
@@ -38,9 +37,8 @@ __all__ = [
     "brion_divide",
     "invariant_subspace",
     "NonabelianRow",
-    "check_nonabelian_kernels",
     "AntisymmetrizedSpanRow",
-    "check_antisymmetrized_span",
+    "check_nonabelian_kernels",
 ]
 
 
@@ -61,19 +59,7 @@ class WeylElement:
             for k in range(n)))
 
     def sign(self) -> Fraction:
-        return _det([list(row) for row in self.matrix])
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Q(0)
-    for j in range(n):
-        if rows[0][j]:
-            minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-            total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
+        return linalg.det(self.matrix)
 
 
 def _matmul(a, b):
@@ -275,50 +261,24 @@ def brion_divide(weyl: WeylData, cls: RestrictedClass) -> RestrictedClass:
 # -- nonabelian kernel comparisons --------------------------------------------
 
 
-def _action_matrix(model: DegreeTruncatedModel, weyl: WeylData, w: WeylElement,
-                   degree: int) -> list[list[Fraction]]:
-    basis = model.basis_by_degree[degree]
-    rows = []
-    for el in basis:
-        moved = weyl.act(w, el.cls)
-        coeffs = model.coefficients_of(moved, degree)
-        if coeffs is None:
-            raise ValidationError(
-                f"model slice of degree {degree} is not stable under the group")
-        rows.append(coeffs)
-    return rows
-
-
 def invariant_subspace(model: DegreeTruncatedModel, weyl: WeylData,
                        degree: int) -> Subspace:
     """Coefficient vectors of the group-invariant classes in a degree slice.
 
-    A coefficient vector c is invariant when c A_w = c for every w, with A_w
-    the action matrix on the slice basis (rows = images of basis elements)."""
-    k = len(model.basis_by_degree[degree])
+    A coefficient vector c is invariant when sum_i c_i (w.b_i - b_i) = 0 for
+    every w, with b_i the slice basis; the constraints are read off in the
+    model's restriction coordinates, where the basis is independent."""
+    basis = model.basis_by_degree[degree]
+    vectors = [el.vector for el in basis]
     rows: list[list[Fraction]] = []
     for w in weyl.elements:
-        a = _action_matrix(model, weyl, w, degree)
-        for j in range(k):
-            rows.append([a[i][j] - (Q(1) if i == j else Q(0)) for i in range(k)])
-    return Subspace(degree, linalg.nullspace(rows, ncols=k))
-
-
-# invariant slices by model, then by (group, degree); dropped with the model
-_invariant_slices: WeakKeyDictionary[DegreeTruncatedModel,
-                                     dict[tuple[WeylData, int], Subspace]] = \
-    WeakKeyDictionary()
-
-
-def _invariant_slice(model: DegreeTruncatedModel, weyl: WeylData,
-                     degree: int) -> Subspace:
-    """``invariant_subspace``, solved once per (model, group, degree); callers
-    must not modify the result."""
-    slices = _invariant_slices.setdefault(model, {})
-    inv = slices.get((weyl, degree))
-    if inv is None:
-        inv = slices[(weyl, degree)] = invariant_subspace(model, weyl, degree)
-    return inv
+        moved = [model.class_vector(weyl.act(w, el.cls), degree) for el in basis]
+        if None in moved or linalg.rank(vectors + moved) != len(basis):
+            raise ValidationError(
+                f"model slice of degree {degree} is not stable under the group")
+        rows.extend([m[j] - v[j] for m, v in zip(moved, vectors)]
+                    for j in range(len(model.keys_by_degree[degree])))
+    return Subspace(degree, linalg.nullspace(rows, ncols=len(basis)))
 
 
 @dataclass
@@ -331,54 +291,6 @@ class NonabelianRow:
     equal: bool
 
 
-def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
-                             degrees: list[int],
-                             integral: KirwanIntegral | None = None
-                             ) -> list[NonabelianRow]:
-    """Compare, inside each invariant slice, three descriptions of the
-    nonabelian kernel: the null space of the nonabelian pairing against
-    invariant classes of complementary degree, the classes whose product with
-    the positive-root factor lies in the torus-level kernel, and the classes
-    whose product with its square does."""
-    if integral is None:
-        integral = torus_integral(model.space)
-    space = model.space
-    n = space.vars.count
-    r = len(weyl.positive_roots)
-    dcls = weyl.d_class()
-    d2cls = dcls * dcls
-    rows = []
-    for d in degrees:
-        inv = _invariant_slice(model, weyl, d)
-        inv_classes = inv.classes(model)
-        once = [cls * dcls for cls in inv_classes]
-        twice = [cls * d2cls for cls in inv_classes]
-
-        # (i) pairing kernel: kappa_T(eta * zeta * D^2) over invariant zeta
-        comp = space.dim - 2 * n - 4 * r - d
-        in_range = 0 <= comp <= model.max_degree
-        testing: list[RestrictedClass] = []
-        if in_range:
-            testing = _invariant_slice(model, weyl, comp).classes(model)
-        k_pair = pairing_kernel(integral, twice, testing)
-
-        # (ii) once-divided: D * eta in the torus-level kernel
-        comp1 = comp + 2 * r
-        testing1 = ([el.cls for el in model.basis_by_degree[comp1]]
-                    if 0 <= comp1 <= model.max_degree else [])
-        k_once = pairing_kernel(integral, once, testing1)
-
-        # (iii) twice-divided: D^2 * eta in the torus-level kernel
-        testing2 = [el.cls for el in model.basis_by_degree[comp]] if in_range else []
-        k_twice = pairing_kernel(integral, twice, testing2)
-
-        equal = (linalg.span_equal(k_pair, k_once)
-                 and linalg.span_equal(k_once, k_twice))
-        rows.append(NonabelianRow(d, len(inv_classes), len(k_pair),
-                                  len(k_once), len(k_twice), equal))
-    return rows
-
-
 @dataclass
 class AntisymmetrizedSpanRow:
     source_degree: int
@@ -388,45 +300,95 @@ class AntisymmetrizedSpanRow:
     equal: bool
 
 
-def check_antisymmetrized_span(model: DegreeTruncatedModel, weyl: WeylData,
-                               source_degree: int,
-                               integral: KirwanIntegral | None = None
-                               ) -> AntisymmetrizedSpanRow:
-    """The antisymmetrizations of a basis of the torus-level kernel, divided by
-    the positive-root product, should span the nonabelian pairing kernel in the
-    invariant slice of the complementary lower degree."""
+def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
+                             degrees: list[int],
+                             integral: KirwanIntegral | None = None
+                             ) -> tuple[list[NonabelianRow], list[AntisymmetrizedSpanRow]]:
+    """The nonabelian kernel relations, degree by degree.
+
+    Each row compares, inside the invariant slice, three descriptions of the
+    nonabelian kernel: the null space of the nonabelian pairing against
+    invariant classes of complementary degree, the classes whose product with
+    the positive-root factor D lies in the torus-level kernel, and the classes
+    whose product with D^2 does.  Each span row takes a checked degree of at
+    least 2r (r positive roots) as source: the antisymmetrizations of a basis
+    of the torus-level kernel there, divided by D, should span the nonabelian
+    pairing kernel in the invariant slice 2r degrees down.
+
+    Each invariant slice and each pairing kernel is solved once per call.
+    """
     if integral is None:
         integral = torus_integral(model.space)
+    space = model.space
     r = len(weyl.positive_roots)
-    target = source_degree - 2 * r
-    kernel = torus_kernel(model, source_degree, integral)
-    produced: list[list[Fraction]] = []
-    for cls in kernel.classes(model):
-        anti = weyl.antisymmetrize(cls)
-        if all(p.is_zero() for p in anti.restrictions.values()):
-            continue
-        divided = brion_divide(weyl, anti)
-        coeffs = model.coefficients_of(divided, target)
-        if coeffs is None:
-            raise ValidationError("divided antisymmetrization left the model span")
-        produced.append(coeffs)
+    dcls = weyl.d_class()
+    d2cls = dcls * dcls
+    top = space.dim - 2 * space.vars.count - 4 * r  # degree plus its complement
+    slices: dict[int, tuple[Subspace, list[RestrictedClass]]] = {}
+    divided: dict[int, tuple[list[RestrictedClass], list[list[Fraction]]]] = {}
 
-    inv = _invariant_slice(model, weyl, target)
-    inv_classes = inv.classes(model)
-    comp = model.space.dim - 2 * model.space.vars.count - 4 * r - target
-    testing = (_invariant_slice(model, weyl, comp).classes(model)
-               if 0 <= comp <= model.max_degree else [])
-    d2cls = weyl.d_class() * weyl.d_class()
-    k_sub = pairing_kernel(integral, [cls * d2cls for cls in inv_classes], testing)
-    # k_sub is in invariant-basis coordinates; convert to slice coordinates
-    kernel_vecs = []
-    for c in k_sub:
-        vec = [Q(0)] * len(model.basis_by_degree[target])
-        for ci, ivec in zip(c, inv.coeffs):
-            for idx, val in enumerate(ivec):
-                vec[idx] += ci * val
-        kernel_vecs.append(vec)
-    equal = linalg.span_equal(produced, kernel_vecs)
-    return AntisymmetrizedSpanRow(source_degree, target, len(
-        linalg.row_reduce(produced)[0]) if produced else 0,
-        len(kernel_vecs), equal)
+    def in_range(degree: int) -> bool:
+        return 0 <= degree <= model.max_degree
+
+    def invariant(degree: int) -> tuple[Subspace, list[RestrictedClass]]:
+        if degree not in slices:
+            inv = invariant_subspace(model, weyl, degree)
+            slices[degree] = (inv, inv.classes(model))
+        return slices[degree]
+
+    def pairing(degree: int) -> tuple[list[RestrictedClass], list[list[Fraction]]]:
+        """The invariant classes times D^2, and the pairing kernel: the null
+        space (in invariant coordinates) of kappa_T(eta * zeta * D^2) over
+        invariant zeta."""
+        if degree not in divided:
+            twice = [cls * d2cls for cls in invariant(degree)[1]]
+            testing = invariant(top - degree)[1] if in_range(top - degree) else []
+            divided[degree] = (twice, pairing_kernel(integral, twice, testing))
+        return divided[degree]
+
+    rows = []
+    for d in degrees:
+        inv_classes = invariant(d)[1]
+        twice, k_pair = pairing(d)  # (i) the pairing kernel
+        once = [cls * dcls for cls in inv_classes]
+        comp = top - d
+
+        # (ii) once-divided: D * eta in the torus-level kernel
+        comp1 = comp + 2 * r
+        testing1 = ([el.cls for el in model.basis_by_degree[comp1]]
+                    if in_range(comp1) else [])
+        k_once = pairing_kernel(integral, once, testing1)
+
+        # (iii) twice-divided: D^2 * eta in the torus-level kernel
+        testing2 = ([el.cls for el in model.basis_by_degree[comp]]
+                    if in_range(comp) else [])
+        k_twice = pairing_kernel(integral, twice, testing2)
+
+        equal = (linalg.span_equal(k_pair, k_once)
+                 and linalg.span_equal(k_once, k_twice))
+        rows.append(NonabelianRow(d, len(inv_classes), len(k_pair),
+                                  len(k_once), len(k_twice), equal))
+
+    span_rows = []
+    for source in degrees:
+        target = source - 2 * r
+        if target < 0:
+            continue
+        produced: list[list[Fraction]] = []
+        for cls in torus_kernel(model, source, integral).classes(model):
+            anti = weyl.antisymmetrize(cls)
+            if all(p.is_zero() for p in anti.restrictions.values()):
+                continue
+            coeffs = model.coefficients_of(brion_divide(weyl, anti), target)
+            if coeffs is None:
+                raise ValidationError("divided antisymmetrization left the model span")
+            produced.append(coeffs)
+        # the pairing kernel is in invariant coordinates; map it to the slice's
+        inv = invariant(target)[0]
+        kernel = [[sum((c * vec[i] for c, vec in zip(k, inv.coeffs)), Q(0))
+                   for i in range(len(model.basis_by_degree[target]))]
+                  for k in pairing(target)[1]]
+        span_rows.append(AntisymmetrizedSpanRow(
+            source, target, linalg.rank(produced), len(kernel),
+            linalg.span_equal(produced, kernel)))
+    return rows, span_rows

@@ -30,7 +30,6 @@ from resloc.symcore import (
 )
 from resloc.weylgrp import (
     brion_divide,
-    check_antisymmetrized_span,
     check_nonabelian_kernels,
 )
 
@@ -190,7 +189,7 @@ def test_nonabelian_kernel_descriptions_coincide():
     start = time.monotonic()
     ds = load_dataset("s2cubed-su2")
     model = build_model(ds.space, ds.generators, 6)
-    rows = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6])
+    rows, _ = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6])
     for r in rows:
         assert r.equal, r
     assert [r.pairing_kernel_dim for r in rows] == [0, 3, 4, 4]
@@ -203,8 +202,10 @@ def test_antisymmetrized_torus_kernel_spans_nonabelian_kernel():
     the nonabelian kernel two degrees down, per degree."""
     ds = load_dataset("s2cubed-su2")
     model = build_model(ds.space, ds.generators, 6)
-    for source in (2, 4, 6):
-        row = check_antisymmetrized_span(model, ds.weyl, source)
+    _, span_rows = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6])
+    assert [(r.source_degree, r.target_degree, r.span_dim, r.kernel_dim)
+            for r in span_rows] == [(2, 0, 0, 0), (4, 2, 3, 3), (6, 4, 4, 4)]
+    for row in span_rows:
         assert row.equal, row
 
 

@@ -92,8 +92,14 @@ def _set(obj, path, value):
      "$.weyl: group element needs one algebra map per component"),
     ("s2xs2-t2", ("variables",), ["X", "X"],
      "$.variables: expected torus_rank distinct variable names"),
+    ("s2", ("generators", 0, "restrictions", "N", 0, "coeff"), "1/2",
+     "$.generators[0]: a degree-0 generator must restrict to one and the same constant"),
+    ("s2", ("generators", 0, "restrictions"),
+     {f: [{"basis_index": 0, "coeff": "1/2", "exponents": [0]}] for f in ("N", "S")},
+     '$.generators[0].name: "one" is kept for the unit class'),
 ], ids=["mult-table-index", "degree", "weyl-perm", "algebra-maps-entry",
-        "matrix-scalar-row", "matrix-string-row", "algebra-maps-count", "variables-not-distinct"])
+        "matrix-scalar-row", "matrix-string-row", "algebra-maps-count", "variables-not-distinct",
+        "degree-0-not-constant", "one-not-the-unit"])
 def test_dataset_loader_type_errors_exit_two(capsys, tmp_path, dataset, where, value,
                                              json_path):
     obj = dataset_to_json(load_dataset(dataset))

@@ -102,6 +102,14 @@ def test_model_coefficients_roundtrip(s2xs2_model):
     assert s2xs2_model.coefficients_of(outside, 0) == [Q(1)]
 
 
+def test_model_coefficients_reject_terms_outside_the_slice(nonisolated):
+    # without v the degree-2 keys hold no vol term, so v, which is vol on
+    # both spheres, must not read as the zero combination
+    gens = [g for g in nonisolated.generators if g[0] != "v"]
+    model = build_model(nonisolated.space, gens, 2)
+    assert model.coefficients_of(nonisolated.generator("v"), 2) is None
+
+
 def test_model_rejects_duplicate_generator_names(s2):
     with pytest.raises(ValidationError, match="distinct"):
         build_model(s2.space, s2.generators + [("u", s2.generator("u"))], 4)

@@ -19,7 +19,6 @@ from resloc.weylgrp import (
     WeylData,
     WeylElement,
     brion_divide,
-    check_antisymmetrized_span,
     check_nonabelian_kernels,
     invariant_subspace,
     kappa_k_integral,
@@ -165,7 +164,7 @@ def test_kappa_k_rejects_noninvariant(ds):
 
 
 def test_nonabelian_kernel_rows(model, ds):
-    rows = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6])
+    rows, _ = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6])
     assert [(r.degree, r.invariant_dim, r.pairing_kernel_dim,
              r.once_divided_dim, r.twice_divided_dim) for r in rows] == \
         [(0, 1, 0, 0, 0), (2, 3, 3, 3, 3), (4, 4, 4, 4, 4), (6, 4, 4, 4, 4)]
@@ -181,19 +180,23 @@ def test_nonabelian_checks_solve_each_invariant_slice_once(ds, monkeypatch):
         return real(model, weyl, degree)
 
     monkeypatch.setattr(weylgrp, "invariant_subspace", counted)
-    fresh = build_model(ds.space, ds.generators, 6)
-    integral = torus_integral(ds.space)
-    check_nonabelian_kernels(fresh, ds.weyl, [0, 2, 4, 6], integral)
-    for src in (2, 4, 6):
-        check_antisymmetrized_span(fresh, ds.weyl, src, integral)
-    assert sorted(solved) == sorted(set(solved))
-    for degree in solved:
-        assert weylgrp._invariant_slices[fresh][(ds.weyl, degree)].coeffs == \
-            real(fresh, ds.weyl, degree).coeffs
+    check_nonabelian_kernels(build_model(ds.space, ds.generators, 6), ds.weyl,
+                             [0, 2, 4, 6], torus_integral(ds.space))
+    assert sorted(solved) == [0, 2, 4, 6]
+
+
+def test_invariant_subspace_rejects_unstable_slice(ds, monkeypatch):
+    model = build_model(ds.space, [("one", ds.generator("one")),
+                                   ("u1", ds.generator("u1"))], 4)
+    assert invariant_subspace(model, ds.weyl, 2).dim == 1
+    u2 = ds.generator("u2")  # not in the span of X and u1
+    monkeypatch.setattr(WeylData, "act", lambda self, w, cls: u2)
+    with pytest.raises(ValidationError, match="degree 2 is not stable"):
+        invariant_subspace(model, ds.weyl, 2)
 
 
 def test_antisymmetrized_span_rows(model, ds):
-    got = [check_antisymmetrized_span(model, ds.weyl, src) for src in (2, 4, 6)]
+    _, got = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6])
     assert [(r.source_degree, r.target_degree, r.span_dim, r.kernel_dim)
             for r in got] == [(2, 0, 0, 0), (4, 2, 3, 3), (6, 4, 4, 4)]
     assert all(r.equal for r in got)
