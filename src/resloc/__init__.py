@@ -35,8 +35,6 @@ from .spaces import (
     circle_integral,
     find_generic_direction,
     is_generic,
-    kappa_s_integral,
-    kappa_t_integral,
     localization_sum,
     positive_side,
     torus_integral,

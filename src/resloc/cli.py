@@ -203,8 +203,9 @@ def _kernel_circle(ds: Dataset, args, report: dict) -> None:
     if len(xi.vector) != ds.space.vars.count:
         raise SchemaError(f"--circle: expected {ds.space.vars.count} integers")
     report["parameters"]["xi"] = list(xi.vector)
+    integral = circle_integral(ds.space, xi)  # raises if xi is not generic
     model = _build_model(ds, args.max_degree)
-    rows = kernels.check_circle_kernel_split(model, xi, degrees=_degrees(args))
+    rows = kernels.check_circle_kernel_split(model, _degrees(args), integral)
     report["results"]["degrees"] = [
         {"degree": r.degree,
          "residue_kernel": _subspace_json(model, r.kernel),
@@ -216,7 +217,6 @@ def _kernel_circle(ds: Dataset, args, report: dict) -> None:
         _add_check(report, f"circle-split-degree-{r.degree}", r.ok,
                    f"kernel dim {r.kernel_dim} vs {r.minus_dim}+{r.plus_dim}, "
                    f"direct={r.sum_direct}")
-    integral = circle_integral(ds.space, xi)
     report["results"]["calibration"] = {
         "class": args.calibrate,
         "value": str(integral(ds.generator(args.calibrate)))}
@@ -227,8 +227,7 @@ def _kernel_full(ds: Dataset, args, report: dict) -> None:
     ordering = _parse_ordering(args, ds.space.vars.count)
     integral = torus_integral(ds.space, ordering=ordering)
     report["parameters"]["xi"] = list(integral.adapted.xi.vector)
-    rows, chambers = kernels.check_full_kernel(model, degrees=_degrees(args),
-                                               integral=integral)
+    rows, chambers = kernels.check_full_kernel(model, _degrees(args), integral)
     report["results"]["chambers"] = {
         "count": len(chambers.chambers),
         "expected": chambers.expected,

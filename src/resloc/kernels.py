@@ -21,13 +21,9 @@ from .spaces import (
     CircleDirection,
     HamiltonianSpace,
     KirwanIntegral,
-    NonGenericError,
     RestrictedClass,
-    circle_integral,
     generator_products,
-    is_generic,
     positive_side,
-    torus_integral,
 )
 from .symcore import (
     POINT_ALGEBRA,
@@ -53,8 +49,6 @@ __all__ = [
     "torus_kernel",
     "FullKernelRow",
     "check_full_kernel",
-    "FlowupReport",
-    "validate_flowup_class",
 ]
 
 
@@ -90,14 +84,6 @@ class DegreeTruncatedModel:
             out.append(cls.restrictions[name].terms.get((exps, b), Q(0)))
         terms = sum(1 for p in cls.restrictions.values() for c in p.terms.values() if c)
         return out if terms == sum(1 for v in out if v) else None
-
-    def coefficients_of(self, cls: RestrictedClass, degree: int) -> list[Fraction] | None:
-        """Coefficients over the degree basis, or None when outside the span."""
-        vector = self.class_vector(cls, degree)
-        if vector is None:
-            return None
-        return linalg.solve_in_span([el.vector for el in self.basis_by_degree[degree]],
-                                    vector)
 
     def _build(self):
         space = self.space
@@ -242,15 +228,14 @@ def pairing_kernel(integral: KirwanIntegral, classes: list[RestrictedClass],
     return linalg.nullspace(rows, ncols=len(classes))
 
 
-def circle_kernel(model: DegreeTruncatedModel, degree: int, integral: KirwanIntegral,
-                  testing_slack: int = 0) -> Subspace:
+def circle_kernel(model: DegreeTruncatedModel, degree: int,
+                  integral: KirwanIntegral) -> Subspace:
     """Null space of the circle-level pairing against the truncated testing set.
 
     The testing classes run over the model slices up to total degree dim - 2
-    (module generators of the quotient cohomology); enlarging by
-    ``testing_slack`` degrees lets callers confirm the null space is stable.
+    (module generators of the quotient cohomology).
     """
-    cap = min(model.space.dim - 2 + testing_slack, model.max_degree)
+    cap = min(model.space.dim - 2, model.max_degree)
     testing = [el.cls for zdeg in range(0, cap + 1, 2) for el in model.basis_by_degree[zdeg]]
     classes = [el.cls for el in model.basis_by_degree[degree]]
     return Subspace(degree, pairing_kernel(integral, classes, testing))
@@ -282,22 +267,18 @@ class CircleKernelRow:
         return self.sum_direct and self.equal
 
 
-def check_circle_kernel_split(model: DegreeTruncatedModel, xi: CircleDirection,
-                              degrees: list[int] | None = None,
-                              testing_slack: int = 0) -> list[CircleKernelRow]:
-    """Degreewise comparison: circle-level residue kernel against the direct
-    sum of the two one-sided vanishing subspaces.
+def check_circle_kernel_split(model: DegreeTruncatedModel, degrees: list[int],
+                              integral: KirwanIntegral) -> list[CircleKernelRow]:
+    """Degreewise comparison: the kernel of a circle integral against the
+    direct sum of the two one-sided vanishing subspaces of its direction.
 
-    One circle integral serves every degree, so its residue terms are shared.
+    The one integral serves every degree, so its residue terms are shared.
     """
-    if degrees is None:
-        degrees = list(range(0, model.max_degree + 1, 2))
-    integral = circle_integral(model.space, xi)  # raises if xi is not generic
-    plus_side = positive_side(model.space, xi)
+    plus_side = positive_side(model.space, integral.adapted.xi)
     minus_side = frozenset(f.name for f in model.space.components) - plus_side
     rows = []
     for d in degrees:
-        kernel = circle_kernel(model, d, integral, testing_slack)
+        kernel = circle_kernel(model, d, integral)
         minus = vanishing_subspace(model, minus_side, d)
         plus = vanishing_subspace(model, plus_side, d)
         direct = linalg.intersect_trivially(minus.coeffs, plus.coeffs)
@@ -418,11 +399,9 @@ def enumerate_generic_directions(space: HamiltonianSpace) -> ChamberSet:
 
 
 def torus_kernel(model: DegreeTruncatedModel, degree: int,
-                 integral: KirwanIntegral | None = None) -> Subspace:
+                 integral: KirwanIntegral) -> Subspace:
     """Null space of the torus-level pairing against the complementary-degree
     model slice; slices with no complementary classes are unconstrained."""
-    if integral is None:
-        integral = torus_integral(model.space)
     comp_degree = model.space.dim - 2 * model.space.vars.count - degree
     testing = ([el.cls for el in model.basis_by_degree[comp_degree]]
                if 0 <= comp_degree <= model.max_degree else [])
@@ -446,19 +425,14 @@ class FullKernelRow:
         return self.equal
 
 
-def check_full_kernel(model: DegreeTruncatedModel,
-                      degrees: list[int] | None = None,
-                      integral: KirwanIntegral | None = None
+def check_full_kernel(model: DegreeTruncatedModel, degrees: list[int],
+                      integral: KirwanIntegral
                       ) -> tuple[list[FullKernelRow], ChamberSet]:
     """Degreewise comparison of the torus-level kernel with the span, over all
     chambers, of the two one-sided vanishing subspaces.  Chambers share sides,
     so each distinct set (a chamber's positive side or its complement) is
     reduced once per degree."""
-    if degrees is None:
-        degrees = list(range(0, model.max_degree + 1, 2))
     chambers = enumerate_generic_directions(model.space)
-    if integral is None:
-        integral = torus_integral(model.space)
     everything = frozenset(f.name for f in model.space.components)
     vanishing_sets: dict[frozenset[str], None] = {}
     for chamber in chambers.chambers:
@@ -475,37 +449,3 @@ def check_full_kernel(model: DegreeTruncatedModel,
                  == linalg.rank(kernel.coeffs + stacked))
         rows.append(FullKernelRow(d, kernel, sum_dim, equal))
     return rows, chambers
-
-
-# -- flow-up class validation -------------------------------------------------
-
-
-@dataclass
-class FlowupReport:
-    component: str
-    ok: bool
-    failures: list[str]
-
-
-def validate_flowup_class(space: HamiltonianSpace, component_name: str,
-                          candidate: RestrictedClass, xi: CircleDirection) -> FlowupReport:
-    """Check the two defining properties of a flow-up class at a component:
-    it vanishes on every component strictly above in the moment order, and it
-    restricts at the component itself to the Euler class of the upward normal
-    directions."""
-    violations = is_generic(space, xi)
-    if violations:
-        raise NonGenericError(f"direction {xi.vector} is not generic", violations)
-    f0 = space.component(component_name)
-    level = xi.pair(f0.moment)
-    failures = []
-    for g in space.components:
-        if xi.pair(g.moment) > level and not candidate.restrictions[g.name].is_zero():
-            failures.append(f"nonzero restriction above: {g.name}")
-    upward = EquivariantPolynomial.one(space.vars, f0.algebra)
-    for w, c in f0.normal_lines:
-        if xi.pair(w.coeffs) > 0:
-            upward = upward * (EquivariantPolynomial.from_linear_form(space.vars, w, f0.algebra) + c)
-    if candidate.restrictions[component_name] != upward:
-        failures.append("restriction at the component is not the upward Euler class")
-    return FlowupReport(component_name, not failures, failures)

@@ -16,7 +16,6 @@ __all__ = [
     "det",
     "nullspace",
     "independent_indices",
-    "solve_in_span",
     "span_equal",
     "intersect_trivially",
 ]
@@ -97,21 +96,6 @@ def independent_indices(vectors: list[list[Fraction]]) -> list[int]:
             echelon.append(row)
             kept.append(idx)
     return kept
-
-
-def solve_in_span(basis: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
-    """Coefficients writing target in the span of basis, or None."""
-    if not basis:
-        return [] if all(v == 0 for v in target) else None
-    ncols = len(target)
-    aug = [[basis[j][i] for j in range(len(basis))] + [target[i]] for i in range(ncols)]
-    rref, pivots = row_reduce(aug)
-    if len(basis) in pivots:
-        return None
-    coeffs = [Q(0)] * len(basis)
-    for prow, pcol in zip(rref, pivots):
-        coeffs[pcol] = prow[-1]
-    return coeffs
 
 
 def span_equal(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:

@@ -43,7 +43,6 @@ __all__ = [
     "res_x_plus_series",
     "residues_at_poles",
     "euler_series_residue",
-    "iterated_res",
     "MomentTerm",
     "iterated_residue_selected",
 ]
@@ -215,19 +214,6 @@ def euler_series_residue(alpha: EquivariantPolynomial,
         if coeff is not None:
             gamma = gamma + slice_poly * coeff
     return gamma.integrate()
-
-
-def iterated_res(h: RationalSection, ordering: VariableOrdering,
-                 method: str = "poles") -> Fraction:
-    """Compose one-variable residues over all variables, first entry first,
-    and multiply by the ordering prefactor."""
-    ordering = ordering.validated(h.vars.count)
-    cur = h
-    for var in ordering.order:
-        cur = res_x_plus(cur, var, method=method)
-        if cur.involves(var):
-            raise ArithmeticError("residue output still involves the consumed variable")
-    return cur.constant_value() * ordering.delta
 
 
 @dataclass

@@ -50,8 +50,6 @@ __all__ = [
     "KirwanIntegral",
     "circle_integral",
     "torus_integral",
-    "kappa_s_integral",
-    "kappa_t_integral",
 ]
 
 
@@ -463,15 +461,10 @@ class KirwanIntegral:
 
 
 def circle_integral(space: HamiltonianSpace, xi: CircleDirection,
-                    axis: CircleDirection | None = None,
                     method: str = "poles") -> KirwanIntegral:
     """Residue form of the circle-level Kirwan integral: sum over the components
-    on the positive side of xi of the residue in the circle variable.  Values
-    are polynomials in the non-circle variables, up to a global constant.
-
-    The residue is taken along ``axis``, which is xi (the default) or -xi; the
-    two choices give different operators, e.g. on the 2-sphere with xi = (-1)
-    the unit integrates to -1 along xi and to 1 along -xi.
+    on the positive side of xi of the residue along xi.  Values are polynomials
+    in the non-circle variables, up to a global constant.
 
     The integral is linear in each component's restriction, so the residue
     term of every (component, restriction) pair is computed once and kept for
@@ -481,12 +474,7 @@ def circle_integral(space: HamiltonianSpace, xi: CircleDirection,
     violations = is_generic(space, xi)
     if violations:
         raise NonGenericError(f"direction {xi.vector} is not generic", violations)
-    xi = xi.primitive()
-    axis = xi if axis is None else axis.primitive()
-    if axis.vector not in (xi.vector, tuple(-c for c in xi.vector)):
-        raise ValidationError("the residue axis must be the circle direction or its negative")
-    adapted = adapt_space(space, axis)
-    # the components on xi's positive side, whichever way the axis points
+    adapted = adapt_space(space, xi)
     plus_names = positive_side(space, xi)
     plus = [f for f in adapted.space.components if f.name in plus_names]
     residues: dict[tuple[str, EquivariantPolynomial], RationalSection] = {}
@@ -545,21 +533,3 @@ def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,
         return iterated_residue_selected(terms, ordering)
 
     return KirwanIntegral(adapted, of_adapted)
-
-
-def kappa_s_integral(space: HamiltonianSpace, eta: RestrictedClass,
-                     xi: CircleDirection, method: str = "poles") -> EquivariantPolynomial:
-    """The circle-level integral of one class, with the residue axis the
-    sign-normalized generator of the circle's line: reversing the circle then
-    swaps the selected side without flipping the operator, and the two values
-    cancel against each other in the fixed-point sum."""
-    lead = next((c for c in xi.vector if c), 0)
-    axis = CircleDirection(tuple(-c for c in xi.vector)) if lead < 0 else None
-    return circle_integral(space, xi, axis, method)(eta)
-
-
-def kappa_t_integral(space: HamiltonianSpace, eta: RestrictedClass,
-                     xi: CircleDirection | None = None,
-                     ordering: VariableOrdering | None = None) -> Fraction:
-    """The torus-level integral of one class; see ``torus_integral``."""
-    return torus_integral(space, xi, ordering)(eta)

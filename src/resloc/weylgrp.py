@@ -14,13 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .kernels import DegreeTruncatedModel, Subspace, pairing_kernel, torus_kernel
-from .spaces import (
-    HamiltonianSpace,
-    KirwanIntegral,
-    RestrictedClass,
-    kappa_t_integral,
-    torus_integral,
-)
+from .spaces import HamiltonianSpace, KirwanIntegral, RestrictedClass
 from .symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
@@ -33,7 +27,6 @@ from .symcore import (
 __all__ = [
     "WeylElement",
     "WeylData",
-    "kappa_k_integral",
     "brion_divide",
     "invariant_subspace",
     "NonabelianRow",
@@ -109,15 +102,9 @@ class WeylData:
                                               [list(r) for r in w.algebra_maps[i]])
         return RestrictedClass(space, cls.degree, out)
 
-    def symmetrize(self, cls: RestrictedClass) -> RestrictedClass:
-        total = RestrictedClass.zero(self.space, cls.degree)
-        for w in self.elements:
-            total = total + self.act(w, cls)
-        return total.scale(Q(1, self.order))
-
     def antisymmetrize(self, cls: RestrictedClass) -> RestrictedClass:
-        total = RestrictedClass.zero(self.space, cls.degree)
-        for w in self.elements:
+        total = cls
+        for w in self.nonidentity:
             total = total + self.act(w, cls).scale(w.sign())
         return total.scale(Q(1, self.order))
 
@@ -130,9 +117,6 @@ class WeylData:
 
     def d_class(self) -> RestrictedClass:
         return RestrictedClass.from_pure(self.space, self.d_polynomial())
-
-    def is_invariant(self, cls: RestrictedClass) -> bool:
-        return all(self.act(w, cls) == cls for w in self.elements)
 
     # -- load-time verification ---------------------------------------------
 
@@ -155,6 +139,8 @@ class WeylData:
         ident = self.identity()
         if ident not in self.elements:
             raise ValidationError("group must contain the identity")
+        # the elements that can move a class; the identity acts trivially
+        self.nonidentity = tuple(w for w in self.elements if w != ident)
         for a in self.elements:
             for b in self.elements:
                 if self.compose(a, b) not in self.elements:
@@ -232,17 +218,6 @@ class WeylData:
                         f"algebra map {src_name}->{dst_name} is not multiplicative")
 
 
-def kappa_k_integral(weyl: WeylData, eta: RestrictedClass,
-                     xi=None, ordering=None) -> Fraction:
-    """Nonabelian Kirwan integral (up to a global constant) of a group-invariant
-    class: the torus-level integral against the square of the positive-root
-    product."""
-    if not weyl.is_invariant(eta):
-        raise ValidationError("class is not invariant under the group")
-    d = weyl.d_polynomial()
-    return kappa_t_integral(weyl.space, eta.mul_pure(d * d), xi, ordering)
-
-
 def brion_divide(weyl: WeylData, cls: RestrictedClass) -> RestrictedClass:
     """Exact componentwise division by the product of the positive roots."""
     out: dict[str, EquivariantPolynomial] = {}
@@ -271,7 +246,7 @@ def invariant_subspace(model: DegreeTruncatedModel, weyl: WeylData,
     basis = model.basis_by_degree[degree]
     vectors = [el.vector for el in basis]
     rows: list[list[Fraction]] = []
-    for w in weyl.elements:
+    for w in weyl.nonidentity:
         moved = [model.class_vector(weyl.act(w, el.cls), degree) for el in basis]
         if None in moved or linalg.rank(vectors + moved) != len(basis):
             raise ValidationError(
@@ -301,8 +276,7 @@ class AntisymmetrizedSpanRow:
 
 
 def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
-                             degrees: list[int],
-                             integral: KirwanIntegral | None = None
+                             degrees: list[int], integral: KirwanIntegral
                              ) -> tuple[list[NonabelianRow], list[AntisymmetrizedSpanRow]]:
     """The nonabelian kernel relations, degree by degree.
 
@@ -317,23 +291,20 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
 
     Each invariant slice and each pairing kernel is solved once per call.
     """
-    if integral is None:
-        integral = torus_integral(model.space)
     space = model.space
     r = len(weyl.positive_roots)
     dcls = weyl.d_class()
     d2cls = dcls * dcls
     top = space.dim - 2 * space.vars.count - 4 * r  # degree plus its complement
-    slices: dict[int, tuple[Subspace, list[RestrictedClass]]] = {}
+    slices: dict[int, list[RestrictedClass]] = {}
     divided: dict[int, tuple[list[RestrictedClass], list[list[Fraction]]]] = {}
 
     def in_range(degree: int) -> bool:
         return 0 <= degree <= model.max_degree
 
-    def invariant(degree: int) -> tuple[Subspace, list[RestrictedClass]]:
+    def invariant(degree: int) -> list[RestrictedClass]:
         if degree not in slices:
-            inv = invariant_subspace(model, weyl, degree)
-            slices[degree] = (inv, inv.classes(model))
+            slices[degree] = invariant_subspace(model, weyl, degree).classes(model)
         return slices[degree]
 
     def pairing(degree: int) -> tuple[list[RestrictedClass], list[list[Fraction]]]:
@@ -341,14 +312,14 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
         space (in invariant coordinates) of kappa_T(eta * zeta * D^2) over
         invariant zeta."""
         if degree not in divided:
-            twice = [cls * d2cls for cls in invariant(degree)[1]]
-            testing = invariant(top - degree)[1] if in_range(top - degree) else []
+            twice = [cls * d2cls for cls in invariant(degree)]
+            testing = invariant(top - degree) if in_range(top - degree) else []
             divided[degree] = (twice, pairing_kernel(integral, twice, testing))
         return divided[degree]
 
     rows = []
     for d in degrees:
-        inv_classes = invariant(d)[1]
+        inv_classes = invariant(d)
         twice, k_pair = pairing(d)  # (i) the pairing kernel
         once = [cls * dcls for cls in inv_classes]
         comp = top - d
@@ -374,19 +345,20 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
         target = source - 2 * r
         if target < 0:
             continue
+        # both spans are compared in the slice's restriction coordinates,
+        # into which the slice's coordinates map injectively
+        basis = [el.vector for el in model.basis_by_degree[target]]
         produced: list[list[Fraction]] = []
         for cls in torus_kernel(model, source, integral).classes(model):
             anti = weyl.antisymmetrize(cls)
-            if all(p.is_zero() for p in anti.restrictions.values()):
+            if anti.is_zero():
                 continue
-            coeffs = model.coefficients_of(brion_divide(weyl, anti), target)
-            if coeffs is None:
-                raise ValidationError("divided antisymmetrization left the model span")
-            produced.append(coeffs)
-        # the pairing kernel is in invariant coordinates; map it to the slice's
-        inv = invariant(target)[0]
-        kernel = [[sum((c * vec[i] for c, vec in zip(k, inv.coeffs)), Q(0))
-                   for i in range(len(model.basis_by_degree[target]))]
+            produced.append(model.class_vector(brion_divide(weyl, anti), target))
+        if None in produced or linalg.rank(basis + produced) != len(basis):
+            raise ValidationError("divided antisymmetrization left the model span")
+        inv_vectors = [model.class_vector(cls, target) for cls in invariant(target)]
+        kernel = [[sum((c * vec[i] for c, vec in zip(k, inv_vectors)), Q(0))
+                   for i in range(len(model.keys_by_degree[target]))]
                   for k in pairing(target)[1]]
         span_rows.append(AntisymmetrizedSpanRow(
             source, target, linalg.rank(produced), len(kernel),

@@ -17,6 +17,7 @@ from resloc.kernels import build_model, check_circle_kernel_split, check_full_ke
 from resloc.residues import euler_series_residue, res_x_plus
 from resloc.spaces import (
     RestrictedClass,
+    circle_integral,
     generator_products,
     localization_sum,
     torus_integral,
@@ -157,8 +158,8 @@ def test_circle_kernel_splits_as_direct_sum_in_every_chamber():
         chambers = enumerate_generic_directions(ds.space)
         assert len(chambers.chambers) == chambers.expected
         for chamber in chambers.chambers:
-            rows = check_circle_kernel_split(model, chamber.representative,
-                                             degrees=[0, 2, 4])
+            integral = circle_integral(ds.space, chamber.representative)
+            rows = check_circle_kernel_split(model, [0, 2, 4], integral)
             for r in rows:
                 assert r.sum_direct and r.equal, (name, chamber.signs, r)
             total = sum(r.kernel_dim for r in rows)
@@ -174,7 +175,7 @@ def test_torus_kernel_is_sum_of_chamber_subspaces():
     for name in ("s2", "s2xs2-t2"):
         ds = load_dataset(name)
         model = build_model(ds.space, ds.generators, 4)
-        rows, chambers = check_full_kernel(model, degrees=[0, 2, 4])
+        rows, chambers = check_full_kernel(model, [0, 2, 4], torus_integral(ds.space))
         assert chambers.expected == len(chambers.chambers)
         for r in rows:
             assert r.equal, (name, r)
@@ -189,7 +190,8 @@ def test_nonabelian_kernel_descriptions_coincide():
     start = time.monotonic()
     ds = load_dataset("s2cubed-su2")
     model = build_model(ds.space, ds.generators, 6)
-    rows, _ = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6])
+    rows, _ = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6],
+                                               torus_integral(ds.space))
     for r in rows:
         assert r.equal, r
     assert [r.pairing_kernel_dim for r in rows] == [0, 3, 4, 4]
@@ -202,7 +204,8 @@ def test_antisymmetrized_torus_kernel_spans_nonabelian_kernel():
     the nonabelian kernel two degrees down, per degree."""
     ds = load_dataset("s2cubed-su2")
     model = build_model(ds.space, ds.generators, 6)
-    _, span_rows = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6])
+    _, span_rows = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6],
+                                               torus_integral(ds.space))
     assert [(r.source_degree, r.target_degree, r.span_dim, r.kernel_dim)
             for r in span_rows] == [(2, 0, 0, 0), (4, 2, 3, 3), (6, 4, 4, 4)]
     for row in span_rows:

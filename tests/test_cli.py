@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from resloc import spaces
 from resloc.cli import main
 from resloc.datasets import dataset_to_json, load_dataset
 
@@ -232,6 +233,22 @@ def test_kernel_circle_nongeneric_exits_two(capsys):
 def test_kernel_circle_wrong_arity(capsys):
     code, _, err = run(capsys, "kernel", "s2xs2-t2", "--circle", "1")
     assert code == 2 and "expected 2 integers" in err
+
+
+def test_kernel_circle_builds_one_integral(capsys, monkeypatch):
+    # the calibration value comes from the integral the check used, so no
+    # residue is computed twice
+    calls = []
+    real = spaces.res_x_plus
+
+    def counted(h, var, method):
+        calls.append(h)
+        return real(h, var, method=method)
+
+    monkeypatch.setattr(spaces, "res_x_plus", counted)
+    code, _, _ = run(capsys, "kernel", "s2cubed-su2", "--circle=1")
+    assert code == 0
+    assert len(calls) == 28
 
 
 def test_kernel_full_s2xs2(capsys):

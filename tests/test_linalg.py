@@ -11,7 +11,6 @@ from resloc.linalg import (
     nullspace,
     rank,
     row_reduce,
-    solve_in_span,
     span_equal,
 )
 
@@ -44,12 +43,6 @@ def test_nullspace_of_empty_system_is_full():
 def test_independent_indices():
     vecs = m([[1, 0], [2, 0], [0, 1], [1, 1]])
     assert independent_indices(vecs) == [0, 2]
-
-
-def test_solve_in_span():
-    basis = m([[1, 0, 1], [0, 1, 1]])
-    assert solve_in_span(basis, [Q(2), Q(3), Q(5)]) == [Q(2), Q(3)]
-    assert solve_in_span(basis, [Q(0), Q(0), Q(1)]) is None
 
 
 def test_span_predicates():

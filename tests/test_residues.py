@@ -1,5 +1,5 @@
 """One-variable residue operators, series expansion at infinity, and the
-iterated / moment-selected residues built from them."""
+moment-selected iterated residues built from them."""
 
 from fractions import Fraction as Q
 
@@ -11,7 +11,6 @@ from resloc.residues import (
     MomentTerm,
     VariableOrdering,
     euler_series_residue,
-    iterated_res,
     iterated_residue_selected,
     res_x_plus,
     residues_at_poles,
@@ -141,15 +140,21 @@ def test_ordering_validation():
     assert VariableOrdering((1, 0)).validated(2).order == (1, 0)
 
 
+def plain(h):
+    """A term at moment 0, whose selected residue at every stage is the plain
+    residue sum."""
+    return [MomentTerm((Q(0),) * h.vars.count, h)]
+
+
 def test_iterated_res_product_of_variables():
     h = sec(one(V2), {lf(1, 0): 1, lf(0, 1): 1})
-    assert iterated_res(h, VariableOrdering((1, 0))) == 1
-    assert iterated_res(h, VariableOrdering((1, 0), Q(5))) == 5
+    assert iterated_residue_selected(plain(h), VariableOrdering((1, 0))) == 1
+    assert iterated_residue_selected(plain(h), VariableOrdering((1, 0), Q(5))) == 5
 
 
 def test_iterated_res_vanishing_sum():
     h = sec(one(V2), {lf(1, 0): 1, lf(1, 1): 1, lf(0, 1): 1})
-    assert iterated_res(h, VariableOrdering((1, 0))) == 0
+    assert iterated_residue_selected(plain(h), VariableOrdering((1, 0))) == 0
 
 
 def test_selected_residue_keeps_moment_side():
@@ -159,7 +164,7 @@ def test_selected_residue_keeps_moment_side():
     ordering = VariableOrdering((0,))
     assert iterated_residue_selected([north, south], ordering) == -1
     merged = north.section + south.section
-    assert iterated_res(merged, ordering) == 0
+    assert iterated_residue_selected(plain(merged), ordering) == 0
 
 
 def test_selected_residue_zero_moment_falls_back_to_plain():

@@ -14,12 +14,12 @@ from resloc.spaces import (
     NonGenericError,
     RestrictedClass,
     adapt_space,
+    circle_integral,
     find_generic_direction,
     generator_products,
     is_generic,
-    kappa_s_integral,
-    kappa_t_integral,
     localization_sum,
+    torus_integral,
     unimodular_completion,
 )
 from resloc.symcore import (
@@ -231,26 +231,25 @@ def test_localization_detects_bad_data(s2):
 
 def test_kappa_s_unit_both_sides(s2):
     sp = s2.space
-    plus = kappa_s_integral(sp, RestrictedClass.unit(sp), CircleDirection.make((1,)))
+    plus = circle_integral(sp, CircleDirection.make((1,)))(RestrictedClass.unit(sp))
     assert plus == EquivariantPolynomial.constant(sp.vars, -1)
-    # reversing the circle swaps the selected side; the fixed-point sum of the
-    # two one-sided values is the full localization sum, which vanishes here
-    minus = kappa_s_integral(sp, RestrictedClass.unit(sp), CircleDirection.make((-1,)))
-    assert minus == EquivariantPolynomial.constant(sp.vars, 1)
+    # reversing the circle swaps the selected side and, as the residue is
+    # taken along xi itself, also the residue variable: the value is unchanged
+    minus = circle_integral(sp, CircleDirection.make((-1,)))(RestrictedClass.unit(sp))
+    assert minus == EquivariantPolynomial.constant(sp.vars, -1)
 
 
 def test_kappa_s_kills_class_supported_on_minus_side(s2):
     sp = s2.space
     x = EquivariantPolynomial.variable(sp.vars, 0)
     eta = RestrictedClass(sp, 2, {"N": x, "S": EquivariantPolynomial.zero(sp.vars)})
-    got = kappa_s_integral(sp, eta, CircleDirection.make((1,)))
+    got = circle_integral(sp, CircleDirection.make((1,)))(eta)
     assert got.is_zero()
 
 
 def test_kappa_s_rejects_nongeneric(s2xs2):
     with pytest.raises(NonGenericError) as info:
-        kappa_s_integral(s2xs2.space, RestrictedClass.unit(s2xs2.space),
-                         CircleDirection.make((1, 0)))
+        circle_integral(s2xs2.space, CircleDirection.make((1, 0)))
     assert info.value.violations
 
 
@@ -258,8 +257,8 @@ def test_kappa_s_methods_agree_on_generators(s2xs2):
     sp = s2xs2.space
     xi = CircleDirection.make((1, 2))
     for _, g in s2xs2.generators:
-        a = kappa_s_integral(sp, g, xi, method="poles")
-        b = kappa_s_integral(sp, g, xi, method="series")
+        a = circle_integral(sp, xi, method="poles")(g)
+        b = circle_integral(sp, xi, method="series")(g)
         assert a == b
 
 
@@ -269,39 +268,40 @@ def test_kappa_s_methods_agree_on_generators(s2xs2):
 def test_kappa_t_s2_chamber_independent(s2):
     sp = s2.space
     unit = RestrictedClass.unit(sp)
-    assert kappa_t_integral(sp, unit, CircleDirection.make((1,))) == -1
-    assert kappa_t_integral(sp, unit, CircleDirection.make((-1,))) == -1
+    assert torus_integral(sp, CircleDirection.make((1,)))(unit) == -1
+    assert torus_integral(sp, CircleDirection.make((-1,)))(unit) == -1
 
 
 def test_kappa_t_s2xs2_unit(s2xs2):
     sp = s2xs2.space
     unit = RestrictedClass.unit(sp)
     for xi in [(1, 2), (2, 1), (-1, 2), (1, -2)]:
-        assert kappa_t_integral(sp, unit, CircleDirection.make(xi)) == 1
+        assert torus_integral(sp, CircleDirection.make(xi))(unit) == 1
 
 
 def test_kappa_t_positive_degree_classes_die(s2xs2):
     # ring map to the quotient of a point: positive degree lands in zero
     u1 = s2xs2.generator("u1")
     u2 = s2xs2.generator("u2")
-    assert kappa_t_integral(s2xs2.space, u1 * u2) == 0
-    assert kappa_t_integral(s2xs2.space, u1) == 0
+    integral = torus_integral(s2xs2.space)
+    assert integral(u1 * u2) == 0
+    assert integral(u1) == 0
 
 
 def test_kappa_t_ordering_prefactor(s2):
     unit = RestrictedClass.unit(s2.space)
     ordering = VariableOrdering((0,), Q(-3))
-    assert kappa_t_integral(s2.space, unit, ordering=ordering) == 3
+    assert torus_integral(s2.space, ordering=ordering)(unit) == 3
 
 
 def test_kappa_t_rejects_bad_ordering(s2xs2):
     unit = RestrictedClass.unit(s2xs2.space)
     with pytest.raises(ValidationError):
-        kappa_t_integral(s2xs2.space, unit, ordering=VariableOrdering((0, 0)))
+        torus_integral(s2xs2.space, ordering=VariableOrdering((0, 0)))(unit)
 
 
 def test_kappa_t_against_root_square_s2cubed(s2cubed):
-    # the nonabelian integral of the unit; weylgrp.kappa_k_integral gives the same
+    # the nonabelian integral of the unit: the torus integral against D^2
     sp = s2cubed.space
     x = EquivariantPolynomial.variable(sp.vars, 0)
-    assert kappa_t_integral(sp, RestrictedClass.unit(sp).mul_pure(x * x)) == 2
+    assert torus_integral(sp)(RestrictedClass.unit(sp).mul_pure(x * x)) == 2

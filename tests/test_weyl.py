@@ -21,7 +21,6 @@ from resloc.weylgrp import (
     brion_divide,
     check_nonabelian_kernels,
     invariant_subspace,
-    kappa_k_integral,
 )
 
 
@@ -73,15 +72,17 @@ def test_flip_action_on_generator(ds):
     assert ds.weyl.act(flip_of(ds), u1) == expected
 
 
+def half_x(ds):
+    return RestrictedClass.unit(ds.space).mul_pure(x_poly(ds)).scale(Q(1, 2))
+
+
 def test_symmetrize_and_antisymmetrize(ds):
+    # with two elements, u1 is its antisymmetrization plus an invariant class
     weyl = ds.weyl
     u1 = ds.generator("u1")
-    unit = RestrictedClass.unit(ds.space)
-    half_x = unit.mul_pure(x_poly(ds)).scale(Q(1, 2))
-    assert weyl.symmetrize(u1) == u1 - half_x
-    assert weyl.antisymmetrize(u1) == half_x
-    assert weyl.is_invariant(weyl.symmetrize(u1))
-    assert not weyl.is_invariant(u1)
+    assert weyl.antisymmetrize(u1) == half_x(ds)
+    assert all(weyl.act(w, u1 - half_x(ds)) == u1 - half_x(ds) for w in weyl.elements)
+    assert weyl.act(flip_of(ds), u1) != u1
 
 
 def test_antisymmetrization_divides_by_root_product(ds):
@@ -89,7 +90,7 @@ def test_antisymmetrization_divides_by_root_product(ds):
     u1 = ds.generator("u1")
     anti = weyl.antisymmetrize(u1.mul_pure(x_poly(ds)))
     quotient = brion_divide(weyl, anti)
-    assert quotient == weyl.symmetrize(u1)
+    assert quotient == u1 - half_x(ds)
 
 
 def test_brion_divide_error_names_component(ds):
@@ -150,21 +151,24 @@ def test_invariant_dimensions(model, ds):
         [1, 3, 4, 4]
 
 
+def kappa_k(ds, eta):
+    """The nonabelian integral of an invariant class: the torus-level integral
+    against the square of the root product, as the nonabelian check pairs."""
+    d = ds.weyl.d_class()
+    return torus_integral(ds.space)(eta * d * d)
+
+
 def test_kappa_k_unit(ds):
-    assert kappa_k_integral(ds.weyl, RestrictedClass.unit(ds.space)) == 2
+    assert kappa_k(ds, RestrictedClass.unit(ds.space)) == 2
 
 
 def test_kappa_k_symmetrized_generator(ds):
-    assert kappa_k_integral(ds.weyl, ds.weyl.symmetrize(ds.generator("u1"))) == 0
-
-
-def test_kappa_k_rejects_noninvariant(ds):
-    with pytest.raises(ValidationError, match="invariant"):
-        kappa_k_integral(ds.weyl, ds.generator("u1"))
+    assert kappa_k(ds, ds.generator("u1") - half_x(ds)) == 0
 
 
 def test_nonabelian_kernel_rows(model, ds):
-    rows, _ = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6])
+    rows, _ = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6],
+                                       torus_integral(ds.space))
     assert [(r.degree, r.invariant_dim, r.pairing_kernel_dim,
              r.once_divided_dim, r.twice_divided_dim) for r in rows] == \
         [(0, 1, 0, 0, 0), (2, 3, 3, 3, 3), (4, 4, 4, 4, 4), (6, 4, 4, 4, 4)]
@@ -196,10 +200,36 @@ def test_invariant_subspace_rejects_unstable_slice(ds, monkeypatch):
 
 
 def test_antisymmetrized_span_rows(model, ds):
-    _, got = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6])
+    _, got = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6],
+                                      torus_integral(ds.space))
     assert [(r.source_degree, r.target_degree, r.span_dim, r.kernel_dim)
             for r in got] == [(2, 0, 0, 0), (4, 2, 3, 3), (6, 4, 4, 4)]
     assert all(r.equal for r in got)
+
+
+def test_antisymmetrized_span_rejects_class_outside_the_slice(ds, monkeypatch):
+    # on a [one, u1] model the degree-2 slice is spanned by X and u1; a
+    # division landing on u2 has left it
+    model = build_model(ds.space, [("one", ds.generator("one")),
+                                   ("u1", ds.generator("u1"))], 4)
+    u2 = ds.generator("u2")
+    monkeypatch.setattr(weylgrp, "brion_divide", lambda weyl, cls: u2)
+    with pytest.raises(ValidationError, match="left the model span"):
+        check_nonabelian_kernels(model, ds.weyl, [4], torus_integral(ds.space))
+
+
+def test_nonabelian_check_never_acts_with_the_identity(model, ds, monkeypatch):
+    acted = []
+    real = WeylData.act
+
+    def counted(self, w, cls):
+        acted.append(w)
+        return real(self, w, cls)
+
+    monkeypatch.setattr(WeylData, "act", counted)
+    check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6], torus_integral(ds.space))
+    assert acted
+    assert ds.weyl.identity() not in acted
 
 
 # -- randomized group laws ------------------------------------------------------------
