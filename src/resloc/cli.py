@@ -122,6 +122,11 @@ def _localization_failures(ds: Dataset, max_degree: int) -> tuple[int, list[str]
     return checked, failures
 
 
+def _nongeneric(exc: NonGenericError) -> str:
+    names = ", ".join(f"{kind}:{what}" for kind, what in exc.violations)
+    return f"{exc.args[0]}; violated by {names}"
+
+
 def cmd_validate(args) -> int:
     try:
         ds = load_dataset(args.dataset)
@@ -139,8 +144,9 @@ def cmd_validate(args) -> int:
     try:
         xi = find_generic_direction(ds.space)
         _add_check(report, "generic-direction", True, f"found {list(xi.vector)}")
-    except NonGenericError:
-        _add_check(report, "generic-direction", False, "no generic direction in range")
+    except NonGenericError as exc:
+        _add_check(report, "generic-direction", False,
+                   _nongeneric(exc) if exc.violations else "no generic direction in range")
 
     checked, failures = _localization_failures(ds, max_degree)
     _add_check(report, "abbv-polynomiality", not failures,
@@ -223,10 +229,11 @@ def _kernel_circle(ds: Dataset, args, report: dict) -> None:
 
 
 def _kernel_full(ds: Dataset, args, report: dict) -> None:
-    model = _build_model(ds, args.max_degree)
     ordering = _parse_ordering(args, ds.space.vars.count)
+    # raises if not generic, before the model build, which can take seconds
     integral = torus_integral(ds.space, ordering=ordering)
-    report["parameters"]["xi"] = list(integral.adapted.xi.vector)
+    report["parameters"]["xi"] = list(integral.xi.vector)
+    model = _build_model(ds, args.max_degree)
     rows, chambers = kernels.check_full_kernel(model, _degrees(args), integral)
     report["results"]["chambers"] = {
         "count": len(chambers.chambers),
@@ -250,10 +257,11 @@ def _kernel_nonabelian(ds: Dataset, args, report: dict) -> None:
 
     if ds.weyl is None:
         raise SchemaError("--nonabelian requires a dataset with a weyl section")
-    model = _build_model(ds, args.max_degree)
     ordering = _parse_ordering(args, ds.space.vars.count)
+    # raises if not generic, before the model build, which can take seconds
     integral = torus_integral(ds.space, ordering=ordering)
-    report["parameters"]["xi"] = list(integral.adapted.xi.vector)
+    report["parameters"]["xi"] = list(integral.xi.vector)
+    model = _build_model(ds, args.max_degree)
     rows, span_rows = weylgrp.check_nonabelian_kernels(model, ds.weyl, _degrees(args),
                                                        integral)
     report["results"]["degrees"] = [
@@ -335,8 +343,7 @@ def cmd_kernel(args) -> int:
         else:
             _kernel_nonabelian(ds, args, report)
     except NonGenericError as exc:
-        names = ", ".join(f"{kind}:{what}" for kind, what in exc.violations)
-        sys.stderr.write(f"error: {exc.args[0]}; violated by {names}\n")
+        sys.stderr.write(f"error: {_nongeneric(exc)}\n")
         return 2
     except (SchemaError, ValidationError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -207,24 +207,20 @@ def pairing_kernel(integral: KirwanIntegral, classes: list[RestrictedClass],
     """Null space, in the coordinates of ``classes``, of the pairing
     (eta, zeta) -> integral(eta * zeta) against every testing class.
 
-    Every class is adapted once and the products of adapted classes are
-    evaluated.  A scalar value gives one row per testing class, a polynomial
-    value one row per monomial.
+    A scalar value gives one row per testing class, a polynomial value one
+    row per monomial.
     """
     if not classes:
         return []
     rows: list[list[Fraction]] = []
-    if testing:
-        adapted = [integral.adapt(cls) for cls in classes]
-        for zeta in testing:
-            z = integral.adapt(zeta)
-            values = [integral.of_adapted(b * z) for b in adapted]
-            if not isinstance(values[0], EquivariantPolynomial):
-                rows.append(values)
-                continue
-            monomials = sorted({key for v in values for key in v.terms},
-                               key=lambda key: (monomial_sort_key(key[0]), key[1]))
-            rows.extend([v.terms.get(mono, Q(0)) for v in values] for mono in monomials)
+    for zeta in testing:
+        values = [integral(b * zeta) for b in classes]
+        if not isinstance(values[0], EquivariantPolynomial):
+            rows.append(values)
+            continue
+        monomials = sorted({key for v in values for key in v.terms},
+                           key=lambda key: (monomial_sort_key(key[0]), key[1]))
+        rows.extend([v.terms.get(mono, Q(0)) for v in values] for mono in monomials)
     return linalg.nullspace(rows, ncols=len(classes))
 
 
@@ -274,7 +270,7 @@ def check_circle_kernel_split(model: DegreeTruncatedModel, degrees: list[int],
 
     The one integral serves every degree, so its residue terms are shared.
     """
-    plus_side = positive_side(model.space, integral.adapted.xi)
+    plus_side = positive_side(model.space, integral.xi)
     minus_side = frozenset(f.name for f in model.space.components) - plus_side
     rows = []
     for d in degrees:

@@ -105,7 +105,6 @@ class HamiltonianSpace:
         self.dim = int(dim)
         self.components = tuple(components)
         self._euler_inverse_cache: dict[str, RationalSection] = {}
-        self._adapt_cache: dict[tuple[int, ...], "AdaptedSpace"] = {}
         self._validate()
 
     def _validate(self):
@@ -142,13 +141,6 @@ class HamiltonianSpace:
             if f.name == name:
                 return f
         raise KeyError(name)
-
-    def euler_class(self, f: FixedComponent) -> EquivariantPolynomial:
-        """Product of the line factors, expanded."""
-        out = EquivariantPolynomial.one(self.vars, f.algebra)
-        for w, c in f.normal_lines:
-            out = out * (EquivariantPolynomial.from_linear_form(self.vars, w, f.algebra) + c)
-        return out
 
     def euler_inverse(self, f: FixedComponent) -> RationalSection:
         from .symcore import invert_euler
@@ -300,7 +292,11 @@ _GENERIC_SEARCH_RADIUS = 8
 
 def find_generic_direction(space: HamiltonianSpace) -> CircleDirection:
     """First generic primitive direction in a deterministic lattice sweep of
-    growing radius, up to _GENERIC_SEARCH_RADIUS."""
+    growing radius, up to _GENERIC_SEARCH_RADIUS.  A component at moment 0
+    pairs to zero with every direction, so it is named before any sweep."""
+    at_zero = [("moment", f.name) for f in space.components if not any(f.moment)]
+    if at_zero:
+        raise NonGenericError("no direction is generic for a component at moment 0", at_zero)
     n = space.vars.count
     for radius in range(1, _GENERIC_SEARCH_RADIUS + 1):
         candidates = []
@@ -376,22 +372,12 @@ class AdaptedSpace:
     """A space re-expressed in a basis whose first direction is a given circle."""
 
     space: HamiltonianSpace
-    basis: tuple[tuple[int, ...], ...]   # columns are the new basis vectors
     xi: CircleDirection
+    images: tuple[EquivariantPolynomial, ...]   # old variable i in the new ones
 
-    def variable_images(self, vars: Variables) -> list[EquivariantPolynomial]:
-        """Old variable i as a polynomial in the new variables (row i of basis)."""
-        images = []
-        for i in range(vars.count):
-            form = LinearForm.make([self.basis[i][j] for j in range(vars.count)])
-            images.append(EquivariantPolynomial.from_linear_form(vars, form))
-        return images
-
-    def transform_class(self, eta: RestrictedClass) -> RestrictedClass:
-        images = self.variable_images(eta.space.vars)
-        return RestrictedClass(self.space, eta.degree, {
-            name: p.substitute_variables(images)
-            for name, p in eta.restrictions.items()})
+    def adapt(self, poly: EquivariantPolynomial) -> EquivariantPolynomial:
+        """A restriction of the original space in the adapted variables."""
+        return poly.substitute_variables(self.images)
 
 
 def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
@@ -402,9 +388,6 @@ def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
     pairing of its moment with xi.
     """
     xi = xi.primitive()
-    cached = space._adapt_cache.get(xi.vector)
-    if cached is not None:
-        return cached
     n = space.vars.count
     basis_cols = unimodular_completion(xi.vector)
     cols = tuple(tuple(basis_cols[i][j] for i in range(n)) for j in range(n))
@@ -418,10 +401,10 @@ def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
                       for w, c in f.normal_lines)
         components.append(FixedComponent(f.name, transform_covector(f.moment),
                                          f.algebra, lines))
-    adapted = AdaptedSpace(HamiltonianSpace(space.vars, space.dim, components),
-                           tuple(tuple(row) for row in basis_cols), xi)
-    space._adapt_cache[xi.vector] = adapted
-    return adapted
+    # old variable i is row i of the basis matrix in the new variables
+    images = tuple(EquivariantPolynomial.from_linear_form(space.vars, LinearForm.make(row))
+                   for row in basis_cols)
+    return AdaptedSpace(HamiltonianSpace(space.vars, space.dim, components), xi, images)
 
 
 # -- localization integrals --------------------------------------------------
@@ -442,34 +425,27 @@ def localization_sum(space: HamiltonianSpace, eta: RestrictedClass) -> RationalS
 
 @dataclass(frozen=True)
 class KirwanIntegral:
-    """A Kirwan integral: a linear functional on restriction data, bound to the
-    adapted space its residues are taken in.
+    """A Kirwan integral: a linear functional on restriction data, called on a
+    class as it is.  ``xi`` is the primitive circle direction along which the
+    first residue is taken."""
 
-    ``adapt`` moves a class into the adapted coordinates and ``of_adapted``
-    evaluates a class already there, so a caller pairing many products adapts
-    each factor once and multiplies adapted classes.
-    """
-
-    adapted: AdaptedSpace
-    of_adapted: Callable[[RestrictedClass], Fraction | EquivariantPolynomial]
-
-    def adapt(self, eta: RestrictedClass) -> RestrictedClass:
-        return self.adapted.transform_class(eta)
+    xi: CircleDirection
+    evaluate: Callable[[RestrictedClass], Fraction | EquivariantPolynomial]
 
     def __call__(self, eta: RestrictedClass) -> Fraction | EquivariantPolynomial:
-        return self.of_adapted(self.adapt(eta))
+        return self.evaluate(eta)
 
 
-def circle_integral(space: HamiltonianSpace, xi: CircleDirection,
-                    method: str = "poles") -> KirwanIntegral:
+def circle_integral(space: HamiltonianSpace, xi: CircleDirection) -> KirwanIntegral:
     """Residue form of the circle-level Kirwan integral: sum over the components
     on the positive side of xi of the residue along xi.  Values are polynomials
     in the non-circle variables, up to a global constant.
 
     The integral is linear in each component's restriction, so the residue
-    term of every (component, restriction) pair is computed once and kept for
-    the life of the returned object; reuse one object across many classes.
-    The polynomiality check still runs on every evaluation.
+    term of every (component, restriction) pair is computed once, in adapted
+    coordinates, and kept for the life of the returned object; reuse one
+    object across many classes.  The polynomiality check still runs on every
+    evaluation.
     """
     violations = is_generic(space, xi)
     if violations:
@@ -483,12 +459,12 @@ def circle_integral(space: HamiltonianSpace, xi: CircleDirection,
         key = (f.name, restriction)
         term = residues.get(key)
         if term is None:
-            term = res_x_plus(adapted.space.localization_term(f, restriction), 0,
-                              method=method)
+            term = res_x_plus(adapted.space.localization_term(f, adapted.adapt(restriction)),
+                              0, method="poles")
             residues[key] = term
         return term
 
-    def of_adapted(eta: RestrictedClass) -> EquivariantPolynomial:
+    def evaluate(eta: RestrictedClass) -> EquivariantPolynomial:
         total = RationalSection.zero(space.vars, POINT_ALGEBRA)
         for f in plus:
             total = total + residue(f, eta.restrictions[f.name])
@@ -501,35 +477,37 @@ def circle_integral(space: HamiltonianSpace, xi: CircleDirection,
                 "circle-level Kirwan integral is not a polynomial; "
                 "the fixed-point data is inconsistent") from exc
 
-    return KirwanIntegral(adapted, of_adapted)
+    return KirwanIntegral(adapted.xi, evaluate)
 
 
 def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,
                    ordering: VariableOrdering | None = None) -> KirwanIntegral:
     """Torus-level Kirwan integral (up to a global constant) as a moment-
     weighted iterated residue of the fixed-point sum, innermost residue taken
-    along a generic circle direction (the first one found when xi is None)."""
+    along a generic circle direction (the first one found when xi is None).
+    The first-applied direction of the ordering must be generic; that is
+    checked here, once."""
     if xi is None:
         xi = find_generic_direction(space)
     adapted = adapt_space(space, xi)
-    if ordering is None:
-        ordering = VariableOrdering(tuple(range(space.vars.count)))
-
-    def of_adapted(eta: RestrictedClass) -> Fraction:
-        first = ordering.order[0]
-        for f in adapted.space.components:
-            if f.moment[first] == 0:
+    n = space.vars.count
+    ordering = (ordering or VariableOrdering(tuple(range(n)))).validated(n)
+    first = ordering.order[0]
+    for f in adapted.space.components:
+        if f.moment[first] == 0:
+            raise NonGenericError(
+                f"first-applied direction meets the moment of {f.name}",
+                [("moment", f.name)])
+        for w, _ in f.normal_lines:
+            if w.coeffs[first] == 0:
                 raise NonGenericError(
-                    f"first-applied direction meets the moment of {f.name}",
-                    [("moment", f.name)])
-            for w, _ in f.normal_lines:
-                if w.coeffs[first] == 0:
-                    raise NonGenericError(
-                        f"first-applied direction annihilates a weight at {f.name}",
-                        [("weight", f.name)])
-        terms = [MomentTerm(f.moment,
-                            adapted.space.localization_term(f, eta.restrictions[f.name]))
+                    f"first-applied direction annihilates a weight at {f.name}",
+                    [("weight", f.name)])
+
+    def evaluate(eta: RestrictedClass) -> Fraction:
+        terms = [MomentTerm(f.moment, adapted.space.localization_term(
+                     f, adapted.adapt(eta.restrictions[f.name])))
                  for f in adapted.space.components]
         return iterated_residue_selected(terms, ordering)
 
-    return KirwanIntegral(adapted, of_adapted)
+    return KirwanIntegral(adapted.xi, evaluate)

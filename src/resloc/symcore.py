@@ -315,11 +315,6 @@ class EquivariantPolynomial:
         degs = {2 * sum(e) + self.algebra.degrees[b] for e, b in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_part(self, degree: int) -> "EquivariantPolynomial":
-        return EquivariantPolynomial(self.vars, self.algebra, {
-            (e, b): c for (e, b), c in self.terms.items()
-            if 2 * sum(e) + self.algebra.degrees[b] == degree})
-
     def var_degree(self, var: int) -> int:
         """Max exponent of the given variable; -1 for zero."""
         if not self.terms:
@@ -638,10 +633,6 @@ class RationalSection:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_polynomial(p: EquivariantPolynomial) -> "RationalSection":
-        return RationalSection(p, ())
-
-    @staticmethod
     def zero(vars: Variables, algebra: GradedAlgebra = POINT_ALGEBRA) -> "RationalSection":
         return RationalSection(EquivariantPolynomial.zero(vars, algebra), ())
 
@@ -698,10 +689,6 @@ class RationalSection:
 
     def scale(self, value) -> "RationalSection":
         return RationalSection(self.numer.scale(value), self.denom, cancel=False)
-
-    def mul_polynomial(self, p: EquivariantPolynomial) -> "RationalSection":
-        return RationalSection(self.numer.mul_pure(p) if all(b == 0 for _, b in p.terms)
-                               else self.numer * p, self.denom)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalSection):

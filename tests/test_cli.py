@@ -273,6 +273,23 @@ def test_kernel_rejects_inconsistent_data(capsys, tmp_path, mode):
     assert code == 1 and not report["pass"]
 
 
+def test_moment_zero_names_the_component(capsys, tmp_path):
+    # a fixed point at moment 0 pairs to zero with every direction, so no
+    # direction is generic; both commands name the component at once
+    obj = dataset_to_json(load_dataset("s2xs2-t2"))
+    nn = next(c for c in obj["components"] if c["name"] == "NN")
+    nn["moment"] = ["0", "0"]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "kernel", str(path), "--full")
+    assert code == 2 and not out
+    assert err.endswith("; violated by moment:NN\n")
+    code, report, _ = run_json(capsys, "validate", str(path))
+    generic = next(c for c in report["checks"] if c["name"] == "generic-direction")
+    assert code == 1 and not generic["pass"]
+    assert generic["detail"].endswith("; violated by moment:NN")
+
+
 def test_kernel_full_with_delta(capsys):
     code, report, _ = run_json(capsys, "kernel", "s2", "--full",
                                "--ordering", "0", "--delta", "5")

@@ -206,24 +206,27 @@ def test_circle_kernel_stable_under_testing_slack(s2xs2_model):
         assert len(pairing_kernel(integral, classes, enlarged)) == base.dim
 
 
-def test_circle_kernel_methods_agree(s2xs2_model):
+def test_circle_kernel_methods_agree(s2xs2_model, series_route):
     xi = CircleDirection.make((2, 1))
-    a = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi, method="poles"))
-    b = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi, method="series"))
+    a = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi))
+    series_route()
+    b = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi))
     assert a.coeffs == b.coeffs
 
 
 @pytest.mark.parametrize("method", ["poles", "series"])
-def test_circle_split_shared_integral_matches_fresh(s2xs2_model, nonisolated, method):
+def test_circle_split_shared_integral_matches_fresh(s2xs2_model, nonisolated, method,
+                                                    series_route):
     # one integral serves every degree; a fresh one per degree gives the same kernels
+    if method == "series":
+        series_route()
     nonisolated_model = build_model(nonisolated.space, nonisolated.generators, 4)
     for model, xi in ((s2xs2_model, (1, 2)), (nonisolated_model, (1,))):
         xi = CircleDirection.make(xi)
-        shared = circle_integral(model.space, xi, method=method)
+        shared = circle_integral(model.space, xi)
         rows = check_circle_kernel_split(model, [0, 2, 4], shared)
         for r in rows:
-            fresh = circle_kernel(model, r.degree,
-                                  circle_integral(model.space, xi, method=method))
+            fresh = circle_kernel(model, r.degree, circle_integral(model.space, xi))
             assert r.kernel.coeffs == fresh.coeffs
 
 
@@ -245,6 +248,27 @@ def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch):
     assert len(calls) == len(distinct) < len(classes) * len(plus)
     assert [integral(cls) for cls in classes] == values
     assert len(calls) == len(distinct)
+
+
+def test_circle_integral_adapts_only_on_residue_misses(s2xs2_model, monkeypatch):
+    # a restriction is moved into adapted coordinates only when its residue
+    # term is computed, never for a cached term or a whole class
+    calls = {"adapt": 0, "residue": 0}
+    adapt, residue = spaces.AdaptedSpace.adapt, spaces.res_x_plus
+
+    def counted_adapt(self, poly):
+        calls["adapt"] += 1
+        return adapt(self, poly)
+
+    def counted_residue(h, var, method):
+        calls["residue"] += 1
+        return residue(h, var, method=method)
+
+    monkeypatch.setattr(spaces.AdaptedSpace, "adapt", counted_adapt)
+    monkeypatch.setattr(spaces, "res_x_plus", counted_residue)
+    integral = circle_integral(s2xs2_model.space, CircleDirection.make((1, 2)))
+    check_circle_kernel_split(s2xs2_model, [0, 2, 4], integral)
+    assert calls["adapt"] == calls["residue"] > 0
 
 
 def test_circle_integral_checks_polynomiality_on_cache_hits(s2xs2, monkeypatch):
@@ -273,18 +297,10 @@ def test_circle_integral_checks_polynomiality_on_cache_hits(s2xs2, monkeypatch):
 
 
 def test_circle_pairing_matches_integral(s2xs2):
-    # the pairing used for kernel rows multiplies adapted classes
-    sp = s2xs2.space
-    xi = CircleDirection.make((1, 2))
-    integral = circle_integral(sp, xi)
-    u1 = s2xs2.generator("u1")
-    unit = RestrictedClass.unit(sp)
-    for eta, zeta in ((unit, unit), (u1, unit), (u1, u1)):
-        assert integral.of_adapted(integral.adapt(eta) * integral.adapt(zeta)) == \
-            integral(eta * zeta)
     # with a negative leading entry the residue is still taken along xi itself
     reversed_xi = CircleDirection.make((-1, 2))
-    assert circle_integral(sp, reversed_xi)(u1).constant_value() == Q(-1, 2)
+    u1 = s2xs2.generator("u1")
+    assert circle_integral(s2xs2.space, reversed_xi)(u1).constant_value() == Q(-1, 2)
 
 
 def test_circle_pairing_rejects_nongeneric():

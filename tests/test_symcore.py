@@ -139,7 +139,6 @@ def test_degree_and_homogeneity():
     assert p.degree() == 2 and p.is_homogeneous()
     q = p + EquivariantPolynomial.one(V2, alg)
     assert not q.is_homogeneous()
-    assert q.homogeneous_part(2) == p
 
 
 def test_integrate_cp1_example():
@@ -310,6 +309,6 @@ def test_invert_euler_times_euler_is_one(data):
     for w, c in lines:
         euler = euler * (EquivariantPolynomial.from_linear_form(V2, w, alg) + c)
     inv = invert_euler(V2, alg, lines)
-    product = inv.mul_polynomial(euler)
+    product = inv * RationalSection(euler)
     assert product.is_polynomial()
     assert product.as_polynomial() == EquivariantPolynomial.one(V2, alg)
