@@ -53,10 +53,6 @@ def _fs(q) -> str:
     return str(Fraction(q))
 
 
-def _matrix(rows) -> list[list[str]]:
-    return [[_fs(v) for v in row] for row in rows]
-
-
 def _render_text(report: dict) -> str:
     lines = [f"command: {report['command']}",
              f"input: {report['input']['source']} sha256={report['input']['sha256']}"]
@@ -185,9 +181,10 @@ def cmd_residue(args) -> int:
 
 
 def _subspace_json(model, sub: kernels.Subspace) -> dict:
-    return {"degree": sub.degree,
-            "model_basis": [el.label for el in model.basis_by_degree[sub.degree]],
-            "basis": _matrix(sub.coeffs)}
+    labels = [el.label for el in model.basis_by_degree[sub.degree]]
+    return {"degree": sub.degree, "model_basis": labels,
+            "basis": [[_fs(vec.get(i, 0)) for i in range(len(labels))]
+                      for vec in sub.coeffs]}
 
 
 def _build_model(ds: Dataset, max_degree: int):
@@ -398,8 +395,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a value that starts with "-" and is not a plain number, such
+# as "--delta -3/2" or "--circle -1,2", as a flag with its value missing
+_SIGNED_VALUE_FLAGS = ("--circle", "--ordering", "--delta")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite "FLAG -VALUE" as "FLAG=-VALUE" for the flags above, where
+    VALUE starts with a digit, so that no other flag is taken as a value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_signed_values(argv))
     return args.func(args)
 
 

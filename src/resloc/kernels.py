@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
+from .linalg import Row
 # Not called here; the name stays because perfbench/test_perfbench.py checks
 # that tracing rebinds kernels.res_x_plus.
 from .residues import res_x_plus  # noqa: F401
@@ -46,6 +47,7 @@ __all__ = [
     "Chamber",
     "ChamberSet",
     "enumerate_generic_directions",
+    "positive_sides",
     "torus_kernel",
     "FullKernelRow",
     "check_full_kernel",
@@ -59,31 +61,42 @@ __all__ = [
 class ModelElement:
     label: str
     cls: RestrictedClass
-    vector: list[Fraction]
+    vector: Row
 
 
 class DegreeTruncatedModel:
-    """Independent spanning sets for the even-degree slices up to max_degree."""
+    """Independent spanning sets for the even-degree slices up to max_degree.
+
+    A slice's coordinates are its restriction keys (component index, torus
+    exponents, algebra basis index), sorted; a class's vector holds its
+    nonzero restriction terms by key position.  ``restriction_rows`` keeps,
+    per degree and component, the rows of the basis at that component's keys:
+    a class vanishes there exactly when its basis coefficients annihilate them.
+    """
 
     def __init__(self, space: HamiltonianSpace,
                  generators: list[tuple[str, RestrictedClass]], max_degree: int):
         self.space = space
         self.generators = generators
         self.max_degree = max_degree
-        self.keys_by_degree: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
         self.basis_by_degree: dict[int, list[ModelElement]] = {}
+        self.restriction_rows: dict[int, dict[str, list[Row]]] = {}
+        self._positions: dict[int, dict[tuple[str, tuple[int, ...], int], int]] = {}
         self._build()
 
-    def class_vector(self, cls: RestrictedClass, degree: int) -> list[Fraction] | None:
-        """The restriction terms of cls at the degree's keys, or None when cls
-        has a term at another key (so it lies outside every span of the slice)."""
-        keys = self.keys_by_degree[degree]
+    def class_vector(self, cls: RestrictedClass, degree: int) -> Row | None:
+        """The restriction terms of cls by key position, or None when cls has
+        a term at another key (so it lies outside every span of the slice)."""
+        positions = self._positions[degree]
         out = []
-        for ci, exps, b in keys:
-            name = self.space.components[ci].name
-            out.append(cls.restrictions[name].terms.get((exps, b), Q(0)))
-        terms = sum(1 for p in cls.restrictions.values() for c in p.terms.values() if c)
-        return out if terms == sum(1 for v in out if v) else None
+        for name, poly in cls.restrictions.items():
+            for (exps, b), c in poly.terms.items():
+                if c:
+                    pos = positions.get((name, exps, b))
+                    if pos is None:
+                        return None
+                    out.append((pos, c))
+        return dict(sorted(out))
 
     def _build(self):
         space = self.space
@@ -117,13 +130,17 @@ class DegreeTruncatedModel:
                     for key in cls.restrictions[f.name].terms:
                         keyset.add((ci, key[0], key[1]))
             keys = sorted(keyset)
-            self.keys_by_degree[degree] = keys
-            vectors = []
-            for _, cls in candidates:
-                vectors.append(self.class_vector(cls, degree))
+            self._positions[degree] = {(space.components[ci].name, exps, b): pos
+                                       for pos, (ci, exps, b) in enumerate(keys)}
+            vectors = [self.class_vector(cls, degree) for _, cls in candidates]
             kept = linalg.independent_indices(vectors)
             self.basis_by_degree[degree] = [
                 ModelElement(candidates[i][0], candidates[i][1], vectors[i]) for i in kept]
+            rows = linalg.transpose([vectors[i] for i in kept])
+            by_component = self.restriction_rows[degree] = {f.name: [] for f in space.components}
+            for pos, (ci, _, _) in enumerate(keys):
+                if pos in rows:
+                    by_component[space.components[ci].name].append(rows[pos])
 
 
 def _exponent_tuples(nvars: int, total: int) -> list[tuple[int, ...]]:
@@ -164,10 +181,11 @@ def build_model(space: HamiltonianSpace, generators: list[tuple[str, RestrictedC
 
 @dataclass
 class Subspace:
-    """Subspace of one degree slice, as coefficient vectors over the model basis."""
+    """Subspace of one degree slice, as sparse coefficient vectors over the
+    model basis (basis index to coefficient)."""
 
     degree: int
-    coeffs: list[list[Fraction]]
+    coeffs: list[Row]
 
     @property
     def dim(self) -> int:
@@ -178,9 +196,8 @@ class Subspace:
         out = []
         for vec in self.coeffs:
             cls = RestrictedClass.zero(model.space, self.degree)
-            for c, el in zip(vec, basis):
-                if c:
-                    cls = cls + el.cls.scale(c)
+            for i, c in vec.items():
+                cls = cls + basis[i].cls.scale(c)
             out.append(cls)
         return out
 
@@ -190,20 +207,16 @@ def vanishing_subspace(model: DegreeTruncatedModel, names: frozenset[str],
     """Classes in the degree slice vanishing on the named components: the null
     space of their restriction rows.  For the components on one side of a
     generic circle, these are the one-sided subspaces of the kernel theorems."""
-    keys = model.keys_by_degree[degree]
-    basis = model.basis_by_degree[degree]
-    rows = []
-    for row_idx, (ci, exps, b) in enumerate(keys):
-        if model.space.components[ci].name in names:
-            rows.append([el.vector[row_idx] for el in basis])
-    return Subspace(degree, linalg.nullspace(rows, ncols=len(basis)))
+    rows = [row for f in model.space.components if f.name in names
+            for row in model.restriction_rows[degree][f.name]]
+    return Subspace(degree, linalg.nullspace(rows, len(model.basis_by_degree[degree])))
 
 
 # -- pairing kernels -----------------------------------------------------------
 
 
 def pairing_kernel(integral: KirwanIntegral, classes: list[RestrictedClass],
-                   testing: list[RestrictedClass]) -> list[list[Fraction]]:
+                   testing: list[RestrictedClass]) -> list[Row]:
     """Null space, in the coordinates of ``classes``, of the pairing
     (eta, zeta) -> integral(eta * zeta) against every testing class.
 
@@ -212,16 +225,14 @@ def pairing_kernel(integral: KirwanIntegral, classes: list[RestrictedClass],
     """
     if not classes:
         return []
-    rows: list[list[Fraction]] = []
+    rows: list[Row] = []
     for zeta in testing:
         values = [integral(b * zeta) for b in classes]
         if not isinstance(values[0], EquivariantPolynomial):
-            rows.append(values)
+            rows.append(dict(enumerate(values)))
             continue
-        monomials = sorted({key for v in values for key in v.terms},
-                           key=lambda key: (monomial_sort_key(key[0]), key[1]))
-        rows.extend([v.terms.get(mono, Q(0)) for v in values] for mono in monomials)
-    return linalg.nullspace(rows, ncols=len(classes))
+        rows.extend(linalg.transpose([v.terms for v in values]).values())
+    return linalg.nullspace(rows, len(classes))
 
 
 def circle_kernel(model: DegreeTruncatedModel, degree: int,
@@ -310,13 +321,18 @@ def _primitive_signed(vec: tuple[int, ...]) -> tuple[int, ...]:
     return vec if lead > 0 else tuple(-v for v in vec)
 
 
+def _integral_moment(moment: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """The moment scaled by the lcm of its denominators."""
+    den = 1
+    for c in moment:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return tuple(int(c * den) for c in moment)
+
+
 def _arrangement_normals(space: HamiltonianSpace) -> list[tuple[int, ...]]:
     seen = []
     for f in space.components:
-        den = 1
-        for c in f.moment:
-            den = den * c.denominator // gcd(den, c.denominator)
-        vec = tuple(int(c * den) for c in f.moment)
+        vec = _integral_moment(f.moment)
         if any(vec):
             vec = _primitive_signed(vec)
             if vec not in seen:
@@ -391,6 +407,22 @@ def enumerate_generic_directions(space: HamiltonianSpace) -> ChamberSet:
     return ChamberSet(tuple(normals), chambers, len(points))
 
 
+def positive_sides(space: HamiltonianSpace, chambers: ChamberSet) -> list[frozenset[str]]:
+    """Each chamber's positive side (``positive_side`` of its representative),
+    read from its signs: a nonzero moment's primitive normal is in the
+    arrangement, and pairs with the chamber as the moment does, up to the
+    sign of the moment's leading entry."""
+    index = {w: k for k, w in enumerate(chambers.normals)}
+    axes = []
+    for f in space.components:
+        vec = _integral_moment(f.moment)
+        if any(vec):
+            lead = next(v for v in vec if v)
+            axes.append((f.name, index[_primitive_signed(vec)], 1 if lead > 0 else -1))
+    return [frozenset(name for name, k, sign in axes if chamber.signs[k] == sign)
+            for chamber in chambers.chambers]
+
+
 # -- torus-level kernel -------------------------------------------------------
 
 
@@ -431,8 +463,7 @@ def check_full_kernel(model: DegreeTruncatedModel, degrees: list[int],
     chambers = enumerate_generic_directions(model.space)
     everything = frozenset(f.name for f in model.space.components)
     vanishing_sets: dict[frozenset[str], None] = {}
-    for chamber in chambers.chambers:
-        plus = positive_side(model.space, chamber.representative)
+    for plus in positive_sides(model.space, chambers):
         vanishing_sets.update(dict.fromkeys((everything - plus, plus)))
     rows = []
     for d in degrees:

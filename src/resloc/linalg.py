@@ -1,111 +1,111 @@
-"""Exact linear algebra over Q for kernel and span computations.
+"""Exact sparse linear algebra over Q for kernel and span computations.
 
-Matrices are lists of lists of Fraction.  Everything is plain Gaussian
-elimination with exact pivots; no tolerances appear anywhere.
+Rows are dicts from column index to a rational, absent or 0 entries being zero;
+integral entries are kept as int, whose arithmetic is far cheaper than Fraction's.
+One ``Echelon``, fully reduced as rows are inserted, serves every function; its
+rows by pivot are the canonical reduced row echelon form of their span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Q = Fraction
+Row = dict[int, Fraction]
 
-__all__ = [
-    "row_reduce",
-    "rank",
-    "det",
-    "nullspace",
-    "independent_indices",
-    "span_equal",
-    "intersect_trivially",
-]
+__all__ = ["Row", "Echelon", "row_reduce", "rank", "det", "nullspace",
+           "independent_indices", "transpose", "span_equal", "intersect_trivially"]
 
 
-def row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Q(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+def _subtract(target: Row, f: Fraction, row: Row) -> None:
+    """target -= f * row, in place, keeping only nonzero entries."""
+    for k, x in row.items():
+        if v := target.get(k, 0) - f * x:
+            target[k] = v
+        else:
+            del target[k]
 
 
-def rank(rows: list[list[Fraction]]) -> int:
+class Echelon:
+    """Rows by pivot column: each pivot is its row's least column, holds 1, and is 0 elsewhere."""
+
+    def __init__(self):
+        self.rows: dict[int, Row] = {}
+
+    def remainder(self, vec: Row) -> Row:
+        """vec minus its part in the span; empty exactly when vec lies in it."""
+        out = {k: (v.numerator if v.denominator == 1 else v) for k, v in vec.items() if v}
+        # rows vanish at each other's pivots, so each is subtracted once
+        for c in [c for c in out if c in self.rows]:
+            _subtract(out, out[c], self.rows[c])
+        return out
+
+    def add(self, vec: Row) -> bool:
+        """Insert vec; False when it already lies in the span."""
+        row = self.remainder(vec)
+        if not row:
+            return False
+        pivot = min(row)
+        if (lead := row[pivot]) != 1:
+            row = {k: Fraction(v, lead) for k, v in row.items()}
+        for other in self.rows.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        self.rows[pivot] = row
+        return True
+
+
+def row_reduce(rows: list[Row]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns), by pivot."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(row)
+    pivots = sorted(echelon.rows)
+    return [echelon.rows[p] for p in pivots], pivots
+
+
+def rank(rows: list[Row]) -> int:
     return len(row_reduce(rows)[1])
 
 
 def det(rows) -> Fraction:
-    """Determinant of a small square matrix, by cofactor expansion."""
+    """Determinant of a small dense square matrix, by cofactor expansion."""
     if len(rows) == 1:
         return rows[0][0]
     return sum((-1) ** j * v * det([r[:j] + r[j + 1:] for r in rows[1:]])
                for j, v in enumerate(rows[0]) if v)
 
 
-def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
-    """Canonical basis of the right null space (free variable set to 1)."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("need ncols for an empty constraint matrix")
-        ncols = len(rows[0])
-    if not rows:
-        rows = [[Q(0)] * ncols]
+def nullspace(rows: list[Row], ncols: int) -> list[Row]:
+    """Canonical null space basis: per free column, 1 there and 0 at the other free columns."""
     rref, pivots = row_reduce(rows)
+    entries: dict[int, list[tuple[int, Fraction]]] = {}
+    for pivot, row in zip(pivots, rref):
+        for k, v in row.items():
+            entries.setdefault(k, []).append((pivot, -v))
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Q(0)] * ncols
-        vec[free] = Q(1)
-        for prow, pcol in zip(rref, pivots):
-            vec[pcol] = -prow[free]
-        basis.append(vec)
-    return basis
+    return [dict(sorted([(free, Fraction(1)), *entries.get(free, ())]))
+            for free in range(ncols) if free not in pivot_set]
 
 
-def independent_indices(vectors: list[list[Fraction]]) -> list[int]:
+def independent_indices(vectors: list[Row]) -> list[int]:
     """Indices of a maximal independent subset, scanning in the given order."""
-    kept: list[int] = []
-    echelon: list[list[Fraction]] = []
-    for idx, vec in enumerate(vectors):
-        row = list(vec)
-        for e in echelon:
-            lead = next((c for c, v in enumerate(e) if v != 0), None)
-            if lead is not None and row[lead] != 0:
-                f = row[lead] / e[lead]
-                row = [a - f * b for a, b in zip(row, e)]
-        if any(v != 0 for v in row):
-            echelon.append(row)
-            kept.append(idx)
-    return kept
+    echelon = Echelon()
+    return [i for i, vec in enumerate(vectors) if echelon.add(vec)]
 
 
-def span_equal(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:
-    ra = rank(a) if a else 0
-    rb = rank(b) if b else 0
-    return ra == rb == rank(a + b)
+def transpose(vectors: list[dict]) -> dict:
+    """Rows of the matrix whose columns are these vectors, by row key."""
+    out: dict = {}
+    for i, vec in enumerate(vectors):
+        for k, v in vec.items():
+            out.setdefault(k, {})[i] = v
+    return out
 
 
-def intersect_trivially(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:
+def span_equal(a: list[Row], b: list[Row]) -> bool:
+    return rank(a) == rank(b) == rank(a + b)
+
+
+def intersect_trivially(a: list[Row], b: list[Row]) -> bool:
     """True when the spans intersect only in 0 (the sum is direct)."""
-    ra = rank(a) if a else 0
-    rb = rank(b) if b else 0
-    return rank(a + b) == ra + rb
+    return rank(a + b) == rank(a) + rank(b)

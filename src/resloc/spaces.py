@@ -354,13 +354,11 @@ def unimodular_completion(xi: tuple[int, ...]) -> list[list[int]]:
         u[0] = [-x for x in u[0]]
         v[0] = -v[0]
     # invert u exactly; the inverse is integral because det u = +-1
-    aug = [[Q(u[i][j]) for j in range(n)] + [Q(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
+    aug = [{**{j: Q(u[i][j]) for j in range(n)}, n + i: Q(1)} for i in range(n)]
     rref, pivots = linalg.row_reduce(aug)
     if pivots != list(range(n)):
         raise ValidationError("completion matrix is singular")
-    inv = [[rref[i][n + j] for j in range(n)] for i in range(n)]
-    basis = [[int(inv[i][j]) for j in range(n)] for i in range(n)]
+    basis = [[int(rref[i].get(n + j, 0)) for j in range(n)] for i in range(n)]
     if linalg.det(basis) == -1 and n > 1:
         for i in range(n):
             basis[i][1] = -basis[i][1]

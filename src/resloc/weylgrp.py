@@ -184,7 +184,7 @@ class WeylData:
         if len(amap) != nb or any(len(r) != len(dst.basis) for r in amap):
             raise ValidationError(
                 f"algebra map {src_name}->{dst_name} has wrong shape")
-        if linalg.rank([list(map(Q, r)) for r in amap]) != nb:
+        if linalg.rank([{k: Q(v) for k, v in enumerate(r)} for r in amap]) != nb:
             raise ValidationError(f"algebra map {src_name}->{dst_name} is singular")
         unit = [Q(1) if k == 0 else Q(0) for k in range(len(dst.basis))]
         if [Q(v) for v in amap[0]] != unit:
@@ -245,15 +245,17 @@ def invariant_subspace(model: DegreeTruncatedModel, weyl: WeylData,
     model's restriction coordinates, where the basis is independent."""
     basis = model.basis_by_degree[degree]
     vectors = [el.vector for el in basis]
-    rows: list[list[Fraction]] = []
+    rows: list[linalg.Row] = []
     for w in weyl.nonidentity:
         moved = [model.class_vector(weyl.act(w, el.cls), degree) for el in basis]
         if None in moved or linalg.rank(vectors + moved) != len(basis):
             raise ValidationError(
                 f"model slice of degree {degree} is not stable under the group")
-        rows.extend([m[j] - v[j] for m, v in zip(moved, vectors)]
-                    for j in range(len(model.keys_by_degree[degree])))
-    return Subspace(degree, linalg.nullspace(rows, ncols=len(basis)))
+        for m, v in zip(moved, vectors):  # m becomes (w - 1) applied to b_i
+            for j, c in v.items():
+                m[j] = m.get(j, 0) - c
+        rows.extend(linalg.transpose(moved).values())
+    return Subspace(degree, linalg.nullspace(rows, len(basis)))
 
 
 @dataclass
@@ -297,7 +299,7 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
     d2cls = dcls * dcls
     top = space.dim - 2 * space.vars.count - 4 * r  # degree plus its complement
     slices: dict[int, list[RestrictedClass]] = {}
-    divided: dict[int, tuple[list[RestrictedClass], list[list[Fraction]]]] = {}
+    divided: dict[int, tuple[list[RestrictedClass], list[linalg.Row]]] = {}
 
     def in_range(degree: int) -> bool:
         return 0 <= degree <= model.max_degree
@@ -307,7 +309,7 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
             slices[degree] = invariant_subspace(model, weyl, degree).classes(model)
         return slices[degree]
 
-    def pairing(degree: int) -> tuple[list[RestrictedClass], list[list[Fraction]]]:
+    def pairing(degree: int) -> tuple[list[RestrictedClass], list[linalg.Row]]:
         """The invariant classes times D^2, and the pairing kernel: the null
         space (in invariant coordinates) of kappa_T(eta * zeta * D^2) over
         invariant zeta."""
@@ -348,7 +350,7 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
         # both spans are compared in the slice's restriction coordinates,
         # into which the slice's coordinates map injectively
         basis = [el.vector for el in model.basis_by_degree[target]]
-        produced: list[list[Fraction]] = []
+        produced: list[linalg.Row] = []
         for cls in torus_kernel(model, source, integral).classes(model):
             anti = weyl.antisymmetrize(cls)
             if anti.is_zero():
@@ -357,9 +359,13 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
         if None in produced or linalg.rank(basis + produced) != len(basis):
             raise ValidationError("divided antisymmetrization left the model span")
         inv_vectors = [model.class_vector(cls, target) for cls in invariant(target)]
-        kernel = [[sum((c * vec[i] for c, vec in zip(k, inv_vectors)), Q(0))
-                   for i in range(len(model.keys_by_degree[target]))]
-                  for k in pairing(target)[1]]
+        kernel = []
+        for k in pairing(target)[1]:
+            combined: linalg.Row = {}
+            for j, c in k.items():
+                for i, v in inv_vectors[j].items():
+                    combined[i] = combined.get(i, 0) + c * v
+            kernel.append(combined)
         span_rows.append(AntisymmetrizedSpanRow(
             source, target, linalg.rank(produced), len(kernel),
             linalg.span_equal(produced, kernel)))

@@ -294,6 +294,9 @@ def test_cli_reports_are_deterministic(tmp_path):
          "47896a1ec6eaac0159753b5b727afe4c19ef8daef160a64bb61dc355a45ca12a"),
         (["kernel", "s2xs2-t2", "--circle=-1,2"],
          "570d28c143efe3c53205986148571e0718c6310487e3e5f0981ff83d5cb95ca6"),
+        # the same value as a separate argument gives the same bytes
+        (["kernel", "s2xs2-t2", "--circle", "-1,2"],
+         "570d28c143efe3c53205986148571e0718c6310487e3e5f0981ff83d5cb95ca6"),
     ]
     for argv, digest in commands:
         outs = []

@@ -297,6 +297,32 @@ def test_kernel_full_with_delta(capsys):
     assert report["results"]["calibration"]["value"] == "-5"
 
 
+@pytest.mark.parametrize("spaced, joined", [
+    (("kernel", "s2", "--full", "--ordering", "0", "--delta", "-3/2"),
+     ("kernel", "s2", "--full", "--ordering=0", "--delta=-3/2")),
+    (("kernel", "s2xs2-t2", "--circle", "-1,2"), ("kernel", "s2xs2-t2", "--circle=-1,2")),
+    (("kernel", "s2", "--circle", "-1", "--format", "text"),
+     ("kernel", "s2", "--circle=-1", "--format", "text")),
+    # exits 2: on s2xs2-t2 every first-applied axis annihilates a weight
+    (("kernel", "s2xs2-t2", "--full", "--ordering", "1,0", "--delta", "-3/2"),
+     ("kernel", "s2xs2-t2", "--full", "--ordering=1,0", "--delta=-3/2")),
+    (("kernel", "s2", "--full", "--ordering", "-1"), ("kernel", "s2", "--full", "--ordering=-1")),
+])
+def test_negative_value_as_separate_argument(capsys, spaced, joined):
+    """A flag value starting with "-" reads the same given after a space as
+    after "=": the same exit code and the same bytes on stdout and stderr."""
+    assert run(capsys, *spaced) == run(capsys, *joined)
+    _, _, err = run(capsys, *spaced)
+    assert "expected one argument" not in err
+
+
+def test_flag_is_not_taken_as_a_negative_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "s2", "--circle", "--full"])
+    assert exc.value.code == 2
+    assert "argument --circle: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("kernel", "s2", "--full", "--ordering", "a"), "--ordering"),
     (("kernel", "s2", "--full", "--delta", "x"), "--delta"),

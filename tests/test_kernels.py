@@ -15,6 +15,7 @@ from resloc.kernels import (
     circle_kernel,
     enumerate_generic_directions,
     pairing_kernel,
+    positive_sides,
     torus_kernel,
     vanishing_subspace,
 )
@@ -140,8 +141,8 @@ def test_vanishing_subspace_s2(s2_model):
     minus = vanishing_subspace(s2_model, frozenset({"S"}), 2)
     assert plus.dim == minus.dim == 1
     # the plus side vanishes on N, so it is spanned by u; the minus side by u - X
-    assert plus.coeffs == [[Q(0), Q(1)]]
-    assert minus.coeffs == [[Q(-1), Q(1)]]
+    assert plus.coeffs == [{1: Q(1)}]
+    assert minus.coeffs == [{0: Q(-1), 1: Q(1)}]
 
 
 def test_circle_split_rejects_nongeneric(s2xs2_model):
@@ -343,22 +344,36 @@ def test_chambers_rank_one_weight_arrangement():
     assert {c.representative.vector for c in chambers.chambers} == {(1,), (-1,)}
 
 
+def sphere_product(k):
+    """(S^2)^k under T^k: a fixed point per sign vector s, with moment s and
+    weights -s_i e_i, and generators u_i restricting to X_i where s_i = -1."""
+    vars = Variables(tuple(f"X{i}" for i in range(1, k + 1)))
+    zero = EquivariantPolynomial.zero(vars)
+    all_signs = list(product((1, -1), repeat=k))
+    names = ["".join(map(str, signs)) for signs in all_signs]
+    comps = []
+    for name, signs in zip(names, all_signs):
+        lines = tuple((lf(*(-s if j == i else 0 for j in range(k))), zero)
+                      for i, s in enumerate(signs))
+        comps.append(FixedComponent(name, tuple(Q(s) for s in signs), POINT_ALGEBRA, lines))
+    space = HamiltonianSpace(vars, 2 * k, comps)
+    gens = [("one", RestrictedClass.unit(space))]
+    for i in range(k):
+        x = EquivariantPolynomial.variable(vars, i)
+        gens.append((f"u{i + 1}", RestrictedClass(
+            space, 2, {name: x if signs[i] < 0 else zero
+                       for name, signs in zip(names, all_signs)})))
+    return space, gens
+
+
 @pytest.mark.parametrize("k, count", [(3, 32), (4, 192)])
 def test_chambers_exact_on_sphere_products(k, count):
     # (S^2)^k with the full k-torus: k coordinate hyperplanes and 2^(k-1)
     # hyperplanes orthogonal to the moment values (+-1, ..., +-1)
-    vars = Variables(("X",) + tuple(f"Y{i}" for i in range(1, k)))
-    zero = EquivariantPolynomial.zero(vars)
-    comps = []
-    for signs in product((1, -1), repeat=k):
-        lines = tuple((lf(*(-s if j == i else 0 for j in range(k))), zero)
-                      for i, s in enumerate(signs))
-        comps.append(FixedComponent("".join(map(str, signs)), tuple(Q(s) for s in signs),
-                                    POINT_ALGEBRA, lines))
-    space = HamiltonianSpace(vars, 2 * k, comps)
+    space, _ = sphere_product(k)
     chambers = enumerate_generic_directions(space)
     # Whitney's formula: r(A) = sum over subsets S of A of (-1)^(|S| - rank S)
-    rows = [[Q(v) for v in w] for w in chambers.normals]
+    rows = [dict(enumerate(map(Q, w))) for w in chambers.normals]
     whitney = sum((-1) ** (size - linalg.rank(list(subset)))
                   for size in range(len(rows) + 1)
                   for subset in combinations(rows, size))
@@ -421,6 +436,36 @@ def test_full_kernel_reduces_each_vanishing_set_once(s2xs2_model, monkeypatch):
     assert len(distinct) == 4 < 2 * len(chambers.chambers)
     assert len(calls) == len(set(calls))
     assert set(calls) == {(names, d) for names in distinct for d in (0, 2, 4)}
+
+
+def test_full_kernel_rank_four_sphere_product():
+    """(S^2)^4 through degree 4, against the rows the dense Gauss-Jordan
+    elimination gave before the sparse echelon replaced it; the chamber sides
+    read from the signs are the moment pairings of the representatives."""
+    space, gens = sphere_product(4)
+    model = build_model(space, gens, 4)
+    rows, chambers = check_full_kernel(model, [0, 2, 4], torus_integral(space))
+    assert len(chambers.chambers) == chambers.expected == 192
+    assert [(r.degree, r.kernel_dim, r.chamber_sum_dim) for r in rows] == \
+        [(0, 0, 0), (2, 8, 8), (4, 32, 32)]
+    assert all(r.ok for r in rows)
+    assert positive_sides(space, chambers) == [
+        positive_side(space, ch.representative) for ch in chambers.chambers]
+
+
+def test_positive_sides_follow_moment_orientation():
+    # moments of both signs and a non-primitive one: the sides still match
+    vars = Variables(("X", "Y"))
+    zero = EquivariantPolynomial.zero(vars)
+    moments = {"a": (Q(2), Q(-4)), "b": (Q(-1, 3), Q(2, 3)), "c": (Q(0), Q(1)),
+               "d": (Q(-3), Q(0))}
+    comps = [FixedComponent(name, m, POINT_ALGEBRA, ((lf(1, 1), zero), (lf(1, -2), zero)))
+             for name, m in moments.items()]
+    space = HamiltonianSpace(vars, 4, comps)
+    chambers = enumerate_generic_directions(space)
+    sides = positive_sides(space, chambers)
+    assert sides == [positive_side(space, ch.representative) for ch in chambers.chambers]
+    assert len(set(sides)) > 2
 
 
 def test_torus_kernel_s2(s2_model):

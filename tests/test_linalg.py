@@ -1,4 +1,4 @@
-"""Exact rational linear algebra used by the kernel computations."""
+"""Exact sparse rational linear algebra used by the kernel computations."""
 
 from fractions import Fraction as Q
 
@@ -16,28 +16,42 @@ from resloc.linalg import (
 
 
 def m(rows):
-    return [[Q(x) for x in row] for row in rows]
+    """Sparse rows from dense ones."""
+    return [{j: Q(x) for j, x in enumerate(row) if x} for row in rows]
+
+
+def dense(vec, ncols):
+    return [vec.get(j, Q(0)) for j in range(ncols)]
+
+
+def apply(row, vec):
+    return sum((row.get(k, 0) * v for k, v in vec.items()), Q(0))
 
 
 def test_row_reduce_pivots():
     reduced, pivots = row_reduce(m([[0, 2, 4], [1, 1, 1]]))
     assert pivots == [0, 1]
     assert reduced[0][0] == 1 and reduced[1][1] == 1
-    assert reduced[0][1] == 0  # fully reduced above pivots
+    assert 1 not in reduced[0]  # fully reduced above pivots
 
 
 def test_rank_and_nullspace():
     rows = m([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert rank(rows) == 2
-    null = nullspace(rows)
+    null = nullspace(rows, 3)
     assert len(null) == 1
     v = null[0]
     for row in rows:
-        assert sum(a * b for a, b in zip(row, v)) == 0
+        assert apply(row, v) == 0
 
 
 def test_nullspace_of_empty_system_is_full():
-    assert len(nullspace([], ncols=3)) == 3
+    assert nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+
+
+def test_explicit_zero_entries_are_zero():
+    assert row_reduce([{0: Q(0), 2: Q(3)}]) == ([{2: 1}], [2])
+    assert independent_indices([{0: Q(0)}, {1: Q(2)}]) == [1]
 
 
 def test_independent_indices():
@@ -70,11 +84,12 @@ def matrices(draw):
 @given(matrices())
 def test_rank_plus_nullity(data):
     rows, ncols = data
-    null = nullspace(rows, ncols=ncols)
+    rows = m(rows)
+    null = nullspace(rows, ncols)
     assert rank(rows) + len(null) == ncols
     for v in null:
         for row in rows:
-            assert sum(a * b for a, b in zip(row, v)) == 0
+            assert apply(row, v) == 0
     # kernel vectors are themselves independent
     assert rank(null) == len(null)
 
@@ -82,7 +97,79 @@ def test_rank_plus_nullity(data):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_span_of_reduction_matches(data):
-    rows, ncols = data
+    rows = m(data[0])
     keep = independent_indices(rows)
     assert span_equal(rows, [rows[i] for i in keep])
     assert rank([rows[i] for i in keep]) == len(keep)
+
+
+# -- the echelon against a dense reference ---------------------------------------
+
+
+def dense_rref(rows, ncols):
+    """Textbook Gauss-Jordan on dense rows: (nonzero RREF rows, pivots)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        mat[r] = [v / mat[r][c] for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat[:len(pivots)], pivots
+
+
+def dense_nullspace(rows, ncols):
+    rref, pivots = dense_rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [Q(0)] * ncols
+            vec[free] = Q(1)
+            for row, p in zip(rref, pivots):
+                vec[p] = -row[free]
+            basis.append(vec)
+    return basis
+
+
+ENTRIES = (Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-5, 3))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Wide, mostly zero matrices up to 8 x 12, with forced zero rows and
+    columns on top of the ones the low density leaves."""
+    ncols = draw(st.integers(1, 12))
+    nrows = draw(st.integers(0, 8))
+    zeros = draw(st.integers(2, 12))
+    entry = st.sampled_from((Q(0),) * zeros + ENTRIES)
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=3))
+    rows = [[Q(0) if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)]
+            for i, row in enumerate(rows)]
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_echelon_matches_dense_gauss_jordan(data):
+    rows, ncols = data
+    sparse = m(rows)
+    reduced, pivots = row_reduce(sparse)
+    ref_rows, ref_pivots = dense_rref(rows, ncols)
+    assert pivots == ref_pivots
+    assert [dense(r, ncols) for r in reduced] == ref_rows
+    assert all(0 not in r.values() for r in reduced)
+    assert [dense(v, ncols) for v in nullspace(sparse, ncols)] == dense_nullspace(rows, ncols)
+    greedy = []
+    for i, row in enumerate(rows):
+        if len(dense_rref([rows[j] for j in greedy] + [row], ncols)[1]) > len(greedy):
+            greedy.append(i)
+    assert independent_indices(sparse) == greedy
