@@ -279,7 +279,8 @@ def check_circle_kernel_split(model: DegreeTruncatedModel, degrees: list[int],
     """Degreewise comparison: the kernel of a circle integral against the
     direct sum of the two one-sided vanishing subspaces of its direction.
 
-    The one integral serves every degree, so its residue terms are shared.
+    The one integral serves every degree, so its tau table of residues, one
+    per (positive-side component, monomial), is filled once for all of them.
     """
     plus_side = positive_side(model.space, integral.xi)
     minus_side = frozenset(f.name for f in model.space.components) - plus_side

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import linalg
 from .residues import (
@@ -22,7 +22,6 @@ from .residues import (
     res_x_plus,
 )
 from .symcore import (
-    POINT_ALGEBRA,
     EquivariantPolynomial,
     ExactDivisionError,
     GradedAlgebra,
@@ -32,6 +31,8 @@ from .symcore import (
     ValidationError,
     Variables,
 )
+
+_Tau = TypeVar("_Tau")
 
 __all__ = [
     "NonGenericError",
@@ -152,9 +153,11 @@ class HamiltonianSpace:
 
     def localization_term(self, f: FixedComponent,
                           restriction: EquivariantPolynomial) -> RationalSection:
-        """Componentwise integral of restriction / euler, a pure rational section."""
+        """Componentwise integral of restriction / euler, a pure rational section
+        over the full Euler denominator, not yet cancelled: a sum of such terms
+        cancels once, at the end."""
         inv = self.euler_inverse(f)
-        return RationalSection((restriction * inv.numer).integrate(), inv.denom)
+        return RationalSection((restriction * inv.numer).integrate(), inv.denom, cancel=False)
 
 
 class RestrictedClass:
@@ -409,16 +412,15 @@ def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
 
 
 def localization_sum(space: HamiltonianSpace, eta: RestrictedClass) -> RationalSection:
-    """Fixed-point sum of the componentwise integrals of eta / euler.
+    """Fixed-point sum of the componentwise integrals of eta / euler, added
+    over one common denominator.
 
     For restrictions of a genuine equivariant class this is the equivariant
     integral over the total space, hence a polynomial; failure of the
     polynomiality is the data-validity signal used throughout.
     """
-    total = RationalSection.zero(space.vars, POINT_ALGEBRA)
-    for f in space.components:
-        total = total + space.localization_term(f, eta.restrictions[f.name])
-    return total
+    return RationalSection.sum(space.vars, (
+        space.localization_term(f, eta.restrictions[f.name]) for f in space.components))
 
 
 @dataclass(frozen=True)
@@ -434,38 +436,59 @@ class KirwanIntegral:
         return self.evaluate(eta)
 
 
+def _monomial_table(adapted: AdaptedSpace, components: Sequence[FixedComponent],
+                    entry: Callable[[FixedComponent, RationalSection], _Tau]
+                    ) -> Callable[[RestrictedClass], Iterator[tuple[Fraction, _Tau]]]:
+    """The table tau of a fixed-point functional that is linear in each
+    component's restriction.
+
+    tau[F, k] is ``entry`` applied to the localization term, in adapted
+    coordinates, of the single monomial with key k = (exponents, algebra
+    basis index) at component F.  The returned function lists the pairs
+    (eta_F[k], tau[F, k]) of a class over the given components, so the
+    functional's value is their sum of products.  Each entry is computed on
+    first use and kept for the life of the table.
+    """
+    tau: dict[tuple[str, tuple[tuple[int, ...], int]], _Tau] = {}
+
+    def pairs(eta: RestrictedClass) -> Iterator[tuple[Fraction, _Tau]]:
+        for f in components:
+            for key, c in eta.restrictions[f.name].terms.items():
+                value = tau.get((f.name, key))
+                if value is None:
+                    monomial = EquivariantPolynomial(adapted.space.vars, f.algebra, {key: 1})
+                    term = adapted.space.localization_term(f, adapted.adapt(monomial))
+                    # cancelled first, so the residues see the lowest pole orders
+                    value = entry(f, RationalSection(term.numer, term.denom))
+                    tau[f.name, key] = value
+                yield c, value
+
+    return pairs
+
+
 def circle_integral(space: HamiltonianSpace, xi: CircleDirection) -> KirwanIntegral:
     """Residue form of the circle-level Kirwan integral: sum over the components
     on the positive side of xi of the residue along xi.  Values are polynomials
     in the non-circle variables, up to a global constant.
 
-    The integral is linear in each component's restriction, so the residue
-    term of every (component, restriction) pair is computed once, in adapted
-    coordinates, and kept for the life of the returned object; reuse one
-    object across many classes.  The polynomiality check still runs on every
-    evaluation.
+    The integral is linear in each component's restriction, so it is read off
+    a table: tau[F, k] is the residue along xi of the localization term of
+    monomial k at a positive-side component F, computed once on first use and
+    kept for the life of the returned object; reuse one object across many
+    classes.  A class's value is the sum of eta_F[k] * tau[F, k] over one
+    common denominator, and the polynomiality check runs on every evaluation.
     """
     violations = is_generic(space, xi)
     if violations:
         raise NonGenericError(f"direction {xi.vector} is not generic", violations)
     adapted = adapt_space(space, xi)
     plus_names = positive_side(space, xi)
-    plus = [f for f in adapted.space.components if f.name in plus_names]
-    residues: dict[tuple[str, EquivariantPolynomial], RationalSection] = {}
-
-    def residue(f: FixedComponent, restriction: EquivariantPolynomial) -> RationalSection:
-        key = (f.name, restriction)
-        term = residues.get(key)
-        if term is None:
-            term = res_x_plus(adapted.space.localization_term(f, adapted.adapt(restriction)),
-                              0, method="poles")
-            residues[key] = term
-        return term
+    pairs = _monomial_table(
+        adapted, [f for f in adapted.space.components if f.name in plus_names],
+        lambda f, term: res_x_plus(term, 0, method="poles"))
 
     def evaluate(eta: RestrictedClass) -> EquivariantPolynomial:
-        total = RationalSection.zero(space.vars, POINT_ALGEBRA)
-        for f in plus:
-            total = total + residue(f, eta.restrictions[f.name])
+        total = RationalSection.sum(space.vars, (value.scale(c) for c, value in pairs(eta)))
         if total.involves(0):
             raise ArithmeticError("circle-level integral still involves the circle variable")
         try:
@@ -484,7 +507,14 @@ def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,
     weighted iterated residue of the fixed-point sum, innermost residue taken
     along a generic circle direction (the first one found when xi is None).
     The first-applied direction of the ordering must be generic; that is
-    checked here, once."""
+    checked here, once.
+
+    The iterated residue is linear in each component's restriction, so the
+    integral is read off a table of rationals: tau[F, k] is the iterated
+    residue of the moment-weighted localization term of monomial k at
+    component F alone, computed once on first use, and a class's value is the
+    sum of eta_F[k] * tau[F, k].
+    """
     if xi is None:
         xi = find_generic_direction(space)
     adapted = adapt_space(space, xi)
@@ -501,11 +531,11 @@ def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,
                 raise NonGenericError(
                     f"first-applied direction annihilates a weight at {f.name}",
                     [("weight", f.name)])
+    pairs = _monomial_table(
+        adapted, adapted.space.components,
+        lambda f, term: iterated_residue_selected([MomentTerm(f.moment, term)], ordering))
 
     def evaluate(eta: RestrictedClass) -> Fraction:
-        terms = [MomentTerm(f.moment, adapted.space.localization_term(
-                     f, adapted.adapt(eta.restrictions[f.name])))
-                 for f in adapted.space.components]
-        return iterated_residue_selected(terms, ordering)
+        return sum((c * value for c, value in pairs(eta)), Q(0))
 
     return KirwanIntegral(adapted.xi, evaluate)

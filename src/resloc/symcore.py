@@ -668,12 +668,43 @@ class RationalSection:
                     p = p.mul_pure(fp)
         return p
 
+    @staticmethod
+    def _common_denominator(sections: Iterable["RationalSection"]) -> dict[LinearForm, int]:
+        common: dict[LinearForm, int] = {}
+        for s in sections:
+            for form, mult in s.denom.items():
+                if mult > common.get(form, 0):
+                    common[form] = mult
+        return common
+
+    @staticmethod
+    def sum(vars: Variables, sections: Iterable["RationalSection"],
+            algebra: GradedAlgebra = POINT_ALGEBRA) -> "RationalSection":
+        """Sum over one common denominator: every numerator is extended once
+        to the least common multiple of the denominators, the numerators are
+        added, and the result is cancelled once.
+
+        Over the point algebra a fully cancelled section is unique, since its
+        denominator is a product of normalized linear forms, so this gives
+        the same numerator and denominator as a left fold of ``+``.
+        """
+        sections = list(sections)
+        common = RationalSection._common_denominator(sections)
+        numer = EquivariantPolynomial.zero(vars, algebra)
+        terms = numer.terms
+        for s in sections:
+            extended = s._extend_numer_to(common)
+            numer._check(extended)
+            for key, c in extended.terms.items():
+                v = terms.get(key, 0) + c
+                if v:
+                    terms[key] = v
+                else:
+                    del terms[key]
+        return RationalSection(numer, common)
+
     def __add__(self, other: "RationalSection") -> "RationalSection":
-        common: dict[LinearForm, int] = dict(self.denom)
-        for form, mult in other.denom.items():
-            common[form] = max(common.get(form, 0), mult)
-        return RationalSection(self._extend_numer_to(common) + other._extend_numer_to(common),
-                               common)
+        return RationalSection.sum(self.vars, (self, other), self.algebra)
 
     def __neg__(self) -> "RationalSection":
         return RationalSection(-self.numer, self.denom, cancel=False)
@@ -693,9 +724,7 @@ class RationalSection:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalSection):
             return NotImplemented
-        common: dict[LinearForm, int] = dict(self.denom)
-        for form, mult in other.denom.items():
-            common[form] = max(common.get(form, 0), mult)
+        common = RationalSection._common_denominator((self, other))
         return self._extend_numer_to(common) == other._extend_numer_to(common)
 
     def __hash__(self):

@@ -237,7 +237,7 @@ def test_kernel_circle_wrong_arity(capsys):
 
 def test_kernel_circle_builds_one_integral(capsys, monkeypatch):
     # the calibration value comes from the integral the check used, so no
-    # residue is computed twice
+    # residue is computed twice: one per (positive-side component, monomial)
     calls = []
     real = spaces.res_x_plus
 
@@ -248,7 +248,7 @@ def test_kernel_circle_builds_one_integral(capsys, monkeypatch):
     monkeypatch.setattr(spaces, "res_x_plus", counted)
     code, _, _ = run(capsys, "kernel", "s2cubed-su2", "--circle=1")
     assert code == 0
-    assert len(calls) == 28
+    assert len(calls) == 24
 
 
 def test_kernel_full_s2xs2(capsys):

@@ -232,6 +232,8 @@ def test_circle_split_shared_integral_matches_fresh(s2xs2_model, nonisolated, me
 
 
 def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch):
+    # one residue per (positive-side component, monomial key), shared by every
+    # class whose restriction there has that monomial, and none on re-evaluation
     calls = []
     real = spaces.res_x_plus
 
@@ -245,15 +247,16 @@ def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch):
     classes = [el.cls for el in s2xs2_model.basis_by_degree[4]]
     values = [integral(cls) for cls in classes]
     plus = positive_side(s2xs2_model.space, xi)
-    distinct = {(name, cls.restrictions[name]) for cls in classes for name in plus}
-    assert len(calls) == len(distinct) < len(classes) * len(plus)
+    distinct = {(name, key) for cls in classes for name in plus
+                for key in cls.restrictions[name].terms}
+    assert len(calls) == len(distinct) == 6
     assert [integral(cls) for cls in classes] == values
-    assert len(calls) == len(distinct)
+    assert len(calls) == 6
 
 
 def test_circle_integral_adapts_only_on_residue_misses(s2xs2_model, monkeypatch):
-    # a restriction is moved into adapted coordinates only when its residue
-    # term is computed, never for a cached term or a whole class
+    # a monomial is moved into adapted coordinates only when its residue is
+    # computed, never for a table hit or a whole class
     calls = {"adapt": 0, "residue": 0}
     adapt, residue = spaces.AdaptedSpace.adapt, spaces.res_x_plus
 
@@ -282,9 +285,10 @@ def test_circle_integral_checks_polynomiality_on_cache_hits(s2xs2, monkeypatch):
     assert u1.restrictions["SN"] != u2.restrictions["SN"]
     integral = circle_integral(s2xs2.space, xi)
     assert integral(u2).is_zero()
-    # From here on every residue not yet computed gains a pole in the
-    # non-circle variable.  Evaluating u1 reuses the NN residue of u2 and
-    # computes a new one at SN, so the sum must fail the polynomiality check.
+    # From here on every tau entry not yet computed gains a pole in the
+    # non-circle variable.  u2 still reads nothing off the table.  Evaluating
+    # u1 fills the entry of its monomial X at SN, so the sum must fail the
+    # polynomiality check, and fail it again when that entry is a table hit.
     real = spaces.res_x_plus
 
     def with_pole(h, var, method):
@@ -293,8 +297,9 @@ def test_circle_integral_checks_polynomiality_on_cache_hits(s2xs2, monkeypatch):
 
     monkeypatch.setattr(spaces, "res_x_plus", with_pole)
     assert integral(u2).is_zero()
-    with pytest.raises(ValidationError, match="not a polynomial"):
-        integral(u1)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not a polynomial"):
+            integral(u1)
 
 
 def test_circle_pairing_matches_integral(s2xs2):

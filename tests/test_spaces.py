@@ -1,12 +1,20 @@
 """Fixed-point spaces, localization sums, and the circle / torus / nonabelian
 Kirwan-map integrals on the bundled examples."""
 
+import random
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
-from resloc.datasets import load_dataset
-from resloc.residues import VariableOrdering
+from resloc.datasets import bundled_names, load_dataset
+from resloc.kernels import build_model
+from resloc.residues import (
+    MomentTerm,
+    VariableOrdering,
+    iterated_residue_selected,
+    res_x_plus,
+)
 from resloc.spaces import (
     CircleDirection,
     FixedComponent,
@@ -19,6 +27,7 @@ from resloc.spaces import (
     generator_products,
     is_generic,
     localization_sum,
+    positive_side,
     torus_integral,
     unimodular_completion,
 )
@@ -224,14 +233,41 @@ def test_localization_polynomial_on_all_datasets():
                 assert localization_sum(ds.space, a * b).is_polynomial()
 
 
-def test_localization_detects_bad_data(s2):
-    sp = s2.space
+def flipped_weight(s2):
     # flip one Euler weight: the fixed-point sum stops being polynomial
-    broken = HamiltonianSpace(sp.vars, 2, [
+    sp = s2.space
+    return HamiltonianSpace(sp.vars, 2, [
         sp.components[0],
         FixedComponent("S", sp.components[1].moment, sp.components[1].algebra,
                        sp.components[0].normal_lines)])
+
+
+def test_localization_detects_bad_data(s2):
+    broken = flipped_weight(s2)
     assert not localization_sum(broken, RestrictedClass.unit(broken)).is_polynomial()
+
+
+def test_localization_sum_matches_left_fold_term_for_term(s2):
+    # one common denominator and one cancellation give the very numerator and
+    # denominator that adding the component terms one by one gives
+    cases = []
+    for name in bundled_names():
+        ds = load_dataset(name)
+        cases += [(ds.space, cls) for _, cls in
+                  generator_products(ds.space, ds.generators, ds.space.dim)]
+    broken = flipped_weight(s2)
+    cases.append((broken, RestrictedClass.unit(broken)))
+    for space, cls in cases:
+        fold = RationalSection.zero(space.vars)
+        for f in space.components:
+            fold = fold + space.localization_term(f, cls.restrictions[f.name])
+        one_shot = localization_sum(space, cls)
+        assert one_shot.numer.terms == fold.numer.terms
+        assert one_shot.denom == fold.denom
+    # the text the command line prints for the pole
+    assert str(localization_sum(broken, RestrictedClass.unit(broken))) == "(-2) / ((X))"
+    empty = RationalSection.sum(V2, [])
+    assert empty.numer.terms == {} and empty.denom == {}
 
 
 # -- circle-level integral ---------------------------------------------------------
@@ -320,3 +356,95 @@ def test_kappa_t_against_root_square_s2cubed(s2cubed):
     sp = s2cubed.space
     x = EquivariantPolynomial.variable(sp.vars, 0)
     assert torus_integral(sp)(RestrictedClass.unit(sp).mul_pure(x * x)) == 2
+
+
+# -- the integrals as tables on restriction monomials --------------------------
+
+
+TABLE_SPACES = {"s2xs2-t2": 4, "s2cubed-su2": 6, "s2xs2-nonisolated": 4}
+
+
+@pytest.fixture(scope="module")
+def slice_products():
+    """Per table space: the space and, by degree, every product of two model
+    slice classes within the model's degree."""
+    out = {}
+    for name, max_degree in TABLE_SPACES.items():
+        ds = load_dataset(name)
+        slices = build_model(ds.space, ds.generators, max_degree).basis_by_degree
+        products: dict[int, list[RestrictedClass]] = {}
+        for d1, d2 in product(slices, repeat=2):
+            if d1 <= d2 and d1 + d2 <= max_degree:
+                products.setdefault(d1 + d2, []).extend(
+                    a.cls * b.cls for a in slices[d1] for b in slices[d2])
+        out[name] = (ds.space, products)
+    return out
+
+
+def random_combinations(space, products, seed, count=12):
+    """Random rational combinations of up to four products of one degree."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        degree = rng.choice(sorted(products))
+        picked = rng.sample(products[degree], min(4, len(products[degree])))
+        eta = RestrictedClass.zero(space, degree)
+        for cls in picked:
+            eta = eta + cls.scale(Q(rng.randint(-9, 9), rng.randint(1, 7)))
+        yield eta
+
+
+@pytest.mark.parametrize("name, xi, ordering", [
+    ("s2xs2-t2", None, None),
+    ("s2xs2-t2", (3, -2), VariableOrdering((1, 0), Q(-3, 2))),
+    ("s2cubed-su2", None, None),
+    ("s2cubed-su2", (-1,), VariableOrdering((0,), Q(5, 3))),
+    ("s2xs2-nonisolated", None, None),
+])
+def test_kappa_t_table_matches_whole_class_residue(slice_products, name, xi, ordering):
+    # oracle: one iterated residue of the whole fixed-point sum per class
+    space, products = slice_products[name]
+    integral = torus_integral(space, xi and CircleDirection.make(xi), ordering)
+    adapted = adapt_space(space, integral.xi)
+    ordering = ordering or VariableOrdering(tuple(range(space.vars.count)))
+    values = []
+    for seed in range(3):
+        for eta in random_combinations(space, products, seed):
+            whole = iterated_residue_selected(
+                [MomentTerm(f.moment, adapted.space.localization_term(
+                    f, adapted.adapt(eta.restrictions[f.name])))
+                 for f in adapted.space.components], ordering)
+            assert integral(eta) == whole
+            values.append(whole)
+    assert any(values)
+
+
+@pytest.mark.parametrize("route", ["poles", "series"])
+@pytest.mark.parametrize("name, xi", [
+    ("s2xs2-t2", (1, 2)),
+    ("s2xs2-t2", (-1, 2)),
+    ("s2cubed-su2", (1,)),
+    ("s2xs2-nonisolated", (1,)),
+    ("s2xs2-nonisolated", (-1,)),
+])
+def test_kappa_s_table_matches_whole_class_residues(slice_products, series_route,
+                                                    name, xi, route):
+    # oracle: the residue along xi of each positive-side component's whole
+    # localization term, added one by one
+    space, products = slice_products[name]
+    xi = CircleDirection.make(xi)
+    adapted = adapt_space(space, xi)
+    plus = positive_side(space, xi)
+    if route == "series":
+        series_route()
+    integral = circle_integral(space, xi)
+    values = []
+    for seed in range(3):
+        for eta in random_combinations(space, products, seed):
+            whole = RationalSection.zero(space.vars)
+            for f in adapted.space.components:
+                if f.name in plus:
+                    whole = whole + res_x_plus(adapted.space.localization_term(
+                        f, adapted.adapt(eta.restrictions[f.name])), 0, method="poles")
+            assert integral(eta) == whole.as_polynomial()
+            values.append(whole)
+    assert any(not v.is_zero() for v in values)
