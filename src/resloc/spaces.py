@@ -106,6 +106,8 @@ class HamiltonianSpace:
         self.dim = int(dim)
         self.components = tuple(components)
         self._euler_inverse_cache: dict[str, RationalSection] = {}
+        self._common_euler_cache: tuple[dict[LinearForm, int],
+                                        dict[str, EquivariantPolynomial]] | None = None
         self._validate()
 
     def _validate(self):
@@ -151,11 +153,21 @@ class HamiltonianSpace:
             self._euler_inverse_cache[f.name] = sec
         return sec
 
+    def _common_euler(self) -> tuple[dict[LinearForm, int], dict[str, EquivariantPolynomial]]:
+        """The least common multiple C of the components' Euler denominators,
+        and each component's Euler numerator extended to C, by component
+        name; built on first use and kept."""
+        if self._common_euler_cache is None:
+            inverses = {f.name: self.euler_inverse(f) for f in self.components}
+            common = RationalSection.common_denominator(inverses.values())
+            self._common_euler_cache = (common, {
+                name: inv.numer_over(common) for name, inv in inverses.items()})
+        return self._common_euler_cache
+
     def localization_term(self, f: FixedComponent,
                           restriction: EquivariantPolynomial) -> RationalSection:
         """Componentwise integral of restriction / euler, a pure rational section
-        over the full Euler denominator, not yet cancelled: a sum of such terms
-        cancels once, at the end."""
+        over the full Euler denominator, not yet cancelled."""
         inv = self.euler_inverse(f)
         return RationalSection((restriction * inv.numer).integrate(), inv.denom, cancel=False)
 
@@ -413,14 +425,21 @@ def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
 
 def localization_sum(space: HamiltonianSpace, eta: RestrictedClass) -> RationalSection:
     """Fixed-point sum of the componentwise integrals of eta / euler, added
-    over one common denominator.
+    over the space's common Euler denominator C and cancelled once.
+
+    Over the point algebra a fully cancelled section is unique, so this is
+    the same numerator and denominator as a left fold of the components'
+    ``localization_term``s, even where a zero term would have let the fold
+    use a smaller denominator.
 
     For restrictions of a genuine equivariant class this is the equivariant
     integral over the total space, hence a polynomial; failure of the
     polynomiality is the data-validity signal used throughout.
     """
-    return RationalSection.sum(space.vars, (
-        space.localization_term(f, eta.restrictions[f.name]) for f in space.components))
+    common, numers = space._common_euler()
+    return RationalSection(EquivariantPolynomial.sum(space.vars, (
+        (eta.restrictions[f.name] * numers[f.name]).integrate()
+        for f in space.components)), common)
 
 
 @dataclass(frozen=True)

@@ -69,13 +69,26 @@ def monomial_sort_key(exps: tuple[int, ...]):
 
 @dataclass(frozen=True)
 class LinearForm:
-    """Homogeneous linear form sum(coeffs[i] * variable_i); no constant term."""
+    """Homogeneous linear form sum(coeffs[i] * variable_i); no constant term.
+
+    The normalization and the hash are computed at most once per object and
+    kept on it, so a denominator that holds the same form objects again and
+    again never rebuilds their Fraction tuples.
+    """
 
     coeffs: tuple[Fraction, ...]
 
     @staticmethod
     def make(coeffs: Iterable) -> "LinearForm":
         return LinearForm(tuple(_q(c) for c in coeffs))
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.coeffs,))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -88,7 +101,14 @@ class LinearForm:
 
     def normalized(self) -> tuple[Fraction, "LinearForm"]:
         """Write self = scale * primitive where primitive has coprime integer
-        coefficients and positive leading (first nonzero) coefficient."""
+        coefficients and positive leading (first nonzero) coefficient.
+
+        A primitive form is its own normalization, with scale 1, and the
+        primitive returned is kept as normalized too."""
+        try:
+            return self._normal
+        except AttributeError:
+            pass
         if self.is_zero():
             raise ValidationError("cannot normalize the zero linear form")
         den = 1
@@ -101,8 +121,15 @@ class LinearForm:
         lead = next(v for v in ints if v != 0)
         if lead < 0:
             g = -g
-        prim = LinearForm(tuple(Q(v // g) for v in ints))
-        return Q(g, den), prim
+        coeffs = tuple(Q(v // g) for v in ints)
+        # a form built from ints is not its own primitive: residue code
+        # divides primitive coefficients and needs Fractions there
+        own = coeffs == self.coeffs and all(type(c) is Fraction for c in self.coeffs)
+        prim = self if own else LinearForm(coeffs)
+        object.__setattr__(prim, "_normal", (Q(1), prim))
+        if prim is not self:
+            object.__setattr__(self, "_normal", (Q(g, den), prim))
+        return self._normal
 
     def render(self, names: tuple[str, ...]) -> str:
         parts = []
@@ -367,6 +394,22 @@ class EquivariantPolynomial:
                 out.terms.pop(key, None)
         return out
 
+    @staticmethod
+    def sum(vars: Variables, polys: Iterable["EquivariantPolynomial"],
+            algebra: GradedAlgebra = POINT_ALGEBRA) -> "EquivariantPolynomial":
+        """Sum of many polynomials, added in place into one term dict."""
+        out = EquivariantPolynomial(vars, algebra)
+        terms = out.terms
+        for p in polys:
+            out._check(p)
+            for key, c in p.terms.items():
+                v = terms.get(key, 0) + c
+                if v:
+                    terms[key] = v
+                else:
+                    del terms[key]
+        return out
+
     def __neg__(self) -> "EquivariantPolynomial":
         return EquivariantPolynomial(self.vars, self.algebra,
                                      {k: -c for k, c in self.terms.items()})
@@ -608,10 +651,12 @@ class RationalSection:
                 raise ValidationError("negative denominator multiplicity")
             if mult == 0:
                 continue
-            if form.is_zero():
-                raise ZeroDivisionError("zero linear form in a denominator")
-            s, prim = form.normalized()
-            scale *= s ** mult
+            try:
+                s, prim = form.normalized()
+            except ValidationError:
+                raise ZeroDivisionError("zero linear form in a denominator") from None
+            if s != 1:
+                scale *= s ** mult
             merged[prim] = merged.get(prim, 0) + mult
         if scale != 1:
             numer = numer.scale(Q(1) / scale)
@@ -656,7 +701,8 @@ class RationalSection:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _extend_numer_to(self, target: Mapping[LinearForm, int]) -> EquivariantPolynomial:
+    def numer_over(self, target: Mapping[LinearForm, int]) -> EquivariantPolynomial:
+        """The numerator over a denominator that this one divides."""
         p = self.numer
         for form, mult in sorted(target.items(), key=lambda kv: kv[0].coeffs):
             extra = mult - self.denom.get(form, 0)
@@ -669,7 +715,8 @@ class RationalSection:
         return p
 
     @staticmethod
-    def _common_denominator(sections: Iterable["RationalSection"]) -> dict[LinearForm, int]:
+    def common_denominator(sections: Iterable["RationalSection"]) -> dict[LinearForm, int]:
+        """Least common multiple of the sections' denominators."""
         common: dict[LinearForm, int] = {}
         for s in sections:
             for form, mult in s.denom.items():
@@ -689,18 +736,9 @@ class RationalSection:
         the same numerator and denominator as a left fold of ``+``.
         """
         sections = list(sections)
-        common = RationalSection._common_denominator(sections)
-        numer = EquivariantPolynomial.zero(vars, algebra)
-        terms = numer.terms
-        for s in sections:
-            extended = s._extend_numer_to(common)
-            numer._check(extended)
-            for key, c in extended.terms.items():
-                v = terms.get(key, 0) + c
-                if v:
-                    terms[key] = v
-                else:
-                    del terms[key]
+        common = RationalSection.common_denominator(sections)
+        numer = EquivariantPolynomial.sum(
+            vars, (s.numer_over(common) for s in sections), algebra)
         return RationalSection(numer, common)
 
     def __add__(self, other: "RationalSection") -> "RationalSection":
@@ -724,8 +762,8 @@ class RationalSection:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalSection):
             return NotImplemented
-        common = RationalSection._common_denominator((self, other))
-        return self._extend_numer_to(common) == other._extend_numer_to(common)
+        common = RationalSection.common_denominator((self, other))
+        return self.numer_over(common) == other.numer_over(common)
 
     def __hash__(self):
         raise TypeError("RationalSection is unhashable; compare with ==")

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from resloc import symcore
 from resloc.datasets import bundled_names, load_dataset
 from resloc.kernels import build_model
 from resloc.residues import (
@@ -247,27 +248,111 @@ def test_localization_detects_bad_data(s2):
     assert not localization_sum(broken, RestrictedClass.unit(broken)).is_polynomial()
 
 
-def test_localization_sum_matches_left_fold_term_for_term(s2):
-    # one common denominator and one cancellation give the very numerator and
-    # denominator that adding the component terms one by one gives
+def projective_space(n):
+    """CP^n under T^n: fixed points p_0..p_n with x_0 = 0, weights x_j - x_i
+    at p_i, moment e_i minus a small offset, and the hyperplane generator u
+    restricting to x_i at p_i."""
+    vars = Variables(tuple(f"X{i}" for i in range(1, n + 1)))
+    zero = EquivariantPolynomial.zero(vars)
+
+    def x(i):
+        return [1 if j + 1 == i else 0 for j in range(n)]
+
+    comps = []
+    for i in range(n + 1):
+        lines = tuple((lf(*(a - b for a, b in zip(x(j), x(i)))), zero)
+                      for j in range(n + 1) if j != i)
+        moment = tuple(Q(e) - Q(1, 5 + k) for k, e in enumerate(x(i)))
+        comps.append(FixedComponent(f"p{i}", moment, POINT_ALGEBRA, lines))
+    space = HamiltonianSpace(vars, 2 * n, comps)
+    u = RestrictedClass(space, 2, {f"p{i}": EquivariantPolynomial.variable(vars, i - 1)
+                                   if i else zero for i in range(n + 1)})
+    return space, [("one", RestrictedClass.unit(space)), ("u", u)]
+
+
+def only_at(space, name, poly, degree):
+    """The class restricting to poly at one component and to 0 elsewhere."""
+    return RestrictedClass(space, degree, {
+        f.name: poly if f.name == name else EquivariantPolynomial.zero(space.vars, f.algebra)
+        for f in space.components})
+
+
+def euler_lcm(space):
+    return RationalSection.common_denominator(space.euler_inverse(f) for f in space.components)
+
+
+def test_localization_sum_matches_left_fold_term_for_term(s2, s2xs2):
+    # one common Euler denominator per space and one cancellation give the
+    # very numerator and denominator that adding the component terms one by
+    # one gives, also where the fold never reaches that denominator
     cases = []
     for name in bundled_names():
         ds = load_dataset(name)
-        cases += [(ds.space, cls) for _, cls in
+        cases += [(ds.space, cls, False) for _, cls in
                   generator_products(ds.space, ds.generators, ds.space.dim)]
+    cp3, cp3_gens = projective_space(3)
+    cases += [(cp3, cls, False) for _, cls in generator_products(cp3, cp3_gens, cp3.dim)]
+    # on CP^3 the common denominator is larger than every component's
+    assert all(cp3.euler_inverse(f).denom != euler_lcm(cp3) for f in cp3.components)
+    # zero on every component but one, so the fold adds over a smaller
+    # denominator: X at NN only, and the equivariant class of the point p0
+    x = EquivariantPolynomial.variable(s2xs2.space.vars, 0)
+    p0_class = EquivariantPolynomial.one(cp3.vars)
+    for w, _ in cp3.component("p0").normal_lines:
+        p0_class = p0_class * EquivariantPolynomial.from_linear_form(cp3.vars, w)
+    lone = [(s2xs2.space, only_at(s2xs2.space, "NN", x, 2)),
+            (cp3, only_at(cp3, "p0", p0_class, cp3.dim))]
+    cases += [(space, cls, True) for space, cls in lone]
     broken = flipped_weight(s2)
-    cases.append((broken, RestrictedClass.unit(broken)))
-    for space, cls in cases:
+    cases.append((broken, RestrictedClass.unit(broken), False))
+    for space, cls, is_lone in cases:
+        terms = [space.localization_term(f, cls.restrictions[f.name]) for f in space.components]
         fold = RationalSection.zero(space.vars)
-        for f in space.components:
-            fold = fold + space.localization_term(f, cls.restrictions[f.name])
+        for term in terms:
+            fold = fold + term
         one_shot = localization_sum(space, cls)
         assert one_shot.numer.terms == fold.numer.terms
         assert one_shot.denom == fold.denom
+        assert str(one_shot) == str(fold)
+        if is_lone:
+            # the one-shot sum cancels down from C to the fold's denominator;
+            # on CP^3 the fold never reaches C, its one nonzero term being
+            # over the Euler denominator of p0 alone
+            assert fold.denom != euler_lcm(space)
+    assert str(localization_sum(*lone[0])) == "(1) / ((Y))"
+    assert localization_sum(*lone[1]) == RationalSection.one(cp3.vars)
     # the text the command line prints for the pole
     assert str(localization_sum(broken, RestrictedClass.unit(broken))) == "(-2) / ((X))"
     empty = RationalSection.sum(V2, [])
     assert empty.numer.terms == {} and empty.denom == {}
+
+
+def test_localization_sum_builds_the_common_denominator_once(monkeypatch):
+    # the first sum on a space builds C and the extended Euler numerators;
+    # a later sum on another class only multiplies, integrates and cancels
+    space, gens = projective_space(3)
+    localization_sum(space, gens[0][1])
+    calls = {"invert_euler": 0, "euler_inverse": 0, "numer_over": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(symcore, "invert_euler", counted("invert_euler", symcore.invert_euler))
+    monkeypatch.setattr(HamiltonianSpace, "euler_inverse",
+                        counted("euler_inverse", HamiltonianSpace.euler_inverse))
+    monkeypatch.setattr(RationalSection, "numer_over",
+                        counted("numer_over", RationalSection.numer_over))
+    u = gens[1][1]
+    cube = u * u * u
+    total = localization_sum(space, cube)
+    assert calls == {"invert_euler": 0, "euler_inverse": 0, "numer_over": 0}
+    monkeypatch.undo()
+    assert total == RationalSection.sum(space.vars, (
+        space.localization_term(f, cube.restrictions[f.name]) for f in space.components))
+    assert not total.is_zero()
 
 
 # -- circle-level integral ---------------------------------------------------------

@@ -2,6 +2,7 @@
 factored rational sections, and Euler-class inversion."""
 
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,52 @@ def test_linear_form_normalization():
     assert scale == Q(-2)
     assert lf(0, 0).is_zero()
     assert lf(1, -2).pair((Q(3), Q(1))) == Q(1)
+
+
+def normalized_by_formula(coeffs):
+    """scale and primitive coefficients of a nonzero form, written out"""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return Q(g, den), tuple(Q(v // g) for v in ints)
+
+
+# a run of zero leading entries, then rationals of either sign
+form_coeffs = st.tuples(
+    st.integers(0, 2),
+    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6), min_size=1, max_size=3),
+).map(lambda zeros_rest: (Q(0),) * zeros_rest[0] + tuple(zeros_rest[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_coeffs, st.booleans())
+def test_linear_form_normalization_is_kept(coeffs, normalize_twin_first):
+    form, twin = LinearForm(coeffs), LinearForm(coeffs)
+    if normalize_twin_first and any(coeffs):
+        twin.normalized()
+    assert form == twin and hash(form) == hash(twin) == hash((coeffs,))
+    if not any(coeffs):
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                form.normalized()
+        vars = Variables(tuple(f"v{i}" for i in range(len(coeffs))))
+        with pytest.raises(ZeroDivisionError):
+            RationalSection(EquivariantPolynomial.one(vars), {form: 1})
+        return
+    scale, prim_coeffs = normalized_by_formula(coeffs)
+    first = form.normalized()
+    assert first == (scale, LinearForm(prim_coeffs))
+    assert form.normalized() == first
+    prim = first[1]
+    assert prim.normalized() == (1, prim)
+    assert prim.normalized()[1] is prim
+    assert hash(prim) == hash(LinearForm(prim_coeffs)) and hash(form) == hash(twin)
 
 
 def test_linear_form_render():
