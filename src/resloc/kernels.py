@@ -218,20 +218,16 @@ def vanishing_subspace(model: DegreeTruncatedModel, names: frozenset[str],
 def pairing_kernel(integral: KirwanIntegral, classes: list[RestrictedClass],
                    testing: list[RestrictedClass]) -> list[Row]:
     """Null space, in the coordinates of ``classes``, of the pairing
-    (eta, zeta) -> integral(eta * zeta) against every testing class.
+    (eta, zeta) -> integral(eta * zeta) against every testing class, read off
+    the integral's table as a bilinear form (``KirwanIntegral.values``).
 
     A scalar value gives one row per testing class, a polynomial value one
     row per monomial.
     """
     if not classes:
         return []
-    rows: list[Row] = []
-    for zeta in testing:
-        values = [integral(b * zeta) for b in classes]
-        if not isinstance(values[0], EquivariantPolynomial):
-            rows.append(dict(enumerate(values)))
-            continue
-        rows.extend(linalg.transpose([v.terms for v in values]).values())
+    rows = [row for zeta in testing
+            for row in linalg.transpose(integral.values(classes, zeta)).values()]
     return linalg.nullspace(rows, len(classes))
 
 

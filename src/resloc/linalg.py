@@ -12,14 +12,14 @@ from fractions import Fraction
 
 Row = dict[int, Fraction]
 
-__all__ = ["Row", "Echelon", "row_reduce", "rank", "det", "nullspace",
+__all__ = ["Row", "add_scaled", "Echelon", "row_reduce", "rank", "det", "nullspace",
            "independent_indices", "transpose", "span_equal", "intersect_trivially"]
 
 
-def _subtract(target: Row, f: Fraction, row: Row) -> None:
-    """target -= f * row, in place, keeping only nonzero entries."""
+def add_scaled(target: dict, f: Fraction, row: dict) -> None:
+    """target += f * row, in place, keeping only nonzero entries."""
     for k, x in row.items():
-        if v := target.get(k, 0) - f * x:
+        if v := target.get(k, 0) + f * x:
             target[k] = v
         else:
             del target[k]
@@ -36,7 +36,7 @@ class Echelon:
         out = {k: (v.numerator if v.denominator == 1 else v) for k, v in vec.items() if v}
         # rows vanish at each other's pivots, so each is subtracted once
         for c in [c for c in out if c in self.rows]:
-            _subtract(out, out[c], self.rows[c])
+            add_scaled(out, -out[c], self.rows[c])
         return out
 
     def add(self, vec: Row) -> bool:
@@ -49,7 +49,7 @@ class Echelon:
             row = {k: Fraction(v, lead) for k, v in row.items()}
         for other in self.rows.values():
             if pivot in other:
-                _subtract(other, other[pivot], row)
+                add_scaled(other, -other[pivot], row)
         self.rows[pivot] = row
         return True
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .residues import (
@@ -22,6 +22,7 @@ from .residues import (
     res_x_plus,
 )
 from .symcore import (
+    POINT_ALGEBRA,
     EquivariantPolynomial,
     ExactDivisionError,
     GradedAlgebra,
@@ -32,7 +33,7 @@ from .symcore import (
     Variables,
 )
 
-_Tau = TypeVar("_Tau")
+_Key = tuple[tuple[int, ...], int]   # (exponents, algebra basis index)
 
 __all__ = [
     "NonGenericError",
@@ -163,13 +164,6 @@ class HamiltonianSpace:
             self._common_euler_cache = (common, {
                 name: inv.numer_over(common) for name, inv in inverses.items()})
         return self._common_euler_cache
-
-    def localization_term(self, f: FixedComponent,
-                          restriction: EquivariantPolynomial) -> RationalSection:
-        """Componentwise integral of restriction / euler, a pure rational section
-        over the full Euler denominator, not yet cancelled."""
-        inv = self.euler_inverse(f)
-        return RationalSection((restriction * inv.numer).integrate(), inv.denom, cancel=False)
 
 
 class RestrictedClass:
@@ -386,11 +380,13 @@ class AdaptedSpace:
 
     space: HamiltonianSpace
     xi: CircleDirection
-    images: tuple[EquivariantPolynomial, ...]   # old variable i in the new ones
+    axes: tuple[LinearForm, ...]   # old variable i in the new ones
 
     def adapt(self, poly: EquivariantPolynomial) -> EquivariantPolynomial:
         """A restriction of the original space in the adapted variables."""
-        return poly.substitute_variables(self.images)
+        vars = self.space.vars
+        return poly.substitute_variables(
+            [EquivariantPolynomial.from_linear_form(vars, a) for a in self.axes])
 
 
 def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
@@ -415,9 +411,8 @@ def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
         components.append(FixedComponent(f.name, transform_covector(f.moment),
                                          f.algebra, lines))
     # old variable i is row i of the basis matrix in the new variables
-    images = tuple(EquivariantPolynomial.from_linear_form(space.vars, LinearForm.make(row))
-                   for row in basis_cols)
-    return AdaptedSpace(HamiltonianSpace(space.vars, space.dim, components), xi, images)
+    return AdaptedSpace(HamiltonianSpace(space.vars, space.dim, components), xi,
+                        tuple(LinearForm.make(row) for row in basis_cols))
 
 
 # -- localization integrals --------------------------------------------------
@@ -429,8 +424,8 @@ def localization_sum(space: HamiltonianSpace, eta: RestrictedClass) -> RationalS
 
     Over the point algebra a fully cancelled section is unique, so this is
     the same numerator and denominator as a left fold of the components'
-    ``localization_term``s, even where a zero term would have let the fold
-    use a smaller denominator.
+    terms eta_F / e_F, even where a zero term would have let the fold use a
+    smaller denominator.
 
     For restrictions of a genuine equivariant class this is the equivariant
     integral over the total space, hence a polynomial; failure of the
@@ -444,45 +439,88 @@ def localization_sum(space: HamiltonianSpace, eta: RestrictedClass) -> RationalS
 
 @dataclass(frozen=True)
 class KirwanIntegral:
-    """A Kirwan integral: a linear functional on restriction data, called on a
-    class as it is.  ``xi`` is the primitive circle direction along which the
-    first residue is taken."""
+    """A Kirwan integral: a linear functional on restriction data, read off a
+    table.  ``xi`` is the primitive circle direction along which the first
+    residue is taken, and the sum runs over ``components``.  ``tau(f, k)`` is
+    the value on the single monomial k at f, as the terms of a polynomial in
+    ``vars``, or for a scalar integral (``vars`` None) as one term keyed ()."""
 
     xi: CircleDirection
-    evaluate: Callable[[RestrictedClass], Fraction | EquivariantPolynomial]
+    components: tuple[FixedComponent, ...]
+    tau: Callable[[FixedComponent, _Key], dict]
+    vars: Variables | None = None
 
     def __call__(self, eta: RestrictedClass) -> Fraction | EquivariantPolynomial:
-        return self.evaluate(eta)
+        [terms] = self.values([eta])
+        if self.vars is None:
+            return terms.get((), Q(0))
+        return EquivariantPolynomial(self.vars, POINT_ALGEBRA, terms)
+
+    def values(self, classes: Sequence[RestrictedClass],
+               zeta: RestrictedClass | None = None) -> list[dict]:
+        """The terms of the integral of b * zeta for each class b (zeta None
+        is the unit), read off the table bilinearly: the sum over F, k1, k2
+        of b_F[k1] * zeta_F[k2] * tau[F, k1 k2], where k1 k2 adds exponents
+        and multiplies basis elements by the algebra's structure constants.
+        No product class is formed, and zeta is contracted with tau once per
+        (F, k1) for all the classes."""
+        contracted: dict[tuple[str, _Key], dict] = {}
+        out = []
+        for b in classes:
+            total: dict = {}
+            for f in self.components:
+                for k1, c1 in b.restrictions[f.name].terms.items():
+                    terms = contracted.get((f.name, k1))
+                    if terms is None:
+                        terms = contracted[f.name, k1] = self._contract(f, k1, zeta)
+                    linalg.add_scaled(total, c1, terms)
+            out.append(total)
+        return out
+
+    def _contract(self, f: FixedComponent, k1: _Key, zeta: RestrictedClass | None) -> dict:
+        if zeta is None:
+            return self.tau(f, k1)
+        (e1, b1), terms = k1, {}
+        for (e2, b2), c2 in zeta.restrictions[f.name].terms.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            for k, s in f.algebra.mul_basis(b1, b2).items():
+                linalg.add_scaled(terms, c2 * s, self.tau(f, (exps, k)))
+        return terms
 
 
-def _monomial_table(adapted: AdaptedSpace, components: Sequence[FixedComponent],
-                    entry: Callable[[FixedComponent, RationalSection], _Tau]
-                    ) -> Callable[[RestrictedClass], Iterator[tuple[Fraction, _Tau]]]:
-    """The table tau of a fixed-point functional that is linear in each
-    component's restriction.
+def _monomial_table(adapted: AdaptedSpace, entry: Callable[[FixedComponent, RationalSection], dict]
+                    ) -> Callable[[FixedComponent, _Key], dict]:
+    """The lazy table tau of a fixed-point functional that is linear in each
+    component's restriction: tau(F, k) is ``entry`` applied to the adapted
+    localization term of the single monomial k = (exponents, algebra basis
+    index) at F, computed on first use and kept (an entry that raises is not).
 
-    tau[F, k] is ``entry`` applied to the localization term, in adapted
-    coordinates, of the single monomial with key k = (exponents, algebra
-    basis index) at component F.  The returned function lists the pairs
-    (eta_F[k], tau[F, k]) of a class over the given components, so the
-    functional's value is their sum of products.  Each entry is computed on
-    first use and kept for the life of the table.
+    The term is cancelled as it is built, so the residues see low pole
+    orders: the adapted image s_i * P_i of variable i (P_i primitive) cancels
+    min(k_i, mult of P_i) times against the Euler denominator, s_i moving to
+    the numerator.  At a point no other form can divide what is left; a
+    factor left elsewhere would raise a pole order, not change a residue.
     """
-    tau: dict[tuple[str, tuple[tuple[int, ...], int]], _Tau] = {}
+    space = adapted.space
+    axes = [form.normalized() for form in adapted.axes]
+    tau: dict[tuple[str, _Key], dict] = {}
 
-    def pairs(eta: RestrictedClass) -> Iterator[tuple[Fraction, _Tau]]:
-        for f in components:
-            for key, c in eta.restrictions[f.name].terms.items():
-                value = tau.get((f.name, key))
-                if value is None:
-                    monomial = EquivariantPolynomial(adapted.space.vars, f.algebra, {key: 1})
-                    term = adapted.space.localization_term(f, adapted.adapt(monomial))
-                    # cancelled first, so the residues see the lowest pole orders
-                    value = entry(f, RationalSection(term.numer, term.denom))
-                    tau[f.name, key] = value
-                yield c, value
+    def lookup(f: FixedComponent, key: _Key) -> dict:
+        value = tau.get((f.name, key))
+        if value is None:
+            inv = space.euler_inverse(f)
+            denom, exps, scale = dict(inv.denom), list(key[0]), Q(1)
+            for i, (s, prim) in enumerate(axes):
+                if m := min(exps[i], denom.get(prim, 0)):
+                    exps[i] -= m
+                    denom[prim] -= m
+                    scale *= s ** m
+            monomial = EquivariantPolynomial(space.vars, f.algebra, {(tuple(exps), key[1]): scale})
+            numer = (adapted.adapt(monomial) * inv.numer).integrate()
+            value = tau[f.name, key] = entry(f, RationalSection(numer, denom, cancel=False))
+        return value
 
-    return pairs
+    return lookup
 
 
 def circle_integral(space: HamiltonianSpace, xi: CircleDirection) -> KirwanIntegral:
@@ -494,30 +532,29 @@ def circle_integral(space: HamiltonianSpace, xi: CircleDirection) -> KirwanInteg
     a table: tau[F, k] is the residue along xi of the localization term of
     monomial k at a positive-side component F, computed once on first use and
     kept for the life of the returned object; reuse one object across many
-    classes.  A class's value is the sum of eta_F[k] * tau[F, k] over one
-    common denominator, and the polynomiality check runs on every evaluation.
+    classes.  Every adapted weight involves the circle variable, so each entry
+    is a polynomial: that is checked once, when the entry is filled.
     """
     violations = is_generic(space, xi)
     if violations:
         raise NonGenericError(f"direction {xi.vector} is not generic", violations)
     adapted = adapt_space(space, xi)
     plus_names = positive_side(space, xi)
-    pairs = _monomial_table(
-        adapted, [f for f in adapted.space.components if f.name in plus_names],
-        lambda f, term: res_x_plus(term, 0, method="poles"))
 
-    def evaluate(eta: RestrictedClass) -> EquivariantPolynomial:
-        total = RationalSection.sum(space.vars, (value.scale(c) for c, value in pairs(eta)))
-        if total.involves(0):
+    def entry(f: FixedComponent, term: RationalSection) -> dict:
+        value = res_x_plus(term, 0, method="poles")
+        if value.involves(0):
             raise ArithmeticError("circle-level integral still involves the circle variable")
         try:
-            return total.as_polynomial()
+            return value.as_polynomial().terms
         except ExactDivisionError as exc:
             raise ValidationError(
                 "circle-level Kirwan integral is not a polynomial; "
                 "the fixed-point data is inconsistent") from exc
 
-    return KirwanIntegral(adapted.xi, evaluate)
+    return KirwanIntegral(adapted.xi,
+                          tuple(f for f in adapted.space.components if f.name in plus_names),
+                          _monomial_table(adapted, entry), space.vars)
 
 
 def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,
@@ -550,11 +587,9 @@ def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,
                 raise NonGenericError(
                     f"first-applied direction annihilates a weight at {f.name}",
                     [("weight", f.name)])
-    pairs = _monomial_table(
-        adapted, adapted.space.components,
-        lambda f, term: iterated_residue_selected([MomentTerm(f.moment, term)], ordering))
 
-    def evaluate(eta: RestrictedClass) -> Fraction:
-        return sum((c * value for c, value in pairs(eta)), Q(0))
+    def entry(f: FixedComponent, term: RationalSection) -> dict:
+        value = iterated_residue_selected([MomentTerm(f.moment, term)], ordering)
+        return {(): value} if value else {}
 
-    return KirwanIntegral(adapted.xi, evaluate)
+    return KirwanIntegral(adapted.xi, adapted.space.components, _monomial_table(adapted, entry))

@@ -297,6 +297,14 @@ def test_cli_reports_are_deterministic(tmp_path):
         # the same value as a separate argument gives the same bytes
         (["kernel", "s2xs2-t2", "--circle", "-1,2"],
          "570d28c143efe3c53205986148571e0718c6310487e3e5f0981ff83d5cb95ca6"),
+        # pairings whose keys multiply algebra basis elements, on the negative
+        # side of a circle and at the torus level, and a rank-one circle
+        (["kernel", "s2xs2-nonisolated", "--circle=-1", "--max-degree", "6"],
+         "8de3de9515e05785cf32a32dd2fdae599d153229065d46aee77bbcf592317394"),
+        (["kernel", "s2xs2-nonisolated", "--full"],
+         "9e5d6cc661d03d4e3b72f42c76f98fb82ab41f4e32cf2c921b63a6f0121b9322"),
+        (["kernel", "s2cubed-su2", "--circle", "1"],
+         "771343dbd00ad3fd7fb0e8bf2ae473125406da8191676767a84a21f17a169fd6"),
     ]
     for argv, digest in commands:
         outs = []

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from resloc import kernels, linalg, spaces
-from resloc.datasets import load_dataset
+from resloc.datasets import bundled_names, load_dataset
 from resloc.kernels import (
     build_model,
     check_circle_kernel_split,
@@ -19,6 +19,7 @@ from resloc.kernels import (
     torus_kernel,
     vanishing_subspace,
 )
+from resloc.residues import VariableOrdering
 from resloc.spaces import (
     CircleDirection,
     FixedComponent,
@@ -275,7 +276,7 @@ def test_circle_integral_adapts_only_on_residue_misses(s2xs2_model, monkeypatch)
     assert calls["adapt"] == calls["residue"] > 0
 
 
-def test_circle_integral_checks_polynomiality_on_cache_hits(s2xs2, monkeypatch):
+def test_circle_integral_checks_polynomiality_when_an_entry_is_filled(s2xs2, monkeypatch):
     # u2 and u1 both vanish at NN, on the positive side of (1, 2), and differ
     # at SN, the other component on that side
     xi = CircleDirection.make((1, 2))
@@ -286,20 +287,28 @@ def test_circle_integral_checks_polynomiality_on_cache_hits(s2xs2, monkeypatch):
     integral = circle_integral(s2xs2.space, xi)
     assert integral(u2).is_zero()
     # From here on every tau entry not yet computed gains a pole in the
-    # non-circle variable.  u2 still reads nothing off the table.  Evaluating
-    # u1 fills the entry of its monomial X at SN, so the sum must fail the
-    # polynomiality check, and fail it again when that entry is a table hit.
+    # non-circle variable.  u2 reads only entries already filled.  u1 needs
+    # the entry of its monomial X at SN, which fails the check as it is
+    # filled; a failing entry is not kept, so every later evaluation, also
+    # inside a pairing, computes it again and fails again.
     real = spaces.res_x_plus
+    calls = []
 
     def with_pole(h, var, method):
+        calls.append(h)
         out = real(h, var, method=method)
         return RationalSection(out.numer, {lf(0, 1): 1})
 
     monkeypatch.setattr(spaces, "res_x_plus", with_pole)
     assert integral(u2).is_zero()
-    for _ in range(2):
+    assert calls == []
+    for n in (1, 2):
         with pytest.raises(ValidationError, match="not a polynomial"):
             integral(u1)
+        assert len(calls) == n
+    with pytest.raises(ValidationError, match="not a polynomial"):
+        pairing_kernel(integral, [u2, u1], [RestrictedClass.unit(s2xs2.space)])
+    assert len(calls) == 3
 
 
 def test_circle_pairing_matches_integral(s2xs2):
@@ -319,6 +328,58 @@ def test_circle_pairing_rejects_nongeneric():
     space = HamiltonianSpace(vars, 4, [comp])
     with pytest.raises(NonGenericError):
         circle_integral(space, CircleDirection.make((1, 0)))
+
+
+# -- pairing rows as a bilinear form on the tau tables --------------------------------
+
+
+def product_rows(integral, classes, testing):
+    """The pairing rows from integral(b * zeta), one class product per pair."""
+    rows = []
+    for zeta in testing:
+        values = [integral(b * zeta) for b in classes]
+        if not isinstance(values[0], EquivariantPolynomial):
+            rows.append(dict(enumerate(values)))
+            continue
+        rows.extend(linalg.transpose([v.terms for v in values]).values())
+    return rows
+
+
+def value_terms(value):
+    if isinstance(value, EquivariantPolynomial):
+        return value.terms
+    return {(): value} if value else {}
+
+
+PAIRING_CASES = (
+    [(name, "circle", xi, None) for name in bundled_names()
+     for xi in ([(1, 2), (-1, 2)] if name == "s2xs2-t2" else [(1,), (-1,)])]
+    + [(name, "torus", None, None) for name in bundled_names()]
+    + [("s2xs2-t2", "torus", (3, -2), VariableOrdering((1, 0), Q(-3, 2)))])
+
+
+@pytest.mark.parametrize("name, level, xi, ordering", PAIRING_CASES)
+def test_bilinear_pairing_rows_match_class_products(name, level, xi, ordering):
+    # every value of the pairing, read off the table without forming b * zeta,
+    # is the integral of the product class, and the null spaces agree; on
+    # s2xs2-nonisolated the keys k1 k2 multiply algebra basis elements
+    ds = load_dataset(name)
+    model = build_model(ds.space, ds.generators, 4)
+    if level == "circle":
+        integral = circle_integral(ds.space, CircleDirection.make(xi))
+    else:
+        integral = torus_integral(ds.space, xi and CircleDirection.make(xi), ordering)
+    testing = [el.cls for d in (0, 2, 4) for el in model.basis_by_degree[d]]
+    nonzero = 0
+    for d in (0, 2, 4):
+        classes = [el.cls for el in model.basis_by_degree[d]]
+        for zeta in testing:
+            values = integral.values(classes, zeta)
+            assert values == [value_terms(integral(b * zeta)) for b in classes]
+            nonzero += sum(map(bool, values))
+        assert pairing_kernel(integral, classes, testing) == \
+            linalg.nullspace(product_rows(integral, classes, testing), len(classes))
+    assert nonzero
 
 
 # -- chamber enumeration -------------------------------------------------------------

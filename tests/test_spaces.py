@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from resloc import symcore
+from resloc import spaces, symcore
 from resloc.datasets import bundled_names, load_dataset
 from resloc.kernels import build_model
 from resloc.residues import (
@@ -46,6 +46,13 @@ V2 = Variables(("X", "Y1"))
 
 def lf(*coeffs):
     return LinearForm.make([Q(c) for c in coeffs])
+
+
+def localization_term(space, f, restriction):
+    """The componentwise integral of restriction / euler at f, over the full
+    Euler denominator and not cancelled: the summand of the fold oracle."""
+    inv = space.euler_inverse(f)
+    return RationalSection((restriction * inv.numer).integrate(), inv.denom, cancel=False)
 
 
 def zero2():
@@ -306,7 +313,7 @@ def test_localization_sum_matches_left_fold_term_for_term(s2, s2xs2):
     broken = flipped_weight(s2)
     cases.append((broken, RestrictedClass.unit(broken), False))
     for space, cls, is_lone in cases:
-        terms = [space.localization_term(f, cls.restrictions[f.name]) for f in space.components]
+        terms = [localization_term(space, f, cls.restrictions[f.name]) for f in space.components]
         fold = RationalSection.zero(space.vars)
         for term in terms:
             fold = fold + term
@@ -351,7 +358,7 @@ def test_localization_sum_builds_the_common_denominator_once(monkeypatch):
     assert calls == {"invert_euler": 0, "euler_inverse": 0, "numer_over": 0}
     monkeypatch.undo()
     assert total == RationalSection.sum(space.vars, (
-        space.localization_term(f, cube.restrictions[f.name]) for f in space.components))
+        localization_term(space, f, cube.restrictions[f.name]) for f in space.components))
     assert not total.is_zero()
 
 
@@ -495,8 +502,8 @@ def test_kappa_t_table_matches_whole_class_residue(slice_products, name, xi, ord
     for seed in range(3):
         for eta in random_combinations(space, products, seed):
             whole = iterated_residue_selected(
-                [MomentTerm(f.moment, adapted.space.localization_term(
-                    f, adapted.adapt(eta.restrictions[f.name])))
+                [MomentTerm(f.moment, localization_term(
+                    adapted.space, f, adapted.adapt(eta.restrictions[f.name])))
                  for f in adapted.space.components], ordering)
             assert integral(eta) == whole
             values.append(whole)
@@ -528,8 +535,52 @@ def test_kappa_s_table_matches_whole_class_residues(slice_products, series_route
             whole = RationalSection.zero(space.vars)
             for f in adapted.space.components:
                 if f.name in plus:
-                    whole = whole + res_x_plus(adapted.space.localization_term(
-                        f, adapted.adapt(eta.restrictions[f.name])), 0, method="poles")
+                    whole = whole + res_x_plus(localization_term(
+                        adapted.space, f, adapted.adapt(eta.restrictions[f.name])),
+                        0, method="poles")
             assert integral(eta) == whole.as_polynomial()
             values.append(whole)
     assert any(not v.is_zero() for v in values)
+
+
+def sphere_product_space(k):
+    """(S^2)^k under T^k: a fixed point per sign vector s, with moment s and
+    weights -s_i e_i."""
+    vars = Variables(tuple(f"X{i}" for i in range(1, k + 1)))
+    zero = EquivariantPolynomial.zero(vars)
+    return HamiltonianSpace(vars, 2 * k, [
+        FixedComponent(str(signs), tuple(map(Q, signs)), POINT_ALGEBRA, tuple(
+            (lf(*(-s if j == i else 0 for j in range(k))), zero) for i, s in enumerate(signs)))
+        for signs in product((1, -1), repeat=k)])
+
+
+def exponents_up_to(top, n):
+    """Exponent tuples of n variables of total degree at most top."""
+    return [e for e in product(range(top + 1), repeat=n) if sum(e) <= top]
+
+
+def test_table_term_is_the_fully_cancelled_localization_term():
+    # the term a table builds for a monomial, cancelled against the Euler
+    # denominator before it is adapted, is the uncancelled adapted term after
+    # full trial division, term for term; on CP^3 the weights are not axes
+    circles = [(1,), (-1,)]
+    cases = [(load_dataset(name).space, [(1, 2), (-1, 2)] if name == "s2xs2-t2" else circles)
+             for name in bundled_names()]
+    cases += [(projective_space(3)[0], [(1, 2, 4), (-1, -2, 4)]),
+              (sphere_product_space(3), [(1, 2, 4), (-1, 2, 4)])]
+    directions = 0
+    for space, xis in cases:
+        for xi in xis:
+            adapted = adapt_space(space, CircleDirection.make(xi))
+            tau = spaces._monomial_table(adapted, lambda f, term: term)
+            for f in adapted.space.components:
+                for exps in exponents_up_to(4, space.vars.count):
+                    for b in range(len(f.algebra.basis)):
+                        monomial = EquivariantPolynomial(space.vars, f.algebra, {(exps, b): 1})
+                        whole = localization_term(adapted.space, f, adapted.adapt(monomial))
+                        want = RationalSection(whole.numer, whole.denom)
+                        got = tau(f, (exps, b))
+                        assert got.numer.terms == want.numer.terms
+                        assert got.denom == want.denom
+            directions += 1
+    assert directions == 2 * len(cases)
