@@ -26,6 +26,7 @@ from .residues import VariableOrdering, res_x_plus
 from .spaces import (
     CircleDirection,
     NonGenericError,
+    RestrictedClass,
     circle_integral,
     find_generic_direction,
     generator_products,
@@ -197,7 +198,7 @@ def _degrees(args) -> list[int]:
     return list(range(0, args.max_degree + 1, 2))
 
 
-def _kernel_circle(ds: Dataset, args, report: dict) -> None:
+def _kernel_circle(ds: Dataset, args, report: dict, calibration: RestrictedClass) -> None:
     try:
         xi = CircleDirection(tuple(int(v) for v in args.circle.split(",")))
     except ValueError:
@@ -222,10 +223,10 @@ def _kernel_circle(ds: Dataset, args, report: dict) -> None:
                    f"direct={r.sum_direct}")
     report["results"]["calibration"] = {
         "class": args.calibrate,
-        "value": str(integral(ds.generator(args.calibrate)))}
+        "value": str(integral(calibration))}
 
 
-def _kernel_full(ds: Dataset, args, report: dict) -> None:
+def _kernel_full(ds: Dataset, args, report: dict, calibration: RestrictedClass) -> None:
     ordering = _parse_ordering(args, ds.space.vars.count)
     # raises if not generic, before the model build, which can take seconds
     integral = torus_integral(ds.space, ordering=ordering)
@@ -246,10 +247,11 @@ def _kernel_full(ds: Dataset, args, report: dict) -> None:
                    f"dim {r.chamber_sum_dim}")
     report["results"]["calibration"] = {
         "class": args.calibrate,
-        "value": _fs(integral(ds.generator(args.calibrate)))}
+        "value": _fs(integral(calibration))}
 
 
-def _kernel_nonabelian(ds: Dataset, args, report: dict) -> None:
+def _kernel_nonabelian(ds: Dataset, args, report: dict,
+                       calibration: RestrictedClass) -> None:
     from . import weylgrp
 
     if ds.weyl is None:
@@ -282,7 +284,7 @@ def _kernel_nonabelian(ds: Dataset, args, report: dict) -> None:
     dcls = ds.weyl.d_class()
     report["results"]["calibration"] = {
         "class": args.calibrate,
-        "value": _fs(integral(ds.generator(args.calibrate) * dcls * dcls))}
+        "value": _fs(integral(calibration * dcls * dcls))}
 
 
 def _parse_ordering(args, nvars: int) -> VariableOrdering | None:
@@ -323,6 +325,11 @@ def cmd_kernel(args) -> int:
     if args.max_degree < 0:
         sys.stderr.write(f"error: --max-degree: must be >= 0, got {args.max_degree}\n")
         return 2
+    try:
+        calibration = ds.generator(args.calibrate)
+    except KeyError as exc:
+        sys.stderr.write(f"error: --calibrate: {exc.args[0]}\n")
+        return 2
     _, failures = _localization_failures(ds, ds.space.dim)
     if failures:
         sys.stderr.write("error: inconsistent fixed-point data (run validate): "
@@ -334,15 +341,15 @@ def cmd_kernel(args) -> int:
                       "calibrate": args.calibrate})
     try:
         if modes[0] == "circle":
-            _kernel_circle(ds, args, report)
+            _kernel_circle(ds, args, report, calibration)
         elif modes[0] == "full":
-            _kernel_full(ds, args, report)
+            _kernel_full(ds, args, report, calibration)
         else:
-            _kernel_nonabelian(ds, args, report)
+            _kernel_nonabelian(ds, args, report, calibration)
     except NonGenericError as exc:
         sys.stderr.write(f"error: {_nongeneric(exc)}\n")
         return 2
-    except (SchemaError, ValidationError, KeyError) as exc:
+    except (SchemaError, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return _emit(report, args)

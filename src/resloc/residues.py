@@ -8,9 +8,16 @@ independent implementations are kept deliberately:
   the higher-order residue formula res = d^(k-1)/dx^(k-1)[(x-b)^k h] / (k-1)!
   evaluated at x = b;
 * ``res_x_plus_series`` expands the section as a Laurent series at infinity
-  and reads off the coefficient of 1/x.
+  and reads off the coefficient of 1/x.  The expansion of 1 over the
+  denominator is a ``ReciprocalSeries``, grown as deeper coefficients are
+  asked for, so a caller that meets one denominator many times keeps one;
+  ``euler_series_residue`` expands a reciprocal Euler class with the same
+  object.
 
-They are cross-checked in the test suite and by the command line front end.
+The circle-level Kirwan integral takes every residue by the series route,
+from one kept expansion per (component, denominator).  The pole route
+cross-checks it: the test suite sends every circle-level table entry through
+both, and the ``residue`` command runs both and insists they agree.
 
 The iterated operator composes one-variable residues over an ordering of the
 variables.  ``iterated_residue_selected`` additionally carries a moment
@@ -25,10 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Iterable, Mapping
 
 from .symcore import (
-    POINT_ALGEBRA,
     EquivariantPolynomial,
+    GradedAlgebra,
     LinearForm,
     Q,
     RationalSection,
@@ -41,6 +49,7 @@ __all__ = [
     "res_x_plus",
     "res_x_plus_poles",
     "res_x_plus_series",
+    "ReciprocalSeries",
     "residues_at_poles",
     "euler_series_residue",
     "MomentTerm",
@@ -107,58 +116,81 @@ def res_x_plus_poles(h: RationalSection, var: int) -> RationalSection:
     return total
 
 
-def _series_of_inverse_factor(vars: Variables, form: LinearForm, var: int,
-                              depth: int) -> dict[int, EquivariantPolynomial]:
-    """Laurent coefficients of 1/form at infinity in x_var, as a dict
-    {power of 1/x_var: polynomial in the other variables}, up to depth."""
-    n = form.coeffs[var]
-    tail = LinearForm(tuple(Q(0) if i == var else c for i, c in enumerate(form.coeffs)))
-    tail_poly = EquivariantPolynomial.from_linear_form(vars, tail)
-    series: dict[int, EquivariantPolynomial] = {}
-    power = EquivariantPolynomial.one(vars, POINT_ALGEBRA)
-    for r in range(depth):
-        series[r + 1] = power.scale(Q((-1) ** r) / n ** (r + 1))
-        if r + 1 < depth:
-            power = power * tail_poly
-    return series
+def _without(form: LinearForm, var: int) -> LinearForm:
+    """The form with its x_var coefficient set to zero."""
+    return LinearForm(tuple(Q(0) if i == var else c for i, c in enumerate(form.coeffs)))
 
 
-def _series_mul(a: dict[int, EquivariantPolynomial], b: dict[int, EquivariantPolynomial],
-                depth: int) -> dict[int, EquivariantPolynomial]:
-    out: dict[int, EquivariantPolynomial] = {}
-    for i, p in a.items():
-        for j, q in b.items():
-            k = i + j
-            if k > depth:
-                continue
-            pq = p * q
-            out[k] = out[k] + pq if k in out else pq
-    return {k: v for k, v in out.items() if not v.is_zero()}
+class ReciprocalSeries:
+    """Laurent expansion at x_var = infinity of 1 / D, where D is a product
+    of factors (n * x_var + u)^m with n a nonzero rational and u a polynomial
+    free of x_var (a linear form, plus a nilpotent class for an Euler
+    factor).  ``coefficient(r)`` is S_r, the polynomial coefficient of
+    x_var^(-r); coefficients are computed on first use and kept, so the
+    expansion grows as deeper ones are asked for.
+
+    With N the total multiplicity, a0 the product of the n^m and b_i the
+    coefficients of D / a0 = sum b_i x_var^(N-i), the expansion is
+    x_var^(-N) * sum_k c_k x_var^(-k) with c_0 = 1/a0 and
+    c_k = -sum_{i=1..min(k,N)} b_i c_(k-i), so S_r = c_(r-N).
+    """
+
+    def __init__(self, var: int, vars: Variables, algebra: GradedAlgebra,
+                 factors: Iterable[tuple[Fraction, EquivariantPolynomial, int]]):
+        self.var = var
+        self.vars = vars
+        self.algebra = algebra
+        zero = EquivariantPolynomial.zero(vars, algebra)
+        monic = [EquivariantPolynomial.one(vars, algebra)]
+        lead = Q(1)
+        for n, u, mult in factors:
+            u = u.scale(Q(1) / n)
+            for _ in range(mult):
+                lead *= n
+                monic = [p + q * u for p, q in zip(monic + [zero], [zero] + monic)]
+        self._order = len(monic) - 1
+        self._steps = [b.scale(-1) for b in monic[1:]]
+        self._c = [EquivariantPolynomial.constant(vars, Q(1) / lead, algebra)]
+
+    @staticmethod
+    def of_denominator(denom: Mapping[LinearForm, int], var: int, vars: Variables,
+                       algebra: GradedAlgebra) -> "ReciprocalSeries":
+        """The expansion of 1 over the factors of denom that involve x_var."""
+        return ReciprocalSeries(var, vars, algebra, (
+            (form.coeffs[var], EquivariantPolynomial.from_linear_form(
+                vars, _without(form, var), algebra), mult)
+            for form, mult in denom.items() if form.involves(var)))
+
+    def coefficient(self, r: int) -> EquivariantPolynomial:
+        """S_r, the coefficient of x_var^(-r)."""
+        k = r - self._order
+        if k < 0:
+            return EquivariantPolynomial.zero(self.vars, self.algebra)
+        c = self._c
+        while len(c) <= k:
+            j = len(c)
+            c.append(EquivariantPolynomial.sum(self.vars, (
+                step * c[j - i] for i, step in enumerate(self._steps[:j], 1)), self.algebra))
+        return c[k]
+
+    def contract(self, numer: EquivariantPolynomial) -> EquivariantPolynomial:
+        """The coefficient of 1/x_var in numer / D: the sum over d of the
+        x_var^d slice of numer times S_(d+1)."""
+        return EquivariantPolynomial.sum(self.vars, (
+            piece * self.coefficient(d + 1)
+            for d, piece in numer.coefficients_in(self.var).items()), numer.algebra)
 
 
-def res_x_plus_series(h: RationalSection, var: int) -> RationalSection:
+def res_x_plus_series(h: RationalSection, var: int,
+                      series: ReciprocalSeries | None = None) -> RationalSection:
     """Sum of residues at all finite poles, read off as the coefficient of
-    1/x_var in the Laurent expansion of h at infinity."""
-    if h.is_zero():
-        return RationalSection.zero(h.vars, h.algebra)
-    pole_forms = [(f, m) for f, m in sorted(h.denom.items(), key=lambda kv: kv[0].coeffs)
-                  if f.involves(var)]
+    1/x_var in the Laurent expansion of h at infinity.  ``series`` is the
+    expansion of 1 over the factors of h's denominator that involve x_var,
+    when the caller keeps one; the other factors stay in the denominator."""
+    if series is None:
+        series = ReciprocalSeries.of_denominator(h.denom, var, h.vars, h.algebra)
     keep = {f: m for f, m in h.denom.items() if not f.involves(var)}
-    if not pole_forms:
-        return RationalSection.zero(h.vars, h.algebra)
-    depth = h.numer.var_degree(var) + 1
-    series: dict[int, EquivariantPolynomial] = {0: EquivariantPolynomial.one(h.vars, POINT_ALGEBRA)}
-    for form, mult in pole_forms:
-        factor = _series_of_inverse_factor(h.vars, form, var, depth)
-        for _ in range(mult):
-            series = _series_mul(series, factor, depth)
-    slices = h.numer.coefficients_in(var)
-    total = EquivariantPolynomial.zero(h.vars, h.algebra)
-    for d, slice_poly in slices.items():
-        coeff = series.get(d + 1)
-        if coeff is not None:
-            total = total + slice_poly.mul_pure(coeff)
-    return RationalSection(total, keep)
+    return RationalSection(series.contract(h.numer), keep)
 
 
 def res_x_plus(h: RationalSection, var: int, method: str = "poles") -> RationalSection:
@@ -195,25 +227,10 @@ def euler_series_residue(alpha: EquivariantPolynomial,
         if form.coeffs[0] == 0:
             raise ValidationError(
                 "series residue needs every normal weight to involve the first variable")
-    depth = max(alpha.var_degree(0) + 1, 1)
-    series: dict[int, EquivariantPolynomial] = {0: EquivariantPolynomial.one(vars, algebra)}
-    for form, chern in lines:
-        m = form.coeffs[0]
-        tail = LinearForm(tuple(Q(0) if i == 0 else c for i, c in enumerate(form.coeffs)))
-        u = EquivariantPolynomial.from_linear_form(vars, tail, algebra) + chern
-        factor: dict[int, EquivariantPolynomial] = {}
-        power = EquivariantPolynomial.one(vars, algebra)
-        for r in range(depth):
-            factor[r + 1] = power.scale(Q((-1) ** r) / m ** (r + 1))
-            if r + 1 < depth:
-                power = power * u
-        series = _series_mul(series, factor, depth)
-    gamma = EquivariantPolynomial.zero(vars, algebra)
-    for d, slice_poly in alpha.coefficients_in(0).items():
-        coeff = series.get(d + 1)
-        if coeff is not None:
-            gamma = gamma + slice_poly * coeff
-    return gamma.integrate()
+    series = ReciprocalSeries(0, vars, algebra, (
+        (form.coeffs[0], EquivariantPolynomial.from_linear_form(
+            vars, _without(form, 0), algebra) + chern, 1) for form, chern in lines))
+    return series.contract(alpha).integrate()
 
 
 @dataclass

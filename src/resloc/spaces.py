@@ -17,9 +17,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from . import linalg
 from .residues import (
     MomentTerm,
+    ReciprocalSeries,
     VariableOrdering,
     iterated_residue_selected,
-    res_x_plus,
+    res_x_plus_series,
 )
 from .symcore import (
     POINT_ALGEBRA,
@@ -532,17 +533,28 @@ def circle_integral(space: HamiltonianSpace, xi: CircleDirection) -> KirwanInteg
     a table: tau[F, k] is the residue along xi of the localization term of
     monomial k at a positive-side component F, computed once on first use and
     kept for the life of the returned object; reuse one object across many
-    classes.  Every adapted weight involves the circle variable, so each entry
-    is a polynomial: that is checked once, when the entry is filled.
+    classes.  Every adapted weight involves the circle variable x0, so the
+    residue is minus the residue at x0 = infinity: the sum over d of the x0^d
+    slice of the term's numerator times S_(d+1), the coefficient of x0^(-d-1)
+    in the expansion of 1 over its denominator.  Terms share few
+    denominators, so the object also keeps one ``ReciprocalSeries`` per
+    (component, denominator), grown as deeper coefficients are needed.  Each
+    entry is a polynomial: that is checked once, when the entry is filled.
     """
     violations = is_generic(space, xi)
     if violations:
         raise NonGenericError(f"direction {xi.vector} is not generic", violations)
     adapted = adapt_space(space, xi)
     plus_names = positive_side(space, xi)
+    expansions: dict[tuple[str, frozenset], ReciprocalSeries] = {}
 
     def entry(f: FixedComponent, term: RationalSection) -> dict:
-        value = res_x_plus(term, 0, method="poles")
+        key = (f.name, frozenset(term.denom.items()))
+        series = expansions.get(key)
+        if series is None:
+            series = expansions[key] = ReciprocalSeries.of_denominator(
+                term.denom, 0, term.vars, term.algebra)
+        value = res_x_plus_series(term, 0, series)
         if value.involves(0):
             raise ArithmeticError("circle-level integral still involves the circle variable")
         try:

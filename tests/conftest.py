@@ -3,20 +3,34 @@
 import pytest
 
 from resloc import spaces
+from resloc.residues import ReciprocalSeries, res_x_plus_poles
 
 
 @pytest.fixture
-def series_route(monkeypatch):
-    """Call to make the Kirwan integrals take every residue by the series
-    expansion at infinity instead of pole by pole, so a value can be checked
-    through both routes."""
+def poles_route(monkeypatch):
+    """Call to make the circle integral take every residue pole by pole
+    instead of from its kept expansion at infinity, so a value can be
+    checked through both routes."""
 
     def use():
-        real = spaces.res_x_plus
+        def by_poles(h, var, series):
+            return res_x_plus_poles(h, var)
 
-        def by_series(h, var, method):
-            return real(h, var, method="series")
-
-        monkeypatch.setattr(spaces, "res_x_plus", by_series)
+        monkeypatch.setattr(spaces, "res_x_plus_series", by_poles)
 
     return use
+
+
+@pytest.fixture
+def expansion_builds(monkeypatch):
+    """The denominators of the expansions at infinity built from here on,
+    in the order they were built."""
+    builds = []
+    real = ReciprocalSeries.of_denominator
+
+    def counted(denom, var, vars, algebra):
+        builds.append(dict(denom))
+        return real(denom, var, vars, algebra)
+
+    monkeypatch.setattr(ReciprocalSeries, "of_denominator", staticmethod(counted))
+    return builds

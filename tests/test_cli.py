@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from resloc import spaces
+from resloc import kernels, spaces
 from resloc.cli import main
 from resloc.datasets import dataset_to_json, load_dataset
 
@@ -235,20 +235,22 @@ def test_kernel_circle_wrong_arity(capsys):
     assert code == 2 and "expected 2 integers" in err
 
 
-def test_kernel_circle_builds_one_integral(capsys, monkeypatch):
+def test_kernel_circle_builds_one_integral(capsys, monkeypatch, expansion_builds):
     # the calibration value comes from the integral the check used, so no
-    # residue is computed twice: one per (positive-side component, monomial)
+    # residue is computed twice: one per (positive-side component, monomial),
+    # and one expansion at infinity per (positive-side component, denominator)
     calls = []
-    real = spaces.res_x_plus
+    real = spaces.res_x_plus_series
 
-    def counted(h, var, method):
+    def counted(h, var, series):
         calls.append(h)
-        return real(h, var, method=method)
+        return real(h, var, series)
 
-    monkeypatch.setattr(spaces, "res_x_plus", counted)
+    monkeypatch.setattr(spaces, "res_x_plus_series", counted)
     code, _, _ = run(capsys, "kernel", "s2cubed-su2", "--circle=1")
     assert code == 0
     assert len(calls) == 24
+    assert len(expansion_builds) == 16
 
 
 def test_kernel_full_s2xs2(capsys):
@@ -364,9 +366,16 @@ def test_kernel_calibrate_flag(capsys):
     assert report["results"]["calibration"]["class"] == "u"
 
 
-def test_kernel_unknown_calibrate(capsys):
-    code, _, err = run(capsys, "kernel", "s2", "--circle", "1", "--calibrate", "zz")
-    assert code == 2
+def test_kernel_unknown_calibrate(capsys, monkeypatch):
+    # the name is looked up before the integral and the model are built
+    def no_model(*args):
+        raise AssertionError("model built before --calibrate was resolved")
+
+    monkeypatch.setattr(kernels, "build_model", no_model)
+    for mode in ("--circle=1", "--full", "--nonabelian"):
+        code, out, err = run(capsys, "kernel", "s2cubed-su2", mode, "--calibrate", "zz")
+        assert code == 2 and not out
+        assert err == "error: --calibrate: no generator named 'zz'\n"
 
 
 # -- output handling ---------------------------------------------------------------

@@ -208,41 +208,50 @@ def test_circle_kernel_stable_under_testing_slack(s2xs2_model):
         assert len(pairing_kernel(integral, classes, enlarged)) == base.dim
 
 
-def test_circle_kernel_methods_agree(s2xs2_model, series_route):
+def test_circle_kernel_methods_agree(s2xs2_model, poles_route):
     xi = CircleDirection.make((2, 1))
     a = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi))
-    series_route()
+    poles_route()
     b = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi))
     assert a.coeffs == b.coeffs
 
 
 @pytest.mark.parametrize("method", ["poles", "series"])
 def test_circle_split_shared_integral_matches_fresh(s2xs2_model, nonisolated, method,
-                                                    series_route):
-    # one integral serves every degree; a fresh one per degree gives the same kernels
-    if method == "series":
-        series_route()
+                                                    poles_route, monkeypatch):
+    # one integral serves every degree; a fresh one per degree, with its
+    # residues taken by the other route, gives the same kernels
+    if method == "poles":
+        poles_route()
     nonisolated_model = build_model(nonisolated.space, nonisolated.generators, 4)
-    for model, xi in ((s2xs2_model, (1, 2)), (nonisolated_model, (1,))):
-        xi = CircleDirection.make(xi)
-        shared = circle_integral(model.space, xi)
-        rows = check_circle_kernel_split(model, [0, 2, 4], shared)
+    cases = [(s2xs2_model, (1, 2)), (nonisolated_model, (1,))]
+    shared = [check_circle_kernel_split(model, [0, 2, 4],
+                                        circle_integral(model.space, CircleDirection.make(xi)))
+              for model, xi in cases]
+    if method == "poles":
+        monkeypatch.undo()
+    else:
+        poles_route()
+    for (model, xi), rows in zip(cases, shared):
         for r in rows:
-            fresh = circle_kernel(model, r.degree, circle_integral(model.space, xi))
-            assert r.kernel.coeffs == fresh.coeffs
+            fresh = circle_integral(model.space, CircleDirection.make(xi))
+            assert r.kernel.coeffs == circle_kernel(model, r.degree, fresh).coeffs
 
 
-def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch):
+def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch,
+                                                   expansion_builds):
     # one residue per (positive-side component, monomial key), shared by every
-    # class whose restriction there has that monomial, and none on re-evaluation
+    # class whose restriction there has that monomial, and none on
+    # re-evaluation; the six entries have six (component, denominator) pairs,
+    # but only three denominators
     calls = []
-    real = spaces.res_x_plus
+    real = spaces.res_x_plus_series
 
-    def counted(h, var, method):
+    def counted(h, var, series):
         calls.append(h)
-        return real(h, var, method=method)
+        return real(h, var, series)
 
-    monkeypatch.setattr(spaces, "res_x_plus", counted)
+    monkeypatch.setattr(spaces, "res_x_plus_series", counted)
     xi = CircleDirection.make((1, 2))
     integral = circle_integral(s2xs2_model.space, xi)
     classes = [el.cls for el in s2xs2_model.basis_by_degree[4]]
@@ -250,30 +259,35 @@ def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch):
     plus = positive_side(s2xs2_model.space, xi)
     distinct = {(name, key) for cls in classes for name in plus
                 for key in cls.restrictions[name].terms}
-    assert len(calls) == len(distinct) == 6
+    assert len(calls) == len(distinct) == len(expansion_builds) == 6
+    assert len({frozenset(denom.items()) for denom in expansion_builds}) == 3
     assert [integral(cls) for cls in classes] == values
-    assert len(calls) == 6
+    assert len(calls) == len(expansion_builds) == 6
 
 
-def test_circle_integral_adapts_only_on_residue_misses(s2xs2_model, monkeypatch):
+def test_circle_integral_adapts_only_on_residue_misses(s2xs2_model, monkeypatch,
+                                                      expansion_builds):
     # a monomial is moved into adapted coordinates only when its residue is
-    # computed, never for a table hit or a whole class
+    # computed, never for a table hit or a whole class, and an expansion at
+    # infinity is built only for a (component, denominator) not seen before:
+    # 8 for the 20 entries of the split check
     calls = {"adapt": 0, "residue": 0}
-    adapt, residue = spaces.AdaptedSpace.adapt, spaces.res_x_plus
+    adapt, residue = spaces.AdaptedSpace.adapt, spaces.res_x_plus_series
 
     def counted_adapt(self, poly):
         calls["adapt"] += 1
         return adapt(self, poly)
 
-    def counted_residue(h, var, method):
+    def counted_residue(h, var, series):
         calls["residue"] += 1
-        return residue(h, var, method=method)
+        return residue(h, var, series)
 
     monkeypatch.setattr(spaces.AdaptedSpace, "adapt", counted_adapt)
-    monkeypatch.setattr(spaces, "res_x_plus", counted_residue)
+    monkeypatch.setattr(spaces, "res_x_plus_series", counted_residue)
     integral = circle_integral(s2xs2_model.space, CircleDirection.make((1, 2)))
     check_circle_kernel_split(s2xs2_model, [0, 2, 4], integral)
-    assert calls["adapt"] == calls["residue"] > 0
+    assert calls["adapt"] == calls["residue"] == 20
+    assert len(expansion_builds) == 8
 
 
 def test_circle_integral_checks_polynomiality_when_an_entry_is_filled(s2xs2, monkeypatch):
@@ -286,20 +300,21 @@ def test_circle_integral_checks_polynomiality_when_an_entry_is_filled(s2xs2, mon
     assert u1.restrictions["SN"] != u2.restrictions["SN"]
     integral = circle_integral(s2xs2.space, xi)
     assert integral(u2).is_zero()
-    # From here on every tau entry not yet computed gains a pole in the
-    # non-circle variable.  u2 reads only entries already filled.  u1 needs
-    # the entry of its monomial X at SN, which fails the check as it is
-    # filled; a failing entry is not kept, so every later evaluation, also
-    # inside a pairing, computes it again and fails again.
-    real = spaces.res_x_plus
+    # From here on every tau term not yet taken gains a factor of the
+    # non-circle variable in its denominator, which the residue keeps.  u2
+    # reads only entries already filled.  u1 needs the entry of its monomial
+    # X at SN, which fails the check as it is filled; a failing entry is not
+    # kept, so every later evaluation, also inside a pairing, computes it
+    # again and fails again.
+    real = spaces.res_x_plus_series
     calls = []
 
-    def with_pole(h, var, method):
+    def with_pole(h, var, series):
         calls.append(h)
-        out = real(h, var, method=method)
-        return RationalSection(out.numer, {lf(0, 1): 1})
+        return real(RationalSection(h.numer, {**h.denom, lf(0, 1): 1}, cancel=False),
+                    var, series)
 
-    monkeypatch.setattr(spaces, "res_x_plus", with_pole)
+    monkeypatch.setattr(spaces, "res_x_plus_series", with_pole)
     assert integral(u2).is_zero()
     assert calls == []
     for n in (1, 2):

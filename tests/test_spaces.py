@@ -389,12 +389,12 @@ def test_kappa_s_rejects_nongeneric(s2xs2):
     assert info.value.violations
 
 
-def test_kappa_s_methods_agree_on_generators(s2xs2, series_route):
+def test_kappa_s_methods_agree_on_generators(s2xs2, poles_route):
     sp = s2xs2.space
     xi = CircleDirection.make((1, 2))
-    by_poles = [circle_integral(sp, xi)(g) for _, g in s2xs2.generators]
-    series_route()
-    assert [circle_integral(sp, xi)(g) for _, g in s2xs2.generators] == by_poles
+    by_series = [circle_integral(sp, xi)(g) for _, g in s2xs2.generators]
+    poles_route()
+    assert [circle_integral(sp, xi)(g) for _, g in s2xs2.generators] == by_series
 
 
 # -- torus-level integral ----------------------------------------------------------
@@ -518,7 +518,7 @@ def test_kappa_t_table_matches_whole_class_residue(slice_products, name, xi, ord
     ("s2xs2-nonisolated", (1,)),
     ("s2xs2-nonisolated", (-1,)),
 ])
-def test_kappa_s_table_matches_whole_class_residues(slice_products, series_route,
+def test_kappa_s_table_matches_whole_class_residues(slice_products, poles_route,
                                                     name, xi, route):
     # oracle: the residue along xi of each positive-side component's whole
     # localization term, added one by one
@@ -526,8 +526,8 @@ def test_kappa_s_table_matches_whole_class_residues(slice_products, series_route
     xi = CircleDirection.make(xi)
     adapted = adapt_space(space, xi)
     plus = positive_side(space, xi)
-    if route == "series":
-        series_route()
+    if route == "poles":
+        poles_route()
     integral = circle_integral(space, xi)
     values = []
     for seed in range(3):
@@ -559,15 +559,21 @@ def exponents_up_to(top, n):
     return [e for e in product(range(top + 1), repeat=n) if sum(e) <= top]
 
 
+def table_cases():
+    """Every bundled space and CP^3 and (S^2)^3 built here, each with a
+    direction of positive and one of negative leading entry."""
+    circles = [(1,), (-1,)]
+    cases = [(load_dataset(name).space, [(1, 2), (-1, 2)] if name == "s2xs2-t2" else circles)
+             for name in bundled_names()]
+    return cases + [(projective_space(3)[0], [(1, 2, 4), (-1, -2, 4)]),
+                    (sphere_product_space(3), [(1, 2, 4), (-1, 2, 4)])]
+
+
 def test_table_term_is_the_fully_cancelled_localization_term():
     # the term a table builds for a monomial, cancelled against the Euler
     # denominator before it is adapted, is the uncancelled adapted term after
     # full trial division, term for term; on CP^3 the weights are not axes
-    circles = [(1,), (-1,)]
-    cases = [(load_dataset(name).space, [(1, 2), (-1, 2)] if name == "s2xs2-t2" else circles)
-             for name in bundled_names()]
-    cases += [(projective_space(3)[0], [(1, 2, 4), (-1, -2, 4)]),
-              (sphere_product_space(3), [(1, 2, 4), (-1, 2, 4)])]
+    cases = table_cases()
     directions = 0
     for space, xis in cases:
         for xi in xis:
@@ -584,3 +590,44 @@ def test_table_term_is_the_fully_cancelled_localization_term():
                         assert got.denom == want.denom
             directions += 1
     assert directions == 2 * len(cases)
+
+
+def test_kappa_s_entries_match_both_residue_routes():
+    # every entry read off a kept expansion at infinity is the residue of its
+    # table term pole by pole, and by the series route built afresh
+    entries = algebra_valued = 0
+    for space, xis in table_cases():
+        for xi in xis:
+            integral = circle_integral(space, CircleDirection.make(xi))
+            terms = spaces._monomial_table(adapt_space(space, integral.xi),
+                                           lambda f, term: term)
+            for f in integral.components:
+                for exps in exponents_up_to(4, space.vars.count):
+                    for b in range(len(f.algebra.basis)):
+                        got = RationalSection(EquivariantPolynomial(
+                            space.vars, POINT_ALGEBRA, integral.tau(f, (exps, b))))
+                        term = terms(f, (exps, b))
+                        assert got == res_x_plus(term, 0, "poles")
+                        assert got == res_x_plus(term, 0, "series")
+                        entries += 1
+                        algebra_valued += b > 0 and not got.is_zero()
+    assert (entries, algebra_valued) == (515, 2)
+
+
+def test_circle_integral_builds_each_expansion_once(expansion_builds):
+    # one expansion per (component, denominator) of the entries filled, none
+    # on re-evaluation; on (S^2)^3 components share denominators, and entries
+    # of one component share them too
+    space = sphere_product_space(3)
+    integral = circle_integral(space, CircleDirection.make((1, 2, 4)))
+    terms = spaces._monomial_table(adapt_space(space, integral.xi), lambda f, term: term)
+    keys = [(f, (exps, 0)) for f in integral.components for exps in exponents_up_to(4, 3)]
+    for f, key in keys:
+        integral.tau(f, key)
+    pairs = {(f.name, frozenset(terms(f, key).denom.items())) for f, key in keys}
+    assert len(expansion_builds) == len(pairs)
+    assert len({denom for _, denom in pairs}) < len(pairs) < len(keys)
+    for f, key in keys:
+        integral.tau(f, key)
+    integral(RestrictedClass.unit(space))
+    assert len(expansion_builds) == len(pairs)
