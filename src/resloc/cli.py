@@ -121,7 +121,7 @@ def _localization_failures(ds: Dataset, max_degree: int) -> tuple[int, list[str]
 
 def _nongeneric(exc: NonGenericError) -> str:
     names = ", ".join(f"{kind}:{what}" for kind, what in exc.violations)
-    return f"{exc.args[0]}; violated by {names}"
+    return f"{exc.args[0]}; violated by {names}" if names else exc.args[0]
 
 
 def cmd_validate(args) -> int:

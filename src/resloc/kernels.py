@@ -10,8 +10,6 @@ model basis of their degree, so span comparisons are exact rank computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from . import linalg
 from .linalg import Row
@@ -23,6 +21,9 @@ from .spaces import (
     HamiltonianSpace,
     KirwanIntegral,
     RestrictedClass,
+    _arrangement_normals,
+    _integral_moment,
+    _primitive_signed,
     generator_products,
     positive_side,
 )
@@ -305,40 +306,6 @@ class ChamberSet:
     normals: tuple[tuple[int, ...], ...]
     chambers: tuple[Chamber, ...]
     expected: int
-
-
-def _primitive_signed(vec: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-    if g == 0:
-        return vec
-    vec = tuple(v // g for v in vec)
-    lead = next(v for v in vec if v != 0)
-    return vec if lead > 0 else tuple(-v for v in vec)
-
-
-def _integral_moment(moment: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """The moment scaled by the lcm of its denominators."""
-    den = 1
-    for c in moment:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return tuple(int(c * den) for c in moment)
-
-
-def _arrangement_normals(space: HamiltonianSpace) -> list[tuple[int, ...]]:
-    seen = []
-    for f in space.components:
-        vec = _integral_moment(f.moment)
-        if any(vec):
-            vec = _primitive_signed(vec)
-            if vec not in seen:
-                seen.append(vec)
-        for w, _ in f.normal_lines:
-            vec = _primitive_signed(tuple(int(c) for c in w.coeffs))
-            if vec not in seen:
-                seen.append(vec)
-    return sorted(seen)
 
 
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:

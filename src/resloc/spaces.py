@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
@@ -78,9 +78,7 @@ class CircleDirection:
         return CircleDirection(vec)
 
     def primitive(self) -> "CircleDirection":
-        g = 0
-        for v in self.vector:
-            g = gcd(g, v)
+        g = gcd(*self.vector)
         return CircleDirection(tuple(v // g for v in self.vector))
 
     def pair(self, covector: Iterable[Fraction]) -> Fraction:
@@ -297,36 +295,72 @@ def positive_side(space: HamiltonianSpace, xi: CircleDirection) -> frozenset[str
     return frozenset(f.name for f in space.components if xi.pair(f.moment) > 0)
 
 
+def _primitive_signed(vec: tuple[int, ...]) -> tuple[int, ...]:
+    g = gcd(*vec)
+    if g == 0:
+        return vec
+    vec = tuple(v // g for v in vec)
+    lead = next(v for v in vec if v != 0)
+    return vec if lead > 0 else tuple(-v for v in vec)
+
+
+def _integral_moment(moment: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """The moment scaled by the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in moment))
+    return tuple(int(c * den) for c in moment)
+
+
+def _arrangement_normals(space: HamiltonianSpace) -> list[tuple[int, ...]]:
+    """The distinct primitive normals of the nonzero moments and the weights,
+    sorted: a direction is generic when it pairs to nonzero with each one."""
+    seen = set()
+    for f in space.components:
+        vec = _integral_moment(f.moment)
+        if any(vec):
+            seen.add(_primitive_signed(vec))
+        seen.update(_primitive_signed(tuple(int(c) for c in w.coeffs)) for w, _ in f.normal_lines)
+    return sorted(seen)
+
+
 _GENERIC_SEARCH_RADIUS = 8
 
 
 def find_generic_direction(space: HamiltonianSpace) -> CircleDirection:
-    """First generic primitive direction in a deterministic lattice sweep of
-    growing radius, up to _GENERIC_SEARCH_RADIUS.  A component at moment 0
-    pairs to zero with every direction, so it is named before any sweep."""
+    """The generic direction of smallest max-norm, the lexicographically first
+    of that norm, searched up to max-norm _GENERIC_SEARCH_RADIUS.  A component
+    at moment 0 pairs to zero with every direction, so it is named first.
+
+    The search fixes xi_0, xi_1, ... in turn, each from -r to r, depth first.
+    A normal whose last nonzero entry is j pairs to a final value once
+    xi_0..xi_j are fixed, so it rules out at most one value of xi_j, skipped
+    there.  The search meets the directions of max-norm r in sorted order and
+    passes over only non-generic ones.  What it finds is primitive: if xi/g is
+    integral, it is generic too and has a smaller max-norm.
+    """
     at_zero = [("moment", f.name) for f in space.components if not any(f.moment)]
     if at_zero:
         raise NonGenericError("no direction is generic for a component at moment 0", at_zero)
     n = space.vars.count
+    ending: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for w in _arrangement_normals(space):
+        ending[max(i for i, c in enumerate(w) if c)].append(w)
+
+    def search(prefix: list[int], radius: int) -> tuple[int, ...] | None:
+        j = len(prefix)
+        if j == n:
+            return tuple(prefix)
+        partials = ((sum(a * b for a, b in zip(prefix, w)), w[j]) for w in ending[j])
+        ruled_out = {-p // c for p, c in partials if p % c == 0}
+        # the last entry must have max-norm r if no earlier one has
+        full = j < n - 1 or radius in map(abs, prefix)
+        for v in range(-radius, radius + 1) if full else (-radius, radius):
+            if v not in ruled_out and (found := search(prefix + [v], radius)):
+                return found
+        return None
+
     for radius in range(1, _GENERIC_SEARCH_RADIUS + 1):
-        candidates = []
-        def walk(prefix):
-            if len(prefix) == n:
-                if max(abs(v) for v in prefix) == radius:
-                    candidates.append(tuple(prefix))
-                return
-            for v in range(-radius, radius + 1):
-                walk(prefix + [v])
-        walk([])
-        for vec in sorted(candidates):
-            g = 0
-            for v in vec:
-                g = gcd(g, v)
-            if g != 1:
-                continue
-            xi = CircleDirection(vec)
-            if not is_generic(space, xi):
-                return xi
+        if found := search([], radius):
+            return CircleDirection(found)
     raise NonGenericError(
         f"no generic direction in box of radius {_GENERIC_SEARCH_RADIUS}", [])
 
@@ -342,9 +376,7 @@ def unimodular_completion(xi: tuple[int, ...]) -> list[list[int]]:
     """Integer matrix with determinant +-1 whose first column is the primitive
     multiple of xi; used to rotate a circle direction onto the first axis."""
     n = len(xi)
-    g = 0
-    for v in xi:
-        g = gcd(g, v)
+    g = gcd(*xi)
     if g == 0:
         raise ValidationError("zero direction")
     vec = [v // g for v in xi]
@@ -573,7 +605,7 @@ def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,
                    ordering: VariableOrdering | None = None) -> KirwanIntegral:
     """Torus-level Kirwan integral (up to a global constant) as a moment-
     weighted iterated residue of the fixed-point sum, innermost residue taken
-    along a generic circle direction (the first one found when xi is None).
+    along a generic circle direction (``find_generic_direction``'s if None).
     The first-applied direction of the ordering must be generic; that is
     checked here, once.
 

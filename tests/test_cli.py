@@ -292,6 +292,17 @@ def test_moment_zero_names_the_component(capsys, tmp_path):
     assert generic["detail"].endswith("; violated by moment:NN")
 
 
+def test_empty_certificate_names_no_violations(capsys, monkeypatch):
+    # the exhausted search box comes with no violation to name
+    def exhausted(space):
+        raise spaces.NonGenericError("no generic direction in box of radius 8", [])
+
+    monkeypatch.setattr(spaces, "find_generic_direction", exhausted)
+    code, out, err = run(capsys, "kernel", "s2xs2-t2", "--full")
+    assert code == 2 and not out
+    assert err == "error: no generic direction in box of radius 8\n"
+
+
 def test_kernel_full_with_delta(capsys):
     code, report, _ = run_json(capsys, "kernel", "s2", "--full",
                                "--ordering", "0", "--delta", "5")

@@ -4,6 +4,7 @@ Kirwan-map integrals on the bundled examples."""
 import random
 from fractions import Fraction as Q
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -171,15 +172,99 @@ def test_is_generic_reports_violations(s2xs2):
 
 
 def test_find_generic_direction(s2, s2xs2):
-    # deterministic sweep: smallest box radius, candidates in sorted order
+    # smallest max-norm first, then the lexicographically first direction
     assert find_generic_direction(s2.space).vector == (-1,)
     xi = find_generic_direction(s2xs2.space)
     assert is_generic(s2xs2.space, xi) == []
 
 
+def sweep_direction(space, radius=8):
+    """The lattice sweep the pruned search replaced: every integer point of
+    max-norm r for r = 1, 2, ..., sorted, tested with is_generic one by one."""
+    n = space.vars.count
+    for r in range(1, radius + 1):
+        for vec in sorted(v for v in product(range(-r, r + 1), repeat=n)
+                          if max(map(abs, v)) == r):
+            xi = CircleDirection(vec)
+            if gcd(*vec) == 1 and not is_generic(space, xi):
+                return xi
+    return None
+
+
+def diagonal_sphere_product_space(k):
+    """(S^2)^k under the diagonal circle (odd k): moment sum(s), weights -s_i."""
+    vars = Variables(("X",))
+    zero = EquivariantPolynomial.zero(vars)
+    return HamiltonianSpace(vars, 2 * k, [
+        FixedComponent(str(s), (Q(sum(s)),), POINT_ALGEBRA, tuple((lf(-e), zero) for e in s))
+        for s in product((1, -1), repeat=k)])
+
+
+def search_cases():
+    cases = [(name, lambda name=name: load_dataset(name).space) for name in bundled_names()]
+    cases += [(f"s2x{k}", lambda k=k: sphere_product_space(k)) for k in (2, 3, 4)]
+    cases += [(f"s2x{k}-diag", lambda k=k: diagonal_sphere_product_space(k)) for k in (3, 5)]
+    offsets = {"1/(5+i)": lambda i, n: Q(1, 5 + i), "(i+1)/2n^2": lambda i, n: Q(i + 1, 2 * n * n),
+               "i/7n": lambda i, n: Q(i, 7 * n), "-1/(i+3)": lambda i, n: Q(-1, i + 3)}
+    cases += [(f"cp{n}:{label}", lambda n=n, off=off: projective_space(
+        n, [off(i, n) for i in range(n)])[0]) for n in (2, 3, 4) for label, off in offsets.items()]
+    return cases
+
+
+@pytest.mark.parametrize("build", [pytest.param(b, id=n) for n, b in search_cases()])
+def test_find_generic_direction_is_the_sweeps_direction(build):
+    space = build()
+    xi = find_generic_direction(space)
+    assert xi == sweep_direction(space)
+    assert is_generic(space, xi) == []
+
+
+@pytest.mark.parametrize("build, expected", [
+    pytest.param(lambda: projective_space(5, [Q(i + 1, 50) for i in range(5)])[0],
+                 (-3, -2, -1, 1, 2), id="cp5"),
+    pytest.param(lambda: projective_space(6, [Q(i + 1, 72) for i in range(6)])[0],
+                 (-3, -2, -1, 1, 2, 3), id="cp6"),
+    pytest.param(lambda: sphere_product_space(6), (-2, -2, -2, -2, -2, -1), id="s2x6"),
+])
+def test_find_generic_direction_at_rank_five_and_six(build, expected):
+    # the sweep's answers (offset (i+1)/(2n^2) on CP^n), recorded once: the
+    # sweep takes seconds to a minute here
+    space = build()
+    xi = find_generic_direction(space)
+    assert xi.vector == expected
+    assert is_generic(space, xi) == []
+
+
+def killed_up_to(radius):
+    """A rank-2 point at moment (1, 0) with one weight orthogonal to each
+    primitive direction of max-norm at most radius."""
+    lines = sorted({(a, b) for a in range(-radius, radius + 1) for b in range(-radius, radius + 1)
+                    if gcd(a, b) == 1 and (a, b) > (0, 0)})
+    return HamiltonianSpace(V2, 2 * len(lines), [point("p", (1, 0), [(-b, a) for a, b in lines])])
+
+
+def test_find_generic_direction_searches_the_whole_box():
+    # every direction of max-norm up to 7 is killed: the first survivor has
+    # max-norm 8, the search bound
+    space = killed_up_to(7)
+    assert len(space.components[0].normal_lines) == 72
+    xi = find_generic_direction(space)
+    assert xi.vector == (-8, -7) and xi == sweep_direction(space)
+    assert is_generic(space, xi) == []
+
+
+def test_find_generic_direction_exhausted_box():
+    space = killed_up_to(8)
+    assert space.dim == 176
+    with pytest.raises(NonGenericError) as info:
+        find_generic_direction(space)
+    assert str(info.value) == "no generic direction in box of radius 8"
+    assert info.value.violations == []
+
+
 def test_find_generic_direction_names_moment_zero():
     # a fixed point at moment 0 pairs to zero with every direction, so no
-    # sweep can succeed; the certificate names it instead of coming back empty
+    # search can succeed; the certificate names it instead of coming back empty
     sp = HamiltonianSpace(V2, 4, [point("p", (0, 0), [(1, 0), (0, 1)]),
                                   point("q", (1, 1), [(-1, 0), (0, -1)])])
     with pytest.raises(NonGenericError) as info:
@@ -255,10 +340,11 @@ def test_localization_detects_bad_data(s2):
     assert not localization_sum(broken, RestrictedClass.unit(broken)).is_polynomial()
 
 
-def projective_space(n):
+def projective_space(n, offset=None):
     """CP^n under T^n: fixed points p_0..p_n with x_0 = 0, weights x_j - x_i
-    at p_i, moment e_i minus a small offset, and the hyperplane generator u
-    restricting to x_i at p_i."""
+    at p_i, moment e_i minus an offset (by default 1/(5+k) in entry k), and
+    the hyperplane generator u restricting to x_i at p_i."""
+    offset = offset or [Q(1, 5 + k) for k in range(n)]
     vars = Variables(tuple(f"X{i}" for i in range(1, n + 1)))
     zero = EquivariantPolynomial.zero(vars)
 
@@ -269,7 +355,7 @@ def projective_space(n):
     for i in range(n + 1):
         lines = tuple((lf(*(a - b for a, b in zip(x(j), x(i)))), zero)
                       for j in range(n + 1) if j != i)
-        moment = tuple(Q(e) - Q(1, 5 + k) for k, e in enumerate(x(i)))
+        moment = tuple(Q(e) - c for e, c in zip(x(i), offset))
         comps.append(FixedComponent(f"p{i}", moment, POINT_ALGEBRA, lines))
     space = HamiltonianSpace(vars, 2 * n, comps)
     u = RestrictedClass(space, 2, {f"p{i}": EquivariantPolynomial.variable(vars, i - 1)
