@@ -59,9 +59,9 @@ from .weylgrp import (
     invariant_subspace,
 )
 from .datasets import (
+    BUNDLED,
     Dataset,
     SchemaError,
-    bundled_names,
     dataset_from_json,
     dataset_to_json,
     load_dataset,

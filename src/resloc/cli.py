@@ -142,8 +142,7 @@ def cmd_validate(args) -> int:
         xi = find_generic_direction(ds.space)
         _add_check(report, "generic-direction", True, f"found {list(xi.vector)}")
     except NonGenericError as exc:
-        _add_check(report, "generic-direction", False,
-                   _nongeneric(exc) if exc.violations else "no generic direction in range")
+        _add_check(report, "generic-direction", False, _nongeneric(exc))
 
     checked, failures = _localization_failures(ds, max_degree)
     _add_check(report, "abbv-polynomiality", not failures,
@@ -219,7 +218,7 @@ def _kernel_circle(ds: Dataset, args, report: dict, calibration: RestrictedClass
         for r in rows]
     for r in rows:
         _add_check(report, f"circle-split-degree-{r.degree}", r.ok,
-                   f"kernel dim {r.kernel_dim} vs {r.minus_dim}+{r.plus_dim}, "
+                   f"kernel dim {r.kernel.dim} vs {r.minus.dim}+{r.plus.dim}, "
                    f"direct={r.sum_direct}")
     report["results"]["calibration"] = {
         "class": args.calibrate,
@@ -243,7 +242,7 @@ def _kernel_full(ds: Dataset, args, report: dict, calibration: RestrictedClass) 
         for r in rows]
     for r in rows:
         _add_check(report, f"full-kernel-degree-{r.degree}", r.equal,
-                   f"kernel dim {r.kernel_dim} vs chamber sum "
+                   f"kernel dim {r.kernel.dim} vs chamber sum "
                    f"dim {r.chamber_sum_dim}")
     report["results"]["calibration"] = {
         "class": args.calibrate,

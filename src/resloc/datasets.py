@@ -55,7 +55,7 @@ __all__ = [
     "dataset_to_json",
     "load_dataset",
     "load_expression",
-    "bundled_names",
+    "BUNDLED",
     "build_s2",
     "build_s2xs2_t2",
     "build_s2xs2_nonisolated",
@@ -81,6 +81,8 @@ class Dataset:
         for n, cls in self.generators:
             if n == name:
                 return cls
+        if name == "one":  # the loader keeps this name for the unit class
+            return RestrictedClass.unit(self.space)
         raise KeyError(f"no generator named {name!r}")
 
 
@@ -235,11 +237,11 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
         generators.append((gname, cls))
     if len({n for n, _ in generators}) != len(generators):
         raise SchemaError("$.generators: names must be distinct")
+    taken = next((g for g, (n, cls) in enumerate(generators) if n == "one" and cls != unit),
+                 None)
+    if taken is not None:
+        raise SchemaError(f"$.generators[{taken}].name: \"one\" is kept for the unit class")
     if not any(cls.degree == 0 and cls == unit for _, cls in generators):
-        taken = next((g for g, (n, _) in enumerate(generators) if n == "one"), None)
-        if taken is not None:
-            raise SchemaError(f"$.generators[{taken}].name: \"one\" is kept for "
-                              "the unit class, which no generator equals")
         generators.insert(0, ("one", unit))
 
     weyl = None
@@ -385,10 +387,6 @@ def load_expression(path: str) -> tuple[RationalSection, int, str]:
     if var_name not in names:
         raise SchemaError(f"$.variable: unknown variable {var_name!r}")
     return section, names.index(var_name), var_name
-
-
-def bundled_names() -> tuple[str, ...]:
-    return BUNDLED
 
 
 # -- bundled example builders --------------------------------------------------

@@ -255,18 +255,6 @@ class CircleKernelRow:
     equal: bool
 
     @property
-    def kernel_dim(self) -> int:
-        return self.kernel.dim
-
-    @property
-    def minus_dim(self) -> int:
-        return self.minus.dim
-
-    @property
-    def plus_dim(self) -> int:
-        return self.plus.dim
-
-    @property
     def ok(self) -> bool:
         return self.sum_direct and self.equal
 
@@ -407,14 +395,6 @@ class FullKernelRow:
     kernel: Subspace
     chamber_sum_dim: int
     equal: bool
-
-    @property
-    def kernel_dim(self) -> int:
-        return self.kernel.dim
-
-    @property
-    def ok(self) -> bool:
-        return self.equal
 
 
 def check_full_kernel(model: DegreeTruncatedModel, degrees: list[int],

@@ -10,9 +10,7 @@ independent implementations are kept deliberately:
 * ``res_x_plus_series`` expands the section as a Laurent series at infinity
   and reads off the coefficient of 1/x.  The expansion of 1 over the
   denominator is a ``ReciprocalSeries``, grown as deeper coefficients are
-  asked for, so a caller that meets one denominator many times keeps one;
-  ``euler_series_residue`` expands a reciprocal Euler class with the same
-  object.
+  asked for, so a caller that meets one denominator many times keeps one.
 
 The circle-level Kirwan integral takes every residue by the series route,
 from one kept expansion per (component, denominator).  The pole route
@@ -51,7 +49,6 @@ __all__ = [
     "res_x_plus_series",
     "ReciprocalSeries",
     "residues_at_poles",
-    "euler_series_residue",
     "MomentTerm",
     "iterated_residue_selected",
 ]
@@ -89,7 +86,6 @@ def residues_at_poles(h: RationalSection, var: int,
         k = pole_forms[form]
         n = form.coeffs[var]
         b_coeffs = tuple(Q(0) if i == var else -c / n for i, c in enumerate(form.coeffs))
-        b_poly = EquivariantPolynomial.from_linear_form(h.vars, LinearForm(b_coeffs))
         rest = {f: m for f, m in h.denom.items() if f != form}
         g = RationalSection(h.numer.scale(Q(1) / n ** k), rest, cancel=False)
         contribution = RationalSection.zero(h.vars, h.algebra)
@@ -102,7 +98,7 @@ def residues_at_poles(h: RationalSection, var: int,
                 break
             coeff = weight ** j / (factorial(j) * factorial(k - 1 - j))
             if coeff:
-                piece = derivatives[k - 1 - j].subst_linear(var, b_poly, b_coeffs)
+                piece = derivatives[k - 1 - j].subst_linear(var, b_coeffs)
                 contribution = contribution + piece.scale(coeff)
         out.append((b_coeffs, contribution))
     return out
@@ -123,11 +119,10 @@ def _without(form: LinearForm, var: int) -> LinearForm:
 
 class ReciprocalSeries:
     """Laurent expansion at x_var = infinity of 1 / D, where D is a product
-    of factors (n * x_var + u)^m with n a nonzero rational and u a polynomial
-    free of x_var (a linear form, plus a nilpotent class for an Euler
-    factor).  ``coefficient(r)`` is S_r, the polynomial coefficient of
-    x_var^(-r); coefficients are computed on first use and kept, so the
-    expansion grows as deeper ones are asked for.
+    of factors (n * x_var + u)^m with n a nonzero rational and u a linear
+    form free of x_var.  ``coefficient(r)`` is S_r, the polynomial
+    coefficient of x_var^(-r); coefficients are computed on first use and
+    kept, so the expansion grows as deeper ones are asked for.
 
     With N the total multiplicity, a0 the product of the n^m and b_i the
     coefficients of D / a0 = sum b_i x_var^(N-i), the expansion is
@@ -194,43 +189,13 @@ def res_x_plus_series(h: RationalSection, var: int,
 
 
 def res_x_plus(h: RationalSection, var: int, method: str = "poles") -> RationalSection:
-    """Residue sum over all finite poles in one variable.
-
-    method: "poles" (partial fractions), "series" (expansion at infinity) or
-    "check" to run both and insist they agree.
-    """
+    """Residue sum over all finite poles in one variable, by method "poles"
+    (partial fractions) or "series" (expansion at infinity)."""
     if method == "poles":
         return res_x_plus_poles(h, var)
     if method == "series":
         return res_x_plus_series(h, var)
-    if method == "check":
-        a = res_x_plus_poles(h, var)
-        b = res_x_plus_series(h, var)
-        if a != b:
-            raise ArithmeticError("residue implementations disagree")
-        return a
     raise ValidationError(f"unknown residue method {method!r}")
-
-
-def euler_series_residue(alpha: EquivariantPolynomial,
-                         lines: list[tuple[LinearForm, EquivariantPolynomial]]) -> EquivariantPolynomial:
-    """Integral over the component of the 1/x coefficient of alpha/euler.
-
-    The reciprocal Euler class is expanded as a Laurent series in 1/x with
-    coefficients in H*(F)[Y]; only components whose weights all involve the
-    first variable admit such an expansion.  Returns a polynomial in the
-    remaining variables (point-algebra valued).
-    """
-    vars = alpha.vars
-    algebra = alpha.algebra
-    for form, _ in lines:
-        if form.coeffs[0] == 0:
-            raise ValidationError(
-                "series residue needs every normal weight to involve the first variable")
-    series = ReciprocalSeries(0, vars, algebra, (
-        (form.coeffs[0], EquivariantPolynomial.from_linear_form(
-            vars, _without(form, 0), algebra) + chern, 1) for form, chern in lines))
-    return series.contract(alpha).integrate()
 
 
 @dataclass

@@ -94,9 +94,6 @@ class FixedComponent:
     algebra: GradedAlgebra
     normal_lines: tuple[tuple[LinearForm, EquivariantPolynomial], ...]
 
-    def dim(self) -> int:
-        return self.algebra.top_degree
-
 
 class HamiltonianSpace:
     """Fixed-point presentation of a compact Hamiltonian torus space."""
@@ -138,12 +135,6 @@ class HamiltonianSpace:
                     raise ValidationError(
                         f"component {f.name}: line class must be a degree-2 element of "
                         f"the component algebra")
-
-    def component(self, name: str) -> FixedComponent:
-        for f in self.components:
-            if f.name == name:
-                return f
-        raise KeyError(name)
 
     def euler_inverse(self, f: FixedComponent) -> RationalSection:
         from .symcore import invert_euler
@@ -373,38 +364,35 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def unimodular_completion(xi: tuple[int, ...]) -> list[list[int]]:
-    """Integer matrix with determinant +-1 whose first column is the primitive
-    multiple of xi; used to rotate a circle direction onto the first axis."""
+    """Integer matrix of determinant +1 (for more than one entry) whose first
+    column is the primitive multiple of xi; used to rotate a circle direction
+    onto the first axis.
+
+    Extended-gcd row steps of determinant 1 carry the primitive vector to
+    (d, 0, ..., 0); the returned matrix is their inverse, built column-wise
+    alongside them."""
     n = len(xi)
     g = gcd(*xi)
     if g == 0:
         raise ValidationError("zero direction")
-    vec = [v // g for v in xi]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = list(vec)
+    v = [x // g for x in xi]
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     for i in range(1, n):
         a, b = v[0], v[i]
         if b == 0:
             continue
         d, s, t = _extended_gcd(a, b)
         p, q = -(b // d), a // d
-        row0 = [s * u[0][j] + t * u[i][j] for j in range(n)]
-        rowi = [p * u[0][j] + q * u[i][j] for j in range(n)]
-        u[0], u[i] = row0, rowi
+        # the step on rows 0, i is [[s, t], [p, q]]; its inverse is [[q, -t], [-p, s]]
+        cols[0], cols[i] = ([q * x - p * y for x, y in zip(cols[0], cols[i])],
+                            [s * y - t * x for x, y in zip(cols[0], cols[i])])
         v[0], v[i] = d, 0
     if v[0] < 0:
-        u[0] = [-x for x in u[0]]
-        v[0] = -v[0]
-    # invert u exactly; the inverse is integral because det u = +-1
-    aug = [{**{j: Q(u[i][j]) for j in range(n)}, n + i: Q(1)} for i in range(n)]
-    rref, pivots = linalg.row_reduce(aug)
-    if pivots != list(range(n)):
-        raise ValidationError("completion matrix is singular")
-    basis = [[int(rref[i].get(n + j, 0)) for j in range(n)] for i in range(n)]
-    if linalg.det(basis) == -1 and n > 1:
-        for i in range(n):
-            basis[i][1] = -basis[i][1]
-    return basis
+        # negating column 0 alone would leave determinant -1
+        cols[0] = [-x for x in cols[0]]
+        if n > 1:
+            cols[1] = [-x for x in cols[1]]
+    return [[col[i] for col in cols] for i in range(n)]
 
 
 @dataclass

@@ -96,9 +96,6 @@ class LinearForm:
     def involves(self, var: int) -> bool:
         return self.coeffs[var] != 0
 
-    def pair(self, vector: Iterable) -> Fraction:
-        return sum((c * _q(v) for c, v in zip(self.coeffs, vector)), Q(0))
-
     def normalized(self) -> tuple[Fraction, "LinearForm"]:
         """Write self = scale * primitive where primitive has coprime integer
         coefficients and positive leading (first nonzero) coefficient.
@@ -341,12 +338,6 @@ class EquivariantPolynomial:
     def is_homogeneous(self) -> bool:
         degs = {2 * sum(e) + self.algebra.degrees[b] for e, b in self.terms}
         return len(degs) <= 1
-
-    def var_degree(self, var: int) -> int:
-        """Max exponent of the given variable; -1 for zero."""
-        if not self.terms:
-            return -1
-        return max(e[var] for e, _ in self.terms)
 
     def involves(self, var: int) -> bool:
         return any(e[var] for e, _ in self.terms)
@@ -780,24 +771,19 @@ class RationalSection:
                 out = out + RationalSection(self.numer.scale(-n * mult), denom)
         return out
 
-    def subst_linear(self, var: int, replacement: EquivariantPolynomial,
-                     replacement_coeffs: tuple[Fraction, ...] | None = None) -> "RationalSection":
-        """Substitute a linear unit-valued polynomial for one variable; every
-        denominator factor must stay nonzero."""
-        numer = self.numer.subst_linear(var, replacement)
+    def subst_linear(self, var: int, coeffs: tuple[Fraction, ...]) -> "RationalSection":
+        """Substitute the linear form sum(coeffs[i] * x_i), free of x_var, for
+        x_var; every denominator factor must stay nonzero."""
+        numer = self.numer.subst_linear(
+            var, EquivariantPolynomial.from_linear_form(self.vars, LinearForm(coeffs)))
         denom: list[tuple[LinearForm, int]] = []
-        scale = Q(1)
         for form, mult in self.denom.items():
             n = form.coeffs[var]
             if n == 0:
                 denom.append((form, mult))
                 continue
-            if replacement_coeffs is None:
-                replacement_coeffs = tuple(
-                    replacement.terms.get((tuple(1 if j == i else 0 for j in range(self.vars.count)), 0), Q(0))
-                    for i in range(self.vars.count))
             nf = LinearForm(tuple(Q(0) if i == var else c + n * r
-                                  for i, (c, r) in enumerate(zip(form.coeffs, replacement_coeffs))))
+                                  for i, (c, r) in enumerate(zip(form.coeffs, coeffs))))
             if nf.is_zero():
                 raise ZeroDivisionError("denominator factor vanishes under substitution")
             denom.append((nf, mult))

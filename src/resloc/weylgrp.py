@@ -184,36 +184,24 @@ class WeylData:
         if len(amap) != nb or any(len(r) != len(dst.basis) for r in amap):
             raise ValidationError(
                 f"algebra map {src_name}->{dst_name} has wrong shape")
-        if linalg.rank([{k: Q(v) for k, v in enumerate(r)} for r in amap]) != nb:
+        images = [{k: Q(v) for k, v in enumerate(r) if v} for r in amap]
+        if linalg.rank(images) != nb:
             raise ValidationError(f"algebra map {src_name}->{dst_name} is singular")
-        unit = [Q(1) if k == 0 else Q(0) for k in range(len(dst.basis))]
-        if [Q(v) for v in amap[0]] != unit:
+        if images[0] != {0: 1}:
             raise ValidationError(f"algebra map {src_name}->{dst_name} moves the unit")
-        for i in range(nb):
-            for k, v in enumerate(amap[i]):
-                if Q(v) and src.degrees[i] != dst.degrees[k]:
-                    raise ValidationError(
-                        f"algebra map {src_name}->{dst_name} is not degree-preserving")
-            image = {k: Q(v) for k, v in enumerate(amap[i]) if Q(v)}
-            lhs = sum((v * dst.integral[k] for k, v in image.items()), Q(0))
-            if lhs != src.integral[i]:
+        for i, image in enumerate(images):
+            if any(src.degrees[i] != dst.degrees[k] for k in image):
+                raise ValidationError(
+                    f"algebra map {src_name}->{dst_name} is not degree-preserving")
+            if sum(v * dst.integral[k] for k, v in image.items()) != src.integral[i]:
                 raise ValidationError(
                     f"algebra map {src_name}->{dst_name} does not preserve the integral")
         for i in range(nb):
             for j in range(i, nb):
-                prod_src = src.mul_basis(i, j)
-                lhs = {}
-                for k, v in prod_src.items():
-                    for t, m in enumerate(amap[k]):
-                        if Q(m):
-                            lhs[t] = lhs.get(t, Q(0)) + v * Q(m)
-                rhs = {}
-                for a, va in enumerate(amap[i]):
-                    for b, vb in enumerate(amap[j]):
-                        if Q(va) and Q(vb):
-                            for t, m in dst.mul_basis(a, b).items():
-                                rhs[t] = rhs.get(t, Q(0)) + Q(va) * Q(vb) * m
-                if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+                lhs: linalg.Row = {}
+                for k, v in src.mul_basis(i, j).items():
+                    linalg.add_scaled(lhs, v, images[k])
+                if lhs != dst._mul_elt(images[i], images[j]):
                     raise ValidationError(
                         f"algebra map {src_name}->{dst_name} is not multiplicative")
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from resloc import kernels, spaces
+from resloc import cli, kernels, spaces
 from resloc.cli import main
 from resloc.datasets import dataset_to_json, load_dataset
 
@@ -293,14 +293,20 @@ def test_moment_zero_names_the_component(capsys, tmp_path):
 
 
 def test_empty_certificate_names_no_violations(capsys, monkeypatch):
-    # the exhausted search box comes with no violation to name
+    # the exhausted search box comes with no violation to name, and both
+    # commands name it with the same text
     def exhausted(space):
         raise spaces.NonGenericError("no generic direction in box of radius 8", [])
 
     monkeypatch.setattr(spaces, "find_generic_direction", exhausted)
+    monkeypatch.setattr(cli, "find_generic_direction", exhausted)
     code, out, err = run(capsys, "kernel", "s2xs2-t2", "--full")
     assert code == 2 and not out
     assert err == "error: no generic direction in box of radius 8\n"
+    code, report, _ = run_json(capsys, "validate", "s2xs2-t2")
+    [check] = [c for c in report["checks"] if c["name"] == "generic-direction"]
+    assert code == 1 and not check["pass"]
+    assert check["detail"] == "no generic direction in box of radius 8"
 
 
 def test_kernel_full_with_delta(capsys):
@@ -375,6 +381,21 @@ def test_kernel_calibrate_flag(capsys):
                                "--calibrate", "u")
     assert code == 0
     assert report["results"]["calibration"]["class"] == "u"
+
+
+@pytest.mark.parametrize("mode", ["--circle=1", "--circle=-1", "--full"])
+def test_default_calibration_with_the_unit_under_another_name(capsys, tmp_path, mode):
+    # "one" is the unit class whatever the dataset calls its unit generator
+    obj = dataset_to_json(load_dataset("s2"))
+    [unit] = [g for g in obj["generators"] if g["name"] == "one"]
+    unit["name"] = "unit"
+    p = tmp_path / "s2-unit.json"
+    p.write_text(json.dumps(obj))
+    code, report, err = run_json(capsys, "kernel", str(p), mode)
+    assert code == 0 and not err
+    _, bundled, _ = run_json(capsys, "kernel", "s2", mode)
+    assert report["results"]["calibration"] == bundled["results"]["calibration"]
+    assert report["results"]["calibration"]["class"] == "one"
 
 
 def test_kernel_unknown_calibrate(capsys, monkeypatch):

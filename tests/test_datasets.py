@@ -8,8 +8,8 @@ import pytest
 
 from resloc.datasets import (
     BUILDERS,
+    BUNDLED,
     SchemaError,
-    bundled_names,
     dataset_from_json,
     dataset_to_json,
     load_dataset,
@@ -22,8 +22,8 @@ def s2_json():
     return dataset_to_json(load_dataset("s2"))
 
 
-def test_bundled_names_load():
-    for name in bundled_names():
+def test_bundled_datasets_load():
+    for name in BUNDLED:
         ds = load_dataset(name)
         assert ds.name == name
         assert ds.space.components
@@ -36,7 +36,7 @@ def test_builders_match_bundled_files():
 
 
 def test_round_trip_is_identity():
-    for name in bundled_names():
+    for name in BUNDLED:
         obj = dataset_to_json(load_dataset(name))
         again = dataset_to_json(dataset_from_json(copy.deepcopy(obj), name))
         assert again == obj
@@ -63,6 +63,15 @@ def test_unit_generator_inserted(s2_json):
     ds = dataset_from_json(obj, "s2")
     assert ds.generators[0][0] == "one"
     assert ds.generators[0][1] == RestrictedClass.unit(ds.space)
+
+
+def test_one_names_only_the_unit_class(s2_json):
+    # the unit generator under another name, and "one" naming u
+    obj = copy.deepcopy(s2_json)
+    for g in obj["generators"]:
+        g["name"] = {"one": "unit", "u": "one"}[g["name"]]
+    with pytest.raises(SchemaError, match=r'generators\[1\]\.name: "one" is kept for the unit'):
+        dataset_from_json(obj, "s2")
 
 
 def test_generator_lookup(s2_json):

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from resloc import spaces, symcore
-from resloc.datasets import bundled_names, load_dataset
+from resloc.datasets import BUNDLED, load_dataset
 from resloc.kernels import build_model
 from resloc.residues import (
     MomentTerm,
@@ -91,14 +91,14 @@ def s2cubed():
 def test_euler_class_single_line():
     sp = HamiltonianSpace(V2, 2, [point("p", (1, 0), [(1, 0)]),
                                   point("q", (-1, 0), [(-1, 0)])])
-    assert sp.euler_inverse(sp.component("p")) == RationalSection(
+    assert sp.euler_inverse(sp.components[0]) == RationalSection(
         EquivariantPolynomial.one(V2), {lf(1, 0): 1})
 
 
 def test_euler_class_two_lines():
     sp = HamiltonianSpace(V2, 4, [point("p", (1, 1), [(1, 0), (-1, 1)]),
                                   point("q", (-1, -1), [(-1, 0), (1, -1)])])
-    assert sp.euler_inverse(sp.component("p")) == RationalSection(
+    assert sp.euler_inverse(sp.components[0]) == RationalSection(
         EquivariantPolynomial.one(V2), {lf(1, 0): 1, lf(-1, 1): 1})
 
 
@@ -201,7 +201,7 @@ def diagonal_sphere_product_space(k):
 
 
 def search_cases():
-    cases = [(name, lambda name=name: load_dataset(name).space) for name in bundled_names()]
+    cases = [(name, lambda name=name: load_dataset(name).space) for name in BUNDLED]
     cases += [(f"s2x{k}", lambda k=k: sphere_product_space(k)) for k in (2, 3, 4)]
     cases += [(f"s2x{k}-diag", lambda k=k: diagonal_sphere_product_space(k)) for k in (3, 5)]
     offsets = {"1/(5+i)": lambda i, n: Q(1, 5 + i), "(i+1)/2n^2": lambda i, n: Q(i + 1, 2 * n * n),
@@ -279,11 +279,33 @@ def test_unimodular_completion_is_unimodular():
         return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
                    for j in range(len(m)))
 
-    for xi in [(1,), (2, 3), (1, 2), (6, 10, 15), (0, 0, 1)]:
-        mat = unimodular_completion(xi)
-        cols = [[mat[i][j] for i in range(len(xi))] for j in range(len(xi))]
-        assert cols[0] == list(xi)
-        assert det(mat) in (1, -1)
+    for xi in product(range(-3, 4), repeat=3):
+        if any(xi):
+            mat = unimodular_completion(xi)
+            assert [row[0] for row in mat] == [v // gcd(*xi) for v in xi]
+            assert det(mat) == 1
+    for xi, mat in UNIMODULAR_COMPLETIONS:
+        assert unimodular_completion(xi) == mat
+        assert det(mat) == (1 if len(xi) > 1 else xi[0] // abs(xi[0]))
+
+
+# matrices recorded from the completion that inverted its row steps by
+# elimination; building the inverse alongside the steps gives the same ones
+UNIMODULAR_COMPLETIONS = [
+    ((1,), [[1]]),
+    ((-3,), [[-1]]),
+    ((2, 3), [[2, -1], [3, -1]]),
+    ((1, 2), [[1, 0], [2, 1]]),
+    ((-1, 0), [[-1, 0], [0, -1]]),
+    ((0, -1), [[0, 1], [-1, 0]]),
+    ((4, -6), [[2, 1], [-3, -1]]),
+    ((6, 10, 15), [[6, 1, -3], [10, 2, -5], [15, 0, -7]]),
+    ((0, 0, 1), [[0, 0, -1], [0, 1, 0], [1, 0, 0]]),
+    ((-1, 0, 0), [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+    ((3, -4, 0, 5), [[3, 1, 0, 0], [-4, -1, 0, 0], [0, 0, 1, 0], [5, 0, 0, 1]]),
+    ((-3, -2, -1, 1, 2), [[-3, -1, -3, 3, 0], [-2, -1, -2, 2, 0], [-1, 0, 0, 1, 0],
+                          [1, 0, 0, 0, 0], [2, 0, 0, 0, 1]]),
+]
 
 
 def test_adapted_moment_is_pairing(s2xs2):
@@ -379,7 +401,7 @@ def test_localization_sum_matches_left_fold_term_for_term(s2, s2xs2):
     # very numerator and denominator that adding the component terms one by
     # one gives, also where the fold never reaches that denominator
     cases = []
-    for name in bundled_names():
+    for name in BUNDLED:
         ds = load_dataset(name)
         cases += [(ds.space, cls, False) for _, cls in
                   generator_products(ds.space, ds.generators, ds.space.dim)]
@@ -391,7 +413,7 @@ def test_localization_sum_matches_left_fold_term_for_term(s2, s2xs2):
     # denominator: X at NN only, and the equivariant class of the point p0
     x = EquivariantPolynomial.variable(s2xs2.space.vars, 0)
     p0_class = EquivariantPolynomial.one(cp3.vars)
-    for w, _ in cp3.component("p0").normal_lines:
+    for w, _ in cp3.components[0].normal_lines:
         p0_class = p0_class * EquivariantPolynomial.from_linear_form(cp3.vars, w)
     lone = [(s2xs2.space, only_at(s2xs2.space, "NN", x, 2)),
             (cp3, only_at(cp3, "p0", p0_class, cp3.dim))]
@@ -650,7 +672,7 @@ def table_cases():
     direction of positive and one of negative leading entry."""
     circles = [(1,), (-1,)]
     cases = [(load_dataset(name).space, [(1, 2), (-1, 2)] if name == "s2xs2-t2" else circles)
-             for name in bundled_names()]
+             for name in BUNDLED]
     return cases + [(projective_space(3)[0], [(1, 2, 4), (-1, -2, 4)]),
                     (sphere_product_space(3), [(1, 2, 4), (-1, 2, 4)])]
 

@@ -9,11 +9,14 @@ import pytest
 from resloc import weylgrp
 from resloc.datasets import load_dataset
 from resloc.kernels import build_model
-from resloc.spaces import RestrictedClass, torus_integral
+from resloc.spaces import FixedComponent, HamiltonianSpace, RestrictedClass, torus_integral
 from resloc.symcore import (
     EquivariantPolynomial,
     ExactDivisionError,
+    GradedAlgebra,
+    LinearForm,
     ValidationError,
+    Variables,
 )
 from resloc.weylgrp import (
     WeylData,
@@ -141,6 +144,34 @@ def test_weyl_rejects_singular_algebra_map(ds):
     bad = WeylElement(e.matrix, e.perm, maps)
     with pytest.raises(ValidationError, match="singular|unit"):
         WeylData(ds.space, [bad], ds.weyl.positive_roots)
+
+
+def two_projective_planes():
+    """The circle rotating S^2 in CP^2 x S^2: two fixed copies of CP^2, with
+    cohomology Q[h]/h^3, at moments 1 and -1."""
+    vars = Variables(("X",))
+    cp2 = GradedAlgebra(("one", "h", "h2"), (0, 2, 4),
+                        {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 1): {2: 1}},
+                        (0, 0, 1), 4)
+    zero = EquivariantPolynomial.zero(vars, cp2)
+    return HamiltonianSpace(vars, 6, [
+        FixedComponent("N", (Q(1),), cp2, ((LinearForm.make([-1]), zero),)),
+        FixedComponent("S", (Q(-1),), cp2, ((LinearForm.make([1]), zero),))])
+
+
+@pytest.mark.parametrize("images, message", [
+    # h -> 2h, h^2 -> h^2 keeps the unit, the degrees and the integral
+    (((1, 0, 0), (0, 2, 0), (0, 0, 1)), "is not multiplicative"),
+    (((1, 0, 0), (0, 1, 1), (0, 0, 1)), "is not degree-preserving"),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 2)), "does not preserve the integral"),
+], ids=["multiplicative", "degree", "integral"])
+def test_weyl_rejects_algebra_map(images, message):
+    space = two_projective_planes()
+    eye = tuple(tuple(Q(int(i == j)) for j in range(3)) for i in range(3))
+    assert WeylData(space, [WeylElement(((Q(1),),), (0, 1), (eye, eye))], []).order == 1
+    amap = tuple(tuple(Q(v) for v in row) for row in images)
+    with pytest.raises(ValidationError, match=f"algebra map N->N {message}"):
+        WeylData(space, [WeylElement(((Q(1),),), (0, 1), (amap, eye))], [])
 
 
 # -- invariants and the nonabelian integral ------------------------------------------
