@@ -180,7 +180,7 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
         raise SchemaError("$.variables: expected torus_rank distinct variable names")
     vars = Variables(tuple(var_names))
 
-    components = []
+    components, weights = [], {}
     for c, cobj in enumerate(_expect(obj, "components", list, "$")):
         path = f"$.components[{c}]"
         cname = _expect(cobj, "name", str, path)
@@ -193,6 +193,7 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
             lpath = f"{path}.normal_lines[{l}]"
             wraw = _expect(lobj, "weight", list, lpath)
             weight = LinearForm.make([_frac(v, f"{lpath}.weight") for v in wraw])
+            weight = weights.setdefault(weight, weight)   # normalized once per space
             craw = _expect(lobj, "chern", list, lpath)
             if len(craw) != len(algebra.basis):
                 raise SchemaError(f"{lpath}.chern: expected one coefficient per "

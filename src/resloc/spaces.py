@@ -413,9 +413,9 @@ class AdaptedSpace:
 def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
     """Rotate coordinates by a unimodular map so xi becomes the first axis.
 
-    Weights and moments are re-expressed by pairing with the new basis vectors;
-    after adaptation the first moment coordinate of a component equals the
-    pairing of its moment with xi.
+    Moments and weights are re-expressed by pairing with the new basis
+    vectors, each distinct weight once, so equal weights stay one object.
+    The first adapted moment coordinate is the pairing of the moment with xi.
     """
     xi = xi.primitive()
     n = space.vars.count
@@ -425,10 +425,11 @@ def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
     def transform_covector(cov: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         return tuple(sum((Q(c) * Q(fj) for c, fj in zip(cov, col)), Q(0)) for col in cols)
 
+    images = {w: LinearForm(transform_covector(w.coeffs))
+              for w in {w for f in space.components for w, _ in f.normal_lines}}
     components = []
     for f in space.components:
-        lines = tuple((LinearForm(transform_covector(w.coeffs)), c)
-                      for w, c in f.normal_lines)
+        lines = tuple((images[w], c) for w, c in f.normal_lines)
         components.append(FixedComponent(f.name, transform_covector(f.moment),
                                          f.algebra, lines))
     # old variable i is row i of the basis matrix in the new variables
@@ -440,22 +441,24 @@ def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
 
 
 def localization_sum(space: HamiltonianSpace, eta: RestrictedClass) -> RationalSection:
-    """Fixed-point sum of the componentwise integrals of eta / euler, added
-    over the space's common Euler denominator C and cancelled once.
+    """Fixed-point sum of the integrals of eta_F / e_F over the common Euler
+    denominator C, cancelled once: each eta_F is contracted with F's Euler
+    numerator extended to C through the algebra's pairing, into one sum.
 
-    Over the point algebra a fully cancelled section is unique, so this is
-    the same numerator and denominator as a left fold of the components'
-    terms eta_F / e_F, even where a zero term would have let the fold use a
-    smaller denominator.
+    A fully cancelled section over the point algebra is unique, each
+    normalized form being a nonzerodivisor, so this is the numerator and
+    denominator of a left fold of the terms eta_F / e_F, even where a zero
+    term would have let the fold use a smaller denominator.
 
     For restrictions of a genuine equivariant class this is the equivariant
     integral over the total space, hence a polynomial; failure of the
     polynomiality is the data-validity signal used throughout.
     """
     common, numers = space._common_euler()
-    return RationalSection(EquivariantPolynomial.sum(space.vars, (
-        (eta.restrictions[f.name] * numers[f.name]).integrate()
-        for f in space.components)), common)
+    terms: dict = {}
+    for f in space.components:
+        eta.restrictions[f.name].integrate_product(numers[f.name], terms)
+    return RationalSection(EquivariantPolynomial(space.vars, POINT_ALGEBRA, terms), common)
 
 
 @dataclass(frozen=True)
@@ -537,7 +540,8 @@ def _monomial_table(adapted: AdaptedSpace, entry: Callable[[FixedComponent, Rati
                     denom[prim] -= m
                     scale *= s ** m
             monomial = EquivariantPolynomial(space.vars, f.algebra, {(tuple(exps), key[1]): scale})
-            numer = (adapted.adapt(monomial) * inv.numer).integrate()
+            numer = EquivariantPolynomial(space.vars, POINT_ALGEBRA,
+                                          adapted.adapt(monomial).integrate_product(inv.numer, {}))
             value = tau[f.name, key] = entry(f, RationalSection(numer, denom, cancel=False))
         return value
 

@@ -149,10 +149,10 @@ class GradedAlgebra:
     """Finite-dimensional graded commutative algebra given by structure constants.
 
     Basis element 0 is the unit.  ``integral`` is the linear functional that is
-    nonzero only on the top_degree graded piece.
+    nonzero only on the top_degree piece; ``pairing[i, j]`` is its value on b_i b_j.
     """
 
-    __slots__ = ("basis", "degrees", "top_degree", "integral", "_table", "_key")
+    __slots__ = ("basis", "degrees", "top_degree", "integral", "pairing", "_table", "_key")
 
     def __init__(
         self,
@@ -176,6 +176,8 @@ class GradedAlgebra:
         self._key = (self.basis, self.degrees, self.top_degree, self.integral,
                      tuple(sorted((ij, tuple(sorted(row.items()))) for ij, row in table.items())))
         self._validate()
+        self.pairing = {ij: v for ij, row in table.items()
+                        if (v := sum(s * self.integral[k] for k, s in row.items()))}
 
     def _validate(self):
         n = len(self.basis)
@@ -369,7 +371,7 @@ class EquivariantPolynomial:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "EquivariantPolynomial"):
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise ValidationError("variable mismatch")
         if not (self.algebra is other.algebra or self.algebra == other.algebra):
             raise ValidationError("algebra mismatch")
@@ -534,18 +536,23 @@ class EquivariantPolynomial:
                         out.terms.pop(key, None)
         return out
 
-    def integrate(self) -> "EquivariantPolynomial":
-        """Apply the algebra integral coefficientwise; lands in the point algebra."""
-        out = EquivariantPolynomial(self.vars, POINT_ALGEBRA)
-        for (e, b), c in self.terms.items():
-            w = c * self.algebra.integral[b]
-            if w:
-                key = (e, 0)
-                v = out.terms.get(key, Q(0)) + w
-                if v:
-                    out.terms[key] = v
-                else:
-                    out.terms.pop(key, None)
+    def integrate_product(self, other: "EquivariantPolynomial", out: dict) -> dict:
+        """Add the terms of the integral of self * other into ``out``, keyed
+        (exponents, 0) as over the point algebra, and return it.  Each pair of
+        terms is contracted through the algebra's pairing of basis elements,
+        so the product itself is never formed."""
+        self._check(other)
+        pairing = self.algebra.pairing
+        for (e1, b1), c1 in self.terms.items():
+            for (e2, b2), c2 in other.terms.items():
+                s = pairing.get((b1, b2))
+                if s:
+                    key = (tuple(a + b for a, b in zip(e1, e2)), 0)
+                    v = out.get(key, 0) + c1 * c2 * s
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
         return out
 
     def div_exact_linear(self, form: LinearForm) -> "EquivariantPolynomial":
@@ -653,7 +660,8 @@ class RationalSection:
             numer = numer.scale(Q(1) / scale)
         if numer.is_zero():
             merged = {}
-        elif cancel and merged:
+        # a nonzero numerator free of the variables has no linear factor
+        elif cancel and merged and numer.involves_any_variable():
             for form in sorted(merged, key=lambda f: f.coeffs):
                 while merged.get(form, 0) > 0:
                     try:
@@ -827,9 +835,14 @@ def invert_euler(vars: Variables, algebra: GradedAlgebra,
     """Invert a product of line factors (weight form + degree-2 class).
 
     Each factor 1/(w + c) expands as the finite sum over r of (-c)^r / w^(r+1),
-    cut off by nilpotency of c; the factors are then multiplied out exactly.
+    cut off by nilpotency of c.  The lines' numerators are multiplied out and
+    cancelled once against all factors, as a product of cancelled per-line
+    sections would be: a normalized form has a unit coefficient, so it is a
+    nonzerodivisor over any component algebra, and the multiplicity of each
+    form in the numerator does not depend on the order of cancellation.
     """
-    result = RationalSection.one(vars, algebra)
+    numer = EquivariantPolynomial.one(vars, algebra)
+    denom = []
     for form, chern in lines:
         if form.is_zero():
             raise ValidationError("normal line with zero weight has no invertible Euler factor")
@@ -839,12 +852,9 @@ def invert_euler(vars: Variables, algebra: GradedAlgebra,
         order = algebra.nilpotency_order(elt) if elt else 1
         if order > algebra.top_degree // 2 + 1:
             raise ValidationError("line curvature class is not nilpotent")
-        w_poly = EquivariantPolynomial.from_linear_form(vars, form)
-        numer = EquivariantPolynomial.zero(vars, algebra)
-        minus_c_power = EquivariantPolynomial.one(vars, algebra)
-        for r in range(order):
-            if r:
-                minus_c_power = minus_c_power * (-chern)
-            numer = numer + minus_c_power.mul_pure(w_poly ** (order - 1 - r))
-        result = result * RationalSection(numer, [(form, order)], cancel=False)
-    return result
+        if order > 1:
+            w_poly = EquivariantPolynomial.from_linear_form(vars, form)
+            numer = numer * EquivariantPolynomial.sum(vars, (
+                ((-chern) ** r).mul_pure(w_poly ** (order - 1 - r)) for r in range(order)), algebra)
+        denom.append((form, order))
+    return RationalSection(numer, denom)

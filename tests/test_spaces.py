@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from resloc import spaces, symcore
-from resloc.datasets import BUNDLED, load_dataset
+from resloc.datasets import BUNDLED, Dataset, dataset_from_json, dataset_to_json, load_dataset
 from resloc.kernels import build_model
 from resloc.residues import (
     MomentTerm,
@@ -51,9 +51,15 @@ def lf(*coeffs):
 
 def localization_term(space, f, restriction):
     """The componentwise integral of restriction / euler at f, over the full
-    Euler denominator and not cancelled: the summand of the fold oracle."""
+    Euler denominator and not cancelled: the summand of the fold oracle.  The
+    product is multiplied out and the algebra integral applied to each of its
+    coefficients, the route the pairing contraction replaces."""
     inv = space.euler_inverse(f)
-    return RationalSection((restriction * inv.numer).integrate(), inv.denom, cancel=False)
+    product, integral = restriction * inv.numer, {}
+    for (e, b), c in product.terms.items():
+        integral[e, 0] = integral.get((e, 0), 0) + c * product.algebra.integral[b]
+    return RationalSection(EquivariantPolynomial(space.vars, POINT_ALGEBRA, integral),
+                           inv.denom, cancel=False)
 
 
 def zero2():
@@ -362,6 +368,18 @@ def test_localization_detects_bad_data(s2):
     assert not localization_sum(broken, RestrictedClass.unit(broken)).is_polynomial()
 
 
+def test_localization_sum_checks_the_algebra_of_each_restriction(nonisolated):
+    # the pairing contraction keeps the check of the product it replaces: a
+    # restriction over another algebra than its component's is rejected
+    sp = nonisolated.space
+    assert sp.components[0].algebra != POINT_ALGEBRA
+    cls = RestrictedClass(sp, 0, {
+        f.name: EquivariantPolynomial.one(sp.vars, POINT_ALGEBRA if i == 0 else f.algebra)
+        for i, f in enumerate(sp.components)})
+    with pytest.raises(ValidationError, match="algebra mismatch"):
+        localization_sum(sp, cls)
+
+
 def projective_space(n, offset=None):
     """CP^n under T^n: fixed points p_0..p_n with x_0 = 0, weights x_j - x_i
     at p_i, moment e_i minus an offset (by default 1/(5+k) in entry k), and
@@ -444,7 +462,8 @@ def test_localization_sum_matches_left_fold_term_for_term(s2, s2xs2):
 
 def test_localization_sum_builds_the_common_denominator_once(monkeypatch):
     # the first sum on a space builds C and the extended Euler numerators;
-    # a later sum on another class only multiplies, integrates and cancels
+    # a later sum on another class only contracts its restrictions with the
+    # kept numerators and cancels
     space, gens = projective_space(3)
     localization_sum(space, gens[0][1])
     calls = {"invert_euler": 0, "euler_inverse": 0, "numer_over": 0}
@@ -739,3 +758,37 @@ def test_circle_integral_builds_each_expansion_once(expansion_builds):
         integral.tau(f, key)
     integral(RestrictedClass.unit(space))
     assert len(expansion_builds) == len(pairs)
+
+
+def test_trial_division_only_where_it_can_succeed(monkeypatch, nonisolated):
+    # a nonzero numerator free of the variables has no linear factor, so the
+    # Euler inverses of a point-only space and an algebra-valued constant
+    # over a form are built without one trial division
+    calls = []
+    real = EquivariantPolynomial.div_exact_linear
+
+    def counted(self, form):
+        calls.append(form)
+        return real(self, form)
+
+    monkeypatch.setattr(EquivariantPolynomial, "div_exact_linear", counted)
+    loaded = dataset_from_json(dataset_to_json(
+        Dataset("s2x3", sphere_product_space(3), [])), "s2x3").space
+    adapted = adapt_space(loaded, CircleDirection.make((1, 2, 4))).space
+    for space in (loaded, adapted):
+        # one object per distinct weight: 6 among the 24 lines
+        weights = {}
+        for f in space.components:
+            assert len(space.euler_inverse(f).denom) == 3
+            for w, _ in f.normal_lines:
+                assert weights.setdefault(w, w) is w
+        assert len(weights) == 6
+    u = EquivariantPolynomial.from_algebra_element(
+        V2, nonisolated.space.components[0].algebra, {1: Q(1)})
+    assert RationalSection(u, {lf(2, 0): 1}).denom == {lf(1, 0): 1}
+    assert calls == []
+    # with a variable in the numerator the cancellation still runs
+    x, y = (EquivariantPolynomial.variable(V2, i) for i in range(2))
+    xy = RationalSection(x * y, {lf(1, 0): 1})
+    assert xy.numer == y and xy.denom == {}
+    assert calls == [lf(1, 0)]

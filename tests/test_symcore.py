@@ -188,16 +188,24 @@ def test_degree_and_homogeneity():
 
 
 def test_integrate_cp1_example():
-    # integral of X*u + Y1 over the CP1 algebra is X
+    # over the CP1 algebra the integral of (X*u + Y1) * 1 is X, and of
+    # (X*u + Y1) * u it is Y1, since u^2 = 0
     alg = cp1_algebra()
     u = EquivariantPolynomial.from_algebra_element(V2, alg, {1: Q(1)})
     p = x(V2, alg) * u + y1(V2, alg)
-    assert str(p.integrate()) == "X"
+    assert p.integrate_product(EquivariantPolynomial.one(V2, alg), {}) == {((1, 0), 0): 1}
+    assert p.integrate_product(u, {}) == {((0, 1), 0): 1}
+    with pytest.raises(ValidationError):
+        p.integrate_product(y1(), {})
 
 
 def test_integrate_point_algebra_is_identity():
     p = x() * x() - y1().scale(7)
-    assert p.integrate() == p
+    assert p.integrate_product(EquivariantPolynomial.one(V2), {}) == p.terms
+    # terms are added into the dict given, and a sum of zero leaves no term
+    out = p.integrate_product(EquivariantPolynomial.one(V2), {})
+    assert p.integrate_product(EquivariantPolynomial.constant(V2, -1), out) is out
+    assert out == {}
 
 
 def test_derivative_and_substitution():
@@ -358,3 +366,46 @@ def test_invert_euler_times_euler_is_one(data):
     product = inv * RationalSection(euler)
     assert product.is_polynomial()
     assert product.as_polynomial() == EquivariantPolynomial.one(V2, alg)
+
+
+def invert_euler_by_lines(vars, alg, lines):
+    """The per-line fold: each line's 1/(w + c), written over w^order and
+    not cancelled, multiplied into a product that is cancelled at every step."""
+    result = RationalSection(EquivariantPolynomial.one(vars, alg))
+    for form, chern in lines:
+        elt = {b: c for (e, b), c in chern.terms.items()}
+        order = alg.nilpotency_order(elt) if elt else 1
+        w = EquivariantPolynomial.from_linear_form(vars, form)
+        factor = EquivariantPolynomial.zero(vars, alg)
+        for r in range(order):
+            factor = factor + ((-chern) ** r).mul_pure(w ** (order - 1 - r))
+        result = result * RationalSection(factor, [(form, order)], cancel=False)
+    return result
+
+
+def assert_per_line_fold(vars, alg, lines):
+    got, want = invert_euler(vars, alg, lines), invert_euler_by_lines(vars, alg, lines)
+    assert got.numer.terms == want.numer.terms
+    assert got.denom == want.denom
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(euler_lines())
+def test_invert_euler_is_the_per_line_fold_term_for_term(data):
+    # one product cancelled once is the canonical form the fold reaches
+    alg, lines = data
+    assert_per_line_fold(V2, alg, lines)
+
+
+def test_invert_euler_cancels_the_product_once():
+    # 1/(X + u)^2 = (X - u)^2 / X^4 = (X^2 - 2*X*u) / X^4: one X cancels
+    alg = cp1_algebra()
+    u = EquivariantPolynomial.from_algebra_element(V2, alg, {1: Q(1)})
+    twice = assert_per_line_fold(V2, alg, [(lf(1, 0), u), (lf(1, 0), u)])
+    assert str(twice) == "(X - 2*u) / ((X)^3)"
+    # proportional weights merge, their scales move to the numerator
+    zero = EquivariantPolynomial.zero(V2, POINT_ALGEBRA)
+    mixed = assert_per_line_fold(
+        V2, POINT_ALGEBRA, [(lf(1, 0), zero), (lf(-2, 0), zero), (lf(1, 1), zero)])
+    assert str(mixed) == "(-1/2) / ((X)^2*(X + Y1))"
