@@ -280,10 +280,10 @@ def _kernel_nonabelian(ds: Dataset, args, report: dict,
         _add_check(report, f"antisymmetrized-span-{r.source_degree}", r.equal,
                    f"span dim {r.span_dim} vs kernel dim {r.kernel_dim} "
                    f"at degree {r.target_degree}")
-    dcls = ds.weyl.d_class()
+    dpoly = ds.weyl.d_polynomial()
     report["results"]["calibration"] = {
         "class": args.calibrate,
-        "value": _fs(integral(calibration * dcls * dcls))}
+        "value": _fs(integral(calibration.mul_pure(dpoly * dpoly)))}
 
 
 def _parse_ordering(args, nvars: int) -> VariableOrdering | None:

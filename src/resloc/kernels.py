@@ -83,6 +83,7 @@ class DegreeTruncatedModel:
         self.basis_by_degree: dict[int, list[ModelElement]] = {}
         self.restriction_rows: dict[int, dict[str, list[Row]]] = {}
         self._positions: dict[int, dict[tuple[str, tuple[int, ...], int], int]] = {}
+        self._keys: dict[int, list[tuple[str, tuple[int, ...], int]]] = {}
         self._build()
 
     def class_vector(self, cls: RestrictedClass, degree: int) -> Row | None:
@@ -98,6 +99,17 @@ class DegreeTruncatedModel:
                         return None
                     out.append((pos, c))
         return dict(sorted(out))
+
+    def vector_class(self, vec: Row, degree: int) -> RestrictedClass:
+        """The class whose restriction terms are vec by key position: the
+        inverse of class_vector."""
+        polys = {f.name: EquivariantPolynomial(self.space.vars, f.algebra)
+                 for f in self.space.components}
+        for pos, c in vec.items():
+            if c:
+                name, exps, b = self._keys[degree][pos]
+                polys[name].terms[(exps, b)] = Q(c)
+        return RestrictedClass(self.space, degree, polys)
 
     def _build(self):
         space = self.space
@@ -131,8 +143,9 @@ class DegreeTruncatedModel:
                     for key in cls.restrictions[f.name].terms:
                         keyset.add((ci, key[0], key[1]))
             keys = sorted(keyset)
-            self._positions[degree] = {(space.components[ci].name, exps, b): pos
-                                       for pos, (ci, exps, b) in enumerate(keys)}
+            self._keys[degree] = [(space.components[ci].name, exps, b)
+                                  for ci, exps, b in keys]
+            self._positions[degree] = {key: pos for pos, key in enumerate(self._keys[degree])}
             vectors = [self.class_vector(cls, degree) for _, cls in candidates]
             kept = linalg.independent_indices(vectors)
             self.basis_by_degree[degree] = [
@@ -193,14 +206,10 @@ class Subspace:
         return len(self.coeffs)
 
     def classes(self, model: DegreeTruncatedModel) -> list[RestrictedClass]:
-        basis = model.basis_by_degree[self.degree]
-        out = []
-        for vec in self.coeffs:
-            cls = RestrictedClass.zero(model.space, self.degree)
-            for i, c in vec.items():
-                cls = cls + basis[i].cls.scale(c)
-            out.append(cls)
-        return out
+        """Each vector's class, combined in the model's restriction coordinates."""
+        vectors = [el.vector for el in model.basis_by_degree[self.degree]]
+        return [model.vector_class(linalg.combine(vec, vectors), self.degree)
+                for vec in self.coeffs]
 
 
 def vanishing_subspace(model: DegreeTruncatedModel, names: frozenset[str],

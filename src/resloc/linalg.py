@@ -12,7 +12,7 @@ from fractions import Fraction
 
 Row = dict[int, Fraction]
 
-__all__ = ["Row", "add_scaled", "Echelon", "row_reduce", "rank", "det", "nullspace",
+__all__ = ["Row", "add_scaled", "combine", "Echelon", "row_reduce", "rank", "det", "nullspace",
            "independent_indices", "transpose", "span_equal", "intersect_trivially"]
 
 
@@ -23,6 +23,14 @@ def add_scaled(target: dict, f: Fraction, row: dict) -> None:
             target[k] = v
         else:
             del target[k]
+
+
+def combine(coeffs: Row, rows: list[Row]) -> Row:
+    """sum_j coeffs[j] * rows[j], keeping only nonzero entries."""
+    out: Row = {}
+    for j, c in coeffs.items():
+        add_scaled(out, c, rows[j])
+    return out
 
 
 class Echelon:

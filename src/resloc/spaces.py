@@ -32,6 +32,7 @@ from .symcore import (
     RationalSection,
     ValidationError,
     Variables,
+    substitution,
 )
 
 _Key = tuple[tuple[int, ...], int]   # (exponents, algebra basis index)
@@ -180,22 +181,6 @@ class RestrictedClass:
     def unit(space: HamiltonianSpace) -> "RestrictedClass":
         return RestrictedClass(space, 0, {
             f.name: EquivariantPolynomial.one(space.vars, f.algebra)
-            for f in space.components})
-
-    @staticmethod
-    def zero(space: HamiltonianSpace, degree: int = 0) -> "RestrictedClass":
-        return RestrictedClass(space, degree, {
-            f.name: EquivariantPolynomial.zero(space.vars, f.algebra)
-            for f in space.components})
-
-    @staticmethod
-    def from_pure(space: HamiltonianSpace, poly: EquivariantPolynomial) -> "RestrictedClass":
-        """Pullback of a polynomial in the variables (same restriction everywhere)."""
-        if not poly.is_homogeneous():
-            raise ValidationError("pure class must be homogeneous")
-        return RestrictedClass(space, max(poly.degree(), 0), {
-            f.name: EquivariantPolynomial(space.vars, f.algebra,
-                                          {(e, 0): c for (e, b), c in poly.terms.items()})
             for f in space.components})
 
     def is_zero(self) -> bool:
@@ -406,8 +391,8 @@ class AdaptedSpace:
     def adapt(self, poly: EquivariantPolynomial) -> EquivariantPolynomial:
         """A restriction of the original space in the adapted variables."""
         vars = self.space.vars
-        return poly.substitute_variables(
-            [EquivariantPolynomial.from_linear_form(vars, a) for a in self.axes])
+        return substitution(
+            [EquivariantPolynomial.from_linear_form(vars, a) for a in self.axes])(poly)
 
 
 def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:

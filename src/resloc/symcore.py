@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 Q = Fraction
 
@@ -26,6 +26,7 @@ __all__ = [
     "POINT_ALGEBRA",
     "EquivariantPolynomial",
     "RationalSection",
+    "substitution",
     "invert_euler",
 ]
 
@@ -499,26 +500,6 @@ class EquivariantPolynomial:
                 out = out + slices[k].mul_pure(power)
         return out
 
-    def substitute_variables(self, images: list["EquivariantPolynomial"]) -> "EquivariantPolynomial":
-        """Simultaneously substitute unit-valued polynomials for all variables."""
-        out = EquivariantPolynomial(self.vars, self.algebra)
-        cache: dict[tuple[int, int], EquivariantPolynomial] = {}
-
-        def var_power(i: int, k: int) -> EquivariantPolynomial:
-            if k == 0:
-                return EquivariantPolynomial.one(self.vars, POINT_ALGEBRA)
-            if (i, k) not in cache:
-                cache[(i, k)] = var_power(i, k - 1).mul_pure(images[i])
-            return cache[(i, k)]
-
-        for (e, b), c in self.terms.items():
-            piece = EquivariantPolynomial.from_algebra_element(self.vars, self.algebra, {b: c})
-            for i, k in enumerate(e):
-                if k:
-                    piece = piece.mul_pure(var_power(i, k))
-            out = out + piece
-        return out
-
     def map_basis(self, target_algebra: GradedAlgebra,
                   matrix: list[list[Fraction]]) -> "EquivariantPolynomial":
         """Apply a linear map on algebra coefficients; matrix[i] is the image of
@@ -624,6 +605,31 @@ class EquivariantPolynomial:
         return text
 
     __repr__ = __str__
+
+
+def substitution(images: list[EquivariantPolynomial]
+                 ) -> Callable[[EquivariantPolynomial], EquivariantPolynomial]:
+    """Simultaneous substitution of unit-valued polynomials for all variables,
+    as a function of the polynomial; the powers of the images it builds are
+    kept for every polynomial it is applied to."""
+    powers: dict[tuple[int, int], EquivariantPolynomial] = {}
+
+    def power(i: int, k: int) -> EquivariantPolynomial:
+        if (i, k) not in powers:
+            powers[(i, k)] = images[i] if k == 1 else power(i, k - 1).mul_pure(images[i])
+        return powers[(i, k)]
+
+    def substitute(poly: EquivariantPolynomial) -> EquivariantPolynomial:
+        pieces = []
+        for (e, b), c in poly.terms.items():
+            piece = EquivariantPolynomial.from_algebra_element(poly.vars, poly.algebra, {b: c})
+            for i, k in enumerate(e):
+                if k:
+                    piece = piece.mul_pure(power(i, k))
+            pieces.append(piece)
+        return EquivariantPolynomial.sum(poly.vars, pieces, poly.algebra)
+
+    return substitute
 
 
 class RationalSection:

@@ -22,12 +22,14 @@ from .symcore import (
     LinearForm,
     Q,
     ValidationError,
+    substitution,
 )
 
 __all__ = [
     "WeylElement",
     "WeylData",
     "brion_divide",
+    "InvariantSlice",
     "invariant_subspace",
     "NonabelianRow",
     "AntisymmetrizedSpanRow",
@@ -92,21 +94,16 @@ class WeylData:
         return WeylElement(eye, tuple(range(len(self.space.components))), maps)
 
     def act(self, w: WeylElement, cls: RestrictedClass) -> RestrictedClass:
+        """w, one of the group's elements, applied to cls."""
         space = self.space
-        images = w.variable_images(space)
+        substitute = self._substitute[w]
         out: dict[str, EquivariantPolynomial] = {}
         for i, f in enumerate(space.components):
             target = space.components[w.perm[i]]
-            poly = cls.restrictions[f.name].substitute_variables(images)
+            poly = substitute(cls.restrictions[f.name])
             out[target.name] = poly.map_basis(target.algebra,
                                               [list(r) for r in w.algebra_maps[i]])
         return RestrictedClass(space, cls.degree, out)
-
-    def antisymmetrize(self, cls: RestrictedClass) -> RestrictedClass:
-        total = cls
-        for w in self.nonidentity:
-            total = total + self.act(w, cls).scale(w.sign())
-        return total.scale(Q(1, self.order))
 
     def d_polynomial(self) -> EquivariantPolynomial:
         """Product of the positive roots, as a polynomial in the torus variables."""
@@ -115,15 +112,14 @@ class WeylData:
             out = out * EquivariantPolynomial.from_linear_form(self.space.vars, root)
         return out
 
-    def d_class(self) -> RestrictedClass:
-        return RestrictedClass.from_pure(self.space, self.d_polynomial())
-
     # -- load-time verification ---------------------------------------------
 
     def _validate(self):
         space = self.space
         n = space.vars.count
         ncomp = len(space.components)
+        # substitution of each element's variable images, built once
+        self._substitute = {}
         if not self.elements:
             raise ValidationError("group must be nonempty")
         for w in self.elements:
@@ -135,6 +131,7 @@ class WeylData:
                 raise ValidationError("group element needs one algebra map per component")
             if w.sign() not in (Q(1), Q(-1)):
                 raise ValidationError("group element matrix must have determinant +-1")
+            self._substitute[w] = substitution(w.variable_images(space))
             self._check_space_preserved(w)
         ident = self.identity()
         if ident not in self.elements:
@@ -150,13 +147,14 @@ class WeylData:
                 raise ValidationError("group element has no inverse")
         dpoly = self.d_polynomial()
         for w in self.elements:
-            moved = dpoly.substitute_variables(w.variable_images(space))
+            moved = self._substitute[w](dpoly)
             if moved != dpoly.scale(w.sign()):
                 raise ValidationError(
                     "positive-root product is not alternating under the group")
 
     def _check_space_preserved(self, w: WeylElement):
         space = self.space
+        substitute = self._substitute[w]
         for i, f in enumerate(space.components):
             g = space.components[w.perm[i]]
             moved_moment = w.transform_form(LinearForm(f.moment)).coeffs
@@ -168,8 +166,7 @@ class WeylData:
             moved_lines = []
             for wgt, chern in f.normal_lines:
                 moved_lines.append((w.transform_form(wgt),
-                                    chern.substitute_variables(w.variable_images(space))
-                                    .map_basis(g.algebra, amap)))
+                                    substitute(chern).map_basis(g.algebra, amap)))
             remaining = list(g.normal_lines)
             for line in moved_lines:
                 match = next((k for k, cand in enumerate(remaining)
@@ -198,9 +195,7 @@ class WeylData:
                     f"algebra map {src_name}->{dst_name} does not preserve the integral")
         for i in range(nb):
             for j in range(i, nb):
-                lhs: linalg.Row = {}
-                for k, v in src.mul_basis(i, j).items():
-                    linalg.add_scaled(lhs, v, images[k])
+                lhs = linalg.combine(src.mul_basis(i, j), images)
                 if lhs != dst._mul_elt(images[i], images[j]):
                     raise ValidationError(
                         f"algebra map {src_name}->{dst_name} is not multiplicative")
@@ -224,26 +219,37 @@ def brion_divide(weyl: WeylData, cls: RestrictedClass) -> RestrictedClass:
 # -- nonabelian kernel comparisons --------------------------------------------
 
 
+@dataclass
+class InvariantSlice(Subspace):
+    """The invariant classes of a degree slice, with the group action they are
+    read off: moved[k][i] is the vector of basis class i under the k-th
+    non-identity element."""
+
+    moved: list[list[linalg.Row]]
+
+
 def invariant_subspace(model: DegreeTruncatedModel, weyl: WeylData,
-                       degree: int) -> Subspace:
+                       degree: int) -> InvariantSlice:
     """Coefficient vectors of the group-invariant classes in a degree slice.
 
-    A coefficient vector c is invariant when sum_i c_i (w.b_i - b_i) = 0 for
-    every w, with b_i the slice basis; the constraints are read off in the
+    Each non-identity w acts once on each slice basis class b_i; c is
+    invariant when sum_i c_i (w.b_i - b_i) = 0 for every w, read off in the
     model's restriction coordinates, where the basis is independent."""
     basis = model.basis_by_degree[degree]
     vectors = [el.vector for el in basis]
+    moved = []
     rows: list[linalg.Row] = []
     for w in weyl.nonidentity:
-        moved = [model.class_vector(weyl.act(w, el.cls), degree) for el in basis]
-        if None in moved or linalg.rank(vectors + moved) != len(basis):
+        images = [model.class_vector(weyl.act(w, el.cls), degree) for el in basis]
+        if None in images or linalg.rank(vectors + images) != len(basis):
             raise ValidationError(
                 f"model slice of degree {degree} is not stable under the group")
-        for m, v in zip(moved, vectors):  # m becomes (w - 1) applied to b_i
-            for j, c in v.items():
-                m[j] = m.get(j, 0) - c
-        rows.extend(linalg.transpose(moved).values())
-    return Subspace(degree, linalg.nullspace(rows, len(basis)))
+        moved.append(images)
+        differences = [dict(m) for m in images]  # (w - 1) applied to b_i
+        for m, v in zip(differences, vectors):
+            linalg.add_scaled(m, -1, v)
+        rows.extend(linalg.transpose(differences).values())
+    return InvariantSlice(degree, linalg.nullspace(rows, len(basis)), moved)
 
 
 @dataclass
@@ -279,22 +285,25 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
     of the torus-level kernel there, divided by D, should span the nonabelian
     pairing kernel in the invariant slice 2r degrees down.
 
-    Each invariant slice and each pairing kernel is solved once per call.
+    Each invariant slice and each pairing kernel is solved once per call, and
+    the group acts once on each basis class of a checked slice: the invariants
+    and the antisymmetrizations are both read off that action.
     """
     space = model.space
     r = len(weyl.positive_roots)
-    dcls = weyl.d_class()
-    d2cls = dcls * dcls
+    dpoly = weyl.d_polynomial()
+    d2poly = dpoly * dpoly
     top = space.dim - 2 * space.vars.count - 4 * r  # degree plus its complement
-    slices: dict[int, list[RestrictedClass]] = {}
+    slices: dict[int, tuple[InvariantSlice, list[RestrictedClass]]] = {}
     divided: dict[int, tuple[list[RestrictedClass], list[linalg.Row]]] = {}
 
     def in_range(degree: int) -> bool:
         return 0 <= degree <= model.max_degree
 
-    def invariant(degree: int) -> list[RestrictedClass]:
+    def invariant(degree: int) -> tuple[InvariantSlice, list[RestrictedClass]]:
         if degree not in slices:
-            slices[degree] = invariant_subspace(model, weyl, degree).classes(model)
+            inv = invariant_subspace(model, weyl, degree)
+            slices[degree] = (inv, inv.classes(model))
         return slices[degree]
 
     def pairing(degree: int) -> tuple[list[RestrictedClass], list[linalg.Row]]:
@@ -302,16 +311,16 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
         space (in invariant coordinates) of kappa_T(eta * zeta * D^2) over
         invariant zeta."""
         if degree not in divided:
-            twice = [cls * d2cls for cls in invariant(degree)]
-            testing = invariant(top - degree) if in_range(top - degree) else []
+            twice = [cls.mul_pure(d2poly) for cls in invariant(degree)[1]]
+            testing = invariant(top - degree)[1] if in_range(top - degree) else []
             divided[degree] = (twice, pairing_kernel(integral, twice, testing))
         return divided[degree]
 
     rows = []
     for d in degrees:
-        inv_classes = invariant(d)
+        inv_classes = invariant(d)[1]
         twice, k_pair = pairing(d)  # (i) the pairing kernel
-        once = [cls * dcls for cls in inv_classes]
+        once = [cls.mul_pure(dpoly) for cls in inv_classes]
         comp = top - d
 
         # (ii) once-divided: D * eta in the torus-level kernel
@@ -338,22 +347,23 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
         # both spans are compared in the slice's restriction coordinates,
         # into which the slice's coordinates map injectively
         basis = [el.vector for el in model.basis_by_degree[target]]
+        vectors = [el.vector for el in model.basis_by_degree[source]]
+        moved = invariant(source)[0].moved
         produced: list[linalg.Row] = []
-        for cls in torus_kernel(model, source, integral).classes(model):
-            anti = weyl.antisymmetrize(cls)
-            if anti.is_zero():
+        for coeffs in torus_kernel(model, source, integral).coeffs:
+            # the antisymmetrization (1/|W|) sum_w sign(w) w.eta, in coordinates
+            anti = linalg.combine(coeffs, vectors)
+            for w, images in zip(weyl.nonidentity, moved):
+                linalg.add_scaled(anti, w.sign(), linalg.combine(coeffs, images))
+            if not anti:
                 continue
-            produced.append(model.class_vector(brion_divide(weyl, anti), target))
+            anti_cls = model.vector_class(
+                {k: v * Q(1, weyl.order) for k, v in anti.items()}, source)
+            produced.append(model.class_vector(brion_divide(weyl, anti_cls), target))
         if None in produced or linalg.rank(basis + produced) != len(basis):
             raise ValidationError("divided antisymmetrization left the model span")
-        inv_vectors = [model.class_vector(cls, target) for cls in invariant(target)]
-        kernel = []
-        for k in pairing(target)[1]:
-            combined: linalg.Row = {}
-            for j, c in k.items():
-                for i, v in inv_vectors[j].items():
-                    combined[i] = combined.get(i, 0) + c * v
-            kernel.append(combined)
+        inv_vectors = [model.class_vector(cls, target) for cls in invariant(target)[1]]
+        kernel = [linalg.combine(k, inv_vectors) for k in pairing(target)[1]]
         span_rows.append(AntisymmetrizedSpanRow(
             source, target, linalg.rank(produced), len(kernel),
             linalg.span_equal(produced, kernel)))

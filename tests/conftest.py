@@ -1,9 +1,26 @@
 """Fixtures shared by the test modules."""
 
+from fractions import Fraction
+
 import pytest
 
 from resloc import spaces
 from resloc.residues import ReciprocalSeries, res_x_plus_poles
+
+
+@pytest.fixture
+def antisymmetrize():
+    """The antisymmetrization (1/|W|) sum_w sign(w) w.cls, class by class:
+    the oracle for the nonabelian check, which antisymmetrizes in the model's
+    restriction coordinates."""
+
+    def anti(weyl, cls):
+        total = cls
+        for w in weyl.nonidentity:
+            total = total + weyl.act(w, cls).scale(w.sign())
+        return total.scale(Fraction(1, weyl.order))
+
+    return anti
 
 
 @pytest.fixture

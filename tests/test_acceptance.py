@@ -12,11 +12,11 @@ import sys
 import time
 from fractions import Fraction as Q
 
+from resloc import linalg
 from resloc.datasets import BUNDLED, load_dataset
 from resloc.kernels import build_model, check_circle_kernel_split, check_full_kernel
 from resloc.residues import res_x_plus
 from resloc.spaces import (
-    RestrictedClass,
     circle_integral,
     generator_products,
     localization_sum,
@@ -28,6 +28,7 @@ from resloc.symcore import (
     LinearForm,
     RationalSection,
     Variables,
+    substitution,
 )
 from resloc.weylgrp import (
     brion_divide,
@@ -214,7 +215,7 @@ def test_antisymmetrized_torus_kernel_spans_nonabelian_kernel():
         assert row.equal, row
 
 
-def test_weyl_group_laws_randomized():
+def test_weyl_group_laws_randomized(antisymmetrize):
     """Sign multiplicativity, root-product anti-invariance, pairing invariance,
     the divided-pairing shuffle, and divisibility of antisymmetrizations."""
     ds = load_dataset("s2cubed-su2")
@@ -222,23 +223,22 @@ def test_weyl_group_laws_randomized():
     weyl = ds.weyl
     integral = torus_integral(ds.space)
     rng = random.Random(5)
-    images_cache = {id(w): w.variable_images(ds.space) for w in weyl.elements}
+    substitutions = {id(w): substitution(w.variable_images(ds.space)) for w in weyl.elements}
     dpoly = weyl.d_polynomial()
 
     def rand_class(degree):
-        cls = RestrictedClass.zero(ds.space, degree)
+        vec = {}
         for el in model.basis_by_degree[degree]:
-            c = rng.randint(-2, 2)
-            if c:
-                cls = cls + el.cls.scale(c)
-        return cls
+            if c := rng.randint(-2, 2):
+                linalg.add_scaled(vec, c, el.vector)
+        return model.vector_class(vec, degree)
 
     for _ in range(100):
         v, w = rng.choice(weyl.elements), rng.choice(weyl.elements)
         assert weyl.compose(v, w).sign() == v.sign() * w.sign()
     for _ in range(100):
         w = rng.choice(weyl.elements)
-        assert dpoly.substitute_variables(images_cache[id(w)]) == \
+        assert substitutions[id(w)](dpoly) == \
             dpoly.scale(w.sign())
     for _ in range(100):
         w = rng.choice(weyl.elements)
@@ -250,7 +250,7 @@ def test_weyl_group_laws_randomized():
             integral(eta.mul_pure(dpoly * dpoly) * zeta)
     divided = 0
     for _ in range(100):
-        anti = weyl.antisymmetrize(rand_class(rng.choice((2, 4, 6))))
+        anti = antisymmetrize(weyl, rand_class(rng.choice((2, 4, 6))))
         if not anti.is_zero():
             brion_divide(weyl, anti)  # exactness: must not raise
             divided += 1

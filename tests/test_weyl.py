@@ -3,14 +3,16 @@ division, and the nonabelian kernel comparisons."""
 
 import random
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
-from resloc import weylgrp
-from resloc.datasets import load_dataset
-from resloc.kernels import build_model
+from resloc import cli, linalg, weylgrp
+from resloc.datasets import Dataset, load_dataset
+from resloc.kernels import build_model, torus_kernel
 from resloc.spaces import FixedComponent, HamiltonianSpace, RestrictedClass, torus_integral
 from resloc.symcore import (
+    POINT_ALGEBRA,
     EquivariantPolynomial,
     ExactDivisionError,
     GradedAlgebra,
@@ -79,19 +81,19 @@ def half_x(ds):
     return RestrictedClass.unit(ds.space).mul_pure(x_poly(ds)).scale(Q(1, 2))
 
 
-def test_symmetrize_and_antisymmetrize(ds):
+def test_symmetrize_and_antisymmetrize(ds, antisymmetrize):
     # with two elements, u1 is its antisymmetrization plus an invariant class
     weyl = ds.weyl
     u1 = ds.generator("u1")
-    assert weyl.antisymmetrize(u1) == half_x(ds)
+    assert antisymmetrize(weyl, u1) == half_x(ds)
     assert all(weyl.act(w, u1 - half_x(ds)) == u1 - half_x(ds) for w in weyl.elements)
     assert weyl.act(flip_of(ds), u1) != u1
 
 
-def test_antisymmetrization_divides_by_root_product(ds):
+def test_antisymmetrization_divides_by_root_product(ds, antisymmetrize):
     weyl = ds.weyl
     u1 = ds.generator("u1")
-    anti = weyl.antisymmetrize(u1.mul_pure(x_poly(ds)))
+    anti = antisymmetrize(weyl, u1.mul_pure(x_poly(ds)))
     quotient = brion_divide(weyl, anti)
     assert quotient == u1 - half_x(ds)
 
@@ -185,8 +187,8 @@ def test_invariant_dimensions(model, ds):
 def kappa_k(ds, eta):
     """The nonabelian integral of an invariant class: the torus-level integral
     against the square of the root product, as the nonabelian check pairs."""
-    d = ds.weyl.d_class()
-    return torus_integral(ds.space)(eta * d * d)
+    d = ds.weyl.d_polynomial()
+    return torus_integral(ds.space)(eta.mul_pure(d * d))
 
 
 def test_kappa_k_unit(ds):
@@ -249,6 +251,111 @@ def test_antisymmetrized_span_rejects_class_outside_the_slice(ds, monkeypatch):
         check_nonabelian_kernels(model, ds.weyl, [4], torus_integral(ds.space))
 
 
+def test_nonabelian_check_acts_once_per_element_and_basis_class(model, ds, monkeypatch):
+    # the invariants and the antisymmetrizations share one action per slice
+    acted = []
+    real = WeylData.act
+
+    def counted(self, w, cls):
+        acted.append((w, cls))
+        return real(self, w, cls)
+
+    monkeypatch.setattr(WeylData, "act", counted)
+    check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6], torus_integral(ds.space))
+    sizes = [len(model.basis_by_degree[d]) for d in (0, 2, 4, 6)]
+    assert sizes == [1, 4, 7, 8]
+    assert len(acted) == len(ds.weyl.nonidentity) * sum(sizes) == 20
+    assert not any(v == w and a == b for k, (v, a) in enumerate(acted) for w, b in acted[:k])
+
+
+def test_each_element_builds_its_variable_images_once(monkeypatch, tmp_path):
+    # load-time checks and the action share each element's substitution
+    built = []
+    real = WeylElement.variable_images
+
+    def counted(self, space):
+        built.append(self)
+        return real(self, space)
+
+    monkeypatch.setattr(WeylElement, "variable_images", counted)
+    assert cli.main(["kernel", "s2cubed-su2", "--nonabelian",
+                     "--output", str(tmp_path / "report.json")]) == 0
+    assert len(built) == 2 and built[0] != built[1]
+
+
+def diagonal_spheres(k):
+    """(S^2)^k under the diagonal circle with the antipodal flip, generated
+    here: fixed points in binary sign order, so point i's antipode is
+    2^k - 1 - i."""
+    vars = Variables(("X",))
+    signs = list(product((1, -1), repeat=k))
+    names = ["".join("N" if e > 0 else "S" for e in s) for s in signs]
+    zero, x = EquivariantPolynomial.zero(vars), EquivariantPolynomial.variable(vars, 0)
+    space = HamiltonianSpace(vars, 2 * k, [
+        FixedComponent(name, (Q(sum(s)),), POINT_ALGEBRA,
+                       tuple((LinearForm.make([-e]), zero) for e in s))
+        for name, s in zip(names, signs)])
+    generators = [("one", RestrictedClass.unit(space))] + [
+        (f"u{a + 1}", RestrictedClass(space, 2, {name: x if s[a] < 0 else zero
+                                                 for name, s in zip(names, signs)}))
+        for a in range(k)]
+    maps = tuple(((Q(1),),) for _ in signs)
+    count = len(signs)
+    weyl = WeylData(space, [WeylElement(((Q(1),),), tuple(range(count)), maps),
+                            WeylElement(((Q(-1),),), tuple(range(count))[::-1], maps)],
+                    [LinearForm.make([1])])
+    return Dataset(f"s2x{k}-diag", space, generators, weyl)
+
+
+def folded_classes(model, subspace):
+    """The subspace's classes as a fold of scale and + over the basis classes."""
+    basis = model.basis_by_degree[subspace.degree]
+    zero = {f.name: EquivariantPolynomial.zero(model.space.vars, f.algebra)
+            for f in model.space.components}
+    out = []
+    for vec in subspace.coeffs:
+        cls = RestrictedClass(model.space, subspace.degree, zero)
+        for i, c in vec.items():
+            cls = cls + basis[i].cls.scale(c)
+        out.append(cls)
+    return out
+
+
+@pytest.mark.parametrize("generated, max_degree", [(False, 6), (True, 10)],
+                         ids=["s2cubed-su2", "diagonal-s2x3"])
+def test_coordinate_route_equals_class_route(ds, antisymmetrize, monkeypatch,
+                                             generated, max_degree):
+    """The check antisymmetrizes in restriction coordinates and combines the
+    invariant classes as rows; both must give the classes of the class-by-class
+    route, not just the same spans (a lost 1/|W| would keep every span)."""
+    data = diagonal_spheres(3) if generated else ds
+    weyl, integral = data.weyl, torus_integral(data.space)
+    model = build_model(data.space, data.generators, max_degree)
+    degrees = list(range(0, max_degree + 1, 2))
+    r = len(weyl.positive_roots)
+    divided = []
+    real = weylgrp.brion_divide
+
+    def recorded(weyl, cls):
+        quotient = real(weyl, cls)
+        divided.append((cls.degree, cls, model.class_vector(quotient, quotient.degree)))
+        return quotient
+
+    monkeypatch.setattr(weylgrp, "brion_divide", recorded)
+    check_nonabelian_kernels(model, weyl, degrees, integral)
+    expected = []
+    for source in degrees[r:]:
+        for cls in folded_classes(model, torus_kernel(model, source, integral)):
+            anti = antisymmetrize(weyl, cls)
+            if not anti.is_zero():
+                expected.append((source, anti,
+                                 model.class_vector(real(weyl, anti), source - 2 * r)))
+    assert expected and divided == expected
+    for d in degrees:
+        inv = invariant_subspace(model, weyl, d)
+        assert inv.classes(model) == folded_classes(model, inv)
+
+
 def test_nonabelian_check_never_acts_with_the_identity(model, ds, monkeypatch):
     acted = []
     real = WeylData.act
@@ -267,13 +374,11 @@ def test_nonabelian_check_never_acts_with_the_identity(model, ds, monkeypatch):
 
 
 def random_class(model, rng, degree):
-    basis = model.basis_by_degree[degree]
-    cls = RestrictedClass.zero(model.space, degree)
-    for el in basis:
-        c = rng.randint(-3, 3)
-        if c:
-            cls = cls + el.cls.scale(c)
-    return cls
+    vec = {}
+    for el in model.basis_by_degree[degree]:
+        if c := rng.randint(-3, 3):
+            linalg.add_scaled(vec, c, el.vector)
+    return model.vector_class(vec, degree)
 
 
 def test_pairing_is_group_invariant(model, ds):
@@ -302,12 +407,12 @@ def test_divided_pairing_shuffle(model, ds):
         assert lhs == rhs
 
 
-def test_antisymmetrizations_always_divide(model, ds):
+def test_antisymmetrizations_always_divide(model, ds, antisymmetrize):
     rng = random.Random(13)
     weyl = ds.weyl
     for _ in range(15):
         eta = random_class(model, rng, rng.choice((2, 4, 6)))
-        anti = weyl.antisymmetrize(eta)
+        anti = antisymmetrize(weyl, eta)
         if anti.is_zero():
             continue
         quotient = brion_divide(weyl, anti)  # must not raise
