@@ -30,8 +30,8 @@ from .spaces import (
 from .symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
-    Q,
     ValidationError,
+    coefficient,
     monomial_sort_key,
 )
 
@@ -108,7 +108,7 @@ class DegreeTruncatedModel:
         for pos, c in vec.items():
             if c:
                 name, exps, b = self._keys[degree][pos]
-                polys[name].terms[(exps, b)] = Q(c)
+                polys[name].terms[(exps, b)] = coefficient(c)
         return RestrictedClass(self.space, degree, polys)
 
     def _build(self):
@@ -134,7 +134,7 @@ class DegreeTruncatedModel:
                     continue
                 for mono in var_monomials[(degree - gdeg) // 2]:
                     pure = EquivariantPolynomial(space.vars, POINT_ALGEBRA,
-                                                 {(mono, 0): Q(1)})
+                                                 {(mono, 0): 1})
                     lifted = cls.mul_pure(pure)
                     candidates.append((_monomial_label(space.vars, mono, label), lifted))
             keyset = set()

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .symcore import coefficient
+
 Row = dict[int, Fraction]
 
 __all__ = ["Row", "add_scaled", "combine", "Echelon", "row_reduce", "rank", "det", "nullspace",
@@ -41,7 +43,7 @@ class Echelon:
 
     def remainder(self, vec: Row) -> Row:
         """vec minus its part in the span; empty exactly when vec lies in it."""
-        out = {k: (v.numerator if v.denominator == 1 else v) for k, v in vec.items() if v}
+        out = {k: coefficient(v) for k, v in vec.items() if v}
         # rows vanish at each other's pivots, so each is subtracted once
         for c in [c for c in out if c in self.rows]:
             add_scaled(out, -out[c], self.rows[c])
@@ -53,11 +55,14 @@ class Echelon:
         if not row:
             return False
         pivot = min(row)
-        if (lead := row[pivot]) != 1:
-            row = {k: Fraction(v, lead) for k, v in row.items()}
+        lead = row[pivot]
+        row = {k: coefficient(v if lead == 1 else Fraction(v, lead)) for k, v in row.items()}
+        ints = all(type(v) is int for v in row.values())
         for other in self.rows.values():
             if pivot in other:
-                add_scaled(other, -other[pivot], row)
+                add_scaled(other, f := -other[pivot], row)
+                if not ints or type(f) is not int:  # a Fraction sum may turn integral
+                    other.update((k, coefficient(other[k])) for k in row if k in other)
         self.rows[pivot] = row
         return True
 
@@ -91,7 +96,7 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
         for k, v in row.items():
             entries.setdefault(k, []).append((pivot, -v))
     pivot_set = set(pivots)
-    return [dict(sorted([(free, Fraction(1)), *entries.get(free, ())]))
+    return [dict(sorted([(free, 1), *entries.get(free, ())]))
             for free in range(ncols) if free not in pivot_set]
 
 

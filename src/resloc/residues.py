@@ -65,6 +65,8 @@ class VariableOrdering:
     def validated(self, nvars: int) -> "VariableOrdering":
         if sorted(self.order) != list(range(nvars)):
             raise ValidationError("ordering must be a permutation of all variable indices")
+        if not isinstance(self.delta, (int, Fraction)):
+            raise ValidationError("ordering prefactor must be rational")
         if self.delta == 0:
             raise ValidationError("ordering prefactor must be nonzero")
         return self
@@ -96,7 +98,7 @@ def residues_at_poles(h: RationalSection, var: int,
             # j-th power of the weight comes from differentiating the exponential
             if j and weight == 0:
                 break
-            coeff = weight ** j / (factorial(j) * factorial(k - 1 - j))
+            coeff = Fraction(weight ** j, factorial(j) * factorial(k - 1 - j))
             if coeff:
                 piece = derivatives[k - 1 - j].subst_linear(var, b_coeffs)
                 contribution = contribution + piece.scale(coeff)
@@ -110,11 +112,6 @@ def res_x_plus_poles(h: RationalSection, var: int) -> RationalSection:
     for _, contribution in residues_at_poles(h, var):
         total = total + contribution
     return total
-
-
-def _without(form: LinearForm, var: int) -> LinearForm:
-    """The form with its x_var coefficient set to zero."""
-    return LinearForm(tuple(Q(0) if i == var else c for i, c in enumerate(form.coeffs)))
 
 
 class ReciprocalSeries:
@@ -152,8 +149,8 @@ class ReciprocalSeries:
                        algebra: GradedAlgebra) -> "ReciprocalSeries":
         """The expansion of 1 over the factors of denom that involve x_var."""
         return ReciprocalSeries(var, vars, algebra, (
-            (form.coeffs[var], EquivariantPolynomial.from_linear_form(
-                vars, _without(form, var), algebra), mult)
+            (form.coeffs[var], EquivariantPolynomial.from_linear_form(vars, LinearForm(tuple(
+                Q(0) if i == var else c for i, c in enumerate(form.coeffs))), algebra), mult)
             for form, mult in denom.items() if form.involves(var)))
 
     def coefficient(self, r: int) -> EquivariantPolynomial:

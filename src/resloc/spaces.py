@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -32,6 +33,7 @@ from .symcore import (
     RationalSection,
     ValidationError,
     Variables,
+    coefficient,
     substitution,
 )
 
@@ -388,11 +390,13 @@ class AdaptedSpace:
     xi: CircleDirection
     axes: tuple[LinearForm, ...]   # old variable i in the new ones
 
+    @cached_property
+    def _substitute(self):  # one substitution keeps the axis images' powers for every call
+        return substitution([EquivariantPolynomial.from_linear_form(self.space.vars, a) for a in self.axes])
+
     def adapt(self, poly: EquivariantPolynomial) -> EquivariantPolynomial:
         """A restriction of the original space in the adapted variables."""
-        vars = self.space.vars
-        return substitution(
-            [EquivariantPolynomial.from_linear_form(vars, a) for a in self.axes])(poly)
+        return self._substitute(poly)
 
 
 def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
@@ -446,23 +450,41 @@ def localization_sum(space: HamiltonianSpace, eta: RestrictedClass) -> RationalS
     return RationalSection(EquivariantPolynomial(space.vars, POINT_ALGEBRA, terms), common)
 
 
+_Entry = tuple[dict, int]   # integer terms over one positive denominator
+
+
+def _add_over(total: dict, den: int, c, entry: _Entry) -> int:
+    """total / den += c * terms / d in place, for integer terms over d;
+    returns the new denominator, lcm(den, d * the denominator of c)."""
+    terms, d = entry
+    if terms:
+        d *= c.denominator
+        if (common := lcm(den, d)) != den:
+            for k in total:
+                total[k] *= common // den
+        linalg.add_scaled(total, c.numerator * (common // d), terms)
+        den = common
+    return den
+
+
 @dataclass(frozen=True)
 class KirwanIntegral:
     """A Kirwan integral: a linear functional on restriction data, read off a
     table.  ``xi`` is the primitive circle direction along which the first
     residue is taken, and the sum runs over ``components``.  ``tau(f, k)`` is
-    the value on the single monomial k at f, as the terms of a polynomial in
-    ``vars``, or for a scalar integral (``vars`` None) as one term keyed ()."""
+    the value on the single monomial k at f, as integer numerators over one
+    positive denominator: the terms of a polynomial in ``vars``, or for a
+    scalar integral (``vars`` None) one term keyed ()."""
 
     xi: CircleDirection
     components: tuple[FixedComponent, ...]
-    tau: Callable[[FixedComponent, _Key], dict]
+    tau: Callable[[FixedComponent, _Key], _Entry]
     vars: Variables | None = None
 
-    def __call__(self, eta: RestrictedClass) -> Fraction | EquivariantPolynomial:
+    def __call__(self, eta: RestrictedClass) -> int | Fraction | EquivariantPolynomial:
         [terms] = self.values([eta])
         if self.vars is None:
-            return terms.get((), Q(0))
+            return terms.get((), 0)
         return EquivariantPolynomial(self.vars, POINT_ALGEBRA, terms)
 
     def values(self, classes: Sequence[RestrictedClass],
@@ -472,33 +494,35 @@ class KirwanIntegral:
         of b_F[k1] * zeta_F[k2] * tau[F, k1 k2], where k1 k2 adds exponents
         and multiplies basis elements by the algebra's structure constants.
         No product class is formed, and zeta is contracted with tau once per
-        (F, k1) for all the classes."""
-        contracted: dict[tuple[str, _Key], dict] = {}
+        (F, k1) for all the classes.  Each sum runs on integers over a
+        running common denominator, divided out once at the end."""
+        contracted: dict[tuple[str, _Key], _Entry] = {}
         out = []
         for b in classes:
-            total: dict = {}
+            total, den = {}, 1
             for f in self.components:
                 for k1, c1 in b.restrictions[f.name].terms.items():
-                    terms = contracted.get((f.name, k1))
-                    if terms is None:
-                        terms = contracted[f.name, k1] = self._contract(f, k1, zeta)
-                    linalg.add_scaled(total, c1, terms)
-            out.append(total)
+                    entry = contracted.get((f.name, k1))
+                    if entry is None:
+                        entry = contracted[f.name, k1] = self._contract(f, k1, zeta)
+                    den = _add_over(total, den, c1, entry)
+            out.append(total if den == 1 else
+                       {k: coefficient(Fraction(v, den)) for k, v in total.items()})
         return out
 
-    def _contract(self, f: FixedComponent, k1: _Key, zeta: RestrictedClass | None) -> dict:
+    def _contract(self, f: FixedComponent, k1: _Key, zeta: RestrictedClass | None) -> _Entry:
         if zeta is None:
             return self.tau(f, k1)
-        (e1, b1), terms = k1, {}
+        (e1, b1), terms, den = k1, {}, 1
         for (e2, b2), c2 in zeta.restrictions[f.name].terms.items():
             exps = tuple(a + b for a, b in zip(e1, e2))
             for k, s in f.algebra.mul_basis(b1, b2).items():
-                linalg.add_scaled(terms, c2 * s, self.tau(f, (exps, k)))
-        return terms
+                den = _add_over(terms, den, c2 * s, self.tau(f, (exps, k)))
+        return terms, den
 
 
-def _monomial_table(adapted: AdaptedSpace, entry: Callable[[FixedComponent, RationalSection], dict]
-                    ) -> Callable[[FixedComponent, _Key], dict]:
+def _monomial_table(adapted: AdaptedSpace, entry: Callable[[FixedComponent, RationalSection], _Entry]
+                    ) -> Callable[[FixedComponent, _Key], _Entry]:
     """The lazy table tau of a fixed-point functional that is linear in each
     component's restriction: tau(F, k) is ``entry`` applied to the adapted
     localization term of the single monomial k = (exponents, algebra basis
@@ -512,14 +536,17 @@ def _monomial_table(adapted: AdaptedSpace, entry: Callable[[FixedComponent, Rati
     """
     space = adapted.space
     axes = [form.normalized() for form in adapted.axes]
-    tau: dict[tuple[str, _Key], dict] = {}
+    own_axes: dict[str, list[tuple[Fraction, LinearForm]]] = {}
+    tau: dict[tuple[str, _Key], _Entry] = {}
 
-    def lookup(f: FixedComponent, key: _Key) -> dict:
+    def lookup(f: FixedComponent, key: _Key) -> _Entry:
         value = tau.get((f.name, key))
         if value is None:
             inv = space.euler_inverse(f)
             denom, exps, scale = dict(inv.denom), list(key[0]), Q(1)
-            for i, (s, prim) in enumerate(axes):
+            if f.name not in own_axes:  # F's own forms, which denom finds by identity
+                own_axes[f.name] = [(s, next((w for w in denom if w == p), p)) for s, p in axes]
+            for i, (s, prim) in enumerate(own_axes[f.name]):
                 if m := min(exps[i], denom.get(prim, 0)):
                     exps[i] -= m
                     denom[prim] -= m
@@ -557,7 +584,7 @@ def circle_integral(space: HamiltonianSpace, xi: CircleDirection) -> KirwanInteg
     plus_names = positive_side(space, xi)
     expansions: dict[tuple[str, frozenset], ReciprocalSeries] = {}
 
-    def entry(f: FixedComponent, term: RationalSection) -> dict:
+    def entry(f: FixedComponent, term: RationalSection) -> _Entry:
         key = (f.name, frozenset(term.denom.items()))
         series = expansions.get(key)
         if series is None:
@@ -567,11 +594,13 @@ def circle_integral(space: HamiltonianSpace, xi: CircleDirection) -> KirwanInteg
         if value.involves(0):
             raise ArithmeticError("circle-level integral still involves the circle variable")
         try:
-            return value.as_polynomial().terms
+            terms = value.as_polynomial().terms
         except ExactDivisionError as exc:
             raise ValidationError(
                 "circle-level Kirwan integral is not a polynomial; "
                 "the fixed-point data is inconsistent") from exc
+        den = lcm(*(c.denominator for c in terms.values()))
+        return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
     return KirwanIntegral(adapted.xi,
                           tuple(f for f in adapted.space.components if f.name in plus_names),
@@ -609,8 +638,8 @@ def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,
                     f"first-applied direction annihilates a weight at {f.name}",
                     [("weight", f.name)])
 
-    def entry(f: FixedComponent, term: RationalSection) -> dict:
+    def entry(f: FixedComponent, term: RationalSection) -> _Entry:
         value = iterated_residue_selected([MomentTerm(f.moment, term)], ordering)
-        return {(): value} if value else {}
+        return {(): value.numerator} if value else {}, value.denominator
 
     return KirwanIntegral(adapted.xi, adapted.space.components, _monomial_table(adapted, entry))

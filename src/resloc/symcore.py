@@ -1,8 +1,8 @@
 """Exact symbolic core: polynomials with coefficients in a finite graded algebra,
 and rational sections with factored linear-form denominators.
 
-Everything is over Q via fractions.Fraction; no floats anywhere.  A polynomial
-is a sparse dict mapping (exponent tuple, algebra basis index) -> Fraction.
+Everything is over Q; no floats anywhere.  A polynomial is a sparse dict mapping
+(exponent tuple, algebra basis index) -> int if integral, else fractions.Fraction.
 Cohomological degree of a term is 2*(sum of exponents) + degree of the basis
 element, so the variables sit in degree 2.
 """
@@ -20,6 +20,7 @@ __all__ = [
     "Q",
     "ValidationError",
     "ExactDivisionError",
+    "coefficient",
     "Variables",
     "LinearForm",
     "GradedAlgebra",
@@ -40,7 +41,19 @@ class ExactDivisionError(ArithmeticError):
 
 
 def _q(x) -> Fraction:
+    if isinstance(x, float):
+        raise ValidationError(f"inexact value {x!r}: coefficients are rational")
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def coefficient(x) -> int | Fraction:
+    """x as a coefficient: an int (far cheaper) when integral, else a Fraction.
+    Fraction arithmetic keeps the type (Fraction(4, 2) is Fraction(2)), so
+    values pass through here where they are stored, not at every addition."""
+    if type(x) is int:
+        return x
+    x = _q(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -166,11 +179,10 @@ class GradedAlgebra:
         self.basis = tuple(basis)
         self.degrees = tuple(int(d) for d in degrees)
         self.top_degree = int(top_degree)
-        self.integral = tuple(_q(v) for v in integral)
-        n = len(self.basis)
+        self.integral = tuple(coefficient(v) for v in integral)
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), row in mult_table.items():
-            entry = {int(k): _q(v) for k, v in row.items() if _q(v) != 0}
+            entry = {int(k): c for k, v in row.items() if (c := coefficient(v))}
             table[(int(i), int(j))] = entry
             table.setdefault((int(j), int(i)), entry)
         self._table = table
@@ -227,7 +239,7 @@ class GradedAlgebra:
         for i, ca in a.items():
             for j, cb in b.items():
                 for k, s in self.mul_basis(i, j).items():
-                    v = out.get(k, Q(0)) + ca * cb * s
+                    v = out.get(k, 0) + ca * cb * s
                     if v:
                         out[k] = v
                     else:
@@ -274,8 +286,7 @@ class EquivariantPolynomial:
         self.terms: dict[tuple[tuple[int, ...], int], Fraction] = {}
         if terms:
             for key, c in terms.items():
-                c = _q(c)
-                if c:
+                if c := coefficient(c):
                     self.terms[key] = c
 
     # -- constructors ------------------------------------------------------
@@ -286,7 +297,7 @@ class EquivariantPolynomial:
 
     @staticmethod
     def constant(vars: Variables, value, algebra: GradedAlgebra = POINT_ALGEBRA) -> "EquivariantPolynomial":
-        value = _q(value)
+        value = coefficient(value)
         p = EquivariantPolynomial(vars, algebra)
         if value:
             p.terms[(vars.zero_exps(), 0)] = value
@@ -300,7 +311,7 @@ class EquivariantPolynomial:
     def variable(vars: Variables, index: int, algebra: GradedAlgebra = POINT_ALGEBRA) -> "EquivariantPolynomial":
         exps = [0] * vars.count
         exps[index] = 1
-        return EquivariantPolynomial(vars, algebra, {(tuple(exps), 0): Q(1)})
+        return EquivariantPolynomial(vars, algebra, {(tuple(exps), 0): 1})
 
     @staticmethod
     def from_linear_form(vars: Variables, form: LinearForm,
@@ -310,7 +321,7 @@ class EquivariantPolynomial:
             if c:
                 exps = [0] * vars.count
                 exps[i] = 1
-                p.terms[(tuple(exps), 0)] = c
+                p.terms[(tuple(exps), 0)] = coefficient(c)
         return p
 
     @staticmethod
@@ -351,7 +362,7 @@ class EquivariantPolynomial:
     def constant_value(self) -> Fraction:
         """Value of a polynomial that is constant and unit-valued."""
         if not self.terms:
-            return Q(0)
+            return 0
         [(key, c)] = self.terms.items()
         if key != (self.vars.zero_exps(), 0):
             raise ValidationError("polynomial is not a scalar constant")
@@ -381,7 +392,7 @@ class EquivariantPolynomial:
         self._check(other)
         out = self.copy()
         for key, c in other.terms.items():
-            v = out.terms.get(key, Q(0)) + c
+            v = out.terms.get(key, 0) + c
             if v:
                 out.terms[key] = v
             else:
@@ -412,7 +423,7 @@ class EquivariantPolynomial:
         return self + (-other)
 
     def scale(self, value) -> "EquivariantPolynomial":
-        value = _q(value)
+        value = coefficient(value)
         if not value:
             return EquivariantPolynomial(self.vars, self.algebra)
         return EquivariantPolynomial(self.vars, self.algebra,
@@ -429,7 +440,7 @@ class EquivariantPolynomial:
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 for k, s in mul_basis(b1, b2).items():
                     key = (exps, k)
-                    v = terms.get(key, Q(0)) + c * s
+                    v = terms.get(key, 0) + c * s
                     if v:
                         terms[key] = v
                     else:
@@ -445,7 +456,7 @@ class EquivariantPolynomial:
                 if b2 != 0:
                     raise ValidationError("mul_pure needs a unit-valued polynomial")
                 key = (tuple(a + b for a, b in zip(e1, e2)), b1)
-                v = terms.get(key, Q(0)) + c1 * c2
+                v = terms.get(key, 0) + c1 * c2
                 if v:
                     terms[key] = v
                 else:
@@ -479,7 +490,7 @@ class EquivariantPolynomial:
                 ne = list(e)
                 ne[var] = k - 1
                 key = (tuple(ne), b)
-                v = out.terms.get(key, Q(0)) + c * k
+                v = out.terms.get(key, 0) + c * k
                 if v:
                     out.terms[key] = v
                 else:
@@ -507,10 +518,10 @@ class EquivariantPolynomial:
         out = EquivariantPolynomial(self.vars, target_algebra)
         for (e, b), c in self.terms.items():
             for k, m in enumerate(matrix[b]):
-                m = _q(m)
+                m = coefficient(m)
                 if m:
                     key = (e, k)
-                    v = out.terms.get(key, Q(0)) + c * m
+                    v = out.terms.get(key, 0) + c * m
                     if v:
                         out.terms[key] = v
                     else:
@@ -769,9 +780,6 @@ class RationalSection:
             return NotImplemented
         common = RationalSection.common_denominator((self, other))
         return self.numer_over(common) == other.numer_over(common)
-
-    def __hash__(self):
-        raise TypeError("RationalSection is unhashable; compare with ==")
 
     # -- calculus ----------------------------------------------------------
 

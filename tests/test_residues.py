@@ -154,6 +154,17 @@ def test_selected_residue_zero_moment_falls_back_to_plain():
     assert iterated_residue_selected([term], VariableOrdering((0,))) == 1
 
 
+def test_selected_residue_weights_are_exact():
+    # the residue of exp(x) / x^4 at 0 is 1/3!, whether the moment is an int
+    # or a Fraction; a prefactor that is not rational is refused
+    quartic = sec(one(V1), {lf(1): 4})
+    for moment in ((1,), (Q(1),)):
+        value = iterated_residue_selected([MomentTerm(moment, quartic)], VariableOrdering((0,)))
+        assert value == Q(1, 6) and type(value) is Q
+    with pytest.raises(ValidationError, match="rational"):
+        iterated_residue_selected([MomentTerm((1,), quartic)], VariableOrdering((0,), 0.5))
+
+
 # -- randomized residue laws ---------------------------------------------------------
 
 
