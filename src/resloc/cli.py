@@ -98,14 +98,17 @@ def _add_check(report: dict, name: str, ok: bool, detail: str):
 # -- validate ------------------------------------------------------------------
 
 
-def _localization_failures(ds: Dataset, max_degree: int) -> tuple[int, list[str]]:
-    """Localization sums of the generator products through max_degree: the
-    number that are polynomials, and a line for each that has a pole or is
-    nonzero below the top degree (the ABBV identities fail)."""
+def _localization_failures(ds: Dataset, products, max_degree: int) -> tuple[int, list[str]]:
+    """Localization sums of the generator products through max_degree, read
+    from a walk of ``generator_products`` at least that far: the number that
+    are polynomials, and a line for each that has a pole or is nonzero below
+    the top degree (the ABBV identities fail)."""
     names = [name for name, cls in ds.generators if cls.degree > 0]
     failures = []
     checked = 0
-    for exps, cls in generator_products(ds.space, ds.generators, max_degree):
+    for exps, cls in products:
+        if cls.degree > max_degree:
+            continue
         label = "*".join(names[i] for i, e in enumerate(exps) for _ in range(e)) or "one"
         total = localization_sum(ds.space, cls)
         if not total.is_polynomial():
@@ -121,7 +124,7 @@ def _localization_failures(ds: Dataset, max_degree: int) -> tuple[int, list[str]
 
 def _nongeneric(exc: NonGenericError) -> str:
     names = ", ".join(f"{kind}:{what}" for kind, what in exc.violations)
-    return f"{exc.args[0]}; violated by {names}" if names else exc.args[0]
+    return f"{exc.args[0]}; violated by {names}"
 
 
 def cmd_validate(args) -> int:
@@ -144,7 +147,8 @@ def cmd_validate(args) -> int:
     except NonGenericError as exc:
         _add_check(report, "generic-direction", False, _nongeneric(exc))
 
-    checked, failures = _localization_failures(ds, max_degree)
+    products = generator_products(ds.space, ds.generators, max_degree)
+    checked, failures = _localization_failures(ds, products, max_degree)
     _add_check(report, "abbv-polynomiality", not failures,
                f"{checked} products through degree {max_degree}"
                + ("" if not failures else "; " + "; ".join(failures)))
@@ -187,9 +191,9 @@ def _subspace_json(model, sub: kernels.Subspace) -> dict:
                       for vec in sub.coeffs]}
 
 
-def _build_model(ds: Dataset, max_degree: int):
+def _build_model(ds: Dataset, max_degree: int, products: list):
     build_to = max(max_degree, ds.space.dim - 2)
-    return kernels.build_model(ds.space, ds.generators, build_to)
+    return kernels.build_model(ds.space, ds.generators, build_to, products)
 
 
 def _degrees(args) -> list[int]:
@@ -197,7 +201,8 @@ def _degrees(args) -> list[int]:
     return list(range(0, args.max_degree + 1, 2))
 
 
-def _kernel_circle(ds: Dataset, args, report: dict, calibration: RestrictedClass) -> None:
+def _kernel_circle(ds: Dataset, args, report: dict, calibration: RestrictedClass,
+                   products: list) -> None:
     try:
         xi = CircleDirection(tuple(int(v) for v in args.circle.split(",")))
     except ValueError:
@@ -207,7 +212,7 @@ def _kernel_circle(ds: Dataset, args, report: dict, calibration: RestrictedClass
         raise SchemaError(f"--circle: expected {ds.space.vars.count} integers")
     report["parameters"]["xi"] = list(xi.vector)
     integral = circle_integral(ds.space, xi)  # raises if xi is not generic
-    model = _build_model(ds, args.max_degree)
+    model = _build_model(ds, args.max_degree, products)
     rows = kernels.check_circle_kernel_split(model, _degrees(args), integral)
     report["results"]["degrees"] = [
         {"degree": r.degree,
@@ -225,12 +230,13 @@ def _kernel_circle(ds: Dataset, args, report: dict, calibration: RestrictedClass
         "value": str(integral(calibration))}
 
 
-def _kernel_full(ds: Dataset, args, report: dict, calibration: RestrictedClass) -> None:
+def _kernel_full(ds: Dataset, args, report: dict, calibration: RestrictedClass,
+                 products: list) -> None:
     ordering = _parse_ordering(args, ds.space.vars.count)
     # raises if not generic, before the model build, which can take seconds
     integral = torus_integral(ds.space, ordering=ordering)
     report["parameters"]["xi"] = list(integral.xi.vector)
-    model = _build_model(ds, args.max_degree)
+    model = _build_model(ds, args.max_degree, products)
     rows, chambers = kernels.check_full_kernel(model, _degrees(args), integral)
     report["results"]["chambers"] = {
         "count": len(chambers.chambers),
@@ -250,7 +256,7 @@ def _kernel_full(ds: Dataset, args, report: dict, calibration: RestrictedClass) 
 
 
 def _kernel_nonabelian(ds: Dataset, args, report: dict,
-                       calibration: RestrictedClass) -> None:
+                       calibration: RestrictedClass, products: list) -> None:
     from . import weylgrp
 
     if ds.weyl is None:
@@ -259,7 +265,7 @@ def _kernel_nonabelian(ds: Dataset, args, report: dict,
     # raises if not generic, before the model build, which can take seconds
     integral = torus_integral(ds.space, ordering=ordering)
     report["parameters"]["xi"] = list(integral.xi.vector)
-    model = _build_model(ds, args.max_degree)
+    model = _build_model(ds, args.max_degree, products)
     rows, span_rows = weylgrp.check_nonabelian_kernels(model, ds.weyl, _degrees(args),
                                                        integral)
     report["results"]["degrees"] = [
@@ -329,7 +335,10 @@ def cmd_kernel(args) -> int:
     except KeyError as exc:
         sys.stderr.write(f"error: --calibrate: {exc.args[0]}\n")
         return 2
-    _, failures = _localization_failures(ds, ds.space.dim)
+    # one walk serves the consistency check (to dim M) and the model
+    products = list(generator_products(ds.space, ds.generators,
+                                       max(ds.space.dim, args.max_degree)))
+    _, failures = _localization_failures(ds, products, ds.space.dim)
     if failures:
         sys.stderr.write("error: inconsistent fixed-point data (run validate): "
                          f"{failures[0]}\n")
@@ -340,11 +349,11 @@ def cmd_kernel(args) -> int:
                       "calibrate": args.calibrate})
     try:
         if modes[0] == "circle":
-            _kernel_circle(ds, args, report, calibration)
+            _kernel_circle(ds, args, report, calibration, products)
         elif modes[0] == "full":
-            _kernel_full(ds, args, report, calibration)
+            _kernel_full(ds, args, report, calibration, products)
         else:
-            _kernel_nonabelian(ds, args, report, calibration)
+            _kernel_nonabelian(ds, args, report, calibration, products)
     except NonGenericError as exc:
         sys.stderr.write(f"error: {_nongeneric(exc)}\n")
         return 2

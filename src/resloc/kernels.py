@@ -10,6 +10,7 @@ model basis of their degree, so span comparisons are exact rank computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import linalg
 from .linalg import Row
@@ -42,6 +43,7 @@ __all__ = [
     "Subspace",
     "vanishing_subspace",
     "pairing_kernel",
+    "circle_testing_classes",
     "circle_kernel",
     "CircleKernelRow",
     "check_circle_kernel_split",
@@ -73,13 +75,17 @@ class DegreeTruncatedModel:
     nonzero restriction terms by key position.  ``restriction_rows`` keeps,
     per degree and component, the rows of the basis at that component's keys:
     a class vanishes there exactly when its basis coefficients annihilate them.
+    ``products`` keeps the generator products the slices are built from.
     """
 
     def __init__(self, space: HamiltonianSpace,
-                 generators: list[tuple[str, RestrictedClass]], max_degree: int):
+                 generators: list[tuple[str, RestrictedClass]], max_degree: int,
+                 products: Iterable[tuple[tuple[int, ...], RestrictedClass]]):
         self.space = space
         self.generators = generators
         self.max_degree = max_degree
+        # filtering a deeper walk keeps generator_products' depth-first order
+        self.products = [(exps, cls) for exps, cls in products if cls.degree <= max_degree]
         self.basis_by_degree: dict[int, list[ModelElement]] = {}
         self.restriction_rows: dict[int, dict[str, list[Row]]] = {}
         self._positions: dict[int, dict[tuple[str, tuple[int, ...], int], int]] = {}
@@ -116,7 +122,7 @@ class DegreeTruncatedModel:
         names = [name for name, cls in self.generators if cls.degree > 0]
         # all multisets of non-unit generators within the degree budget
         monomials: list[tuple[RestrictedClass, str]] = []
-        for exps, cls in generator_products(space, self.generators, self.max_degree):
+        for exps, cls in self.products:
             label_parts = [names[i] + (f"^{e}" if e > 1 else "")
                            for i, e in enumerate(exps) if e]
             monomials.append((cls, "*".join(label_parts) or "1"))
@@ -180,14 +186,21 @@ def _monomial_label(vars, mono: tuple[int, ...], gen_label: str) -> str:
 
 
 def build_model(space: HamiltonianSpace, generators: list[tuple[str, RestrictedClass]],
-                max_degree: int) -> DegreeTruncatedModel:
+                max_degree: int,
+                products: Iterable[tuple[tuple[int, ...], RestrictedClass]] | None = None
+                ) -> DegreeTruncatedModel:
+    """The model through max_degree.  ``products`` is a walk of
+    ``generator_products`` to at least max_degree, for a caller that has one;
+    the model walks its own when it is None."""
     names = [n for n, _ in generators]
     if len(set(names)) != len(names):
         raise ValidationError("generator names must be distinct")
     if not any(cls.degree == 0 and cls == RestrictedClass.unit(space)
                for _, cls in generators):
         raise ValidationError("generator list must contain the unit class")
-    return DegreeTruncatedModel(space, generators, max_degree)
+    if products is None:
+        products = generator_products(space, generators, max_degree)
+    return DegreeTruncatedModel(space, generators, max_degree, products)
 
 
 # -- subspaces of a degree slice ---------------------------------------------
@@ -241,15 +254,57 @@ def pairing_kernel(integral: KirwanIntegral, classes: list[RestrictedClass],
     return linalg.nullspace(rows, len(classes))
 
 
-def circle_kernel(model: DegreeTruncatedModel, degree: int,
-                  integral: KirwanIntegral) -> Subspace:
-    """Null space of the circle-level pairing against the truncated testing set.
+def circle_testing_classes(model: DegreeTruncatedModel,
+                           xi: CircleDirection) -> list[RestrictedClass]:
+    """Testing classes for the circle-level pairing along xi: module
+    generators, over Sym(ann xi), of the model slices up to total degree
+    cap = min(dim - 2, max_degree).
 
-    The testing classes run over the model slices up to total degree dim - 2
-    (module generators of the quotient cohomology).
+    The circle integral is linear over the polynomials on t/s: it takes
+    p * eta to p * (its value on eta) for p in Sym(ann xi).  With i the first
+    index where xi_i != 0, Q[X] = Sym(ann xi)[X_i], so the classes g * X_i^j
+    (g a generator product, of degree at most cap) have the same
+    Sym(ann xi)-span as the slices, and the pairing the same null space.  By
+    degree, in generator-product order, a class is kept only if it lies
+    outside the span of the kept classes of its degree and of the multiples
+    of the lower-degree kept classes by monomials in the basis
+    xi_i X_k - xi_k X_i (k != i) of ann xi.
     """
-    cap = min(model.space.dim - 2, model.max_degree)
-    testing = [el.cls for zdeg in range(0, cap + 1, 2) for el in model.basis_by_degree[zdeg]]
+    space = model.space
+    cap = min(space.dim - 2, model.max_degree)
+    n, vec = space.vars.count, xi.vector
+    i = next(k for k, v in enumerate(vec) if v)
+    e = [tuple(int(m == k) for m in range(n)) for k in range(n)]
+    forms = [EquivariantPolynomial(space.vars, POINT_ALGEBRA,
+                                   {(e[k], 0): vec[i], (e[i], 0): -vec[k]})
+             for k in range(n) if k != i]
+    kept: list[RestrictedClass] = []
+    # (index of the last form in the monomial, multiple) of lower kept classes
+    multiples: list[tuple[int, RestrictedClass]] = []
+    new: list[RestrictedClass] = []
+    for zdeg in range(0, cap + 1, 2):
+        multiples = [(t, cls.mul_pure(forms[t]))
+                     for last, cls in multiples + [(0, cls) for cls in new]
+                     for t in range(last, len(forms))]
+        echelon = linalg.Echelon(model.class_vector(cls, zdeg) for _, cls in multiples)
+        new = []
+        for _, g in model.products:
+            if g.degree <= zdeg and (zdeg - g.degree) % 2 == 0:
+                exps = tuple((zdeg - g.degree) // 2 if k == i else 0 for k in range(n))
+                cls = g.mul_pure(EquivariantPolynomial(space.vars, POINT_ALGEBRA,
+                                                       {(exps, 0): 1}))
+                if echelon.add(model.class_vector(cls, zdeg)):
+                    new.append(cls)
+        kept += new
+    return kept
+
+
+def circle_kernel(model: DegreeTruncatedModel, degree: int, integral: KirwanIntegral,
+                  testing: list[RestrictedClass] | None = None) -> Subspace:
+    """Null space of the circle-level pairing against the testing classes,
+    ``circle_testing_classes`` of the integral's direction when None."""
+    if testing is None:
+        testing = circle_testing_classes(model, integral.xi)
     classes = [el.cls for el in model.basis_by_degree[degree]]
     return Subspace(degree, pairing_kernel(integral, classes, testing))
 
@@ -273,18 +328,23 @@ def check_circle_kernel_split(model: DegreeTruncatedModel, degrees: list[int],
     """Degreewise comparison: the kernel of a circle integral against the
     direct sum of the two one-sided vanishing subspaces of its direction.
 
-    The one integral serves every degree, so its tau table of residues, one
-    per (positive-side component, monomial), is filled once for all of them.
+    The one integral and the one set of testing classes serve every degree,
+    so the integral's tau table of residues, one per (positive-side
+    component, monomial), is filled once for all of them.
     """
     plus_side = positive_side(model.space, integral.xi)
     minus_side = frozenset(f.name for f in model.space.components) - plus_side
+    testing = circle_testing_classes(model, integral.xi)
     rows = []
     for d in degrees:
-        kernel = circle_kernel(model, d, integral)
+        kernel = circle_kernel(model, d, integral, testing)
         minus = vanishing_subspace(model, minus_side, d)
         plus = vanishing_subspace(model, plus_side, d)
-        direct = linalg.intersect_trivially(minus.coeffs, plus.coeffs)
-        equal = linalg.span_equal(kernel.coeffs, minus.coeffs + plus.coeffs)
+        # reduced once for both checks; null-space bases are independent, so
+        # the sum is direct when its rank is the sum of their dims
+        both = linalg.Echelon(minus.coeffs + plus.coeffs)
+        direct = len(both.rows) == minus.dim + plus.dim
+        equal = linalg.span_equal(both, kernel.coeffs)
         rows.append(CircleKernelRow(d, kernel, minus, plus, direct, equal))
     return rows
 
@@ -423,9 +483,9 @@ def check_full_kernel(model: DegreeTruncatedModel, degrees: list[int],
         kernel = torus_kernel(model, d, integral)
         stacked = [vec for names in vanishing_sets
                    for vec in vanishing_subspace(model, names, d).coeffs]
-        # span_equal(kernel, stacked), reusing the rank of the stacked rows
-        sum_dim = linalg.rank(stacked)
-        equal = (linalg.rank(kernel.coeffs) == sum_dim
-                 == linalg.rank(kernel.coeffs + stacked))
+        # the stacked rows, reduced once, give the rank and the comparison
+        chamber_sum = linalg.Echelon(stacked)
+        sum_dim = len(chamber_sum.rows)
+        equal = linalg.span_equal(chamber_sum, kernel.coeffs)
         rows.append(FullKernelRow(d, kernel, sum_dim, equal))
     return rows, chambers

@@ -9,6 +9,7 @@ rows by pivot are the canonical reduced row echelon form of their span.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from .symcore import coefficient
 
@@ -38,8 +39,19 @@ def combine(coeffs: Row, rows: list[Row]) -> Row:
 class Echelon:
     """Rows by pivot column: each pivot is its row's least column, holds 1, and is 0 elsewhere."""
 
-    def __init__(self):
+    def __init__(self, rows: Iterable[Row] = ()):
         self.rows: dict[int, Row] = {}
+        for row in rows:
+            self.add(row)
+
+    def rank_with(self, rows: list[Row]) -> int:
+        """Rank of this span plus rows, inserted into a copy; ``add`` changes
+        the kept rows in place, so the copy copies them too."""
+        out = Echelon()
+        out.rows = {pivot: dict(row) for pivot, row in self.rows.items()}
+        for row in rows:
+            out.add(row)
+        return len(out.rows)
 
     def remainder(self, vec: Row) -> Row:
         """vec minus its part in the span; empty exactly when vec lies in it."""
@@ -69,9 +81,7 @@ class Echelon:
 
 def row_reduce(rows: list[Row]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns), by pivot."""
-    echelon = Echelon()
-    for row in rows:
-        echelon.add(row)
+    echelon = Echelon(rows)
     pivots = sorted(echelon.rows)
     return [echelon.rows[p] for p in pivots], pivots
 
@@ -115,10 +125,16 @@ def transpose(vectors: list[dict]) -> dict:
     return out
 
 
-def span_equal(a: list[Row], b: list[Row]) -> bool:
-    return rank(a) == rank(b) == rank(a + b)
+def span_equal(a: list[Row] | Echelon, b: list[Row]) -> bool:
+    """True when a and b span the same space.  a is reduced once (an
+    ``Echelon`` is taken as it is and left unchanged), and b's rows are
+    inserted into a copy of it."""
+    a = a if isinstance(a, Echelon) else Echelon(a)
+    return len(a.rows) == a.rank_with(b) == rank(b)
 
 
-def intersect_trivially(a: list[Row], b: list[Row]) -> bool:
-    """True when the spans intersect only in 0 (the sum is direct)."""
-    return rank(a + b) == rank(a) + rank(b)
+def intersect_trivially(a: list[Row] | Echelon, b: list[Row]) -> bool:
+    """True when the spans intersect only in 0 (the sum is direct); a is
+    reduced once, as in ``span_equal``."""
+    a = a if isinstance(a, Echelon) else Echelon(a)
+    return a.rank_with(b) == len(a.rows) + rank(b)

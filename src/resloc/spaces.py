@@ -300,20 +300,23 @@ def _arrangement_normals(space: HamiltonianSpace) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-_GENERIC_SEARCH_RADIUS = 8
-
-
 def find_generic_direction(space: HamiltonianSpace) -> CircleDirection:
     """The generic direction of smallest max-norm, the lexicographically first
-    of that norm, searched up to max-norm _GENERIC_SEARCH_RADIUS.  A component
-    at moment 0 pairs to zero with every direction, so it is named first.
+    of that norm.  A component at moment 0 pairs to zero with every direction,
+    so it is named; otherwise a generic direction exists and is found.
 
-    The search fixes xi_0, xi_1, ... in turn, each from -r to r, depth first.
-    A normal whose last nonzero entry is j pairs to a final value once
-    xi_0..xi_j are fixed, so it rules out at most one value of xi_j, skipped
-    there.  The search meets the directions of max-norm r in sorted order and
-    passes over only non-generic ones.  What it finds is primitive: if xi/g is
-    integral, it is generic too and has a smaller max-norm.
+    The search fixes xi_0, xi_1, ... in turn, each from -r to r, depth first,
+    for r = 1, 2, ...  A normal whose last nonzero entry is j pairs to a final
+    value once xi_0..xi_j are fixed, so it rules out at most one value of
+    xi_j, skipped there.  The search meets the directions of max-norm r in
+    sorted order and passes over only non-generic ones.  What it finds is
+    primitive: if xi/g is integral, it is generic too and has a smaller
+    max-norm.
+
+    It stops by r = max(1, ceil(max_j m_j / 2)), where m_j is the number of
+    normals whose last nonzero entry is j.  Only (c, 0, ..., 0) ends at entry
+    0, ruling out 0 alone, so xi_0 = -r survives; after it every later entry
+    ranges over 2r + 1 values, of which at most m_j are ruled out.
     """
     at_zero = [("moment", f.name) for f in space.components if not any(f.moment)]
     if at_zero:
@@ -336,11 +339,10 @@ def find_generic_direction(space: HamiltonianSpace) -> CircleDirection:
                 return found
         return None
 
-    for radius in range(1, _GENERIC_SEARCH_RADIUS + 1):
-        if found := search([], radius):
-            return CircleDirection(found)
-    raise NonGenericError(
-        f"no generic direction in box of radius {_GENERIC_SEARCH_RADIUS}", [])
+    radius = 1
+    while (found := search([], radius)) is None:
+        radius += 1
+    return CircleDirection(found)
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:

@@ -334,8 +334,9 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
                     if in_range(comp) else [])
         k_twice = pairing_kernel(integral, twice, testing2)
 
-        equal = (linalg.span_equal(k_pair, k_once)
-                 and linalg.span_equal(k_once, k_twice))
+        once_span = linalg.Echelon(k_once)  # reduced once for both comparisons
+        equal = (linalg.span_equal(once_span, k_pair)
+                 and linalg.span_equal(once_span, k_twice))
         rows.append(NonabelianRow(d, len(inv_classes), len(k_pair),
                                   len(k_once), len(k_twice), equal))
 
@@ -364,7 +365,8 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
             raise ValidationError("divided antisymmetrization left the model span")
         inv_vectors = [model.class_vector(cls, target) for cls in invariant(target)[1]]
         kernel = [linalg.combine(k, inv_vectors) for k in pairing(target)[1]]
+        produced_span = linalg.Echelon(produced)
         span_rows.append(AntisymmetrizedSpanRow(
-            source, target, linalg.rank(produced), len(kernel),
-            linalg.span_equal(produced, kernel)))
+            source, target, len(produced_span.rows), len(kernel),
+            linalg.span_equal(produced_span, kernel)))
     return rows, span_rows

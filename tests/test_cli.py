@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report shape, and byte determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -292,23 +293,6 @@ def test_moment_zero_names_the_component(capsys, tmp_path):
     assert generic["detail"].endswith("; violated by moment:NN")
 
 
-def test_empty_certificate_names_no_violations(capsys, monkeypatch):
-    # the exhausted search box comes with no violation to name, and both
-    # commands name it with the same text
-    def exhausted(space):
-        raise spaces.NonGenericError("no generic direction in box of radius 8", [])
-
-    monkeypatch.setattr(spaces, "find_generic_direction", exhausted)
-    monkeypatch.setattr(cli, "find_generic_direction", exhausted)
-    code, out, err = run(capsys, "kernel", "s2xs2-t2", "--full")
-    assert code == 2 and not out
-    assert err == "error: no generic direction in box of radius 8\n"
-    code, report, _ = run_json(capsys, "validate", "s2xs2-t2")
-    [check] = [c for c in report["checks"] if c["name"] == "generic-direction"]
-    assert code == 1 and not check["pass"]
-    assert check["detail"] == "no generic direction in box of radius 8"
-
-
 def test_kernel_full_with_delta(capsys):
     code, report, _ = run_json(capsys, "kernel", "s2", "--full",
                                "--ordering", "0", "--delta", "5")
@@ -408,6 +392,30 @@ def test_kernel_unknown_calibrate(capsys, monkeypatch):
         code, out, err = run(capsys, "kernel", "s2cubed-su2", mode, "--calibrate", "zz")
         assert code == 2 and not out
         assert err == "error: --calibrate: no generator named 'zz'\n"
+
+
+@pytest.mark.parametrize("argv, depth", [
+    (("s2xs2-t2", "--circle=1,2"), 4),
+    (("s2xs2-t2", "--full", "--max-degree", "6"), 6),
+    (("s2cubed-su2", "--nonabelian", "--max-degree", "2"), 6),
+])
+def test_kernel_walks_the_generator_products_once(capsys, monkeypatch, argv, depth):
+    # one walk, to max(dim M, --max-degree), serves both the consistency
+    # check and the model
+    walks = []
+    real = spaces.generator_products
+
+    def counted(space, generators, max_degree):
+        walks.append(max_degree)
+        return real(space, generators, max_degree)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("resloc") and \
+                getattr(module, "generator_products", None) is real:
+            monkeypatch.setattr(module, "generator_products", counted)
+    code, _, _ = run(capsys, "kernel", *argv)
+    assert code == 0
+    assert walks == [depth]
 
 
 # -- output handling ---------------------------------------------------------------

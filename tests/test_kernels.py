@@ -2,7 +2,7 @@
 kernel comparisons, and chamber enumeration."""
 
 from fractions import Fraction as Q
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -13,6 +13,7 @@ from resloc.kernels import (
     check_circle_kernel_split,
     check_full_kernel,
     circle_kernel,
+    circle_testing_classes,
     enumerate_generic_directions,
     pairing_kernel,
     positive_sides,
@@ -38,6 +39,7 @@ from resloc.symcore import (
     RationalSection,
     ValidationError,
     Variables,
+    substitution,
 )
 
 
@@ -238,6 +240,123 @@ def test_circle_split_shared_integral_matches_fresh(s2xs2_model, nonisolated, me
             assert r.kernel.coeffs == circle_kernel(model, r.degree, fresh).coeffs
 
 
+def whole_slice_kernel(model, degree, integral):
+    """The circle kernel against every model class of degree at most
+    min(dim - 2, max_degree): the testing set the module generators replace."""
+    cap = min(model.space.dim - 2, model.max_degree)
+    testing = [el.cls for zdeg in range(0, cap + 1, 2) for el in model.basis_by_degree[zdeg]]
+    classes = [el.cls for el in model.basis_by_degree[degree]]
+    return pairing_kernel(integral, classes, testing)
+
+
+def projective(n):
+    """CP^n under T^n, moment offset (i+1)/(2n^2): fixed points p_0..p_n with
+    x_0 = 0, weights x_j - x_i at p_i, and the hyperplane class u = x_i at p_i."""
+    vars = Variables(tuple(f"X{i}" for i in range(1, n + 1)))
+    zero = EquivariantPolynomial.zero(vars)
+    x = [[0] * n] + [[int(j == i) for j in range(n)] for i in range(n)]
+    comps = [FixedComponent(f"p{i}", tuple(Q(a) - Q(j + 1, 2 * n * n) for j, a in enumerate(x[i])),
+                            POINT_ALGEBRA,
+                            tuple((lf(*(a - b for a, b in zip(x[j], x[i]))), zero)
+                                  for j in range(n + 1) if j != i))
+             for i in range(n + 1)]
+    space = HamiltonianSpace(vars, 2 * n, comps)
+    u = RestrictedClass(space, 2, {f"p{i}": EquivariantPolynomial.variable(vars, i - 1)
+                                   if i else zero for i in range(n + 1)})
+    return space, [("one", RestrictedClass.unit(space)), ("u", u)]
+
+
+def reexpressed(space, generators, matrix):
+    """The space and its generators in the torus basis whose j-th vector is
+    column j of the unimodular matrix: covectors pair with the columns, and
+    old variable i is row i of the matrix in the new variables."""
+    n = space.vars.count
+
+    def pair(covector):
+        return tuple(sum(Q(c) * row[j] for c, row in zip(covector, matrix)) for j in range(n))
+
+    substitute = substitution([EquivariantPolynomial.from_linear_form(space.vars, lf(*row))
+                               for row in matrix])
+    new = HamiltonianSpace(space.vars, space.dim, [
+        FixedComponent(f.name, pair(f.moment), f.algebra,
+                       tuple((LinearForm.make(pair(w.coeffs)), c) for w, c in f.normal_lines))
+        for f in space.components])
+    return new, [(name, RestrictedClass(new, cls.degree, {
+        k: substitute(p) for k, p in cls.restrictions.items()})) for name, cls in generators]
+
+
+def spans_every_slice(model, xi, testing):
+    """Whether the multiples of the testing classes by polynomials vanishing
+    on xi span every model slice up to min(dim - 2, max_degree).  The forms
+    xi_j X_k - xi_k X_j (j < k) span the annihilator of xi whatever its
+    zero entries."""
+    vars, vec = model.space.vars, xi.vector
+    unit = [tuple(int(m == k) for m in range(vars.count)) for k in range(vars.count)]
+    forms = [EquivariantPolynomial(vars, POINT_ALGEBRA, {(unit[k], 0): vec[j], (unit[j], 0): -vec[k]})
+             for j, k in combinations(range(vars.count), 2)]
+    for zdeg in range(0, min(model.space.dim - 2, model.max_degree) + 1, 2):
+        span = []
+        for cls in testing:
+            if cls.degree <= zdeg:
+                for monomial in combinations_with_replacement(forms, (zdeg - cls.degree) // 2):
+                    multiple = cls
+                    for form in monomial:
+                        multiple = multiple.mul_pure(form)
+                    span.append(model.class_vector(multiple, zdeg))
+        basis = [el.vector for el in model.basis_by_degree[zdeg]]
+        if linalg.rank(span + basis) != linalg.rank(span):
+            return False
+    return True
+
+
+def bundled(name):
+    ds = load_dataset(name)
+    return ds.space, ds.generators
+
+
+CIRCLE_ORACLE_CASES = (
+    [(name, lambda name=name: bundled(name), [(1,), (-1,)])
+     for name in ("s2", "s2xs2-nonisolated", "s2cubed-su2")]
+    + [("s2xs2-t2", lambda: bundled("s2xs2-t2"), [(1, 2), (-1, 2), (2, -1)]),
+       ("s2x3", lambda: sphere_product(3), [(1, 2, 4), (-1, 2, 4)]),
+       ("cp3", lambda: projective(3), [(1, 2, 4), (-2, -1, 1)]),
+       # the directions (1, 2) and (1, 2, 4) of the spaces above, with xi_0 = 0
+       ("s2xs2-t2-reexpressed",
+        lambda: reexpressed(*bundled("s2xs2-t2"), [[1, 1], [1, 2]]), [(0, 1), (0, -1)]),
+       ("s2x3-reexpressed",
+        lambda: reexpressed(*sphere_product(3), [[0, 0, 1], [1, 0, 2], [2, 1, 4]]),
+        [(0, 0, 1)])])
+
+
+@pytest.mark.parametrize("build, directions",
+                         [pytest.param(b, d, id=n) for n, b, d in CIRCLE_ORACLE_CASES])
+def test_circle_kernel_matches_the_whole_slice_kernel(build, directions):
+    # the module generators over Sym(ann xi) span the slices up to dim - 2
+    # over it, and find the kernel the whole slices find, basis for basis
+    space, generators = build()
+    model = build_model(space, generators, 4)
+    for xi in directions:
+        xi = CircleDirection.make(xi)
+        assert spans_every_slice(model, xi, circle_testing_classes(model, xi))
+        integral = circle_integral(space, xi)
+        rows = check_circle_kernel_split(model, [0, 2, 4], integral)
+        assert all(r.ok for r in rows)
+        for r in rows:
+            assert r.kernel.coeffs == whole_slice_kernel(model, r.degree, integral)
+
+
+@pytest.mark.parametrize("build, xi, kept, whole", [
+    pytest.param(lambda: sphere_product(3), (1, 2, 4), 12, 25, id="s2x3"),
+    pytest.param(lambda: projective(3), (1, 2, 4), 6, 15, id="cp3"),
+])
+def test_circle_testing_classes_are_module_generators(build, xi, kept, whole):
+    space, generators = build()
+    model = build_model(space, generators, 4)
+    testing = circle_testing_classes(model, CircleDirection.make(xi))
+    assert sum(len(model.basis_by_degree[d]) for d in (0, 2, 4)) == whole
+    assert len(testing) == kept
+
+
 def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch,
                                                    expansion_builds):
     # one residue per (positive-side component, monomial key), shared by every
@@ -270,7 +389,7 @@ def test_circle_integral_adapts_only_on_residue_misses(s2xs2_model, monkeypatch,
     # a monomial is moved into adapted coordinates only when its residue is
     # computed, never for a table hit or a whole class, and an expansion at
     # infinity is built only for a (component, denominator) not seen before:
-    # 8 for the 20 entries of the split check
+    # 8 for the 18 entries of the split check
     calls = {"adapt": 0, "residue": 0}
     adapt, residue = spaces.AdaptedSpace.adapt, spaces.res_x_plus_series
 
@@ -286,7 +405,7 @@ def test_circle_integral_adapts_only_on_residue_misses(s2xs2_model, monkeypatch,
     monkeypatch.setattr(spaces, "res_x_plus_series", counted_residue)
     integral = circle_integral(s2xs2_model.space, CircleDirection.make((1, 2)))
     check_circle_kernel_split(s2xs2_model, [0, 2, 4], integral)
-    assert calls["adapt"] == calls["residue"] == 20
+    assert calls["adapt"] == calls["residue"] == 18
     assert len(expansion_builds) == 8
 
 

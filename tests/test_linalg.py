@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resloc.linalg import (
+    Echelon,
     independent_indices,
     intersect_trivially,
     nullspace,
@@ -70,6 +71,17 @@ def test_span_predicates():
 def test_span_equal_with_empty_sides():
     assert span_equal([], [])
     assert not span_equal(m([[1, 0]]), [])
+
+
+def test_span_predicates_leave_a_reduced_side_unchanged():
+    # inserting (0, 1) clears the 1 at column 1 of the kept row in place, so
+    # the copy must copy the rows, not just the dict of them
+    reduced = Echelon(m([[1, 1, 0]]))
+    assert not span_equal(reduced, m([[0, 1, 0]]))
+    assert not intersect_trivially(reduced, m([[1, 1, 0], [0, 0, 1]]))
+    assert intersect_trivially(reduced, m([[0, 1, 0], [0, 0, 1]]))
+    assert reduced.rows == {0: {0: 1, 1: 1}}
+    assert span_equal(reduced, m([[2, 2, 0]]))
 
 
 @st.composite

@@ -3,6 +3,8 @@ Kirwan-map integrals on the bundled examples."""
 
 import operator
 import random
+import time
+from collections import Counter
 from fractions import Fraction as Q
 from functools import reduce
 from itertools import product
@@ -253,7 +255,7 @@ def killed_up_to(radius):
 
 def test_find_generic_direction_searches_the_whole_box():
     # every direction of max-norm up to 7 is killed: the first survivor has
-    # max-norm 8, the search bound
+    # max-norm 8
     space = killed_up_to(7)
     assert len(space.components[0].normal_lines) == 72
     xi = find_generic_direction(space)
@@ -261,13 +263,19 @@ def test_find_generic_direction_searches_the_whole_box():
     assert is_generic(space, xi) == []
 
 
-def test_find_generic_direction_exhausted_box():
-    space = killed_up_to(8)
-    assert space.dim == 176
-    with pytest.raises(NonGenericError) as info:
-        find_generic_direction(space)
-    assert str(info.value) == "no generic direction in box of radius 8"
-    assert info.value.violations == []
+@pytest.mark.parametrize("radius", [8, 20])
+def test_find_generic_direction_has_no_search_bound(radius):
+    # every direction of max-norm up to radius is killed, and the search goes
+    # on past it, within the bound its docstring states
+    space = killed_up_to(radius)
+    start = time.perf_counter()
+    xi = find_generic_direction(space)
+    assert time.perf_counter() - start < 3
+    assert xi.vector == (-radius - 1, -radius)
+    assert is_generic(space, xi) == []
+    ending = Counter(max(i for i, c in enumerate(w) if c)
+                     for w in spaces._arrangement_normals(space))
+    assert radius + 1 <= max(1, -(-max(ending.values()) // 2))
 
 
 def test_find_generic_direction_names_moment_zero():
