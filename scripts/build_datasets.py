@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled dataset files from their builders.
+"""Regenerate the bundled dataset files from their builders in
+``resloc.datasets.BUILDERS``: ``s2xs2-t2`` and ``s2cubed-su2`` are the
+smallest members of the families ``sphere_product`` and
+``sphere_product_diagonal``.
 
 Run from anywhere; writes into src/resloc/data/ next to this script's parent.
 """

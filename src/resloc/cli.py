@@ -75,8 +75,12 @@ def _emit(report: dict, args) -> int:
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: --output: {exc}\n")
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report["pass"] else 1

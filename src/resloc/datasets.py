@@ -1,6 +1,8 @@
 """Dataset files: JSON schema for fixed-point data, loaders with itemized
-schema errors, writers, and builders for the bundled examples; also the loader
-of residue expression files (see the README), with the same errors.
+schema errors, writers, builders for the bundled examples and three families
+of generated test spaces, (S^2)^k, the diagonal (S^2)^k with its Z/2 and CP^n;
+also the loader of residue expression files (see the README), with the same
+errors.
 
 Schema (all rationals are strings "p/q" in lowest terms; weights and exponents
 are integer arrays):
@@ -34,6 +36,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 
 from .spaces import FixedComponent, HamiltonianSpace, RestrictedClass
 from .symcore import (
@@ -57,9 +60,10 @@ __all__ = [
     "load_expression",
     "BUNDLED",
     "build_s2",
-    "build_s2xs2_t2",
     "build_s2xs2_nonisolated",
-    "build_s2cubed_su2",
+    "sphere_product",
+    "sphere_product_diagonal",
+    "projective",
     "BUILDERS",
 ]
 
@@ -390,45 +394,24 @@ def load_expression(path: str) -> tuple[RationalSection, int, str]:
     return section, names.index(var_name), var_name
 
 
-# -- bundled example builders --------------------------------------------------
+# -- builders: the bundled examples and three families of test spaces ----------
 
 
-def _point_line(vars, coeffs) -> tuple:
-    return (LinearForm.make([Q(c) for c in coeffs]),
-            EquivariantPolynomial.zero(vars, POINT_ALGEBRA))
+def _point_lines(vars: Variables, weights) -> tuple:
+    zero = EquivariantPolynomial.zero(vars, POINT_ALGEBRA)
+    return tuple((LinearForm.make(w), zero) for w in weights)
 
 
 def build_s2() -> Dataset:
     """Rotation of the two-sphere: two fixed points at moment levels +-1."""
     vars = Variables(("X",))
-    north = FixedComponent("N", (Q(1),), POINT_ALGEBRA, (_point_line(vars, [-1]),))
-    south = FixedComponent("S", (Q(-1),), POINT_ALGEBRA, (_point_line(vars, [1]),))
+    north = FixedComponent("N", (Q(1),), POINT_ALGEBRA, _point_lines(vars, [[-1]]))
+    south = FixedComponent("S", (Q(-1),), POINT_ALGEBRA, _point_lines(vars, [[1]]))
     space = HamiltonianSpace(vars, 2, (north, south))
     zero = EquivariantPolynomial.zero(vars, POINT_ALGEBRA)
     x = EquivariantPolynomial.variable(vars, 0)
     u = RestrictedClass(space, 2, {"N": zero, "S": x})
     return Dataset("s2", space, [("one", RestrictedClass.unit(space)), ("u", u)])
-
-
-def build_s2xs2_t2() -> Dataset:
-    """Product of two spheres with the full 2-torus: four isolated fixed points."""
-    vars = Variables(("X", "Y"))
-    data = [("NN", (1, 1), (-1, 0), (0, -1)),
-            ("NS", (1, -1), (-1, 0), (0, 1)),
-            ("SN", (-1, 1), (1, 0), (0, -1)),
-            ("SS", (-1, -1), (1, 0), (0, 1))]
-    comps = tuple(
-        FixedComponent(name, tuple(Q(m) for m in moment), POINT_ALGEBRA,
-                       (_point_line(vars, w1), _point_line(vars, w2)))
-        for name, moment, w1, w2 in data)
-    space = HamiltonianSpace(vars, 4, comps)
-    zero = EquivariantPolynomial.zero(vars, POINT_ALGEBRA)
-    x = EquivariantPolynomial.variable(vars, 0)
-    y = EquivariantPolynomial.variable(vars, 1)
-    u1 = RestrictedClass(space, 2, {"NN": zero, "NS": zero, "SN": x, "SS": x})
-    u2 = RestrictedClass(space, 2, {"NN": zero, "NS": y, "SN": zero, "SS": y})
-    return Dataset("s2xs2-t2", space,
-                   [("one", RestrictedClass.unit(space)), ("u1", u1), ("u2", u2)])
 
 
 def build_s2xs2_nonisolated() -> Dataset:
@@ -450,37 +433,73 @@ def build_s2xs2_nonisolated() -> Dataset:
                    [("one", RestrictedClass.unit(space)), ("v", v), ("w", w)])
 
 
-def build_s2cubed_su2() -> Dataset:
-    """Triple product of spheres with the diagonal circle, together with the
-    residual Weyl group Z/2 acting by the antipodal flip."""
-    from itertools import product
-
-    vars = Variables(("X",))
-    signs = list(product((1, -1), repeat=3))
+def _spheres(vars: Variables, k: int, moment, axis) -> tuple[HamiltonianSpace, list]:
+    """(S^2)^k: a fixed point per sign vector s, named by N for +1 and S for
+    -1, with the given moment and the weight -s_i on variable axis(i), and
+    generators u_i restricting to that variable where s_i = -1."""
+    signs = list(product((1, -1), repeat=k))
     names = ["".join("N" if e > 0 else "S" for e in s) for s in signs]
-    comps = tuple(
-        FixedComponent(names[i], (Q(sum(s)),), POINT_ALGEBRA,
-                       tuple(_point_line(vars, [-e]) for e in s))
-        for i, s in enumerate(signs))
-    space = HamiltonianSpace(vars, 6, comps)
+    comps = [FixedComponent(name, moment(s), POINT_ALGEBRA, _point_lines(
+                 vars, [[-e if j == axis(i) else 0 for j in range(vars.count)]
+                        for i, e in enumerate(s)]))
+             for name, s in zip(names, signs)]
+    space = HamiltonianSpace(vars, 2 * k, comps)
     zero = EquivariantPolynomial.zero(vars, POINT_ALGEBRA)
-    x = EquivariantPolynomial.variable(vars, 0)
-    gens = [("one", RestrictedClass.unit(space))]
-    for axis in range(3):
-        gens.append((f"u{axis + 1}",
-                     RestrictedClass(space, 2,
-                                     {names[i]: (x if s[axis] < 0 else zero)
-                                      for i, s in enumerate(signs)})))
-    ident_maps = tuple(((Q(1),),) for _ in signs)
-    ident = WeylElement(((Q(1),),), tuple(range(8)), ident_maps)
-    flip = WeylElement(((Q(-1),),), tuple(7 - i for i in range(8)), ident_maps)
+    gens = [("one", RestrictedClass.unit(space))] + [
+        (f"u{i + 1}", RestrictedClass(space, 2, {
+            name: EquivariantPolynomial.variable(vars, axis(i)) if s[i] < 0 else zero
+            for name, s in zip(names, signs)}))
+        for i in range(k)]
+    return space, gens
+
+
+def sphere_product(k: int, variables: tuple[str, ...] | None = None) -> Dataset:
+    """(S^2)^k under T^k, 2^k fixed points: moment s in {+-1}^k and weight
+    -s_i e_i on axis i.  The variables default to X1..Xk."""
+    vars = Variables(variables or tuple(f"X{i + 1}" for i in range(k)))
+    space, gens = _spheres(vars, k, lambda s: tuple(map(Q, s)), lambda i: i)
+    return Dataset(f"s2x{k}-t{k}", space, gens)
+
+
+def sphere_product_diagonal(k: int) -> Dataset:
+    """(S^2)^k under the diagonal circle, with the antipodal flip as Weyl
+    group Z/2.  Only odd k: for even k some fixed points have moment 0 and no
+    circle direction is generic."""
+    if k % 2 == 0:
+        raise ValueError("the diagonal family needs odd k: even k puts "
+                         "fixed points at moment 0")
+    space, gens = _spheres(Variables(("X",)), k, lambda s: (Q(sum(s)),), lambda i: 0)
+    count = len(space.components)
+    ident_maps = tuple(((Q(1),),) for _ in range(count))
+    ident = WeylElement(((Q(1),),), tuple(range(count)), ident_maps)
+    # signs are listed in binary order, so index count-1-i is the antipode of i
+    flip = WeylElement(((Q(-1),),), tuple(count - 1 - i for i in range(count)),
+                       ident_maps)
     weyl = WeylData(space, [ident, flip], [LinearForm.make([Q(1)])])
-    return Dataset("s2cubed-su2", space, gens, weyl)
+    return Dataset(f"s2x{k}-diag", space, gens, weyl)
+
+
+def projective(n: int, offset: tuple[Fraction, ...]) -> Dataset:
+    """CP^n under T^n: fixed points p_0..p_n with x_0 = 0, weights x_j - x_i
+    at p_i, moment e_i (e_0 = 0) minus the offset, and the hyperplane class u
+    restricting to x_i at p_i."""
+    vars = Variables(tuple(f"X{i + 1}" for i in range(n)))
+    e = [[0] * n] + [[int(j == i) for j in range(n)] for i in range(n)]
+    comps = [FixedComponent(f"p{i}", tuple(Q(a) - c for a, c in zip(e[i], offset)),
+                            POINT_ALGEBRA, _point_lines(
+                                vars, [[a - b for a, b in zip(e[j], e[i])]
+                                       for j in range(n + 1) if j != i]))
+             for i in range(n + 1)]
+    space = HamiltonianSpace(vars, 2 * n, comps)
+    zero = EquivariantPolynomial.zero(vars, POINT_ALGEBRA)
+    u = RestrictedClass(space, 2, {f"p{i}": EquivariantPolynomial.variable(vars, i - 1)
+                                   if i else zero for i in range(n + 1)})
+    return Dataset(f"cp{n}-t{n}", space, [("one", RestrictedClass.unit(space)), ("u", u)])
 
 
 BUILDERS = {
     "s2": build_s2,
-    "s2xs2-t2": build_s2xs2_t2,
+    "s2xs2-t2": lambda: sphere_product(2, ("X", "Y")),
     "s2xs2-nonisolated": build_s2xs2_nonisolated,
-    "s2cubed-su2": build_s2cubed_su2,
+    "s2cubed-su2": lambda: sphere_product_diagonal(3),
 }

@@ -16,7 +16,7 @@ from .symcore import coefficient
 Row = dict[int, Fraction]
 
 __all__ = ["Row", "add_scaled", "combine", "Echelon", "row_reduce", "rank", "det", "nullspace",
-           "independent_indices", "transpose", "span_equal", "intersect_trivially"]
+           "independent_indices", "transpose", "span_equal"]
 
 
 def add_scaled(target: dict, f: Fraction, row: dict) -> None:
@@ -131,10 +131,3 @@ def span_equal(a: list[Row] | Echelon, b: list[Row]) -> bool:
     inserted into a copy of it."""
     a = a if isinstance(a, Echelon) else Echelon(a)
     return len(a.rows) == a.rank_with(b) == rank(b)
-
-
-def intersect_trivially(a: list[Row] | Echelon, b: list[Row]) -> bool:
-    """True when the spans intersect only in 0 (the sum is direct); a is
-    reduced once, as in ``span_equal``."""
-    a = a if isinstance(a, Echelon) else Echelon(a)
-    return a.rank_with(b) == len(a.rows) + rank(b)

@@ -3,6 +3,8 @@ round-trips, and the data-validity signal on a deliberately broken input."""
 
 import copy
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,9 @@ from resloc.datasets import (
     dataset_from_json,
     dataset_to_json,
     load_dataset,
+    projective,
+    sphere_product,
+    sphere_product_diagonal,
 )
 from resloc.spaces import RestrictedClass, localization_sum
 
@@ -31,8 +36,29 @@ def test_bundled_datasets_load():
 
 
 def test_builders_match_bundled_files():
+    assert sorted(BUILDERS) == sorted(BUNDLED)
     for name, build in BUILDERS.items():
         assert dataset_to_json(build()) == dataset_to_json(load_dataset(name))
+
+
+def test_families_match_the_benchmarks(monkeypatch):
+    # CI's smoke inputs are built here and the benchmark's by its own copy of
+    # the families: both must be the same spaces, at the benchmark's CP^3 and
+    # CP^4 offsets for both recorded seeds and CI's CP^6 offset
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import families
+    import workloads
+
+    pairs = [(sphere_product(k), families.sphere_product(k)) for k in range(1, 7)]
+    pairs += [(sphere_product_diagonal(k), families.sphere_product_diagonal(k))
+              for k in (3, 5, 7)]
+    offsets = [workloads.projective_offset(seed, n) for n in (3, 4)
+               for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED)]
+    offsets.append(tuple(Fraction(i + 1, 72) for i in range(6)))
+    pairs += [(projective(len(o), o), families.projective(len(o), o)) for o in offsets]
+    for ours, theirs in pairs:
+        assert ours.name == theirs.name
+        assert dataset_to_json(ours) == dataset_to_json(theirs), ours.name
 
 
 def test_round_trip_is_identity():

@@ -6,78 +6,30 @@ plain Fraction oracle."""
 
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
 from resloc import linalg, spaces
-from resloc.datasets import BUNDLED, load_dataset
+from resloc.datasets import (
+    BUNDLED,
+    load_dataset,
+    projective,
+    sphere_product,
+    sphere_product_diagonal,
+)
 from resloc.kernels import build_model, check_circle_kernel_split, check_full_kernel
 from resloc.spaces import (
-    FixedComponent,
-    HamiltonianSpace,
     RestrictedClass,
     circle_integral,
     find_generic_direction,
     torus_integral,
 )
-from resloc.symcore import POINT_ALGEBRA, EquivariantPolynomial, LinearForm, Variables
 
 
-def spheres(k, diagonal=False):
-    """(S^2)^k under T^k, or under the diagonal circle: a fixed point per sign
-    vector s with moment s (summed on the diagonal) and weights -s_i on the
-    i-th variable, and generators u_a restricting to that variable where
-    s_a < 0."""
-    vars = Variables(("X",) if diagonal else tuple(f"X{i}" for i in range(1, k + 1)))
-    zero = EquivariantPolynomial.zero(vars)
-    signs = list(product((1, -1), repeat=k))
-
-    def axis(i):
-        return 0 if diagonal else i
-
-    space = HamiltonianSpace(vars, 2 * k, [
-        FixedComponent(str(s), (Fraction(sum(s)),) if diagonal else tuple(map(Fraction, s)),
-                       POINT_ALGEBRA, tuple(
-                           (LinearForm.make([-e if j == axis(i) else 0 for j in range(vars.count)]),
-                            zero) for i, e in enumerate(s)))
-        for s in signs])
-    generators = [("one", RestrictedClass.unit(space))] + [
-        (f"u{a + 1}", RestrictedClass(space, 2, {
-            str(s): EquivariantPolynomial.variable(vars, axis(a)) if s[a] < 0 else zero
-            for s in signs}))
-        for a in range(k)]
-    return space, generators
-
-
-def projective3():
-    """CP^3 under T^3: p_0..p_3 with x_0 = 0, weights x_j - x_i at p_i, moment
-    e_i minus the offset (1/5, 1/6, 1/7), and u restricting to x_i at p_i."""
-    vars = Variables(("X1", "X2", "X3"))
-    zero = EquivariantPolynomial.zero(vars)
-
-    def x(i):
-        return [int(j + 1 == i) for j in range(3)]
-
-    space = HamiltonianSpace(vars, 6, [
-        FixedComponent(f"p{i}", tuple(Fraction(e) - Fraction(1, 5 + j) for j, e in enumerate(x(i))),
-                       POINT_ALGEBRA, tuple(
-                           (LinearForm.make([a - b for a, b in zip(x(j), x(i))]), zero)
-                           for j in range(4) if j != i))
-        for i in range(4)])
-    u = RestrictedClass(space, 2, {f"p{i}": EquivariantPolynomial.variable(vars, i - 1)
-                                   if i else zero for i in range(4)})
-    return space, [("one", RestrictedClass.unit(space)), ("u", u)]
-
-
-def bundled(name):
-    ds = load_dataset(name)
-    return ds.space, ds.generators
-
-
-SPACES = {**{name: (lambda name=name: bundled(name)) for name in BUNDLED},
-          "s2x3": lambda: spheres(3), "cp3": projective3,
-          "s2x3-diag": lambda: spheres(3, diagonal=True)}
+SPACES = {**{name: (lambda name=name: load_dataset(name)) for name in BUNDLED},
+          "s2x3": lambda: sphere_product(3),
+          "cp3": lambda: projective(3, (Fraction(1, 5), Fraction(1, 6), Fraction(1, 7))),
+          "s2x3-diag": lambda: sphere_product_diagonal(3)}
 
 
 def assert_exact(values):
@@ -91,7 +43,8 @@ def test_integral_values_are_ints_everywhere(name, monkeypatch):
     # model polynomials and vectors, every reduced echelon row and every
     # null-space vector of both kernel checks, and every table numerator the
     # checks filled
-    space, generators = SPACES[name]()
+    ds = SPACES[name]()
+    space, generators = ds.space, ds.generators
     reduced, kernels = [], []
     real_reduce, real_nullspace = linalg.row_reduce, linalg.nullspace
 
@@ -161,7 +114,8 @@ def test_integer_contraction_matches_fraction_oracle(name, level, monkeypatch):
     # rows' running denominators must grow past one.  These torus tables are
     # nonzero only at one vertex's unit monomial, so a torus row has one
     # contribution, whose denominator comes from the class.
-    space, generators = SPACES[name]()
+    ds = SPACES[name]()
+    space, generators = ds.space, ds.generators
     model = build_model(space, generators, 4)
     xi = find_generic_direction(space)
     integral = (circle_integral if level == "circle" else torus_integral)(space, xi)

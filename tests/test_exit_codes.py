@@ -3,7 +3,8 @@ and never in a traceback; exit 2 prints nothing on stdout and one "error:"
 line on stderr, and from ``validate`` that line names the JSON path at fault.
 
 The inputs are the bundled datasets, and residue expression files, with one
-or two of their nodes deleted or replaced by a value of another type."""
+or two of their nodes deleted or replaced by a value of another type; and an
+``--output`` path that cannot be written."""
 
 import contextlib
 import copy
@@ -11,6 +12,7 @@ import io
 import json
 from importlib import resources
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,3 +98,19 @@ def test_mutated_expressions_keep_the_exit_code_contract(tmp_path_factory, data)
     path = tmp_path_factory.getbasetemp() / "mutant-expression.json"
     path.write_text(json.dumps(mutate(data.draw, data.draw(st.sampled_from(EXPRESSIONS)))))
     assert_contract(("residue", str(path)), names_path=True)
+
+
+@pytest.mark.parametrize("argv", [("validate", "s2"), ("residue",),
+                                  ("kernel", "s2", "--circle=1"), ("kernel", "s2", "--full"),
+                                  ("kernel", "s2cubed-su2", "--nonabelian")],
+                         ids=["validate", "residue", "circle", "full", "nonabelian"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_exits_two(tmp_path, argv, target):
+    if argv == ("residue",):
+        expression = tmp_path / "expression.json"
+        expression.write_text(json.dumps(EXPRESSIONS[0]))
+        argv += (str(expression),)
+    output = tmp_path / "missing" / "report.json" if target == "missing-directory" else tmp_path
+    code, out, err = run(*argv, "--output", str(output))
+    assert code == 2 and not out, (code, out)
+    assert err.startswith("error: --output: ") and err.count("\n") == 1, err

@@ -2,12 +2,18 @@
 kernel comparisons, and chamber enumeration."""
 
 from fractions import Fraction as Q
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from resloc import kernels, linalg, spaces
-from resloc.datasets import BUNDLED, load_dataset
+from resloc.datasets import (
+    BUNDLED,
+    Dataset,
+    load_dataset,
+    projective,
+    sphere_product,
+)
 from resloc.kernels import (
     build_model,
     check_circle_kernel_split,
@@ -249,27 +255,14 @@ def whole_slice_kernel(model, degree, integral):
     return pairing_kernel(integral, classes, testing)
 
 
-def projective(n):
-    """CP^n under T^n, moment offset (i+1)/(2n^2): fixed points p_0..p_n with
-    x_0 = 0, weights x_j - x_i at p_i, and the hyperplane class u = x_i at p_i."""
-    vars = Variables(tuple(f"X{i}" for i in range(1, n + 1)))
-    zero = EquivariantPolynomial.zero(vars)
-    x = [[0] * n] + [[int(j == i) for j in range(n)] for i in range(n)]
-    comps = [FixedComponent(f"p{i}", tuple(Q(a) - Q(j + 1, 2 * n * n) for j, a in enumerate(x[i])),
-                            POINT_ALGEBRA,
-                            tuple((lf(*(a - b for a, b in zip(x[j], x[i]))), zero)
-                                  for j in range(n + 1) if j != i))
-             for i in range(n + 1)]
-    space = HamiltonianSpace(vars, 2 * n, comps)
-    u = RestrictedClass(space, 2, {f"p{i}": EquivariantPolynomial.variable(vars, i - 1)
-                                   if i else zero for i in range(n + 1)})
-    return space, [("one", RestrictedClass.unit(space)), ("u", u)]
+CP3_OFFSET = (Q(1, 18), Q(2, 18), Q(3, 18))  # (i+1)/(2n^2) at n = 3
 
 
-def reexpressed(space, generators, matrix):
-    """The space and its generators in the torus basis whose j-th vector is
+def reexpressed(ds, matrix):
+    """The dataset's space and generators in the torus basis whose j-th vector is
     column j of the unimodular matrix: covectors pair with the columns, and
     old variable i is row i of the matrix in the new variables."""
+    space = ds.space
     n = space.vars.count
 
     def pair(covector):
@@ -281,8 +274,8 @@ def reexpressed(space, generators, matrix):
         FixedComponent(f.name, pair(f.moment), f.algebra,
                        tuple((LinearForm.make(pair(w.coeffs)), c) for w, c in f.normal_lines))
         for f in space.components])
-    return new, [(name, RestrictedClass(new, cls.degree, {
-        k: substitute(p) for k, p in cls.restrictions.items()})) for name, cls in generators]
+    return Dataset(ds.name, new, [(name, RestrictedClass(new, cls.degree, {
+        k: substitute(p) for k, p in cls.restrictions.items()})) for name, cls in ds.generators])
 
 
 def spans_every_slice(model, xi, testing):
@@ -309,22 +302,17 @@ def spans_every_slice(model, xi, testing):
     return True
 
 
-def bundled(name):
-    ds = load_dataset(name)
-    return ds.space, ds.generators
-
-
 CIRCLE_ORACLE_CASES = (
-    [(name, lambda name=name: bundled(name), [(1,), (-1,)])
+    [(name, lambda name=name: load_dataset(name), [(1,), (-1,)])
      for name in ("s2", "s2xs2-nonisolated", "s2cubed-su2")]
-    + [("s2xs2-t2", lambda: bundled("s2xs2-t2"), [(1, 2), (-1, 2), (2, -1)]),
+    + [("s2xs2-t2", lambda: load_dataset("s2xs2-t2"), [(1, 2), (-1, 2), (2, -1)]),
        ("s2x3", lambda: sphere_product(3), [(1, 2, 4), (-1, 2, 4)]),
-       ("cp3", lambda: projective(3), [(1, 2, 4), (-2, -1, 1)]),
+       ("cp3", lambda: projective(3, CP3_OFFSET), [(1, 2, 4), (-2, -1, 1)]),
        # the directions (1, 2) and (1, 2, 4) of the spaces above, with xi_0 = 0
        ("s2xs2-t2-reexpressed",
-        lambda: reexpressed(*bundled("s2xs2-t2"), [[1, 1], [1, 2]]), [(0, 1), (0, -1)]),
+        lambda: reexpressed(load_dataset("s2xs2-t2"), [[1, 1], [1, 2]]), [(0, 1), (0, -1)]),
        ("s2x3-reexpressed",
-        lambda: reexpressed(*sphere_product(3), [[0, 0, 1], [1, 0, 2], [2, 1, 4]]),
+        lambda: reexpressed(sphere_product(3), [[0, 0, 1], [1, 0, 2], [2, 1, 4]]),
         [(0, 0, 1)])])
 
 
@@ -333,8 +321,9 @@ CIRCLE_ORACLE_CASES = (
 def test_circle_kernel_matches_the_whole_slice_kernel(build, directions):
     # the module generators over Sym(ann xi) span the slices up to dim - 2
     # over it, and find the kernel the whole slices find, basis for basis
-    space, generators = build()
-    model = build_model(space, generators, 4)
+    ds = build()
+    space = ds.space
+    model = build_model(space, ds.generators, 4)
     for xi in directions:
         xi = CircleDirection.make(xi)
         assert spans_every_slice(model, xi, circle_testing_classes(model, xi))
@@ -347,11 +336,11 @@ def test_circle_kernel_matches_the_whole_slice_kernel(build, directions):
 
 @pytest.mark.parametrize("build, xi, kept, whole", [
     pytest.param(lambda: sphere_product(3), (1, 2, 4), 12, 25, id="s2x3"),
-    pytest.param(lambda: projective(3), (1, 2, 4), 6, 15, id="cp3"),
+    pytest.param(lambda: projective(3, CP3_OFFSET), (1, 2, 4), 6, 15, id="cp3"),
 ])
 def test_circle_testing_classes_are_module_generators(build, xi, kept, whole):
-    space, generators = build()
-    model = build_model(space, generators, 4)
+    ds = build()
+    model = build_model(ds.space, ds.generators, 4)
     testing = circle_testing_classes(model, CircleDirection.make(xi))
     assert sum(len(model.basis_by_degree[d]) for d in (0, 2, 4)) == whole
     assert len(testing) == kept
@@ -544,33 +533,11 @@ def test_chambers_rank_one_weight_arrangement():
     assert {c.representative.vector for c in chambers.chambers} == {(1,), (-1,)}
 
 
-def sphere_product(k):
-    """(S^2)^k under T^k: a fixed point per sign vector s, with moment s and
-    weights -s_i e_i, and generators u_i restricting to X_i where s_i = -1."""
-    vars = Variables(tuple(f"X{i}" for i in range(1, k + 1)))
-    zero = EquivariantPolynomial.zero(vars)
-    all_signs = list(product((1, -1), repeat=k))
-    names = ["".join(map(str, signs)) for signs in all_signs]
-    comps = []
-    for name, signs in zip(names, all_signs):
-        lines = tuple((lf(*(-s if j == i else 0 for j in range(k))), zero)
-                      for i, s in enumerate(signs))
-        comps.append(FixedComponent(name, tuple(Q(s) for s in signs), POINT_ALGEBRA, lines))
-    space = HamiltonianSpace(vars, 2 * k, comps)
-    gens = [("one", RestrictedClass.unit(space))]
-    for i in range(k):
-        x = EquivariantPolynomial.variable(vars, i)
-        gens.append((f"u{i + 1}", RestrictedClass(
-            space, 2, {name: x if signs[i] < 0 else zero
-                       for name, signs in zip(names, all_signs)})))
-    return space, gens
-
-
 @pytest.mark.parametrize("k, count", [(3, 32), (4, 192)])
 def test_chambers_exact_on_sphere_products(k, count):
     # (S^2)^k with the full k-torus: k coordinate hyperplanes and 2^(k-1)
     # hyperplanes orthogonal to the moment values (+-1, ..., +-1)
-    space, _ = sphere_product(k)
+    space = sphere_product(k).space
     chambers = enumerate_generic_directions(space)
     # Whitney's formula: r(A) = sum over subsets S of A of (-1)^(|S| - rank S)
     rows = [dict(enumerate(map(Q, w))) for w in chambers.normals]
@@ -642,8 +609,9 @@ def test_full_kernel_rank_four_sphere_product():
     """(S^2)^4 through degree 4, against the rows the dense Gauss-Jordan
     elimination gave before the sparse echelon replaced it; the chamber sides
     read from the signs are the moment pairings of the representatives."""
-    space, gens = sphere_product(4)
-    model = build_model(space, gens, 4)
+    ds = sphere_product(4)
+    space = ds.space
+    model = build_model(space, ds.generators, 4)
     rows, chambers = check_full_kernel(model, [0, 2, 4], torus_integral(space))
     assert len(chambers.chambers) == chambers.expected == 192
     assert [(r.degree, r.kernel.dim, r.chamber_sum_dim) for r in rows] == \

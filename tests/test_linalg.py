@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from resloc.linalg import (
     Echelon,
     independent_indices,
-    intersect_trivially,
     nullspace,
     rank,
     row_reduce,
@@ -64,8 +63,6 @@ def test_span_predicates():
     a = m([[1, 0], [0, 1]])
     b = m([[1, 1], [1, -1]])
     assert span_equal(a, b)
-    assert intersect_trivially(m([[1, 0]]), m([[0, 1]]))
-    assert not intersect_trivially(m([[1, 0], [0, 1]]), m([[1, 1]]))
 
 
 def test_span_equal_with_empty_sides():
@@ -78,8 +75,6 @@ def test_span_predicates_leave_a_reduced_side_unchanged():
     # the copy must copy the rows, not just the dict of them
     reduced = Echelon(m([[1, 1, 0]]))
     assert not span_equal(reduced, m([[0, 1, 0]]))
-    assert not intersect_trivially(reduced, m([[1, 1, 0], [0, 0, 1]]))
-    assert intersect_trivially(reduced, m([[0, 1, 0], [0, 0, 1]]))
     assert reduced.rows == {0: {0: 1, 1: 1}}
     assert span_equal(reduced, m([[2, 2, 0]]))
 

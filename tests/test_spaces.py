@@ -13,7 +13,16 @@ from math import gcd
 import pytest
 
 from resloc import spaces, symcore
-from resloc.datasets import BUNDLED, Dataset, dataset_from_json, dataset_to_json, load_dataset
+from resloc.datasets import (
+    BUNDLED,
+    Dataset,
+    dataset_from_json,
+    dataset_to_json,
+    load_dataset,
+    projective,
+    sphere_product,
+    sphere_product_diagonal,
+)
 from resloc.kernels import build_model
 from resloc.residues import (
     MomentTerm,
@@ -47,6 +56,7 @@ from resloc.symcore import (
 )
 
 V2 = Variables(("X", "Y1"))
+CP3_OFFSET = (Q(1, 5), Q(1, 6), Q(1, 7))
 
 
 def lf(*coeffs):
@@ -201,23 +211,15 @@ def sweep_direction(space, radius=8):
     return None
 
 
-def diagonal_sphere_product_space(k):
-    """(S^2)^k under the diagonal circle (odd k): moment sum(s), weights -s_i."""
-    vars = Variables(("X",))
-    zero = EquivariantPolynomial.zero(vars)
-    return HamiltonianSpace(vars, 2 * k, [
-        FixedComponent(str(s), (Q(sum(s)),), POINT_ALGEBRA, tuple((lf(-e), zero) for e in s))
-        for s in product((1, -1), repeat=k)])
-
-
 def search_cases():
     cases = [(name, lambda name=name: load_dataset(name).space) for name in BUNDLED]
-    cases += [(f"s2x{k}", lambda k=k: sphere_product_space(k)) for k in (2, 3, 4)]
-    cases += [(f"s2x{k}-diag", lambda k=k: diagonal_sphere_product_space(k)) for k in (3, 5)]
+    cases += [(f"s2x{k}", lambda k=k: sphere_product(k).space) for k in (2, 3, 4)]
+    cases += [(f"s2x{k}-diag", lambda k=k: sphere_product_diagonal(k).space) for k in (3, 5)]
     offsets = {"1/(5+i)": lambda i, n: Q(1, 5 + i), "(i+1)/2n^2": lambda i, n: Q(i + 1, 2 * n * n),
                "i/7n": lambda i, n: Q(i, 7 * n), "-1/(i+3)": lambda i, n: Q(-1, i + 3)}
-    cases += [(f"cp{n}:{label}", lambda n=n, off=off: projective_space(
-        n, [off(i, n) for i in range(n)])[0]) for n in (2, 3, 4) for label, off in offsets.items()]
+    cases += [(f"cp{n}:{label}", lambda n=n, off=off: projective(
+        n, tuple(off(i, n) for i in range(n))).space)
+              for n in (2, 3, 4) for label, off in offsets.items()]
     return cases
 
 
@@ -230,11 +232,11 @@ def test_find_generic_direction_is_the_sweeps_direction(build):
 
 
 @pytest.mark.parametrize("build, expected", [
-    pytest.param(lambda: projective_space(5, [Q(i + 1, 50) for i in range(5)])[0],
+    pytest.param(lambda: projective(5, tuple(Q(i + 1, 50) for i in range(5))).space,
                  (-3, -2, -1, 1, 2), id="cp5"),
-    pytest.param(lambda: projective_space(6, [Q(i + 1, 72) for i in range(6)])[0],
+    pytest.param(lambda: projective(6, tuple(Q(i + 1, 72) for i in range(6))).space,
                  (-3, -2, -1, 1, 2, 3), id="cp6"),
-    pytest.param(lambda: sphere_product_space(6), (-2, -2, -2, -2, -2, -1), id="s2x6"),
+    pytest.param(lambda: sphere_product(6).space, (-2, -2, -2, -2, -2, -1), id="s2x6"),
 ])
 def test_find_generic_direction_at_rank_five_and_six(build, expected):
     # the sweep's answers (offset (i+1)/(2n^2) on CP^n), recorded once: the
@@ -390,29 +392,6 @@ def test_localization_sum_checks_the_algebra_of_each_restriction(nonisolated):
         localization_sum(sp, cls)
 
 
-def projective_space(n, offset=None):
-    """CP^n under T^n: fixed points p_0..p_n with x_0 = 0, weights x_j - x_i
-    at p_i, moment e_i minus an offset (by default 1/(5+k) in entry k), and
-    the hyperplane generator u restricting to x_i at p_i."""
-    offset = offset or [Q(1, 5 + k) for k in range(n)]
-    vars = Variables(tuple(f"X{i}" for i in range(1, n + 1)))
-    zero = EquivariantPolynomial.zero(vars)
-
-    def x(i):
-        return [1 if j + 1 == i else 0 for j in range(n)]
-
-    comps = []
-    for i in range(n + 1):
-        lines = tuple((lf(*(a - b for a, b in zip(x(j), x(i)))), zero)
-                      for j in range(n + 1) if j != i)
-        moment = tuple(Q(e) - c for e, c in zip(x(i), offset))
-        comps.append(FixedComponent(f"p{i}", moment, POINT_ALGEBRA, lines))
-    space = HamiltonianSpace(vars, 2 * n, comps)
-    u = RestrictedClass(space, 2, {f"p{i}": EquivariantPolynomial.variable(vars, i - 1)
-                                   if i else zero for i in range(n + 1)})
-    return space, [("one", RestrictedClass.unit(space)), ("u", u)]
-
-
 def only_at(space, name, poly, degree):
     """The class restricting to poly at one component and to 0 elsewhere."""
     return RestrictedClass(space, degree, {
@@ -433,8 +412,9 @@ def test_localization_sum_matches_left_fold_term_for_term(s2, s2xs2):
         ds = load_dataset(name)
         cases += [(ds.space, cls, False) for _, cls in
                   generator_products(ds.space, ds.generators, ds.space.dim)]
-    cp3, cp3_gens = projective_space(3)
-    cases += [(cp3, cls, False) for _, cls in generator_products(cp3, cp3_gens, cp3.dim)]
+    cp3_ds = projective(3, CP3_OFFSET)
+    cp3 = cp3_ds.space
+    cases += [(cp3, cls, False) for _, cls in generator_products(cp3, cp3_ds.generators, cp3.dim)]
     # on CP^3 the common denominator is larger than every component's
     assert all(cp3.euler_inverse(f).denom != euler_lcm(cp3) for f in cp3.components)
     # zero on every component but one, so the fold adds over a smaller
@@ -474,7 +454,8 @@ def test_localization_sum_builds_the_common_denominator_once(monkeypatch):
     # the first sum on a space builds C and the extended Euler numerators;
     # a later sum on another class only contracts its restrictions with the
     # kept numerators and cancels
-    space, gens = projective_space(3)
+    cp3 = projective(3, CP3_OFFSET)
+    space, gens = cp3.space, cp3.generators
     localization_sum(space, gens[0][1])
     calls = {"invert_euler": 0, "euler_inverse": 0, "numer_over": 0}
 
@@ -678,30 +659,19 @@ def test_kappa_s_table_matches_whole_class_residues(slice_products, poles_route,
     assert any(not v.is_zero() for v in values)
 
 
-def sphere_product_space(k):
-    """(S^2)^k under T^k: a fixed point per sign vector s, with moment s and
-    weights -s_i e_i."""
-    vars = Variables(tuple(f"X{i}" for i in range(1, k + 1)))
-    zero = EquivariantPolynomial.zero(vars)
-    return HamiltonianSpace(vars, 2 * k, [
-        FixedComponent(str(signs), tuple(map(Q, signs)), POINT_ALGEBRA, tuple(
-            (lf(*(-s if j == i else 0 for j in range(k))), zero) for i, s in enumerate(signs)))
-        for signs in product((1, -1), repeat=k)])
-
-
 def exponents_up_to(top, n):
     """Exponent tuples of n variables of total degree at most top."""
     return [e for e in product(range(top + 1), repeat=n) if sum(e) <= top]
 
 
 def table_cases():
-    """Every bundled space and CP^3 and (S^2)^3 built here, each with a
+    """Every bundled space and the generated CP^3 and (S^2)^3, each with a
     direction of positive and one of negative leading entry."""
     circles = [(1,), (-1,)]
     cases = [(load_dataset(name).space, [(1, 2), (-1, 2)] if name == "s2xs2-t2" else circles)
              for name in BUNDLED]
-    return cases + [(projective_space(3)[0], [(1, 2, 4), (-1, -2, 4)]),
-                    (sphere_product_space(3), [(1, 2, 4), (-1, 2, 4)])]
+    return cases + [(projective(3, CP3_OFFSET).space, [(1, 2, 4), (-1, -2, 4)]),
+                    (sphere_product(3).space, [(1, 2, 4), (-1, 2, 4)])]
 
 
 def test_table_term_is_the_fully_cancelled_localization_term():
@@ -755,7 +725,7 @@ def test_circle_integral_builds_each_expansion_once(expansion_builds):
     # one expansion per (component, denominator) of the entries filled, none
     # on re-evaluation; on (S^2)^3 components share denominators, and entries
     # of one component share them too
-    space = sphere_product_space(3)
+    space = sphere_product(3).space
     integral = circle_integral(space, CircleDirection.make((1, 2, 4)))
     terms = spaces._monomial_table(adapt_space(space, integral.xi), lambda f, term: term)
     keys = [(f, (exps, 0)) for f in integral.components for exps in exponents_up_to(4, 3)]
@@ -783,7 +753,7 @@ def test_trial_division_only_where_it_can_succeed(monkeypatch, nonisolated):
 
     monkeypatch.setattr(EquivariantPolynomial, "div_exact_linear", counted)
     loaded = dataset_from_json(dataset_to_json(
-        Dataset("s2x3", sphere_product_space(3), [])), "s2x3").space
+        Dataset("s2x3", sphere_product(3).space, [])), "s2x3").space
     adapted = adapt_space(loaded, CircleDirection.make((1, 2, 4))).space
     for space in (loaded, adapted):
         # one object per distinct weight: 6 among the 24 lines

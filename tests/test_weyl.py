@@ -3,16 +3,14 @@ division, and the nonabelian kernel comparisons."""
 
 import random
 from fractions import Fraction as Q
-from itertools import product
 
 import pytest
 
 from resloc import cli, linalg, weylgrp
-from resloc.datasets import Dataset, load_dataset
+from resloc.datasets import load_dataset, sphere_product_diagonal
 from resloc.kernels import build_model, torus_kernel
 from resloc.spaces import FixedComponent, HamiltonianSpace, RestrictedClass, torus_integral
 from resloc.symcore import (
-    POINT_ALGEBRA,
     EquivariantPolynomial,
     ExactDivisionError,
     GradedAlgebra,
@@ -283,30 +281,6 @@ def test_each_element_builds_its_variable_images_once(monkeypatch, tmp_path):
     assert len(built) == 2 and built[0] != built[1]
 
 
-def diagonal_spheres(k):
-    """(S^2)^k under the diagonal circle with the antipodal flip, generated
-    here: fixed points in binary sign order, so point i's antipode is
-    2^k - 1 - i."""
-    vars = Variables(("X",))
-    signs = list(product((1, -1), repeat=k))
-    names = ["".join("N" if e > 0 else "S" for e in s) for s in signs]
-    zero, x = EquivariantPolynomial.zero(vars), EquivariantPolynomial.variable(vars, 0)
-    space = HamiltonianSpace(vars, 2 * k, [
-        FixedComponent(name, (Q(sum(s)),), POINT_ALGEBRA,
-                       tuple((LinearForm.make([-e]), zero) for e in s))
-        for name, s in zip(names, signs)])
-    generators = [("one", RestrictedClass.unit(space))] + [
-        (f"u{a + 1}", RestrictedClass(space, 2, {name: x if s[a] < 0 else zero
-                                                 for name, s in zip(names, signs)}))
-        for a in range(k)]
-    maps = tuple(((Q(1),),) for _ in signs)
-    count = len(signs)
-    weyl = WeylData(space, [WeylElement(((Q(1),),), tuple(range(count)), maps),
-                            WeylElement(((Q(-1),),), tuple(range(count))[::-1], maps)],
-                    [LinearForm.make([1])])
-    return Dataset(f"s2x{k}-diag", space, generators, weyl)
-
-
 def folded_classes(model, subspace):
     """The subspace's classes as a fold of scale and + over the basis classes."""
     basis = model.basis_by_degree[subspace.degree]
@@ -328,7 +302,7 @@ def test_coordinate_route_equals_class_route(ds, antisymmetrize, monkeypatch,
     """The check antisymmetrizes in restriction coordinates and combines the
     invariant classes as rows; both must give the classes of the class-by-class
     route, not just the same spans (a lost 1/|W| would keep every span)."""
-    data = diagonal_spheres(3) if generated else ds
+    data = sphere_product_diagonal(3) if generated else ds
     weyl, integral = data.weyl, torus_integral(data.space)
     model = build_model(data.space, data.generators, max_degree)
     degrees = list(range(0, max_degree + 1, 2))
