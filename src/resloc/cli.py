@@ -20,11 +20,12 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from . import kernels
+from . import kernels, weylgrp
 from .datasets import BUNDLED, Dataset, SchemaError, load_dataset, load_expression
 from .residues import VariableOrdering, res_x_plus
 from .spaces import (
     CircleDirection,
+    KirwanIntegral,
     NonGenericError,
     RestrictedClass,
     circle_integral,
@@ -86,9 +87,9 @@ def _emit(report: dict, args) -> int:
     return 0 if report["pass"] else 1
 
 
-def _report(command: str, source: str, parameters: dict) -> dict:
+def _report(command: str, source: str, digest: str, parameters: dict) -> dict:
     return {"command": command,
-            "input": {"source": source, "sha256": _digest(source)},
+            "input": {"source": source, "sha256": digest},
             "parameters": parameters, "results": {}, "warnings": [],
             "checks": [], "pass": True}
 
@@ -131,17 +132,27 @@ def _nongeneric(exc: NonGenericError) -> str:
     return f"{exc.args[0]}; violated by {names}"
 
 
-def cmd_validate(args) -> int:
+def _load(args) -> Dataset | None:
+    """The dataset, with --max-degree defaulted to its dimension and checked;
+    None once the error is written, for exit 2."""
     try:
         ds = load_dataset(args.dataset)
     except (SchemaError, ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return None
+    if args.max_degree is None:
+        args.max_degree = ds.space.dim
+    if args.max_degree < 0:
+        sys.stderr.write(f"error: --max-degree: must be >= 0, got {args.max_degree}\n")
+        return None
+    return ds
+
+
+def cmd_validate(args) -> int:
+    if (ds := _load(args)) is None:
         return 2
-    max_degree = args.max_degree if args.max_degree is not None else ds.space.dim
-    if max_degree < 0:
-        sys.stderr.write(f"error: --max-degree: must be >= 0, got {max_degree}\n")
-        return 2
-    report = _report("validate", args.dataset, {"max_degree": max_degree})
+    report = _report("validate", args.dataset, _digest(args.dataset),
+                     {"max_degree": args.max_degree})
     _add_check(report, "schema", True,
                f"{len(ds.space.components)} components, "
                f"{len(ds.generators)} generators")
@@ -151,10 +162,10 @@ def cmd_validate(args) -> int:
     except NonGenericError as exc:
         _add_check(report, "generic-direction", False, _nongeneric(exc))
 
-    products = generator_products(ds.space, ds.generators, max_degree)
-    checked, failures = _localization_failures(ds, products, max_degree)
+    products = generator_products(ds.space, ds.generators, args.max_degree)
+    checked, failures = _localization_failures(ds, products, args.max_degree)
     _add_check(report, "abbv-polynomiality", not failures,
-               f"{checked} products through degree {max_degree}"
+               f"{checked} products through degree {args.max_degree}"
                + ("" if not failures else "; " + "; ".join(failures)))
     report["results"]["products_checked"] = checked
     report["results"]["failures"] = failures
@@ -170,11 +181,8 @@ def cmd_residue(args) -> int:
     except (SchemaError, KeyError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    report = {"command": "residue",
-              "input": {"source": args.expression,
-                        "sha256": _file_digest(args.expression)},
-              "parameters": {"variable": var_name},
-              "results": {}, "warnings": [], "checks": [], "pass": True}
+    report = _report("residue", args.expression, _file_digest(args.expression),
+                     {"variable": var_name})
     by_poles = res_x_plus(section, var, method="poles")
     by_series = res_x_plus(section, var, method="series")
     report["results"]["input"] = str(section)
@@ -234,12 +242,18 @@ def _kernel_circle(ds: Dataset, args, report: dict, calibration: RestrictedClass
         "value": str(integral(calibration))}
 
 
+def _torus_integral(ds: Dataset, args, report: dict) -> KirwanIntegral:
+    """The torus integral in the ordering of --ordering and --delta, its
+    direction recorded as the parameter xi; raises if it is not generic,
+    before the model build, which can take seconds."""
+    integral = torus_integral(ds.space, ordering=_parse_ordering(args, ds.space.vars.count))
+    report["parameters"]["xi"] = list(integral.xi.vector)
+    return integral
+
+
 def _kernel_full(ds: Dataset, args, report: dict, calibration: RestrictedClass,
                  products: list) -> None:
-    ordering = _parse_ordering(args, ds.space.vars.count)
-    # raises if not generic, before the model build, which can take seconds
-    integral = torus_integral(ds.space, ordering=ordering)
-    report["parameters"]["xi"] = list(integral.xi.vector)
+    integral = _torus_integral(ds, args, report)
     model = _build_model(ds, args.max_degree, products)
     rows, chambers = kernels.check_full_kernel(model, _degrees(args), integral)
     report["results"]["chambers"] = {
@@ -261,14 +275,9 @@ def _kernel_full(ds: Dataset, args, report: dict, calibration: RestrictedClass,
 
 def _kernel_nonabelian(ds: Dataset, args, report: dict,
                        calibration: RestrictedClass, products: list) -> None:
-    from . import weylgrp
-
     if ds.weyl is None:
         raise SchemaError("--nonabelian requires a dataset with a weyl section")
-    ordering = _parse_ordering(args, ds.space.vars.count)
-    # raises if not generic, before the model build, which can take seconds
-    integral = torus_integral(ds.space, ordering=ordering)
-    report["parameters"]["xi"] = list(integral.xi.vector)
+    integral = _torus_integral(ds, args, report)
     model = _build_model(ds, args.max_degree, products)
     rows, span_rows = weylgrp.check_nonabelian_kernels(model, ds.weyl, _degrees(args),
                                                        integral)
@@ -324,15 +333,7 @@ def cmd_kernel(args) -> int:
         sys.stderr.write("error: exactly one of --circle/--full/--nonabelian "
                          "is required\n")
         return 2
-    try:
-        ds = load_dataset(args.dataset)
-    except (SchemaError, ValidationError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    if args.max_degree is None:
-        args.max_degree = ds.space.dim
-    if args.max_degree < 0:
-        sys.stderr.write(f"error: --max-degree: must be >= 0, got {args.max_degree}\n")
+    if (ds := _load(args)) is None:
         return 2
     try:
         calibration = ds.generator(args.calibrate)
@@ -347,7 +348,7 @@ def cmd_kernel(args) -> int:
         sys.stderr.write("error: inconsistent fixed-point data (run validate): "
                          f"{failures[0]}\n")
         return 2
-    report = _report("kernel", args.dataset,
+    report = _report("kernel", args.dataset, _digest(args.dataset),
                      {"mode": modes[0], "max_degree": args.max_degree,
                       "ordering": args.ordering, "delta": args.delta,
                       "calibrate": args.calibrate})

@@ -10,6 +10,7 @@ model basis of their degree, so span comparisons are exact rank computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterable
 
 from . import linalg
@@ -51,6 +52,7 @@ __all__ = [
     "ChamberSet",
     "enumerate_generic_directions",
     "positive_sides",
+    "complementary_slice",
     "torus_kernel",
     "FullKernelRow",
     "check_full_kernel",
@@ -164,13 +166,8 @@ class DegreeTruncatedModel:
 
 
 def _exponent_tuples(nvars: int, total: int) -> list[tuple[int, ...]]:
-    if nvars == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        for rest in _exponent_tuples(nvars - 1, total - first):
-            out.append((first,) + rest)
-    return out
+    return [tuple(c.count(i) for i in range(nvars))
+            for c in combinations_with_replacement(range(nvars), total)]
 
 
 def _monomial_label(vars, mono: tuple[int, ...], gen_label: str) -> str:
@@ -447,15 +444,22 @@ def positive_sides(space: HamiltonianSpace, chambers: ChamberSet) -> list[frozen
 # -- torus-level kernel -------------------------------------------------------
 
 
+def complementary_slice(model: DegreeTruncatedModel, degree: int) -> list[RestrictedClass]:
+    """The testing classes of the torus-level pairing on classes of this
+    degree: the model slice of degree dim - 2 * rank - degree, or none when
+    that degree lies outside 0..max_degree."""
+    comp = model.space.dim - 2 * model.space.vars.count - degree
+    return ([el.cls for el in model.basis_by_degree[comp]]
+            if 0 <= comp <= model.max_degree else [])
+
+
 def torus_kernel(model: DegreeTruncatedModel, degree: int,
                  integral: KirwanIntegral) -> Subspace:
-    """Null space of the torus-level pairing against the complementary-degree
-    model slice; slices with no complementary classes are unconstrained."""
-    comp_degree = model.space.dim - 2 * model.space.vars.count - degree
-    testing = ([el.cls for el in model.basis_by_degree[comp_degree]]
-               if 0 <= comp_degree <= model.max_degree else [])
+    """Null space of the torus-level pairing against the complementary slice;
+    slices with no complementary classes are unconstrained."""
     classes = [el.cls for el in model.basis_by_degree[degree]]
-    return Subspace(degree, pairing_kernel(integral, classes, testing))
+    return Subspace(degree, pairing_kernel(integral, classes,
+                                           complementary_slice(model, degree)))
 
 
 @dataclass

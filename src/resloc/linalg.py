@@ -11,21 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .symcore import coefficient
+from .symcore import add_scaled, coefficient
 
 Row = dict[int, Fraction]
 
 __all__ = ["Row", "add_scaled", "combine", "Echelon", "row_reduce", "rank", "det", "nullspace",
            "independent_indices", "transpose", "span_equal"]
-
-
-def add_scaled(target: dict, f: Fraction, row: dict) -> None:
-    """target += f * row, in place, keeping only nonzero entries."""
-    for k, x in row.items():
-        if v := target.get(k, 0) + f * x:
-            target[k] = v
-        else:
-            del target[k]
 
 
 def combine(coeffs: Row, rows: list[Row]) -> Row:

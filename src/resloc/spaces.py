@@ -34,6 +34,7 @@ from .symcore import (
     ValidationError,
     Variables,
     coefficient,
+    invert_euler,
     substitution,
 )
 
@@ -140,7 +141,6 @@ class HamiltonianSpace:
                         f"the component algebra")
 
     def euler_inverse(self, f: FixedComponent) -> RationalSection:
-        from .symcore import invert_euler
         sec = self._euler_inverse_cache.get(f.name)
         if sec is None:
             sec = invert_euler(self.vars, f.algebra, list(f.normal_lines))
@@ -237,20 +237,19 @@ def generator_products(space: HamiltonianSpace,
 
     Exponents are indexed by the positive-degree generators in their given
     order.  Products come depth first, starting from the unit, and each is
-    multiplied out in generator order, so callers see a fixed sequence.
+    multiplied out in generator order, so callers see a fixed sequence.  The
+    walk keeps its own stack, so a deep product needs no deep recursion.
     """
     nonunit = [cls for _, cls in generators if cls.degree > 0]
-    exps = [0] * len(nonunit)
-
-    def grow(idx: int, cls: RestrictedClass):
-        yield tuple(exps), cls
-        for i in range(idx, len(nonunit)):
+    # (first generator index a child may use, exponents, class)
+    stack = [(0, (0,) * len(nonunit), RestrictedClass.unit(space))]
+    while stack:
+        idx, exps, cls = stack.pop()
+        yield exps, cls
+        # pushed last to first, so the first generator's subtree comes next
+        for i in range(len(nonunit) - 1, idx - 1, -1):
             if cls.degree + nonunit[i].degree <= max_degree:
-                exps[i] += 1
-                yield from grow(i, cls * nonunit[i])
-                exps[i] -= 1
-
-    yield from grow(0, RestrictedClass.unit(space))
+                stack.append((i, exps[:i] + (exps[i] + 1,) + exps[i + 1:], cls * nonunit[i]))
 
 
 # -- circle directions and coordinate adaptation ----------------------------
@@ -409,19 +408,13 @@ def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
     The first adapted moment coordinate is the pairing of the moment with xi.
     """
     xi = xi.primitive()
-    n = space.vars.count
     basis_cols = unimodular_completion(xi.vector)
-    cols = tuple(tuple(basis_cols[i][j] for i in range(n)) for j in range(n))
-
-    def transform_covector(cov: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        return tuple(sum((Q(c) * Q(fj) for c, fj in zip(cov, col)), Q(0)) for col in cols)
-
-    images = {w: LinearForm(transform_covector(w.coeffs))
+    images = {w: w.times(basis_cols)
               for w in {w for f in space.components for w, _ in f.normal_lines}}
     components = []
     for f in space.components:
         lines = tuple((images[w], c) for w, c in f.normal_lines)
-        components.append(FixedComponent(f.name, transform_covector(f.moment),
+        components.append(FixedComponent(f.name, LinearForm(f.moment).times(basis_cols).coeffs,
                                          f.algebra, lines))
     # old variable i is row i of the basis matrix in the new variables
     return AdaptedSpace(HamiltonianSpace(space.vars, space.dim, components), xi,

@@ -21,6 +21,7 @@ __all__ = [
     "ValidationError",
     "ExactDivisionError",
     "coefficient",
+    "add_scaled",
     "Variables",
     "LinearForm",
     "GradedAlgebra",
@@ -54,6 +55,15 @@ def coefficient(x) -> int | Fraction:
         return x
     x = _q(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def add_scaled(target: dict, f: Fraction, row: dict) -> None:
+    """target += f * row, in place, keeping only nonzero entries."""
+    for k, x in row.items():
+        if v := target.get(k, 0) + f * x:
+            target[k] = v
+        else:
+            del target[k]
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,11 @@ class LinearForm:
                 parts.append(f"{c}*{names[i]}")
         return "+".join(parts).replace("+-", "-") or "0"
 
+    def times(self, matrix) -> "LinearForm":
+        """The covector self * matrix: entry k is sum_i coeffs[i] * matrix[i][k]."""
+        return LinearForm(tuple(sum((c * row[k] for c, row in zip(self.coeffs, matrix)), Q(0))
+                                for k in range(len(matrix[0]))))
+
     def __str__(self) -> str:
         return self.render(tuple(f"v{i}" for i in range(len(self.coeffs))))
 
@@ -238,12 +253,7 @@ class GradedAlgebra:
         out: dict[int, Fraction] = {}
         for i, ca in a.items():
             for j, cb in b.items():
-                for k, s in self.mul_basis(i, j).items():
-                    v = out.get(k, 0) + ca * cb * s
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
+                add_scaled(out, ca * cb, self.mul_basis(i, j))
         return out
 
     def mul_basis(self, i: int, j: int) -> dict[int, Fraction]:
@@ -330,11 +340,6 @@ class EquivariantPolynomial:
         z = vars.zero_exps()
         return EquivariantPolynomial(vars, algebra, {(z, i): c for i, c in elt.items()})
 
-    def copy(self) -> "EquivariantPolynomial":
-        p = EquivariantPolynomial(self.vars, self.algebra)
-        p.terms = dict(self.terms)
-        return p
-
     # -- predicates and views ---------------------------------------------
 
     def is_zero(self) -> bool:
@@ -389,30 +394,16 @@ class EquivariantPolynomial:
             raise ValidationError("algebra mismatch")
 
     def __add__(self, other: "EquivariantPolynomial") -> "EquivariantPolynomial":
-        self._check(other)
-        out = self.copy()
-        for key, c in other.terms.items():
-            v = out.terms.get(key, 0) + c
-            if v:
-                out.terms[key] = v
-            else:
-                out.terms.pop(key, None)
-        return out
+        return EquivariantPolynomial.sum(self.vars, (self, other), self.algebra)
 
     @staticmethod
     def sum(vars: Variables, polys: Iterable["EquivariantPolynomial"],
             algebra: GradedAlgebra = POINT_ALGEBRA) -> "EquivariantPolynomial":
         """Sum of many polynomials, added in place into one term dict."""
         out = EquivariantPolynomial(vars, algebra)
-        terms = out.terms
         for p in polys:
             out._check(p)
-            for key, c in p.terms.items():
-                v = terms.get(key, 0) + c
-                if v:
-                    terms[key] = v
-                else:
-                    del terms[key]
+            add_scaled(out.terms, 1, p.terms)
         return out
 
     def __neg__(self) -> "EquivariantPolynomial":
@@ -477,39 +468,13 @@ class EquivariantPolynomial:
                 and self.algebra == other.algebra
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
-
     # -- calculus-style operations ----------------------------------------
 
     def derivative(self, var: int) -> "EquivariantPolynomial":
-        out = EquivariantPolynomial(self.vars, self.algebra)
-        for (e, b), c in self.terms.items():
-            k = e[var]
-            if k:
-                ne = list(e)
-                ne[var] = k - 1
-                key = (tuple(ne), b)
-                v = out.terms.get(key, 0) + c * k
-                if v:
-                    out.terms[key] = v
-                else:
-                    out.terms.pop(key, None)
-        return out
-
-    def subst_linear(self, var: int, replacement: "EquivariantPolynomial") -> "EquivariantPolynomial":
-        """Substitute a unit-valued polynomial (free of var) for one variable."""
-        if replacement.involves(var):
-            raise ValidationError("replacement must not involve the substituted variable")
-        slices = self.coefficients_in(var)
-        out = EquivariantPolynomial(self.vars, self.algebra)
-        power = EquivariantPolynomial.one(self.vars, POINT_ALGEBRA)
-        for k in range(max(slices) + 1 if slices else 0):
-            if k:
-                power = power.mul_pure(replacement)
-            if k in slices:
-                out = out + slices[k].mul_pure(power)
-        return out
+        # lowering one exponent takes distinct terms to distinct terms
+        return EquivariantPolynomial(self.vars, self.algebra, {
+            (e[:var] + (e[var] - 1,) + e[var + 1:], b): c * e[var]
+            for (e, b), c in self.terms.items() if e[var]})
 
     def map_basis(self, target_algebra: GradedAlgebra,
                   matrix: list[list[Fraction]]) -> "EquivariantPolynomial":
@@ -517,15 +482,8 @@ class EquivariantPolynomial:
         source basis element i as a coefficient list over the target basis."""
         out = EquivariantPolynomial(self.vars, target_algebra)
         for (e, b), c in self.terms.items():
-            for k, m in enumerate(matrix[b]):
-                m = coefficient(m)
-                if m:
-                    key = (e, k)
-                    v = out.terms.get(key, 0) + c * m
-                    if v:
-                        out.terms[key] = v
-                    else:
-                        out.terms.pop(key, None)
+            add_scaled(out.terms, c, {(e, k): m for k, v in enumerate(matrix[b])
+                                      if (m := coefficient(v))})
         return out
 
     def integrate_product(self, other: "EquivariantPolynomial", out: dict) -> dict:
@@ -623,12 +581,13 @@ def substitution(images: list[EquivariantPolynomial]
     """Simultaneous substitution of unit-valued polynomials for all variables,
     as a function of the polynomial; the powers of the images it builds are
     kept for every polynomial it is applied to."""
-    powers: dict[tuple[int, int], EquivariantPolynomial] = {}
+    powers = [[image] for image in images]  # powers[i][k - 1] is images[i]^k
 
     def power(i: int, k: int) -> EquivariantPolynomial:
-        if (i, k) not in powers:
-            powers[(i, k)] = images[i] if k == 1 else power(i, k - 1).mul_pure(images[i])
-        return powers[(i, k)]
+        known = powers[i]
+        while len(known) < k:
+            known.append(known[-1].mul_pure(images[i]))
+        return known[k - 1]
 
     def substitute(poly: EquivariantPolynomial) -> EquivariantPolynomial:
         pieces = []
@@ -796,8 +755,11 @@ class RationalSection:
     def subst_linear(self, var: int, coeffs: tuple[Fraction, ...]) -> "RationalSection":
         """Substitute the linear form sum(coeffs[i] * x_i), free of x_var, for
         x_var; every denominator factor must stay nonzero."""
-        numer = self.numer.subst_linear(
-            var, EquivariantPolynomial.from_linear_form(self.vars, LinearForm(coeffs)))
+        if coeffs[var] != 0:
+            raise ValidationError("replacement must not involve the substituted variable")
+        images = [EquivariantPolynomial.variable(self.vars, i) for i in range(self.vars.count)]
+        images[var] = EquivariantPolynomial.from_linear_form(self.vars, LinearForm(coeffs))
+        numer = substitution(images)(self.numer)
         denom: list[tuple[LinearForm, int]] = []
         for form, mult in self.denom.items():
             n = form.coeffs[var]

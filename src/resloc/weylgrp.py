@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .kernels import DegreeTruncatedModel, Subspace, pairing_kernel, torus_kernel
+from .kernels import (
+    DegreeTruncatedModel,
+    Subspace,
+    complementary_slice,
+    pairing_kernel,
+    torus_kernel,
+)
 from .spaces import HamiltonianSpace, KirwanIntegral, RestrictedClass
 from .symcore import (
     POINT_ALGEBRA,
@@ -47,19 +53,12 @@ class WeylElement:
         return [EquivariantPolynomial.from_linear_form(space.vars, LinearForm(row))
                 for row in self.matrix]
 
-    def transform_form(self, form: LinearForm) -> LinearForm:
-        n = len(self.matrix)
-        return LinearForm(tuple(
-            sum((form.coeffs[i] * self.matrix[i][k] for i in range(n)), Q(0))
-            for k in range(n)))
-
     def sign(self) -> Fraction:
         return linalg.det(self.matrix)
 
 
 def _matmul(a, b):
-    return tuple(tuple(sum((a[i][j] * b[j][k] for j in range(len(b))), Q(0))
-                       for k in range(len(b[0]))) for i in range(len(a)))
+    return tuple(LinearForm(row).times(b).coeffs for row in a)
 
 
 class WeylData:
@@ -157,7 +156,7 @@ class WeylData:
         substitute = self._substitute[w]
         for i, f in enumerate(space.components):
             g = space.components[w.perm[i]]
-            moved_moment = w.transform_form(LinearForm(f.moment)).coeffs
+            moved_moment = LinearForm(f.moment).times(w.matrix).coeffs
             if moved_moment != g.moment:
                 raise ValidationError(
                     f"moment of {f.name} does not map to moment of {g.name}")
@@ -165,7 +164,7 @@ class WeylData:
             self._check_algebra_map(f.algebra, g.algebra, amap, f.name, g.name)
             moved_lines = []
             for wgt, chern in f.normal_lines:
-                moved_lines.append((w.transform_form(wgt),
+                moved_lines.append((wgt.times(w.matrix),
                                     substitute(chern).map_basis(g.algebra, amap)))
             remaining = list(g.normal_lines)
             for line in moved_lines:
@@ -297,9 +296,6 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
     slices: dict[int, tuple[InvariantSlice, list[RestrictedClass]]] = {}
     divided: dict[int, tuple[list[RestrictedClass], list[linalg.Row]]] = {}
 
-    def in_range(degree: int) -> bool:
-        return 0 <= degree <= model.max_degree
-
     def invariant(degree: int) -> tuple[InvariantSlice, list[RestrictedClass]]:
         if degree not in slices:
             inv = invariant_subspace(model, weyl, degree)
@@ -312,7 +308,8 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
         invariant zeta."""
         if degree not in divided:
             twice = [cls.mul_pure(d2poly) for cls in invariant(degree)[1]]
-            testing = invariant(top - degree)[1] if in_range(top - degree) else []
+            comp = top - degree
+            testing = invariant(comp)[1] if 0 <= comp <= model.max_degree else []
             divided[degree] = (twice, pairing_kernel(integral, twice, testing))
         return divided[degree]
 
@@ -321,18 +318,10 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
         inv_classes = invariant(d)[1]
         twice, k_pair = pairing(d)  # (i) the pairing kernel
         once = [cls.mul_pure(dpoly) for cls in inv_classes]
-        comp = top - d
-
         # (ii) once-divided: D * eta in the torus-level kernel
-        comp1 = comp + 2 * r
-        testing1 = ([el.cls for el in model.basis_by_degree[comp1]]
-                    if in_range(comp1) else [])
-        k_once = pairing_kernel(integral, once, testing1)
-
+        k_once = pairing_kernel(integral, once, complementary_slice(model, d + 2 * r))
         # (iii) twice-divided: D^2 * eta in the torus-level kernel
-        testing2 = ([el.cls for el in model.basis_by_degree[comp]]
-                    if in_range(comp) else [])
-        k_twice = pairing_kernel(integral, twice, testing2)
+        k_twice = pairing_kernel(integral, twice, complementary_slice(model, d + 4 * r))
 
         once_span = linalg.Echelon(k_once)  # reduced once for both comparisons
         equal = (linalg.span_equal(once_span, k_pair)
@@ -363,7 +352,7 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
             produced.append(model.class_vector(brion_divide(weyl, anti_cls), target))
         if None in produced or linalg.rank(basis + produced) != len(basis):
             raise ValidationError("divided antisymmetrization left the model span")
-        inv_vectors = [model.class_vector(cls, target) for cls in invariant(target)[1]]
+        inv_vectors = [linalg.combine(c, basis) for c in invariant(target)[0].coeffs]
         kernel = [linalg.combine(k, inv_vectors) for k in pairing(target)[1]]
         produced_span = linalg.Echelon(produced)
         span_rows.append(AntisymmetrizedSpanRow(

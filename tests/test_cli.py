@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from resloc import cli, kernels, spaces
+from resloc import kernels, spaces
 from resloc.cli import main
 from resloc.datasets import dataset_to_json, load_dataset
 
@@ -53,6 +53,14 @@ def test_validate_flipped_weights_fails(capsys, tmp_path):
     assert report["pass"] is False
     failing = [c for c in report["checks"] if not c["pass"]]
     assert failing and report["results"]["failures"]
+
+
+def test_validate_deep_products(capsys):
+    # s2's one generator to the 1000th power: the product walk and the
+    # localization sums need no recursion as deep as the product
+    code, report, err = run_json(capsys, "validate", "s2", "--max-degree", "2000")
+    assert code == 0 and err == ""
+    assert report["results"]["products_checked"] == 1001
 
 
 def test_validate_schema_error_exits_two(capsys, tmp_path):

@@ -1,0 +1,87 @@
+"""Golden digests of whole reports: the sha256 of stdout and of stderr, and
+the exit code, for the bundled datasets through every command and mode.
+
+A refactor that leaves every report byte-identical leaves these unchanged;
+one that moves a byte of stdout or stderr, or an exit code, fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from resloc.cli import main
+
+# the double pole, second simple pole and X-free factor of the CI smoke step
+EXPRESSION = {"variables": ["X", "Y"],
+              "numerator": [{"coeff": "1", "exponents": [2, 0]}],
+              "denominator": [{"form": ["1", "-1"], "multiplicity": 2},
+                              {"form": ["1", "1"]}, {"form": ["0", "2"]}]}
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# argv -> (exit code, sha256 of stdout, sha256 of stderr)
+GOLDEN = {
+    "validate s2":
+        (0, "c4ca14841808678ef73e2da2173d60b9932d65b733658eee697bfe1923d38cb8",
+         EMPTY),
+    "validate s2xs2-t2":
+        (0, "6efd5b465704f0a4e262eb636417369f57885a7add2425d06daef579e3af68de",
+         EMPTY),
+    "validate s2xs2-nonisolated":
+        (0, "40121cc5b6a3be6e04b6d0e318357ca3f2064bb546f56597d4188c97f5d6d43a",
+         EMPTY),
+    "validate s2cubed-su2":
+        (0, "a20baa2c654eda24e63d23392af9fc772eefb5cc294a82ec3baebaf6842b3283",
+         EMPTY),
+    "kernel s2 --full":
+        (0, "0d70d3a7843f549cb489d2734b0a8a5024e327ebe6a5c12deb6ab425fdfecde9",
+         EMPTY),
+    "kernel s2xs2-t2 --full":
+        (0, "f59e1b2fa97c1d3a18102b3567abc38ee72c710a88f13052135e3866374acd4e",
+         EMPTY),
+    "kernel s2xs2-nonisolated --full":
+        (0, "9e5d6cc661d03d4e3b72f42c76f98fb82ab41f4e32cf2c921b63a6f0121b9322",
+         EMPTY),
+    "kernel s2 --circle=1":
+        (0, "fb7e0bd736dee664ddbc3f816be194cbae7e24ce3260cc225bdc8e3faea58024",
+         EMPTY),
+    "kernel s2xs2-t2 --circle=1,2":
+        (0, "f4726d024001ba9c0b669121e18da164cb6e6742db36b7b1f85493752d84330b",
+         EMPTY),
+    "kernel s2xs2-t2 --circle=-1,2":
+        (0, "570d28c143efe3c53205986148571e0718c6310487e3e5f0981ff83d5cb95ca6",
+         EMPTY),
+    "kernel s2xs2-nonisolated --circle=1":
+        (0, "19aafe261c1e4c2a2fcc8110d6ab8d49b05b22378e23d9eac5a27307e97b7478",
+         EMPTY),
+    "kernel s2cubed-su2 --nonabelian":
+        (0, "5ad8ffee3d30dff6b7e1ead22a7a9a7b6ca79dc4f1f01d0f90a54d7ae51aafaa",
+         EMPTY),
+    "kernel s2cubed-su2 --nonabelian --ordering 0 --delta 2 --format text":
+        (0, "71a072bf39f312bde421fefd23b13c24d7a3b4090c1ebf735591130e5aab23f9",
+         EMPTY),
+    "kernel s2 --full --ordering 0 --delta -3/2":
+        (0, "f64cc84a54259b5524e5857950a7d78c8da5386b4d4ee617ab401c7911969b71",
+         EMPTY),
+    "kernel s2xs2-t2 --full --ordering 1,0 --delta -3/2":
+        (2, EMPTY,
+         "7ac5f926a3e14b93943777a6c88dee5342b66943003c10d365a565e4dc192dce"),
+    "residue expr.json":
+        (0, "0c7c88d5297a485d809de109b7f50dead9338c4c71526e7e6d7345d035a71c5d",
+         EMPTY),
+}
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=list(GOLDEN))
+def test_report_digest(argv, capsys, tmp_path, monkeypatch):
+    # the residue report records the expression path: write it relative
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "expr.json").write_text(json.dumps(EXPRESSION) + "\n")
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert (code, sha(captured.out), sha(captured.err)) == GOLDEN[argv]

@@ -18,6 +18,7 @@ from resloc.symcore import (
     ValidationError,
     Variables,
     invert_euler,
+    substitution,
 )
 
 V1 = Variables(("X",))
@@ -105,6 +106,18 @@ def test_linear_form_render():
     assert lf(1, -1).render(("X", "Y1")) == "X-Y1"
     assert lf(-2, 3).render(("X", "Y1")) == "-2*X+3*Y1"
     assert lf(0, 0).render(("X", "Y1")) == "0"
+
+
+@pytest.mark.parametrize("coeffs, matrix", [
+    ((1, -2), ((3, 0, 1), (1, 5, -1))),                       # 2 x 3
+    ((Q(1, 2), 3, -1), ((Q(2, 3), 1), (0, Q(-1, 4)), (7, 2))),  # 3 x 2, Fractions
+])
+def test_linear_form_times_is_the_covector_product(coeffs, matrix):
+    got = lf(*coeffs).times(matrix)
+    want = tuple(sum(Q(coeffs[i]) * Q(matrix[i][k]) for i in range(len(coeffs)))
+                 for k in range(len(matrix[0])))
+    assert got.coeffs == want
+    assert all(type(c) is Q for c in got.coeffs)
 
 
 # -- GradedAlgebra validation ----------------------------------------------------
@@ -211,8 +224,15 @@ def test_integrate_point_algebra_is_identity():
 def test_derivative_and_substitution():
     p = (x() + y1()) ** 3
     assert p.derivative(0) == ((x() + y1()) ** 2).scale(3)
-    q = p.subst_linear(0, y1().scale(-1))  # X -> -Y1
+    q = substitution([y1().scale(-1), y1()])(p)  # X -> -Y1
     assert q.is_zero()
+
+
+def test_substitution_of_a_deep_power():
+    # the powers of an image are built upward in a loop, not by recursion
+    p = EquivariantPolynomial(V1, POINT_ALGEBRA, {((1500,), 0): 1})
+    q = substitution([EquivariantPolynomial.variable(V1, 0).scale(2)])(p)
+    assert q.terms == {((1500,), 0): 2 ** 1500}
 
 
 def test_exact_division_by_linear_form():
@@ -308,6 +328,12 @@ def test_section_substitution_into_denominator():
     s = RationalSection(one, {lf(1, 1): 1})  # 1/(X + Y1)
     t = s.subst_linear(0, (Q(0), Q(1)))  # X -> Y1
     assert t == RationalSection(one, {lf(0, 2): 1})
+
+
+def test_section_substitution_rejects_the_substituted_variable():
+    s = RationalSection(x() * y1(), {lf(1, 1): 1})
+    with pytest.raises(ValidationError, match="must not involve the substituted variable"):
+        s.subst_linear(0, (Q(1), Q(1)))  # X -> X + Y1
 
 
 # -- Euler inversion ----------------------------------------------------------------
