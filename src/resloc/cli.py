@@ -17,11 +17,12 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from importlib import resources
 
 from . import kernels, weylgrp
-from .datasets import BUNDLED, Dataset, SchemaError, load_dataset, load_expression
+from .datasets import BUNDLED, Dataset, SchemaError, _fs, load_dataset, load_expression
 from .residues import VariableOrdering, res_x_plus
 from .spaces import (
     CircleDirection,
@@ -49,10 +50,6 @@ def _digest(source: str) -> str:
 def _file_digest(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _fs(q) -> str:
-    return str(Fraction(q))
 
 
 def _render_text(report: dict) -> str:
@@ -281,16 +278,8 @@ def _kernel_nonabelian(ds: Dataset, args, report: dict,
     model = _build_model(ds, args.max_degree, products)
     rows, span_rows = weylgrp.check_nonabelian_kernels(model, ds.weyl, _degrees(args),
                                                        integral)
-    report["results"]["degrees"] = [
-        {"degree": r.degree, "invariant_dim": r.invariant_dim,
-         "pairing_kernel_dim": r.pairing_kernel_dim,
-         "once_divided_dim": r.once_divided_dim,
-         "twice_divided_dim": r.twice_divided_dim, "equal": r.equal}
-        for r in rows]
-    report["results"]["antisymmetrized_spans"] = [
-        {"source_degree": r.source_degree, "target_degree": r.target_degree,
-         "span_dim": r.span_dim, "kernel_dim": r.kernel_dim, "equal": r.equal}
-        for r in span_rows]
+    report["results"]["degrees"] = [asdict(r) for r in rows]
+    report["results"]["antisymmetrized_spans"] = [asdict(r) for r in span_rows]
     for r in rows:
         _add_check(report, f"nonabelian-degree-{r.degree}", r.equal,
                    f"invariant dim {r.invariant_dim}: pairing {r.pairing_kernel_dim}, "

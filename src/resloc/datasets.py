@@ -279,7 +279,8 @@ def _weyl_from_json(wobj, space: HamiltonianSpace) -> WeylData:
 # -- serialization -------------------------------------------------------------
 
 
-def _fs(q: Fraction) -> str:
+def _fs(q) -> str:
+    """A rational (or an int) as its canonical "p/q" report string."""
     return str(Fraction(q))
 
 
@@ -363,19 +364,21 @@ def load_expression(path: str) -> tuple[RationalSection, int, str]:
             raise SchemaError(
                 f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
-    _typed(obj, dict, "$")
+    for key in _typed(obj, dict, "$"):
+        if key not in ("variables", "variable", "numerator", "denominator"):
+            raise SchemaError(f"$.{key}: unknown key")
     names = obj.get("variables")
     if (not isinstance(names, list) or not names
             or any(not isinstance(n, str) for n in names) or len(set(names)) != len(names)):
         raise SchemaError("$.variables: expected a nonempty array of distinct names")
     vars = Variables(tuple(names))
     terms = {}
-    for t, term in enumerate(_typed(obj.get("numerator", []), list, "$.numerator")):
+    for t, term in enumerate(_expect(obj, "numerator", list, "$")):
         exps, coeff = _term(term, vars.count, f"$.numerator[{t}]")
         terms[(exps, 0)] = terms.get((exps, 0), Q(0)) + coeff
     numer = EquivariantPolynomial(vars, POINT_ALGEBRA, terms)
     denom: dict[LinearForm, int] = {}
-    for d, factor in enumerate(_typed(obj.get("denominator", []), list, "$.denominator")):
+    for d, factor in enumerate(_expect(obj, "denominator", list, "$")):
         dpath = f"$.denominator[{d}]"
         coeffs = [_frac(v, f"{dpath}.form") for v in _expect(factor, "form", list, dpath)]
         if len(coeffs) != vars.count:

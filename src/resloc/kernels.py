@@ -5,12 +5,20 @@ The model basis in each degree consists of products of the declared ring
 generators with monomials in the torus variables, reduced to a linearly
 independent set.  All subspaces are recorded as coefficient vectors over the
 model basis of their degree, so span comparisons are exact rank computations.
+
+Each slice grows from the one below.  The candidates g * m of slice d (g a
+generator product, m a monomial), in (product, graded-lex monomial) order, are
+the products of degree d and each kept element of slice d - 2 times each
+variable; the first independent ones are kept.  That keeps what every product
+times every monomial would.  A candidate g * m left out has no kept quotient
+g * (m / X_j), so each quotient is a combination of kept elements before it;
+times X_j, as the monomial order is multiplicative, g * m is a combination of
+candidates before it, and adds neither a key nor a kept element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Iterable
 
 from . import linalg
@@ -72,6 +80,10 @@ class ModelElement:
 class DegreeTruncatedModel:
     """Independent spanning sets for the even-degree slices up to max_degree.
 
+    Slice d is grown from slice d - 2, one ``mul_pure`` by a variable per
+    (kept element, variable), and keeps the labels, vectors and keys that
+    every product times every monomial gives (see the module docstring).
+
     A slice's coordinates are its restriction keys (component index, torus
     exponents, algebra basis index), sorted; a class's vector holds its
     nonzero restriction terms by key position.  ``restriction_rows`` keeps,
@@ -122,42 +134,39 @@ class DegreeTruncatedModel:
     def _build(self):
         space = self.space
         names = [name for name, cls in self.generators if cls.degree > 0]
-        # all multisets of non-unit generators within the degree budget
-        monomials: list[tuple[RestrictedClass, str]] = []
-        for exps, cls in self.products:
-            label_parts = [names[i] + (f"^{e}" if e > 1 else "")
-                           for i, e in enumerate(exps) if e]
-            monomials.append((cls, "*".join(label_parts) or "1"))
-
         nvars = space.vars.count
-        var_monomials: dict[int, list[tuple[int, ...]]] = {}
-        for half in range(self.max_degree // 2 + 1):
-            var_monomials[half] = sorted(_exponent_tuples(nvars, half), key=monomial_sort_key)
-
+        variables = [EquivariantPolynomial.variable(space.vars, j) for j in range(nvars)]
+        # the candidates keyed (product index, exponents): the products first
+        grown_by_degree: dict[int, dict[tuple[int, tuple[int, ...]], RestrictedClass]] = {}
+        for p, (_, cls) in enumerate(self.products):
+            grown_by_degree.setdefault(cls.degree, {})[(p, (0,) * nvars)] = cls
+        # the kept elements of the slice below, with their keys
+        below: list[tuple[tuple[int, tuple[int, ...]], ModelElement]] = []
         for degree in range(0, self.max_degree + 1, 2):
-            candidates: list[tuple[str, RestrictedClass]] = []
-            for cls, label in monomials:
-                gdeg = cls.degree
-                if gdeg > degree or (degree - gdeg) % 2:
-                    continue
-                for mono in var_monomials[(degree - gdeg) // 2]:
-                    pure = EquivariantPolynomial(space.vars, POINT_ALGEBRA,
-                                                 {(mono, 0): 1})
-                    lifted = cls.mul_pure(pure)
-                    candidates.append((_monomial_label(space.vars, mono, label), lifted))
-            keyset = set()
-            for _, cls in candidates:
-                for ci, f in enumerate(space.components):
-                    for key in cls.restrictions[f.name].terms:
-                        keyset.add((ci, key[0], key[1]))
-            keys = sorted(keyset)
+            # then the slice below times each variable
+            grown = grown_by_degree.pop(degree, {})
+            for (p, mono), el in below:
+                for j in range(nvars):
+                    key = (p, mono[:j] + (mono[j] + 1,) + mono[j + 1:])
+                    if key not in grown:
+                        grown[key] = el.cls.mul_pure(variables[j])
+            order = sorted(grown, key=lambda k: (k[0], monomial_sort_key(k[1])))
+            candidates = [grown[k] for k in order]
+            keys = sorted({(ci, exps, b) for cls in candidates
+                           for ci, f in enumerate(space.components)
+                           for exps, b in cls.restrictions[f.name].terms})
             self._keys[degree] = [(space.components[ci].name, exps, b)
                                   for ci, exps, b in keys]
             self._positions[degree] = {key: pos for pos, key in enumerate(self._keys[degree])}
-            vectors = [self.class_vector(cls, degree) for _, cls in candidates]
+            vectors = [self.class_vector(cls, degree) for cls in candidates]
             kept = linalg.independent_indices(vectors)
-            self.basis_by_degree[degree] = [
-                ModelElement(candidates[i][0], candidates[i][1], vectors[i]) for i in kept]
+            below = []
+            for i in kept:
+                p, mono = order[i]
+                label = "*".join(_powers(space.vars.names, mono)
+                                 + _powers(names, self.products[p][0])) or "1"
+                below.append((order[i], ModelElement(label, candidates[i], vectors[i])))
+            self.basis_by_degree[degree] = [el for _, el in below]
             rows = linalg.transpose([vectors[i] for i in kept])
             by_component = self.restriction_rows[degree] = {f.name: [] for f in space.components}
             for pos, (ci, _, _) in enumerate(keys):
@@ -165,21 +174,8 @@ class DegreeTruncatedModel:
                     by_component[space.components[ci].name].append(rows[pos])
 
 
-def _exponent_tuples(nvars: int, total: int) -> list[tuple[int, ...]]:
-    return [tuple(c.count(i) for i in range(nvars))
-            for c in combinations_with_replacement(range(nvars), total)]
-
-
-def _monomial_label(vars, mono: tuple[int, ...], gen_label: str) -> str:
-    parts = []
-    for i, e in enumerate(mono):
-        if e == 1:
-            parts.append(vars.names[i])
-        elif e > 1:
-            parts.append(f"{vars.names[i]}^{e}")
-    if gen_label != "1":
-        parts.append(gen_label)
-    return "*".join(parts) or "1"
+def _powers(names, exps: tuple[int, ...]) -> list[str]:
+    return [name + (f"^{e}" if e > 1 else "") for name, e in zip(names, exps) if e]
 
 
 def build_model(space: HamiltonianSpace, generators: list[tuple[str, RestrictedClass]],

@@ -61,6 +61,12 @@ def test_validate_deep_products(capsys):
     code, report, err = run_json(capsys, "validate", "s2", "--max-degree", "2000")
     assert code == 0 and err == ""
     assert report["results"]["products_checked"] == 1001
+    # and the kernel checks build the model to that degree, each slice from
+    # the one below, in a fraction of a second
+    for mode in ("--full", "--circle=1"):
+        code, report, err = run_json(capsys, "kernel", "s2", mode, "--max-degree", "2000")
+        assert code == 0 and err == "" and report["pass"] is True
+        assert len(report["results"]["degrees"]) == 1001
 
 
 def test_validate_schema_error_exits_two(capsys, tmp_path):
@@ -218,6 +224,36 @@ def test_residue_loader_rejects_malformed_input(capsys, tmp_path, where, value, 
     code, out, err = run(capsys, "residue", write_expression(tmp_path, obj))
     assert code == 2 and not out
     assert json_path in err
+
+
+def test_residue_rejects_a_dataset_file(capsys, tmp_path):
+    # a dataset has "variables" too, but no numerator or denominator
+    path = tmp_path / "s2.json"
+    path.write_text(json.dumps(dataset_to_json(load_dataset("s2"))))
+    code, out, err = run(capsys, "residue", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: $.") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("key, json_path", [
+    ("denominator", "error: $.denominator: missing"),
+    ("numerator", "error: $.numerator: missing"),
+], ids=["denominator", "numerator"])
+def test_residue_requires_numerator_and_denominator(capsys, tmp_path, key, json_path):
+    obj = {k: v for k, v in GOOD_EXPRESSION.items() if k != key}
+    code, out, err = run(capsys, "residue", write_expression(tmp_path, obj))
+    assert code == 2 and not out
+    assert err == json_path + "\n"
+
+
+def test_residue_rejects_a_misspelt_key(capsys, tmp_path):
+    # "variabel" would otherwise fall back to the first variable
+    obj = {"variables": ["X", "Y"], "variabel": "Y",
+           "numerator": [{"coeff": "1", "exponents": [0, 0]}],
+           "denominator": [{"form": ["0", "1"]}]}
+    code, out, err = run(capsys, "residue", write_expression(tmp_path, obj))
+    assert code == 2 and not out
+    assert err == "error: $.variabel: unknown key\n"
 
 
 # -- kernel ----------------------------------------------------------------------

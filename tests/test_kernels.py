@@ -13,6 +13,7 @@ from resloc.datasets import (
     load_dataset,
     projective,
     sphere_product,
+    sphere_product_diagonal,
 )
 from resloc.kernels import (
     build_model,
@@ -45,6 +46,7 @@ from resloc.symcore import (
     RationalSection,
     ValidationError,
     Variables,
+    monomial_sort_key,
     substitution,
 )
 
@@ -128,6 +130,94 @@ def test_model_rejects_duplicate_generator_names(s2):
 def test_model_requires_unit(s2):
     with pytest.raises(ValidationError, match="unit"):
         build_model(s2.space, [("u", s2.generator("u"))], 4)
+
+
+def full_candidate_slices(space, generators, max_degree):
+    """The slices as every generator product times every variable monomial of
+    the right degree gives them, each slice reduced from its full candidate
+    list: per degree, the kept (labels, vectors), the keys and the restriction
+    rows."""
+    names = [name for name, cls in generators if cls.degree > 0]
+    products = [(cls, "*".join(names[i] + (f"^{e}" if e > 1 else "")
+                               for i, e in enumerate(exps) if e) or "1")
+                for exps, cls in spaces.generator_products(space, generators, max_degree)]
+    n = space.vars.count
+    out = {}
+    for degree in range(0, max_degree + 1, 2):
+        candidates = []
+        for cls, label in products:
+            if cls.degree <= degree and (degree - cls.degree) % 2 == 0:
+                monomials = sorted((tuple(c.count(i) for i in range(n)) for c in
+                                    combinations_with_replacement(range(n),
+                                                                  (degree - cls.degree) // 2)),
+                                   key=monomial_sort_key)
+                for mono in monomials:
+                    pure = EquivariantPolynomial(space.vars, POINT_ALGEBRA, {(mono, 0): 1})
+                    parts = [v + (f"^{e}" if e > 1 else "")
+                             for v, e in zip(space.vars.names, mono) if e]
+                    parts += [label] if label != "1" else []
+                    candidates.append(("*".join(parts) or "1", cls.mul_pure(pure)))
+        keys = sorted({(ci, exps, b) for _, cls in candidates
+                       for ci, f in enumerate(space.components)
+                       for exps, b in cls.restrictions[f.name].terms})
+        position = {(space.components[ci].name, exps, b): pos
+                    for pos, (ci, exps, b) in enumerate(keys)}
+        vectors = [dict(sorted((position[(name, exps, b)], c)
+                               for name, poly in cls.restrictions.items()
+                               for (exps, b), c in poly.terms.items() if c))
+                   for _, cls in candidates]
+        kept = linalg.independent_indices(vectors)
+        rows = linalg.transpose([vectors[i] for i in kept])
+        by_component = {f.name: [] for f in space.components}
+        for pos, (ci, _, _) in enumerate(keys):
+            if pos in rows:
+                by_component[space.components[ci].name].append(rows[pos])
+        out[degree] = ([candidates[i][0] for i in kept], [vectors[i] for i in kept],
+                       [(space.components[ci].name, exps, b) for ci, exps, b in keys],
+                       by_component)
+    return out
+
+
+def with_dependent_generator():
+    # u1 + u2 is a whole generator product that the slices already span
+    ds = load_dataset("s2xs2-t2")
+    return Dataset(ds.name, ds.space,
+                   ds.generators + [("w", ds.generator("u1") + ds.generator("u2"))])
+
+
+@pytest.mark.parametrize("build, degree", [
+    *[pytest.param(lambda name=name: load_dataset(name), 12, id=name) for name in BUNDLED],
+    pytest.param(lambda: load_dataset("s2xs2-nonisolated"), 14, id="s2xs2-nonisolated-14"),
+    pytest.param(lambda: sphere_product(3), 8, id="s2x3"),
+    pytest.param(lambda: projective(3, CP3_OFFSET), 8, id="cp3"),
+    pytest.param(lambda: sphere_product_diagonal(3), 8, id="s2x3-diag"),
+    pytest.param(with_dependent_generator, 12, id="s2xs2-t2-dependent-generator"),
+])
+def test_grown_slices_match_the_full_candidate_slices(build, degree):
+    # each slice grown from the one below keeps what every product times every
+    # monomial keeps: the same labels, vectors, keys and restriction rows
+    ds = build()
+    model = build_model(ds.space, ds.generators, degree)
+    oracle = full_candidate_slices(ds.space, ds.generators, degree)
+    assert sorted(model.basis_by_degree) == sorted(oracle)
+    for d, (labels, vectors, keys, rows) in oracle.items():
+        assert [el.label for el in model.basis_by_degree[d]] == labels, d
+        assert [el.vector for el in model.basis_by_degree[d]] == vectors, d
+        assert model._keys[d] == keys, d
+        assert model.restriction_rows[d] == rows, d
+
+
+def test_model_build_is_linear_in_the_degree(s2, monkeypatch):
+    # one variable multiple per (kept class, variable) of the slice below:
+    # s2's 501 slices to degree 1000 take 1 + 2 * 499 products; every product
+    # times every monomial would take 125,751
+    calls = []
+    mul_pure = RestrictedClass.mul_pure
+    monkeypatch.setattr(RestrictedClass, "mul_pure",
+                        lambda self, poly: calls.append(1) or mul_pure(self, poly))
+    model = build_model(s2.space, s2.generators, 1000)
+    below = sum(len(model.basis_by_degree[d]) for d in range(0, 1000, 2))
+    assert len(calls) == below * s2.space.vars.count == 999
 
 
 def test_subspace_classes_reconstruction(s2_model):
