@@ -5,7 +5,7 @@ also the loader of residue expression files (see the README), with the same
 errors.
 
 Schema (all rationals are strings "p/q" in lowest terms; weights and exponents
-are integer arrays):
+are integer arrays; a key outside the schema is an error):
 
     {
       "torus_rank": 1,
@@ -120,6 +120,13 @@ def _rational_rows(rows: list, path: str) -> tuple[tuple[Fraction, ...], ...]:
                  for r, row in enumerate(rows))
 
 
+def _known_keys(obj, keys: tuple[str, ...], path: str) -> None:
+    """Reject a key of the object outside the schema's keys for it."""
+    for key in _typed(obj, dict, path):
+        if key not in keys:
+            raise SchemaError(f"{path}.{key}: unknown key")
+
+
 def _expect(obj, key, kind, path: str):
     _typed(obj, dict, path)
     if key not in obj:
@@ -128,6 +135,7 @@ def _expect(obj, key, kind, path: str):
 
 
 def _algebra_from_json(obj, path: str) -> GradedAlgebra:
+    _known_keys(obj, ("basis", "degrees", "mult_table", "integral", "top_degree"), path)
     basis = _expect(obj, "basis", list, path)
     degrees = [_typed(d, int, f"{path}.degrees[{n}]")
                for n, d in enumerate(_expect(obj, "degrees", list, path))]
@@ -166,6 +174,7 @@ def _poly_from_terms(vars: Variables, algebra: GradedAlgebra, terms, path: str
         raise SchemaError(f"{path}: expected an array of terms")
     out: dict[tuple[tuple[int, ...], int], Fraction] = {}
     for t, term in enumerate(terms):
+        _known_keys(term, ("coeff", "exponents", "basis_index"), f"{path}[{t}]")
         exps, coeff = _term(term, vars.count, f"{path}[{t}]")
         b = _expect(term, "basis_index", int, f"{path}[{t}]")
         if not 0 <= b < len(algebra.basis):
@@ -176,6 +185,8 @@ def _poly_from_terms(vars: Variables, algebra: GradedAlgebra, terms, path: str
 
 
 def dataset_from_json(obj: dict, name: str) -> Dataset:
+    _known_keys(obj, ("torus_rank", "dim_M", "variables", "components", "generators",
+                      "weyl"), "$")
     rank = _expect(obj, "torus_rank", int, "$")
     dim = _expect(obj, "dim_M", int, "$")
     var_names = _expect(obj, "variables", list, "$")
@@ -187,6 +198,7 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
     components, weights = [], {}
     for c, cobj in enumerate(_expect(obj, "components", list, "$")):
         path = f"$.components[{c}]"
+        _known_keys(cobj, ("name", "moment", "algebra", "normal_lines"), path)
         cname = _expect(cobj, "name", str, path)
         moment = tuple(_frac(v, f"{path}.moment")
                        for v in _expect(cobj, "moment", list, path))
@@ -195,6 +207,7 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
         lines = []
         for l, lobj in enumerate(_expect(cobj, "normal_lines", list, path)):
             lpath = f"{path}.normal_lines[{l}]"
+            _known_keys(lobj, ("weight", "chern"), lpath)
             wraw = _expect(lobj, "weight", list, lpath)
             weight = LinearForm.make([_frac(v, f"{lpath}.weight") for v in wraw])
             weight = weights.setdefault(weight, weight)   # normalized once per space
@@ -217,6 +230,7 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
     generators = []
     for g, gobj in enumerate(_expect(obj, "generators", list, "$")):
         path = f"$.generators[{g}]"
+        _known_keys(gobj, ("name", "degree", "restrictions"), path)
         gname = _expect(gobj, "name", str, path)
         degree = _expect(gobj, "degree", int, path)
         rmap = _expect(gobj, "restrictions", dict, path)
@@ -257,9 +271,11 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
 
 def _weyl_from_json(wobj, space: HamiltonianSpace) -> WeylData:
     path = "$.weyl"
+    _known_keys(wobj, ("elements", "positive_roots"), path)
     elements = []
     for e, eobj in enumerate(_expect(wobj, "elements", list, path)):
         epath = f"{path}.elements[{e}]"
+        _known_keys(eobj, ("matrix", "perm", "algebra_maps"), epath)
         matrix = _rational_rows(_expect(eobj, "matrix", list, epath), f"{epath}.matrix")
         perm = tuple(_typed(v, int, f"{epath}.perm[{n}]")
                      for n, v in enumerate(_expect(eobj, "perm", list, epath)))
@@ -364,9 +380,7 @@ def load_expression(path: str) -> tuple[RationalSection, int, str]:
             raise SchemaError(
                 f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
-    for key in _typed(obj, dict, "$"):
-        if key not in ("variables", "variable", "numerator", "denominator"):
-            raise SchemaError(f"$.{key}: unknown key")
+    _known_keys(obj, ("variables", "variable", "numerator", "denominator"), "$")
     names = obj.get("variables")
     if (not isinstance(names, list) or not names
             or any(not isinstance(n, str) for n in names) or len(set(names)) != len(names)):

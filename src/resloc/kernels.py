@@ -78,7 +78,9 @@ class ModelElement:
 
 
 class DegreeTruncatedModel:
-    """Independent spanning sets for the even-degree slices up to max_degree.
+    """Independent spanning sets for the even-degree slices.  The checks run
+    through max_degree; the slices are built through max(max_degree, dim - 2),
+    as the checks pair against slices up to dim - 2.
 
     Slice d is grown from slice d - 2, one ``mul_pure`` by a variable per
     (kept element, variable), and keeps the labels, vectors and keys that
@@ -94,17 +96,20 @@ class DegreeTruncatedModel:
 
     def __init__(self, space: HamiltonianSpace,
                  generators: list[tuple[str, RestrictedClass]], max_degree: int,
-                 products: Iterable[tuple[tuple[int, ...], RestrictedClass]]):
+                 products: Iterable[tuple[tuple[int, ...], RestrictedClass]] | None):
         self.space = space
         self.generators = generators
         self.max_degree = max_degree
+        depth = max(max_degree, space.dim - 2)
+        if products is None:
+            products = generator_products(space, generators, depth)
         # filtering a deeper walk keeps generator_products' depth-first order
-        self.products = [(exps, cls) for exps, cls in products if cls.degree <= max_degree]
+        self.products = [(exps, cls) for exps, cls in products if cls.degree <= depth]
         self.basis_by_degree: dict[int, list[ModelElement]] = {}
         self.restriction_rows: dict[int, dict[str, list[Row]]] = {}
         self._positions: dict[int, dict[tuple[str, tuple[int, ...], int], int]] = {}
         self._keys: dict[int, list[tuple[str, tuple[int, ...], int]]] = {}
-        self._build()
+        self._build(depth)
 
     def class_vector(self, cls: RestrictedClass, degree: int) -> Row | None:
         """The restriction terms of cls by key position, or None when cls has
@@ -131,7 +136,7 @@ class DegreeTruncatedModel:
                 polys[name].terms[(exps, b)] = coefficient(c)
         return RestrictedClass(self.space, degree, polys)
 
-    def _build(self):
+    def _build(self, depth: int):
         space = self.space
         names = [name for name, cls in self.generators if cls.degree > 0]
         nvars = space.vars.count
@@ -142,7 +147,7 @@ class DegreeTruncatedModel:
             grown_by_degree.setdefault(cls.degree, {})[(p, (0,) * nvars)] = cls
         # the kept elements of the slice below, with their keys
         below: list[tuple[tuple[int, tuple[int, ...]], ModelElement]] = []
-        for degree in range(0, self.max_degree + 1, 2):
+        for degree in range(0, depth + 1, 2):
             # then the slice below times each variable
             grown = grown_by_degree.pop(degree, {})
             for (p, mono), el in below:
@@ -182,17 +187,16 @@ def build_model(space: HamiltonianSpace, generators: list[tuple[str, RestrictedC
                 max_degree: int,
                 products: Iterable[tuple[tuple[int, ...], RestrictedClass]] | None = None
                 ) -> DegreeTruncatedModel:
-    """The model through max_degree.  ``products`` is a walk of
-    ``generator_products`` to at least max_degree, for a caller that has one;
-    the model walks its own when it is None."""
+    """The model checked through max_degree (see ``DegreeTruncatedModel``).
+    ``products`` is a walk of ``generator_products`` to at least
+    max(max_degree, dim - 2), for a caller that has one; the model walks its
+    own when it is None."""
     names = [n for n, _ in generators]
     if len(set(names)) != len(names):
         raise ValidationError("generator names must be distinct")
     if not any(cls.degree == 0 and cls == RestrictedClass.unit(space)
                for _, cls in generators):
         raise ValidationError("generator list must contain the unit class")
-    if products is None:
-        products = generator_products(space, generators, max_degree)
     return DegreeTruncatedModel(space, generators, max_degree, products)
 
 
@@ -251,7 +255,7 @@ def circle_testing_classes(model: DegreeTruncatedModel,
                            xi: CircleDirection) -> list[RestrictedClass]:
     """Testing classes for the circle-level pairing along xi: module
     generators, over Sym(ann xi), of the model slices up to total degree
-    cap = min(dim - 2, max_degree).
+    cap = dim - 2, which the model always builds.
 
     The circle integral is linear over the polynomials on t/s: it takes
     p * eta to p * (its value on eta) for p in Sym(ann xi).  With i the first
@@ -264,7 +268,7 @@ def circle_testing_classes(model: DegreeTruncatedModel,
     xi_i X_k - xi_k X_i (k != i) of ann xi.
     """
     space = model.space
-    cap = min(space.dim - 2, model.max_degree)
+    cap = space.dim - 2
     n, vec = space.vars.count, xi.vector
     i = next(k for k, v in enumerate(vec) if v)
     e = [tuple(int(m == k) for m in range(n)) for k in range(n)]
@@ -316,9 +320,9 @@ class CircleKernelRow:
         return self.sum_direct and self.equal
 
 
-def check_circle_kernel_split(model: DegreeTruncatedModel, degrees: list[int],
+def check_circle_kernel_split(model: DegreeTruncatedModel,
                               integral: KirwanIntegral) -> list[CircleKernelRow]:
-    """Degreewise comparison: the kernel of a circle integral against the
+    """Degreewise through max_degree: a circle integral's kernel against the
     direct sum of the two one-sided vanishing subspaces of its direction.
 
     The one integral and the one set of testing classes serve every degree,
@@ -329,7 +333,7 @@ def check_circle_kernel_split(model: DegreeTruncatedModel, degrees: list[int],
     minus_side = frozenset(f.name for f in model.space.components) - plus_side
     testing = circle_testing_classes(model, integral.xi)
     rows = []
-    for d in degrees:
+    for d in range(0, model.max_degree + 1, 2):
         kernel = circle_kernel(model, d, integral, testing)
         minus = vanishing_subspace(model, minus_side, d)
         plus = vanishing_subspace(model, plus_side, d)
@@ -442,11 +446,10 @@ def positive_sides(space: HamiltonianSpace, chambers: ChamberSet) -> list[frozen
 
 def complementary_slice(model: DegreeTruncatedModel, degree: int) -> list[RestrictedClass]:
     """The testing classes of the torus-level pairing on classes of this
-    degree: the model slice of degree dim - 2 * rank - degree, or none when
-    that degree lies outside 0..max_degree."""
+    degree: the model slice of degree dim - 2 * rank - degree, which is at
+    most dim - 2 and so built, or none when that degree is negative."""
     comp = model.space.dim - 2 * model.space.vars.count - degree
-    return ([el.cls for el in model.basis_by_degree[comp]]
-            if 0 <= comp <= model.max_degree else [])
+    return [el.cls for el in model.basis_by_degree[comp]] if comp >= 0 else []
 
 
 def torus_kernel(model: DegreeTruncatedModel, degree: int,
@@ -466,20 +469,19 @@ class FullKernelRow:
     equal: bool
 
 
-def check_full_kernel(model: DegreeTruncatedModel, degrees: list[int],
-                      integral: KirwanIntegral
+def check_full_kernel(model: DegreeTruncatedModel, integral: KirwanIntegral
                       ) -> tuple[list[FullKernelRow], ChamberSet]:
-    """Degreewise comparison of the torus-level kernel with the span, over all
-    chambers, of the two one-sided vanishing subspaces.  Chambers share sides,
-    so each distinct set (a chamber's positive side or its complement) is
-    reduced once per degree."""
+    """Degreewise comparison through max_degree of the torus-level kernel with
+    the span, over all chambers, of the two one-sided vanishing subspaces.
+    Chambers share sides, so each distinct set (a chamber's positive side or
+    its complement) is reduced once per degree."""
     chambers = enumerate_generic_directions(model.space)
     everything = frozenset(f.name for f in model.space.components)
     vanishing_sets: dict[frozenset[str], None] = {}
     for plus in positive_sides(model.space, chambers):
         vanishing_sets.update(dict.fromkeys((everything - plus, plus)))
     rows = []
-    for d in degrees:
+    for d in range(0, model.max_degree + 1, 2):
         kernel = torus_kernel(model, d, integral)
         stacked = [vec for names in vanishing_sets
                    for vec in vanishing_subspace(model, names, d).coeffs]

@@ -782,13 +782,6 @@ class RationalSection:
                 p = p.div_exact_linear(form)
         return p
 
-    def is_polynomial(self) -> bool:
-        try:
-            self.as_polynomial()
-            return True
-        except ExactDivisionError:
-            return False
-
     def constant_value(self) -> Fraction:
         if self.denom:
             raise ValidationError("section still has denominator factors")

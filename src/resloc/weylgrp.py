@@ -271,9 +271,9 @@ class AntisymmetrizedSpanRow:
 
 
 def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
-                             degrees: list[int], integral: KirwanIntegral
+                             integral: KirwanIntegral
                              ) -> tuple[list[NonabelianRow], list[AntisymmetrizedSpanRow]]:
-    """The nonabelian kernel relations, degree by degree.
+    """The nonabelian kernel relations, degree by degree through max_degree.
 
     Each row compares, inside the invariant slice, three descriptions of the
     nonabelian kernel: the null space of the nonabelian pairing against
@@ -309,10 +309,11 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
         if degree not in divided:
             twice = [cls.mul_pure(d2poly) for cls in invariant(degree)[1]]
             comp = top - degree
-            testing = invariant(comp)[1] if 0 <= comp <= model.max_degree else []
+            testing = invariant(comp)[1] if comp >= 0 else []
             divided[degree] = (twice, pairing_kernel(integral, twice, testing))
         return divided[degree]
 
+    degrees = range(0, model.max_degree + 1, 2)
     rows = []
     for d in degrees:
         inv_classes = invariant(d)[1]

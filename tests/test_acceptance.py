@@ -162,7 +162,7 @@ def test_circle_kernel_splits_as_direct_sum_in_every_chamber():
         assert len(chambers.chambers) == chambers.expected
         for chamber in chambers.chambers:
             integral = circle_integral(ds.space, chamber.representative)
-            rows = check_circle_kernel_split(model, [0, 2, 4], integral)
+            rows = check_circle_kernel_split(model, integral)
             for r in rows:
                 assert r.sum_direct and r.equal, (name, chamber.signs, r)
             total = sum(r.kernel.dim for r in rows)
@@ -178,7 +178,7 @@ def test_torus_kernel_is_sum_of_chamber_subspaces():
     for name in ("s2", "s2xs2-t2"):
         ds = load_dataset(name)
         model = build_model(ds.space, ds.generators, 4)
-        rows, chambers = check_full_kernel(model, [0, 2, 4], torus_integral(ds.space))
+        rows, chambers = check_full_kernel(model, torus_integral(ds.space))
         assert chambers.expected == len(chambers.chambers)
         for r in rows:
             assert r.equal, (name, r)
@@ -193,8 +193,7 @@ def test_nonabelian_kernel_descriptions_coincide():
     start = time.monotonic()
     ds = load_dataset("s2cubed-su2")
     model = build_model(ds.space, ds.generators, 6)
-    rows, _ = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6],
-                                               torus_integral(ds.space))
+    rows, _ = check_nonabelian_kernels(model, ds.weyl, torus_integral(ds.space))
     for r in rows:
         assert r.equal, r
     assert [r.pairing_kernel_dim for r in rows] == [0, 3, 4, 4]
@@ -207,8 +206,7 @@ def test_antisymmetrized_torus_kernel_spans_nonabelian_kernel():
     the nonabelian kernel two degrees down, per degree."""
     ds = load_dataset("s2cubed-su2")
     model = build_model(ds.space, ds.generators, 6)
-    _, span_rows = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6],
-                                               torus_integral(ds.space))
+    _, span_rows = check_nonabelian_kernels(model, ds.weyl, torus_integral(ds.space))
     assert [(r.source_degree, r.target_degree, r.span_dim, r.kernel_dim)
             for r in span_rows] == [(2, 0, 0, 0), (4, 2, 3, 3), (6, 4, 4, 4)]
     for row in span_rows:

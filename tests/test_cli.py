@@ -55,6 +55,20 @@ def test_validate_flipped_weights_fails(capsys, tmp_path):
     assert failing and report["results"]["failures"]
 
 
+def test_validate_one_negated_weight_names_the_pole(capsys, tmp_path):
+    # the unit's sum 1/X + 1/X keeps its pole; u's sum is still polynomial
+    obj = dataset_to_json(load_dataset("s2"))
+    line = obj["components"][0]["normal_lines"][0]
+    line["weight"] = [-line["weight"][0]]
+    p = tmp_path / "s2-flipped.json"
+    p.write_text(json.dumps(obj))
+    code, report, err = run_json(capsys, "validate", str(p))
+    assert code == 1 and not err
+    [failure] = report["results"]["failures"]
+    assert failure.startswith("one: localization sum has a pole")
+    assert report["results"]["products_checked"] == 1
+
+
 def test_validate_deep_products(capsys):
     # s2's one generator to the 1000th power: the product walk and the
     # localization sums need no recursion as deep as the product
@@ -125,6 +139,42 @@ def test_dataset_loader_type_errors_exit_two(capsys, tmp_path, dataset, where, v
     code, out, err = run(capsys, "validate", str(p))
     assert code == 2 and not out
     assert json_path in err
+
+
+def test_misspelt_weyl_section_exits_two(capsys, tmp_path):
+    # an optional section under a wrong name is an error, not an absent section
+    obj = dataset_to_json(load_dataset("s2cubed-su2"))
+    obj["wyel"] = obj.pop("weyl")
+    p = tmp_path / "wyel.json"
+    p.write_text(json.dumps(obj))
+    for argv in (("validate", str(p)), ("kernel", str(p), "--nonabelian")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == "error: $.wyel: unknown key\n"
+
+
+@pytest.mark.parametrize("where, json_path", [
+    (("dim",), "$.dim"),
+    (("components", 0, "momentt"), "$.components[0].momentt"),
+    (("components", 0, "algebra", "top-degree"), "$.components[0].algebra.top-degree"),
+    (("components", 0, "normal_lines", 0, "weights"),
+     "$.components[0].normal_lines[0].weights"),
+    (("generators", 1, "degre"), "$.generators[1].degre"),
+    (("generators", 1, "restrictions", "SSS", 0, "basis"),
+     "$.generators[1].restrictions.SSS[0].basis"),
+    (("weyl", "positive_root"), "$.weyl.positive_root"),
+    (("weyl", "elements", 1, "permutation"), "$.weyl.elements[1].permutation"),
+], ids=["root", "component", "algebra", "normal-line", "generator", "term", "weyl",
+        "element"])
+def test_dataset_loader_rejects_unknown_keys(capsys, tmp_path, where, json_path):
+    # a key outside the schema, beside the keys it may be a misspelling of
+    obj = dataset_to_json(load_dataset("s2cubed-su2"))
+    _set(obj, where, 0)
+    p = tmp_path / "extra.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "validate", str(p))
+    assert code == 2 and not out
+    assert err == f"error: {json_path}: unknown key\n"
 
 
 # -- residue ---------------------------------------------------------------------

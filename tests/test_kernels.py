@@ -35,6 +35,7 @@ from resloc.spaces import (
     NonGenericError,
     RestrictedClass,
     circle_integral,
+    find_generic_direction,
     is_generic,
     positive_side,
     torus_integral,
@@ -49,6 +50,7 @@ from resloc.symcore import (
     monomial_sort_key,
     substitution,
 )
+from resloc.weylgrp import check_nonabelian_kernels
 
 
 def lf(*coeffs):
@@ -248,7 +250,7 @@ def test_circle_split_rejects_nongeneric(s2xs2_model):
     # the circle integral the check takes cannot be built for (1, 0)
     with pytest.raises(NonGenericError):
         check_circle_kernel_split(
-            s2xs2_model, [2], circle_integral(s2xs2_model.space, CircleDirection.make((1, 0))))
+            s2xs2_model, circle_integral(s2xs2_model.space, CircleDirection.make((1, 0))))
 
 
 # -- circle-level kernel -----------------------------------------------------------
@@ -257,8 +259,8 @@ def test_circle_split_rejects_nongeneric(s2xs2_model):
 def test_circle_split_s2_all_chambers(s2_model):
     for xi in ((1,), (-1,)):
         integral = circle_integral(s2_model.space, CircleDirection.make(xi))
-        rows = check_circle_kernel_split(s2_model, [0, 2, 4], integral)
-        assert [(r.degree, r.kernel.dim, r.minus.dim, r.plus.dim) for r in rows] == \
+        rows = check_circle_kernel_split(s2_model, integral)
+        assert [(r.degree, r.kernel.dim, r.minus.dim, r.plus.dim) for r in rows[:3]] == \
             [(0, 0, 0, 0), (2, 2, 1, 1), (4, 2, 1, 1)]
         assert all(r.ok for r in rows)
 
@@ -267,7 +269,7 @@ def test_circle_split_sides_follow_the_integral_direction(s2_model):
     # the check reads xi from the integral: reversing it swaps the sides
     for xi, plus_names in (((1,), {"N"}), ((-1,), {"S"})):
         integral = circle_integral(s2_model.space, CircleDirection.make(xi))
-        [row] = check_circle_kernel_split(s2_model, [2], integral)
+        [row] = [r for r in check_circle_kernel_split(s2_model, integral) if r.degree == 2]
         minus_names = {"N", "S"} - plus_names
         assert row.plus.dim == row.minus.dim == 1
         assert all(cls.restrictions[n].is_zero()
@@ -278,8 +280,8 @@ def test_circle_split_sides_follow_the_integral_direction(s2_model):
 
 def test_circle_split_s2xs2(s2xs2_model):
     integral = circle_integral(s2xs2_model.space, CircleDirection.make((1, 2)))
-    rows = check_circle_kernel_split(s2xs2_model, [0, 2, 4], integral)
-    assert [(r.degree, r.kernel.dim, r.minus.dim, r.plus.dim) for r in rows] == \
+    rows = check_circle_kernel_split(s2xs2_model, integral)
+    assert [(r.degree, r.kernel.dim, r.minus.dim, r.plus.dim) for r in rows[:3]] == \
         [(0, 0, 0, 0), (2, 2, 1, 1), (4, 6, 3, 3)]
     assert all(r.ok for r in rows)
 
@@ -287,7 +289,7 @@ def test_circle_split_s2xs2(s2xs2_model):
 def test_circle_split_nonisolated(nonisolated):
     model = build_model(nonisolated.space, nonisolated.generators, 4)
     integral = circle_integral(nonisolated.space, CircleDirection.make((1,)))
-    rows = check_circle_kernel_split(model, [0, 2, 4], integral)
+    rows = check_circle_kernel_split(model, integral)
     assert [(r.degree, r.kernel.dim, r.minus.dim, r.plus.dim) for r in rows] == \
         [(0, 0, 0, 0), (2, 2, 1, 1), (4, 4, 2, 2)]
     assert all(r.ok for r in rows)
@@ -323,7 +325,7 @@ def test_circle_split_shared_integral_matches_fresh(s2xs2_model, nonisolated, me
         poles_route()
     nonisolated_model = build_model(nonisolated.space, nonisolated.generators, 4)
     cases = [(s2xs2_model, (1, 2)), (nonisolated_model, (1,))]
-    shared = [check_circle_kernel_split(model, [0, 2, 4],
+    shared = [check_circle_kernel_split(model,
                                         circle_integral(model.space, CircleDirection.make(xi)))
               for model, xi in cases]
     if method == "poles":
@@ -337,10 +339,10 @@ def test_circle_split_shared_integral_matches_fresh(s2xs2_model, nonisolated, me
 
 
 def whole_slice_kernel(model, degree, integral):
-    """The circle kernel against every model class of degree at most
-    min(dim - 2, max_degree): the testing set the module generators replace."""
-    cap = min(model.space.dim - 2, model.max_degree)
-    testing = [el.cls for zdeg in range(0, cap + 1, 2) for el in model.basis_by_degree[zdeg]]
+    """The circle kernel against every model class of degree at most dim - 2:
+    the testing set the module generators replace."""
+    testing = [el.cls for zdeg in range(0, model.space.dim - 1, 2)
+               for el in model.basis_by_degree[zdeg]]
     classes = [el.cls for el in model.basis_by_degree[degree]]
     return pairing_kernel(integral, classes, testing)
 
@@ -370,14 +372,14 @@ def reexpressed(ds, matrix):
 
 def spans_every_slice(model, xi, testing):
     """Whether the multiples of the testing classes by polynomials vanishing
-    on xi span every model slice up to min(dim - 2, max_degree).  The forms
+    on xi span every model slice up to dim - 2.  The forms
     xi_j X_k - xi_k X_j (j < k) span the annihilator of xi whatever its
     zero entries."""
     vars, vec = model.space.vars, xi.vector
     unit = [tuple(int(m == k) for m in range(vars.count)) for k in range(vars.count)]
     forms = [EquivariantPolynomial(vars, POINT_ALGEBRA, {(unit[k], 0): vec[j], (unit[j], 0): -vec[k]})
              for j, k in combinations(range(vars.count), 2)]
-    for zdeg in range(0, min(model.space.dim - 2, model.max_degree) + 1, 2):
+    for zdeg in range(0, model.space.dim - 1, 2):
         span = []
         for cls in testing:
             if cls.degree <= zdeg:
@@ -418,7 +420,7 @@ def test_circle_kernel_matches_the_whole_slice_kernel(build, directions):
         xi = CircleDirection.make(xi)
         assert spans_every_slice(model, xi, circle_testing_classes(model, xi))
         integral = circle_integral(space, xi)
-        rows = check_circle_kernel_split(model, [0, 2, 4], integral)
+        rows = check_circle_kernel_split(model, integral)
         assert all(r.ok for r in rows)
         for r in rows:
             assert r.kernel.coeffs == whole_slice_kernel(model, r.degree, integral)
@@ -463,7 +465,7 @@ def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch,
     assert len(calls) == len(expansion_builds) == 6
 
 
-def test_circle_integral_adapts_only_on_residue_misses(s2xs2_model, monkeypatch,
+def test_circle_integral_adapts_only_on_residue_misses(s2xs2, monkeypatch,
                                                       expansion_builds):
     # a monomial is moved into adapted coordinates only when its residue is
     # computed, never for a table hit or a whole class, and an expansion at
@@ -482,8 +484,9 @@ def test_circle_integral_adapts_only_on_residue_misses(s2xs2_model, monkeypatch,
 
     monkeypatch.setattr(spaces.AdaptedSpace, "adapt", counted_adapt)
     monkeypatch.setattr(spaces, "res_x_plus_series", counted_residue)
-    integral = circle_integral(s2xs2_model.space, CircleDirection.make((1, 2)))
-    check_circle_kernel_split(s2xs2_model, [0, 2, 4], integral)
+    model = build_model(s2xs2.space, s2xs2.generators, 4)
+    integral = circle_integral(s2xs2.space, CircleDirection.make((1, 2)))
+    check_circle_kernel_split(model, integral)
     assert calls["adapt"] == calls["residue"] == 18
     assert len(expansion_builds) == 8
 
@@ -664,15 +667,14 @@ def test_chambers_exact_on_sphere_products(k, count):
 
 
 def test_torus_kernel_s2xs2(s2xs2_model):
-    rows, chambers = check_full_kernel(s2xs2_model, [0, 2, 4],
-                                       torus_integral(s2xs2_model.space))
+    rows, chambers = check_full_kernel(s2xs2_model, torus_integral(s2xs2_model.space))
     assert len(chambers.chambers) == chambers.expected == 8
-    assert [(r.degree, r.kernel.dim, r.chamber_sum_dim) for r in rows] == \
+    assert [(r.degree, r.kernel.dim, r.chamber_sum_dim) for r in rows[:3]] == \
         [(0, 0, 0), (2, 4, 4), (4, 8, 8)]
     assert all(r.equal for r in rows)
 
 
-def test_full_kernel_reduces_each_vanishing_set_once(s2xs2_model, monkeypatch):
+def test_full_kernel_reduces_each_vanishing_set_once(s2xs2, monkeypatch):
     calls = []
     real = kernels.vanishing_subspace
 
@@ -681,11 +683,11 @@ def test_full_kernel_reduces_each_vanishing_set_once(s2xs2_model, monkeypatch):
         return real(model, names, degree)
 
     monkeypatch.setattr(kernels, "vanishing_subspace", counted)
-    rows, chambers = check_full_kernel(s2xs2_model, [0, 2, 4],
-                                       torus_integral(s2xs2_model.space))
+    model = build_model(s2xs2.space, s2xs2.generators, 4)
+    rows, chambers = check_full_kernel(model, torus_integral(s2xs2.space))
     assert all(r.equal for r in rows)
-    everything = frozenset(f.name for f in s2xs2_model.space.components)
-    sides = {frozenset(f.name for f in s2xs2_model.space.components
+    everything = frozenset(f.name for f in s2xs2.space.components)
+    sides = {frozenset(f.name for f in s2xs2.space.components
                        if ch.representative.pair(f.moment) > 0)
              for ch in chambers.chambers}
     distinct = sides | {everything - side for side in sides}
@@ -702,7 +704,7 @@ def test_full_kernel_rank_four_sphere_product():
     ds = sphere_product(4)
     space = ds.space
     model = build_model(space, ds.generators, 4)
-    rows, chambers = check_full_kernel(model, [0, 2, 4], torus_integral(space))
+    rows, chambers = check_full_kernel(model, torus_integral(space))
     assert len(chambers.chambers) == chambers.expected == 192
     assert [(r.degree, r.kernel.dim, r.chamber_sum_dim) for r in rows] == \
         [(0, 0, 0), (2, 8, 8), (4, 32, 32)]
@@ -727,9 +729,9 @@ def test_positive_sides_follow_moment_orientation():
 
 
 def test_torus_kernel_s2(s2_model):
-    rows, chambers = check_full_kernel(s2_model, [0, 2, 4], torus_integral(s2_model.space))
+    rows, chambers = check_full_kernel(s2_model, torus_integral(s2_model.space))
     assert len(chambers.chambers) == chambers.expected == 2
-    assert [(r.degree, r.kernel.dim, r.chamber_sum_dim) for r in rows] == \
+    assert [(r.degree, r.kernel.dim, r.chamber_sum_dim) for r in rows[:3]] == \
         [(0, 0, 0), (2, 2, 2), (4, 2, 2)]
     assert all(r.equal for r in rows)
 
@@ -747,3 +749,41 @@ def test_torus_pairing_fixed_direction_matches_default(s2xs2_model):
         integral = torus_integral(s2xs2_model.space, CircleDirection.make(xi))
         assert integral(unit * unit) == 1
 
+
+
+# -- the model's depth -------------------------------------------------------------
+
+
+DEPTH_CASES = (
+    [pytest.param(lambda name=name: load_dataset(name), id=name) for name in BUNDLED]
+    + [pytest.param(lambda: sphere_product(3), id="s2x3"),
+       pytest.param(lambda: projective(3, CP3_OFFSET), id="cp3"),
+       pytest.param(lambda: sphere_product_diagonal(3), id="s2x3-diag"),
+       pytest.param(lambda: sphere_product_diagonal(5), id="s2x5-diag")])
+
+
+def all_check_rows(ds, max_degree):
+    """Every check's rows on the model of this max_degree: the circle split
+    along the generic direction, the full kernel and, with a Weyl group, the
+    nonabelian and antisymmetrized-span rows."""
+    model = build_model(ds.space, ds.generators, max_degree)
+    integral = torus_integral(ds.space)
+    rows = {"circle": check_circle_kernel_split(
+                model, circle_integral(ds.space, find_generic_direction(ds.space))),
+            "full": check_full_kernel(model, integral)[0]}
+    if ds.weyl is not None:
+        rows["nonabelian"], rows["span"] = check_nonabelian_kernels(model, ds.weyl, integral)
+    return rows
+
+
+@pytest.mark.parametrize("build", DEPTH_CASES)
+def test_checks_do_not_depend_on_the_requested_depth(build):
+    # a check on a shallow model reads the leading rows of the same check on
+    # the model through dim M: the model itself reaches dim - 2
+    ds = build()
+    deepest = all_check_rows(ds, ds.space.dim)
+    for max_degree in range(0, ds.space.dim + 1, 2):
+        rows = all_check_rows(ds, max_degree)
+        assert [r.degree for r in rows["circle"]] == list(range(0, max_degree + 1, 2))
+        for check, got in rows.items():
+            assert got == deepest[check][:len(got)], (check, max_degree)

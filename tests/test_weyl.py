@@ -198,8 +198,7 @@ def test_kappa_k_symmetrized_generator(ds):
 
 
 def test_nonabelian_kernel_rows(model, ds):
-    rows, _ = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6],
-                                       torus_integral(ds.space))
+    rows, _ = check_nonabelian_kernels(model, ds.weyl, torus_integral(ds.space))
     assert [(r.degree, r.invariant_dim, r.pairing_kernel_dim,
              r.once_divided_dim, r.twice_divided_dim) for r in rows] == \
         [(0, 1, 0, 0, 0), (2, 3, 3, 3, 3), (4, 4, 4, 4, 4), (6, 4, 4, 4, 4)]
@@ -216,7 +215,7 @@ def test_nonabelian_checks_solve_each_invariant_slice_once(ds, monkeypatch):
 
     monkeypatch.setattr(weylgrp, "invariant_subspace", counted)
     check_nonabelian_kernels(build_model(ds.space, ds.generators, 6), ds.weyl,
-                             [0, 2, 4, 6], torus_integral(ds.space))
+                             torus_integral(ds.space))
     assert sorted(solved) == [0, 2, 4, 6]
 
 
@@ -231,8 +230,7 @@ def test_invariant_subspace_rejects_unstable_slice(ds, monkeypatch):
 
 
 def test_antisymmetrized_span_rows(model, ds):
-    _, got = check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6],
-                                      torus_integral(ds.space))
+    _, got = check_nonabelian_kernels(model, ds.weyl, torus_integral(ds.space))
     assert [(r.source_degree, r.target_degree, r.span_dim, r.kernel_dim)
             for r in got] == [(2, 0, 0, 0), (4, 2, 3, 3), (6, 4, 4, 4)]
     assert all(r.equal for r in got)
@@ -240,13 +238,15 @@ def test_antisymmetrized_span_rows(model, ds):
 
 def test_antisymmetrized_span_rejects_class_outside_the_slice(ds, monkeypatch):
     # on a [one, u1] model the degree-2 slice is spanned by X and u1; a
-    # division landing on u2 has left it
+    # division of a degree-4 class landing on u2 has left it
     model = build_model(ds.space, [("one", ds.generator("one")),
                                    ("u1", ds.generator("u1"))], 4)
     u2 = ds.generator("u2")
-    monkeypatch.setattr(weylgrp, "brion_divide", lambda weyl, cls: u2)
+    real = weylgrp.brion_divide
+    monkeypatch.setattr(weylgrp, "brion_divide",
+                        lambda weyl, cls: u2 if cls.degree == 4 else real(weyl, cls))
     with pytest.raises(ValidationError, match="left the model span"):
-        check_nonabelian_kernels(model, ds.weyl, [4], torus_integral(ds.space))
+        check_nonabelian_kernels(model, ds.weyl, torus_integral(ds.space))
 
 
 def test_nonabelian_check_acts_once_per_element_and_basis_class(model, ds, monkeypatch):
@@ -259,7 +259,7 @@ def test_nonabelian_check_acts_once_per_element_and_basis_class(model, ds, monke
         return real(self, w, cls)
 
     monkeypatch.setattr(WeylData, "act", counted)
-    check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6], torus_integral(ds.space))
+    check_nonabelian_kernels(model, ds.weyl, torus_integral(ds.space))
     sizes = [len(model.basis_by_degree[d]) for d in (0, 2, 4, 6)]
     assert sizes == [1, 4, 7, 8]
     assert len(acted) == len(ds.weyl.nonidentity) * sum(sizes) == 20
@@ -316,7 +316,7 @@ def test_coordinate_route_equals_class_route(ds, antisymmetrize, monkeypatch,
         return quotient
 
     monkeypatch.setattr(weylgrp, "brion_divide", recorded)
-    check_nonabelian_kernels(model, weyl, degrees, integral)
+    check_nonabelian_kernels(model, weyl, integral)
     expected = []
     for source in degrees[r:]:
         for cls in folded_classes(model, torus_kernel(model, source, integral)):
@@ -339,7 +339,7 @@ def test_nonabelian_check_never_acts_with_the_identity(model, ds, monkeypatch):
         return real(self, w, cls)
 
     monkeypatch.setattr(WeylData, "act", counted)
-    check_nonabelian_kernels(model, ds.weyl, [0, 2, 4, 6], torus_integral(ds.space))
+    check_nonabelian_kernels(model, ds.weyl, torus_integral(ds.space))
     assert acted
     assert ds.weyl.identity() not in acted
 
