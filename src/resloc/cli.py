@@ -14,15 +14,13 @@ keys, rationals as "p/q" strings, graded-lexicographic monomial order.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from importlib import resources
 
 from . import kernels, weylgrp
-from .datasets import BUNDLED, Dataset, SchemaError, _fs, load_dataset, load_expression
+from .datasets import Dataset, SchemaError, _fs, load_dataset, load_expression
 from .residues import VariableOrdering, res_x_plus
 from .spaces import (
     CircleDirection,
@@ -38,18 +36,6 @@ from .spaces import (
 from .symcore import Q, ValidationError
 
 __all__ = ["main"]
-
-
-def _digest(source: str) -> str:
-    if source not in BUNDLED:
-        return _file_digest(source)
-    raw = resources.files("resloc").joinpath("data", f"{source}.json").read_bytes()
-    return hashlib.sha256(raw).hexdigest()
-
-
-def _file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _render_text(report: dict) -> str:
@@ -144,7 +130,7 @@ def _load(args) -> Dataset | None:
 def cmd_validate(args) -> int:
     if (ds := _load(args)) is None:
         return 2
-    report = _report("validate", args.dataset, _digest(args.dataset),
+    report = _report("validate", args.dataset, ds.sha256,
                      {"max_degree": args.max_degree})
     _add_check(report, "schema", True,
                f"{len(ds.space.components)} components, "
@@ -170,11 +156,11 @@ def cmd_validate(args) -> int:
 
 def cmd_residue(args) -> int:
     try:
-        section, var, var_name = load_expression(args.expression)
+        section, var, var_name, digest = load_expression(args.expression)
     except (SchemaError, KeyError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    report = _report("residue", args.expression, _file_digest(args.expression),
+    report = _report("residue", args.expression, digest,
                      {"variable": var_name})
     by_poles = res_x_plus(section, var, method="poles")
     by_series = res_x_plus(section, var, method="series")
@@ -322,7 +308,7 @@ def cmd_kernel(args) -> int:
         sys.stderr.write("error: inconsistent fixed-point data (run validate): "
                          f"{failures[0]}\n")
         return 2
-    report = _report("kernel", args.dataset, _digest(args.dataset),
+    report = _report("kernel", args.dataset, ds.sha256,
                      {"mode": modes[0], "max_degree": args.max_degree,
                       "ordering": args.ordering, "delta": args.delta,
                       "calibrate": args.calibrate})

@@ -32,6 +32,8 @@ are integer arrays; a key outside the schema is an error):
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,6 +82,7 @@ class Dataset:
     space: HamiltonianSpace
     generators: list[tuple[str, RestrictedClass]]
     weyl: WeylData | None = None
+    sha256: str | None = None  # of the file it was loaded from
 
     def generator(self, name: str) -> RestrictedClass:
         for n, cls in self.generators:
@@ -354,32 +357,41 @@ def dataset_to_json(ds: Dataset) -> dict:
     return out
 
 
+def _read(source: str, bundled: bool = False) -> tuple[str, str]:
+    """The one read of an input, a file path or a bundled dataset's name: its
+    text, decoded as a text-mode open decodes it, and the sha256 of the bytes
+    read, which a report records."""
+    if bundled:
+        raw = resources.files("resloc").joinpath("data", f"{source}.json").read_bytes()
+    else:
+        with open(source, "rb") as fh:
+            raw = fh.read()
+    return io.TextIOWrapper(io.BytesIO(raw)).read(), hashlib.sha256(raw).hexdigest()
+
+
 def load_dataset(source: str) -> Dataset:
     """Load a bundled dataset by name or any dataset from a file path."""
-    if source in BUNDLED:
-        text = resources.files("resloc").joinpath("data", f"{source}.json").read_text()
-        name = source
-    else:
-        with open(source) as fh:
-            text = fh.read()
-        name = source.rsplit("/", 1)[-1].removesuffix(".json")
+    bundled = source in BUNDLED
+    text, digest = _read(source, bundled)
+    name = source if bundled else source.rsplit("/", 1)[-1].removesuffix(".json")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    return dataset_from_json(obj, name)
+    ds = dataset_from_json(obj, name)
+    ds.sha256 = digest
+    return ds
 
 
-def load_expression(path: str) -> tuple[RationalSection, int, str]:
-    """Load a residue expression file: the rational section, and the index and
-    name of the variable to take the residue in."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+def load_expression(path: str) -> tuple[RationalSection, int, str, str]:
+    """Load a residue expression file: the rational section, the index and
+    name of the variable to take the residue in, and the file's sha256."""
+    text, digest = _read(path)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(
+            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _known_keys(obj, ("variables", "variable", "numerator", "denominator"), "$")
     names = obj.get("variables")
     if (not isinstance(names, list) or not names
@@ -388,12 +400,14 @@ def load_expression(path: str) -> tuple[RationalSection, int, str]:
     vars = Variables(tuple(names))
     terms = {}
     for t, term in enumerate(_expect(obj, "numerator", list, "$")):
+        _known_keys(term, ("coeff", "exponents"), f"$.numerator[{t}]")
         exps, coeff = _term(term, vars.count, f"$.numerator[{t}]")
         terms[(exps, 0)] = terms.get((exps, 0), Q(0)) + coeff
     numer = EquivariantPolynomial(vars, POINT_ALGEBRA, terms)
     denom: dict[LinearForm, int] = {}
     for d, factor in enumerate(_expect(obj, "denominator", list, "$")):
         dpath = f"$.denominator[{d}]"
+        _known_keys(factor, ("form", "multiplicity"), dpath)
         coeffs = [_frac(v, f"{dpath}.form") for v in _expect(factor, "form", list, dpath)]
         if len(coeffs) != vars.count:
             raise SchemaError(f"{dpath}.form: expected {vars.count} entries")
@@ -408,7 +422,7 @@ def load_expression(path: str) -> tuple[RationalSection, int, str]:
     var_name = obj.get("variable", names[0])
     if var_name not in names:
         raise SchemaError(f"$.variable: unknown variable {var_name!r}")
-    return section, names.index(var_name), var_name
+    return section, names.index(var_name), var_name, digest
 
 
 # -- builders: the bundled examples and three families of test spaces ----------

@@ -35,15 +35,6 @@ class Echelon:
         for row in rows:
             self.add(row)
 
-    def rank_with(self, rows: list[Row]) -> int:
-        """Rank of this span plus rows, inserted into a copy; ``add`` changes
-        the kept rows in place, so the copy copies them too."""
-        out = Echelon()
-        out.rows = {pivot: dict(row) for pivot, row in self.rows.items()}
-        for row in rows:
-            out.add(row)
-        return len(out.rows)
-
     def remainder(self, vec: Row) -> Row:
         """vec minus its part in the span; empty exactly when vec lies in it."""
         out = {k: coefficient(v) for k, v in vec.items() if v}
@@ -117,8 +108,8 @@ def transpose(vectors: list[dict]) -> dict:
 
 
 def span_equal(a: list[Row] | Echelon, b: list[Row]) -> bool:
-    """True when a and b span the same space.  a is reduced once (an
-    ``Echelon`` is taken as it is and left unchanged), and b's rows are
-    inserted into a copy of it."""
+    """True when a and b span the same space: every row of b lies in a's span
+    and b has a's rank.  a is reduced once (an ``Echelon`` is taken as it is
+    and left unchanged, since a membership test copies nothing into it)."""
     a = a if isinstance(a, Echelon) else Echelon(a)
-    return len(a.rows) == a.rank_with(b) == rank(b)
+    return all(not a.remainder(row) for row in b) and rank(b) == len(a.rows)

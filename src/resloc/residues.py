@@ -6,7 +6,8 @@ independent implementations are kept deliberately:
 
 * ``res_x_plus_poles`` groups denominator factors by pole location and applies
   the higher-order residue formula res = d^(k-1)/dx^(k-1)[(x-b)^k h] / (k-1)!
-  evaluated at x = b;
+  evaluated at x = b; the pieces of each pole, and the poles, are each added
+  by one ``RationalSection.sum``, cancelled once;
 * ``res_x_plus_series`` expands the section as a Laurent series at infinity
   and reads off the coefficient of 1/x.  The expansion of 1 over the
   denominator is a ``ReciprocalSeries``, grown as deeper coefficients are
@@ -21,8 +22,9 @@ The iterated operator composes one-variable residues over an ordering of the
 variables.  ``iterated_residue_selected`` additionally carries a moment
 covector on each summand (the exponential weight of a fixed component) and
 lets only poles of summands with positive current weight contribute; the
-covector is updated at every pole substitution.  This is what the torus-level
-Kirwan integrals use.
+covector is updated at every pole substitution; the contributions that meet at
+one shifted covector are added by one ``RationalSection.sum``.  This is what
+the torus-level Kirwan integrals use.
 """
 
 from __future__ import annotations
@@ -89,29 +91,20 @@ def residues_at_poles(h: RationalSection, var: int,
         n = form.coeffs[var]
         b_coeffs = tuple(Q(0) if i == var else -c / n for i, c in enumerate(form.coeffs))
         rest = {f: m for f, m in h.denom.items() if f != form}
-        g = RationalSection(h.numer.scale(Q(1) / n ** k), rest, cancel=False)
-        contribution = RationalSection.zero(h.vars, h.algebra)
-        derivatives = [g]
+        derivatives = [RationalSection(h.numer.scale(Q(1) / n ** k), rest, cancel=False)]
         for _ in range(k - 1):
             derivatives.append(derivatives[-1].derivative(var))
-        for j in range(k):
-            # j-th power of the weight comes from differentiating the exponential
-            if j and weight == 0:
-                break
-            coeff = Fraction(weight ** j, factorial(j) * factorial(k - 1 - j))
-            if coeff:
-                piece = derivatives[k - 1 - j].subst_linear(var, b_coeffs)
-                contribution = contribution + piece.scale(coeff)
-        out.append((b_coeffs, contribution))
+        # the j-th power of the weight comes from differentiating the exponential
+        pieces = [derivatives[k - 1 - j].subst_linear(var, b_coeffs).scale(
+                      Fraction(weight ** j, factorial(j) * factorial(k - 1 - j)))
+                  for j in range(k if weight else 1)]
+        out.append((b_coeffs, RationalSection.sum(h.vars, pieces, h.algebra)))
     return out
 
 
 def res_x_plus_poles(h: RationalSection, var: int) -> RationalSection:
     """Sum of residues at all finite poles, by the pole-by-pole formula."""
-    total = RationalSection.zero(h.vars, h.algebra)
-    for _, contribution in residues_at_poles(h, var):
-        total = total + contribution
-    return total
+    return RationalSection.sum(h.vars, (c for _, c in residues_at_poles(h, var)), h.algebra)
 
 
 class ReciprocalSeries:
@@ -216,7 +209,7 @@ def iterated_residue_selected(terms: list[MomentTerm], ordering: VariableOrderin
         ordering = ordering.validated(terms[0].section.vars.count)
     current = terms
     for var in ordering.order:
-        merged: dict[tuple[Fraction, ...], RationalSection] = {}
+        merged: dict[tuple[Fraction, ...], list[RationalSection]] = {}
         for term in current:
             lam = term.moment[var]
             if lam < 0:
@@ -224,12 +217,10 @@ def iterated_residue_selected(terms: list[MomentTerm], ordering: VariableOrderin
             for b_coeffs, contribution in residues_at_poles(term.section, var, lam):
                 shifted = tuple(Q(0) if i == var else m + lam * b
                                 for i, (m, b) in enumerate(zip(term.moment, b_coeffs)))
-                if shifted in merged:
-                    merged[shifted] = merged[shifted] + contribution
-                else:
-                    merged[shifted] = contribution
-        current = [MomentTerm(mom, sec) for mom, sec in sorted(merged.items())
-                   if not sec.is_zero()]
+                merged.setdefault(shifted, []).append(contribution)
+        current = [MomentTerm(mom, sec) for mom, pieces in sorted(merged.items())
+                   if not (sec := RationalSection.sum(pieces[0].vars, pieces,
+                                                      pieces[0].algebra)).is_zero()]
     total = Q(0)
     for term in current:
         total += term.section.constant_value()

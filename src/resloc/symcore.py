@@ -506,39 +506,29 @@ class EquivariantPolynomial:
         return out
 
     def div_exact_linear(self, form: LinearForm) -> "EquivariantPolynomial":
-        """Exact division by a linear form via synthetic division; raises
-        ExactDivisionError on a nonzero remainder."""
+        """Exact division by a linear form, by synthetic division in its first
+        variable (the pivot): the terms are bucketed by their power of the
+        pivot and walked from the highest power down, each quotient term
+        taking itself times the rest of the form from the power below.
+        Raises ExactDivisionError on a nonzero remainder at power 0."""
         pivot = next((i for i, c in enumerate(form.coeffs) if c != 0), None)
         if pivot is None:
             raise ZeroDivisionError("division by the zero linear form")
-        a = form.coeffs[pivot]
-        rest = EquivariantPolynomial.from_linear_form(
-            self.vars, LinearForm(tuple(c if i != pivot else Q(0)
-                                        for i, c in enumerate(form.coeffs))))
-        slices = self.coefficients_in(pivot)
-        if not slices:
-            return EquivariantPolynomial(self.vars, self.algebra)
-        d = max(slices)
-        quot_slices: dict[int, EquivariantPolynomial] = {}
-        remainder = dict(slices)
-        for k in range(d, 0, -1):
-            cur = remainder.pop(k, None)
-            if cur is None or cur.is_zero():
-                continue
-            q = cur.scale(Q(1, 1) / a)
-            quot_slices[k - 1] = q
-            low = remainder.get(k - 1, EquivariantPolynomial(self.vars, self.algebra))
-            remainder[k - 1] = low - q.mul_pure(rest)
-        tail = remainder.get(0, EquivariantPolynomial(self.vars, self.algebra))
-        if not tail.is_zero():
+        inverse = Q(1) / form.coeffs[pivot]
+        rest = [(i, c) for i, c in enumerate(form.coeffs) if c and i != pivot]
+        buckets: dict[int, dict] = {}
+        for key, c in self.terms.items():
+            buckets.setdefault(key[0][pivot], {})[key] = c
+        quotient = {}
+        for k in range(max(buckets, default=0), 0, -1):
+            below = buckets.setdefault(k - 1, {})
+            for (e, b), c in buckets.get(k, {}).items():
+                e = e[:pivot] + (k - 1,) + e[pivot + 1:]
+                quotient[(e, b)] = q = c * inverse
+                add_scaled(below, -q, {(e[:i] + (e[i] + 1,) + e[i + 1:], b): r for i, r in rest})
+        if buckets.get(0):
             raise ExactDivisionError("linear form does not divide the polynomial")
-        out = EquivariantPolynomial(self.vars, self.algebra)
-        for k, sl in quot_slices.items():
-            for (e, b), c in sl.terms.items():
-                ne = list(e)
-                ne[pivot] += k
-                out.terms[(tuple(ne), b)] = c
-        return out
+        return EquivariantPolynomial(self.vars, self.algebra, quotient)
 
     # -- rendering ---------------------------------------------------------
 
@@ -743,14 +733,14 @@ class RationalSection:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, var: int) -> "RationalSection":
-        out = RationalSection(self.numer.derivative(var), self.denom)
+        """d/dx_var of N / D: N'/D plus -n * m * N / (D * f) for each factor f
+        of multiplicity m whose coefficient on x_var is n, summed once."""
+        terms = [RationalSection(self.numer.derivative(var), self.denom, cancel=False)]
         for form, mult in self.denom.items():
-            n = form.coeffs[var]
-            if n:
-                denom = dict(self.denom)
-                denom[form] = mult + 1
-                out = out + RationalSection(self.numer.scale(-n * mult), denom)
-        return out
+            if n := form.coeffs[var]:
+                terms.append(RationalSection(self.numer.scale(-n * mult),
+                                             {**self.denom, form: mult + 1}, cancel=False))
+        return RationalSection.sum(self.vars, terms, self.algebra)
 
     def subst_linear(self, var: int, coeffs: tuple[Fraction, ...]) -> "RationalSection":
         """Substitute the linear form sum(coeffs[i] * x_i), free of x_var, for

@@ -1,7 +1,13 @@
 """Command-line interface: exit codes, report shape, and byte determinism."""
 
+import builtins
+import hashlib
+import io
 import json
+import os
 import sys
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -263,8 +269,12 @@ GOOD_EXPRESSION = {
     (("denominator", 0, "form"), 1, "$.denominator[0].form: expected an array"),
     (("variables",), [1], "$.variables: expected a nonempty array of distinct names"),
     (("variables",), ["X", "X"], "$.variables: expected a nonempty array of distinct names"),
+    # a misspelt key read as multiplicity 1 gives the residue of 1/X, not of 1/X^2
+    (("denominator", 0, "multiplicty"), 2, "error: $.denominator[0].multiplicty: unknown key"),
+    (("numerator", 0, "basis_index"), 0, "error: $.numerator[0].basis_index: unknown key"),
 ], ids=["top-level-array", "term-not-object", "exponents-not-array", "negative-exponent",
-        "form-not-array", "variables-not-strings", "variables-not-distinct"])
+        "form-not-array", "variables-not-strings", "variables-not-distinct",
+        "misspelt-multiplicity", "basis-index-in-a-term"])
 def test_residue_loader_rejects_malformed_input(capsys, tmp_path, where, value, json_path):
     obj = json.loads(json.dumps(GOOD_EXPRESSION))
     if where:
@@ -513,6 +523,35 @@ def test_kernel_walks_the_generator_products_once(capsys, monkeypatch, argv, dep
 
 
 # -- output handling ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "{path}"), ("kernel", "s2", "--full"), ("residue", "{expression}"),
+], ids=["dataset-path", "bundled-name", "expression-file"])
+def test_each_input_is_read_once(capsys, monkeypatch, tmp_path, argv):
+    dataset = tmp_path / "s2.json"
+    dataset.write_text(json.dumps(dataset_to_json(load_dataset("s2"))))
+    expression = write_expression(tmp_path, GOOD_EXPRESSION)
+    argv = [a.format(path=dataset, expression=expression) for a in argv]
+    target = (Path(argv[1]) if argv[1].endswith(".json")
+              else Path(str(resources.files("resloc") / "data" / f"{argv[1]}.json")))
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    opened = []
+    real_open = io.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    # pathlib opens through io.open, and the loaders through the builtin
+    monkeypatch.setattr(io, "open", counted)
+    monkeypatch.setattr(builtins, "open", counted)
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    reads = [f for f in opened if isinstance(f, (str, os.PathLike))
+             and Path(f).resolve() == target.resolve()]
+    assert len(reads) == 1, reads
+    assert report["input"]["sha256"] == digest
 
 
 def test_reports_are_byte_identical(capsys):

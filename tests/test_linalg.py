@@ -71,8 +71,8 @@ def test_span_equal_with_empty_sides():
 
 
 def test_span_predicates_leave_a_reduced_side_unchanged():
-    # inserting (0, 1) clears the 1 at column 1 of the kept row in place, so
-    # the copy must copy the rows, not just the dict of them
+    # inserting (0, 1) would clear the 1 at column 1 of the kept row in
+    # place, so the comparison must only test membership against it
     reduced = Echelon(m([[1, 1, 0]]))
     assert not span_equal(reduced, m([[0, 1, 0]]))
     assert reduced.rows == {0: {0: 1, 1: 1}}
@@ -108,6 +108,31 @@ def test_span_of_reduction_matches(data):
     keep = independent_indices(rows)
     assert span_equal(rows, [rows[i] for i in keep])
     assert rank([rows[i] for i in keep]) == len(keep)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Rows a, and rows b that recombine a's (so the spans often agree),
+    sometimes with a random row added."""
+    a, ncols = draw(matrices())
+    b = [[sum((c * row[j] for c, row in zip(draw(st.lists(
+              st.integers(-2, 2), min_size=len(a), max_size=len(a))), a)), Q(0))
+          for j in range(ncols)] for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        b.append([Q(draw(st.integers(-3, 3))) for _ in range(ncols)])
+    return m(a), m(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs())
+def test_span_equal_is_the_rank_criterion(data):
+    a, b = data
+    expected = rank(a) == rank(b) == rank(a + b)
+    assert span_equal(a, b) == expected
+    reduced = Echelon(a)
+    kept = {pivot: dict(row) for pivot, row in reduced.rows.items()}
+    assert span_equal(reduced, b) == expected
+    assert reduced.rows == kept
 
 
 # -- the echelon against a dense reference ---------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resloc.datasets import build_s2xs2_nonisolated
 from resloc.symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
@@ -281,6 +282,54 @@ def test_derivative_is_a_derivation(p, q):
     assert lhs == p.derivative(0) * q + p * q.derivative(0)
 
 
+# -- exact division on the term dict (randomized) ---------------------------------
+
+# the nilpotent coefficient algebra of the fixed spheres of s2xs2-nonisolated
+ONE_VOL = build_s2xs2_nonisolated().space.components[0].algebra
+
+
+@st.composite
+def algebra_polys(draw, algebra):
+    """A polynomial in three variables over the point algebra or one/vol."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in range(V3.count))
+        b = draw(st.integers(0, len(algebra.basis) - 1))
+        terms[(exps, b)] = Q(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+    return EquivariantPolynomial(V3, algebra, terms)
+
+
+@st.composite
+def forms_off_index_0(draw):
+    """A nonzero form free of X, so its pivot, the first variable with a
+    nonzero coefficient, is Y1 or Y2."""
+    return lf(0, *draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2).filter(any)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([POINT_ALGEBRA, ONE_VOL]).flatmap(algebra_polys), forms_off_index_0())
+def test_division_undoes_multiplication_by_a_form(p, w):
+    product = p.mul_pure(EquivariantPolynomial.from_linear_form(V3, w))
+    assert product.div_exact_linear(w) == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([POINT_ALGEBRA, ONE_VOL]).flatmap(algebra_polys), forms_off_index_0(),
+       st.data())
+def test_division_raises_on_a_remainder_at_pivot_power_0(p, w, data):
+    # w has a unit coefficient and is not a monomial times it, so it divides
+    # no single term free of its pivot, over either algebra
+    pivot = next(i for i, c in enumerate(w.coeffs) if c)
+    exps = [data.draw(st.integers(0, 3)) for _ in range(V3.count)]
+    exps[pivot] = 0
+    b = data.draw(st.integers(0, len(p.algebra.basis) - 1))
+    term = EquivariantPolynomial(V3, p.algebra, {(tuple(exps), b): data.draw(
+        st.sampled_from([Q(-3, 2), Q(1), Q(5)]))})
+    product = p.mul_pure(EquivariantPolynomial.from_linear_form(V3, w))
+    with pytest.raises(ExactDivisionError, match="does not divide"):
+        (product + term).div_exact_linear(w)
+
+
 # -- RationalSection ---------------------------------------------------------------
 
 
@@ -314,6 +363,26 @@ def test_section_sum_over_common_denominator():
     b = RationalSection(-one, {lf(1): 2})
     total = a + b
     assert total == RationalSection(xx - one, {lf(1): 2})
+
+
+@st.composite
+def point_sections(draw):
+    """A section over the point algebra with factors from a small set of forms,
+    so that sums share factors and cancel."""
+    denom = {form: draw(st.integers(0, 2))
+             for form in (lf(1, 0), lf(1, -1), lf(0, 1), lf(2, 1))}
+    return RationalSection(draw(polys()), denom)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(point_sections(), max_size=5))
+def test_section_sum_is_the_left_fold(sections):
+    fold = RationalSection.zero(V2)
+    for s in sections:
+        fold = fold + s
+    total = RationalSection.sum(V2, sections)
+    assert total.numer == fold.numer
+    assert total.denom == fold.denom
 
 
 def test_section_derivative_quotient_rule():
