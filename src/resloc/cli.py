@@ -30,7 +30,7 @@ from .spaces import (
     circle_integral,
     find_generic_direction,
     generator_products,
-    localization_sum,
+    localization_failures,
     torus_integral,
 )
 from .symcore import Q, ValidationError
@@ -84,28 +84,6 @@ def _add_check(report: dict, name: str, ok: bool, detail: str):
 # -- validate ------------------------------------------------------------------
 
 
-def _localization_failures(ds: Dataset, products, max_degree: int) -> tuple[int, list[str]]:
-    """Localization sums of the generator products through max_degree, read
-    from a walk of ``generator_products`` at least that far: the number that
-    are polynomials, and a line for each that has a pole (the ABBV identities
-    fail).  The sum is fully cancelled, so it is a polynomial exactly when its
-    denominator is empty.  Each term is homogeneous of degree deg - dim M, so
-    below the top degree a sum without a pole is 0."""
-    names = [name for name, cls in ds.generators if cls.degree > 0]
-    failures = []
-    checked = 0
-    for exps, cls in products:
-        if cls.degree > max_degree:
-            continue
-        label = "*".join(names[i] for i, e in enumerate(exps) for _ in range(e)) or "one"
-        total = localization_sum(ds.space, cls)
-        if total.denom:
-            failures.append(f"{label}: localization sum has a pole: {total}")
-        else:
-            checked += 1
-    return checked, failures
-
-
 def _nongeneric(exc: NonGenericError) -> str:
     names = ", ".join(f"{kind}:{what}" for kind, what in exc.violations)
     return f"{exc.args[0]}; violated by {names}"
@@ -142,7 +120,8 @@ def cmd_validate(args) -> int:
         _add_check(report, "generic-direction", False, _nongeneric(exc))
 
     products = generator_products(ds.space, ds.generators, args.max_degree)
-    checked, failures = _localization_failures(ds, products, args.max_degree)
+    checked, failures = localization_failures(ds.space, ds.generators, products,
+                                              args.max_degree)
     _add_check(report, "abbv-polynomiality", not failures,
                f"{checked} products through degree {args.max_degree}"
                + ("" if not failures else "; " + "; ".join(failures)))
@@ -183,7 +162,7 @@ def _subspace_json(model, sub: kernels.Subspace) -> dict:
 
 
 def _kernel_circle(ds: Dataset, args, report: dict, calibration: RestrictedClass,
-                   products: list) -> None:
+                   model: kernels.DegreeTruncatedModel) -> None:
     try:
         xi = CircleDirection(tuple(int(v) for v in args.circle.split(",")))
     except ValueError:
@@ -193,7 +172,6 @@ def _kernel_circle(ds: Dataset, args, report: dict, calibration: RestrictedClass
         raise SchemaError(f"--circle: expected {ds.space.vars.count} integers")
     report["parameters"]["xi"] = list(xi.vector)
     integral = circle_integral(ds.space, xi)  # raises if xi is not generic
-    model = kernels.build_model(ds.space, ds.generators, args.max_degree, products)
     rows = kernels.check_circle_kernel_split(model, integral)
     report["results"]["degrees"] = [
         {"degree": r.degree,
@@ -213,17 +191,15 @@ def _kernel_circle(ds: Dataset, args, report: dict, calibration: RestrictedClass
 
 def _torus_integral(ds: Dataset, args, report: dict) -> KirwanIntegral:
     """The torus integral in the ordering of --ordering and --delta, its
-    direction recorded as the parameter xi; raises if it is not generic,
-    before the model build, which can take seconds."""
+    direction recorded as the parameter xi; raises if it is not generic."""
     integral = torus_integral(ds.space, ordering=_parse_ordering(args, ds.space.vars.count))
     report["parameters"]["xi"] = list(integral.xi.vector)
     return integral
 
 
 def _kernel_full(ds: Dataset, args, report: dict, calibration: RestrictedClass,
-                 products: list) -> None:
+                 model: kernels.DegreeTruncatedModel) -> None:
     integral = _torus_integral(ds, args, report)
-    model = kernels.build_model(ds.space, ds.generators, args.max_degree, products)
     rows, chambers = kernels.check_full_kernel(model, integral)
     report["results"]["chambers"] = {
         "count": len(chambers.chambers),
@@ -242,12 +218,11 @@ def _kernel_full(ds: Dataset, args, report: dict, calibration: RestrictedClass,
         "value": _fs(integral(calibration))}
 
 
-def _kernel_nonabelian(ds: Dataset, args, report: dict,
-                       calibration: RestrictedClass, products: list) -> None:
+def _kernel_nonabelian(ds: Dataset, args, report: dict, calibration: RestrictedClass,
+                       model: kernels.DegreeTruncatedModel) -> None:
     if ds.weyl is None:
         raise SchemaError("--nonabelian requires a dataset with a weyl section")
     integral = _torus_integral(ds, args, report)
-    model = kernels.build_model(ds.space, ds.generators, args.max_degree, products)
     rows, span_rows = weylgrp.check_nonabelian_kernels(model, ds.weyl, integral)
     report["results"]["degrees"] = [asdict(r) for r in rows]
     report["results"]["antisymmetrized_spans"] = [asdict(r) for r in span_rows]
@@ -293,6 +268,9 @@ def cmd_kernel(args) -> int:
         sys.stderr.write("error: exactly one of --circle/--full/--nonabelian "
                          "is required\n")
         return 2
+    if modes == ["circle"] and (args.ordering, args.delta) != (None, None):
+        sys.stderr.write("error: --ordering and --delta apply to --full and --nonabelian only\n")
+        return 2
     if (ds := _load(args)) is None:
         return 2
     try:
@@ -300,25 +278,19 @@ def cmd_kernel(args) -> int:
     except KeyError as exc:
         sys.stderr.write(f"error: --calibrate: {exc.args[0]}\n")
         return 2
-    # one walk serves the consistency check (to dim M) and the model
-    products = list(generator_products(ds.space, ds.generators,
-                                       max(ds.space.dim, args.max_degree)))
-    _, failures = _localization_failures(ds, products, ds.space.dim)
-    if failures:
-        sys.stderr.write("error: inconsistent fixed-point data (run validate): "
-                         f"{failures[0]}\n")
-        return 2
     report = _report("kernel", args.dataset, ds.sha256,
                      {"mode": modes[0], "max_degree": args.max_degree,
                       "ordering": args.ordering, "delta": args.delta,
                       "calibrate": args.calibrate})
     try:
+        # the model refuses inconsistent data before any other check
+        model = kernels.build_model(ds.space, ds.generators, args.max_degree)
         if modes[0] == "circle":
-            _kernel_circle(ds, args, report, calibration, products)
+            _kernel_circle(ds, args, report, calibration, model)
         elif modes[0] == "full":
-            _kernel_full(ds, args, report, calibration, products)
+            _kernel_full(ds, args, report, calibration, model)
         else:
-            _kernel_nonabelian(ds, args, report, calibration, products)
+            _kernel_nonabelian(ds, args, report, calibration, model)
     except NonGenericError as exc:
         sys.stderr.write(f"error: {_nongeneric(exc)}\n")
         return 2

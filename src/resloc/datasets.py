@@ -192,6 +192,8 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
                       "weyl"), "$")
     rank = _expect(obj, "torus_rank", int, "$")
     dim = _expect(obj, "dim_M", int, "$")
+    if dim % 2 or dim < 0:
+        raise SchemaError(f"$.dim_M: dim must be even and nonnegative, got {dim}")
     var_names = _expect(obj, "variables", list, "$")
     if (len(var_names) != rank or any(not isinstance(v, str) for v in var_names)
             or len(set(var_names)) != rank):

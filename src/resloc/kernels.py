@@ -19,7 +19,6 @@ candidates before it, and adds neither a key nor a kept element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import linalg
 from .linalg import Row
@@ -35,6 +34,7 @@ from .spaces import (
     _integral_moment,
     _primitive_signed,
     generator_products,
+    localization_failures,
     positive_side,
 )
 from .symcore import (
@@ -82,6 +82,11 @@ class DegreeTruncatedModel:
     through max_degree; the slices are built through max(max_degree, dim - 2),
     as the checks pair against slices up to dim - 2.
 
+    The model walks ``generator_products`` once, to max(max_degree, dim), and
+    refuses the data unless every localization sum through dim on that walk
+    is a polynomial, so no check runs on inconsistent data.  ``products``
+    keeps the products the slices are built from.
+
     Slice d is grown from slice d - 2, one ``mul_pure`` by a variable per
     (kept element, variable), and keeps the labels, vectors and keys that
     every product times every monomial gives (see the module docstring).
@@ -91,19 +96,25 @@ class DegreeTruncatedModel:
     nonzero restriction terms by key position.  ``restriction_rows`` keeps,
     per degree and component, the rows of the basis at that component's keys:
     a class vanishes there exactly when its basis coefficients annihilate them.
-    ``products`` keeps the generator products the slices are built from.
     """
 
     def __init__(self, space: HamiltonianSpace,
-                 generators: list[tuple[str, RestrictedClass]], max_degree: int,
-                 products: Iterable[tuple[tuple[int, ...], RestrictedClass]] | None):
+                 generators: list[tuple[str, RestrictedClass]], max_degree: int):
+        names = [n for n, _ in generators]
+        if len(set(names)) != len(names):
+            raise ValidationError("generator names must be distinct")
+        if not any(cls.degree == 0 and cls == RestrictedClass.unit(space)
+                   for _, cls in generators):
+            raise ValidationError("generator list must contain the unit class")
+        products = list(generator_products(space, generators, max(max_degree, space.dim)))
+        _, failures = localization_failures(space, generators, products, space.dim)
+        if failures:
+            raise ValidationError(f"inconsistent fixed-point data (run validate): {failures[0]}")
         self.space = space
         self.generators = generators
         self.max_degree = max_degree
         depth = max(max_degree, space.dim - 2)
-        if products is None:
-            products = generator_products(space, generators, depth)
-        # filtering a deeper walk keeps generator_products' depth-first order
+        # filtering the deeper walk keeps generator_products' depth-first order
         self.products = [(exps, cls) for exps, cls in products if cls.degree <= depth]
         self.basis_by_degree: dict[int, list[ModelElement]] = {}
         self.restriction_rows: dict[int, dict[str, list[Row]]] = {}
@@ -184,20 +195,9 @@ def _powers(names, exps: tuple[int, ...]) -> list[str]:
 
 
 def build_model(space: HamiltonianSpace, generators: list[tuple[str, RestrictedClass]],
-                max_degree: int,
-                products: Iterable[tuple[tuple[int, ...], RestrictedClass]] | None = None
-                ) -> DegreeTruncatedModel:
-    """The model checked through max_degree (see ``DegreeTruncatedModel``).
-    ``products`` is a walk of ``generator_products`` to at least
-    max(max_degree, dim - 2), for a caller that has one; the model walks its
-    own when it is None."""
-    names = [n for n, _ in generators]
-    if len(set(names)) != len(names):
-        raise ValidationError("generator names must be distinct")
-    if not any(cls.degree == 0 and cls == RestrictedClass.unit(space)
-               for _, cls in generators):
-        raise ValidationError("generator list must contain the unit class")
-    return DegreeTruncatedModel(space, generators, max_degree, products)
+                max_degree: int) -> DegreeTruncatedModel:
+    """The model checked through max_degree (see ``DegreeTruncatedModel``)."""
+    return DegreeTruncatedModel(space, generators, max_degree)
 
 
 # -- subspaces of a degree slice ---------------------------------------------

@@ -144,6 +144,9 @@ class WeylData:
         for a in self.elements:
             if not any(self.compose(a, b) == ident for b in self.elements):
                 raise ValidationError("group element has no inverse")
+        for r, root in enumerate(self.positive_roots):
+            if len(root.coeffs) != n or root.is_zero():
+                raise ValidationError(f"positive root {r} must be nonzero with {n} entries")
         dpoly = self.d_polynomial()
         for w in self.elements:
             moved = self._substitute[w](dpoly)

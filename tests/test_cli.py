@@ -159,6 +159,33 @@ def test_misspelt_weyl_section_exits_two(capsys, tmp_path):
         assert err == "error: $.wyel: unknown key\n"
 
 
+@pytest.mark.parametrize("roots, index", [
+    ([["0", "1"]], 0), ([["0"]], 0), ([[]], 0), ([["1"], ["0"]], 1),
+], ids=["longer-than-the-rank", "zero", "empty", "second-zero"])
+def test_bad_positive_root_exits_two(capsys, tmp_path, roots, index):
+    # a root of the wrong length crashed in the root product, and a zero
+    # root passed validate and divided by zero in --nonabelian
+    obj = dataset_to_json(load_dataset("s2cubed-su2"))
+    obj["weyl"]["positive_roots"] = roots
+    p = tmp_path / "roots.json"
+    p.write_text(json.dumps(obj))
+    for argv in (("validate", str(p)), ("kernel", str(p), "--nonabelian")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == f"error: $.weyl: positive root {index} must be nonzero with 1 entries\n"
+
+
+@pytest.mark.parametrize("dim", [3, -2])
+def test_bad_dimension_names_dim_m(capsys, tmp_path, dim):
+    obj = dataset_to_json(load_dataset("s2"))
+    obj["dim_M"] = dim
+    p = tmp_path / "dim.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "validate", str(p))
+    assert code == 2 and not out
+    assert err == f"error: $.dim_M: dim must be even and nonnegative, got {dim}\n"
+
+
 @pytest.mark.parametrize("where, json_path", [
     (("dim",), "$.dim"),
     (("components", 0, "momentt"), "$.components[0].momentt"),
@@ -380,6 +407,21 @@ def test_kernel_rejects_inconsistent_data(capsys, tmp_path, mode):
     assert code == 1 and not report["pass"]
 
 
+@pytest.mark.parametrize("mode", ["--circle=x", "--nonabelian"])
+def test_inconsistent_data_is_reported_before_other_errors(capsys, tmp_path, mode):
+    # the model refuses the data before a malformed --circle or a missing
+    # weyl section is seen
+    obj = dataset_to_json(load_dataset("s2xs2-t2"))
+    sn = next(c for c in obj["components"] if c["name"] == "SN")
+    sn["normal_lines"][0]["weight"] = [-v for v in sn["normal_lines"][0]["weight"]]
+    path = tmp_path / "negated.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "kernel", str(path), mode)
+    assert code == 2 and not out
+    assert err.startswith("error: inconsistent fixed-point data (run validate): ")
+    assert "localization sum has a pole" in err and err.count("\n") == 1
+
+
 def test_moment_zero_names_the_component(capsys, tmp_path):
     # a fixed point at moment 0 pairs to zero with every direction, so no
     # direction is generic; both commands name the component at once
@@ -462,6 +504,17 @@ def test_kernel_requires_exactly_one_mode(capsys):
     assert code == 2 and "exactly one" in err
     code, _, err = run(capsys, "kernel", "s2", "--full", "--nonabelian")
     assert code == 2 and "exactly one" in err
+
+
+@pytest.mark.parametrize("dataset, flags", [
+    ("s2", ("--ordering=",)), ("s2", ("--ordering", "0", "--delta", "2")),
+    ("s2", ("--delta", "-3/2")), ("missing.json", ("--ordering", "0")),
+], ids=["empty-ordering", "ordering-and-delta", "delta", "before-the-load"])
+def test_circle_refuses_ordering_and_delta(capsys, dataset, flags):
+    # the circle split reads neither, so the report must not record them
+    code, out, err = run(capsys, "kernel", dataset, "--circle=1", *flags)
+    assert code == 2 and not out
+    assert err == "error: --ordering and --delta apply to --full and --nonabelian only\n"
 
 
 def test_kernel_calibrate_flag(capsys):

@@ -10,6 +10,8 @@ from resloc import kernels, linalg, spaces
 from resloc.datasets import (
     BUNDLED,
     Dataset,
+    dataset_from_json,
+    dataset_to_json,
     load_dataset,
     projective,
     sphere_product,
@@ -44,7 +46,6 @@ from resloc.symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
     LinearForm,
-    RationalSection,
     ValidationError,
     Variables,
     monomial_sort_key,
@@ -132,6 +133,18 @@ def test_model_rejects_duplicate_generator_names(s2):
 def test_model_requires_unit(s2):
     with pytest.raises(ValidationError, match="unit"):
         build_model(s2.space, [("u", s2.generator("u"))], 4)
+
+
+def test_model_refuses_inconsistent_data(s2xs2):
+    # SN's first weight negated: the kernel checks on such a model read
+    # equal=True or report false FAILs, so the model refuses the data
+    obj = dataset_to_json(s2xs2)
+    sn = next(c for c in obj["components"] if c["name"] == "SN")
+    sn["normal_lines"][0]["weight"] = [-v for v in sn["normal_lines"][0]["weight"]]
+    negated = dataset_from_json(obj, "negated")
+    with pytest.raises(ValidationError, match="inconsistent fixed-point data") as exc:
+        build_model(negated.space, negated.generators, 4)
+    assert "localization sum has a pole" in str(exc.value)
 
 
 def full_candidate_slices(space, generators, max_degree):
@@ -491,7 +504,7 @@ def test_circle_integral_adapts_only_on_residue_misses(s2xs2, monkeypatch,
     assert len(expansion_builds) == 8
 
 
-def test_circle_integral_checks_polynomiality_when_an_entry_is_filled(s2xs2, monkeypatch):
+def test_circle_integral_keeps_no_entry_that_raises(s2xs2, monkeypatch):
     # u2 and u1 both vanish at NN, on the positive side of (1, 2), and differ
     # at SN, the other component on that side
     xi = CircleDirection.make((1, 2))
@@ -501,30 +514,29 @@ def test_circle_integral_checks_polynomiality_when_an_entry_is_filled(s2xs2, mon
     assert u1.restrictions["SN"] != u2.restrictions["SN"]
     integral = circle_integral(s2xs2.space, xi)
     assert integral(u2).is_zero()
-    # From here on every tau term not yet taken gains a factor of the
-    # non-circle variable in its denominator, which the residue keeps.  u2
-    # reads only entries already filled.  u1 needs the entry of its monomial
-    # X at SN, which fails the check as it is filled; a failing entry is not
-    # kept, so every later evaluation, also inside a pairing, computes it
-    # again and fails again.
-    real = spaces.res_x_plus_series
+    # From here on every residue not yet taken raises.  u2 reads only entries
+    # already filled.  u1 needs the entry of its monomial X at SN, which
+    # raises as it is filled; an entry that raises is not kept, so every
+    # later evaluation, also inside a pairing, computes it again and raises
+    # again.
     calls = []
 
-    def with_pole(h, var, series):
+    def failing(h, var, series):
         calls.append(h)
-        return real(RationalSection(h.numer, {**h.denom, lf(0, 1): 1}, cancel=False),
-                    var, series)
+        raise ArithmeticError("no residue")
 
-    monkeypatch.setattr(spaces, "res_x_plus_series", with_pole)
+    monkeypatch.setattr(spaces, "res_x_plus_series", failing)
     assert integral(u2).is_zero()
     assert calls == []
     for n in (1, 2):
-        with pytest.raises(ValidationError, match="not a polynomial"):
+        with pytest.raises(ArithmeticError, match="no residue"):
             integral(u1)
         assert len(calls) == n
-    with pytest.raises(ValidationError, match="not a polynomial"):
+    with pytest.raises(ArithmeticError, match="no residue"):
         pairing_kernel(integral, [u2, u1], [RestrictedClass.unit(s2xs2.space)])
     assert len(calls) == 3
+    # the same entry each time
+    assert all(h.numer == calls[0].numer and h.denom == calls[0].denom for h in calls)
 
 
 def test_circle_pairing_matches_integral(s2xs2):
