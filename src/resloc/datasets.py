@@ -191,6 +191,8 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
     _known_keys(obj, ("torus_rank", "dim_M", "variables", "components", "generators",
                       "weyl"), "$")
     rank = _expect(obj, "torus_rank", int, "$")
+    if rank < 1:
+        raise SchemaError(f"$.torus_rank: torus rank must be at least 1, got {rank}")
     dim = _expect(obj, "dim_M", int, "$")
     if dim % 2 or dim < 0:
         raise SchemaError(f"$.dim_M: dim must be even and nonnegative, got {dim}")

@@ -262,10 +262,11 @@ def circle_testing_classes(model: DegreeTruncatedModel,
     index where xi_i != 0, Q[X] = Sym(ann xi)[X_i], so the classes g * X_i^j
     (g a generator product, of degree at most cap) have the same
     Sym(ann xi)-span as the slices, and the pairing the same null space.  By
-    degree, in generator-product order, a class is kept only if it lies
-    outside the span of the kept classes of its degree and of the multiples
-    of the lower-degree kept classes by monomials in the basis
-    xi_i X_k - xi_k X_i (k != i) of ann xi.
+    graded Nakayama a minimal set of them is a basis of each slice modulo
+    (ann xi) times the slice below: by degree, in generator-product order, a
+    class is kept only if it lies outside the span of the kept classes of its
+    degree and of the products of the basis xi_i X_k - xi_k X_i (k != i) of
+    ann xi with the model slice below.
     """
     space = model.space
     cap = space.dim - 2
@@ -276,23 +277,17 @@ def circle_testing_classes(model: DegreeTruncatedModel,
                                    {(e[k], 0): vec[i], (e[i], 0): -vec[k]})
              for k in range(n) if k != i]
     kept: list[RestrictedClass] = []
-    # (index of the last form in the monomial, multiple) of lower kept classes
-    multiples: list[tuple[int, RestrictedClass]] = []
-    new: list[RestrictedClass] = []
     for zdeg in range(0, cap + 1, 2):
-        multiples = [(t, cls.mul_pure(forms[t]))
-                     for last, cls in multiples + [(0, cls) for cls in new]
-                     for t in range(last, len(forms))]
-        echelon = linalg.Echelon(model.class_vector(cls, zdeg) for _, cls in multiples)
-        new = []
+        echelon = linalg.Echelon(model.class_vector(el.cls.mul_pure(f), zdeg)
+                                 for el in model.basis_by_degree.get(zdeg - 2, ())
+                                 for f in forms)
         for _, g in model.products:
             if g.degree <= zdeg and (zdeg - g.degree) % 2 == 0:
                 exps = tuple((zdeg - g.degree) // 2 if k == i else 0 for k in range(n))
                 cls = g.mul_pure(EquivariantPolynomial(space.vars, POINT_ALGEBRA,
                                                        {(exps, 0): 1}))
                 if echelon.add(model.class_vector(cls, zdeg)):
-                    new.append(cls)
-        kept += new
+                    kept.append(cls)
     return kept
 
 

@@ -211,6 +211,11 @@ class GradedAlgebra:
         n = len(self.basis)
         if n == 0 or len(self.degrees) != n or len(self.integral) != n:
             raise ValidationError("algebra basis/degrees/integral length mismatch")
+        if any(not isinstance(b, str) for b in self.basis) or len(set(self.basis)) != n:
+            raise ValidationError("algebra basis names must be distinct strings")
+        for i, j in self._table:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValidationError(f"multiplication table index out of range at ({i},{j})")
         if any(d % 2 or d < 0 for d in self.degrees):
             raise ValidationError("basis degrees must be even and nonnegative")
         if self.degrees[0] != 0:

@@ -147,6 +147,8 @@ class WeylData:
         for r, root in enumerate(self.positive_roots):
             if len(root.coeffs) != n or root.is_zero():
                 raise ValidationError(f"positive root {r} must be nonzero with {n} entries")
+            if any(v.denominator != 1 for v in root.coeffs):
+                raise ValidationError(f"positive root {r} must be integral")
         dpoly = self.d_polynomial()
         for w in self.elements:
             moved = self._substitute[w](dpoly)

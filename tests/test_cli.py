@@ -133,9 +133,14 @@ def _set(obj, path, value):
     ("s2", ("generators", 0, "restrictions"),
      {f: [{"basis_index": 0, "coeff": "1/2", "exponents": [0]}] for f in ("N", "S")},
      '$.generators[0].name: "one" is kept for the unit class'),
+    ("s2xs2-nonisolated", ("components", 0, "algebra", "basis"), [0, 1],
+     "$.components[0].algebra: algebra basis names must be distinct strings"),
+    ("s2xs2-nonisolated", ("components", 0, "algebra", "basis"), ["one", "one"],
+     "$.components[0].algebra: algebra basis names must be distinct strings"),
 ], ids=["mult-table-index", "degree", "weyl-perm", "algebra-maps-entry",
         "matrix-scalar-row", "matrix-string-row", "algebra-maps-count", "variables-not-distinct",
-        "degree-0-not-constant", "one-not-the-unit"])
+        "degree-0-not-constant", "one-not-the-unit", "basis-not-strings",
+        "basis-not-distinct"])
 def test_dataset_loader_type_errors_exit_two(capsys, tmp_path, dataset, where, value,
                                              json_path):
     obj = dataset_to_json(load_dataset(dataset))
@@ -145,6 +150,30 @@ def test_dataset_loader_type_errors_exit_two(capsys, tmp_path, dataset, where, v
     code, out, err = run(capsys, "validate", str(p))
     assert code == 2 and not out
     assert json_path in err
+
+
+@pytest.mark.parametrize("dataset, edit, message", [
+    ("s2xs2-nonisolated",
+     lambda obj: obj["components"][0]["algebra"]["mult_table"].append([5, 5, 0, "1"]),
+     "$.components[0].algebra: multiplication table index out of range at (5,5)"),
+    ("s2xs2-nonisolated",
+     lambda obj: obj["components"][0]["algebra"]["mult_table"].append([-1, 0, 0, "1"]),
+     "$.components[0].algebra: multiplication table index out of range at (-1,0)"),
+    ("s2", lambda obj: obj.update(torus_rank=0, variables=[]),
+     "$.torus_rank: torus rank must be at least 1, got 0"),
+], ids=["mult-table-row-past-the-basis", "mult-table-row-before-the-basis", "rank-zero"])
+def test_dataset_loader_range_errors_exit_two(capsys, tmp_path, dataset, edit, message):
+    # a table row outside the basis was never read by the algebra check, and
+    # rank 0 failed in Variables with no JSON path
+    obj = dataset_to_json(load_dataset(dataset))
+    edit(obj)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    for argv in (("validate", str(p)), ("kernel", str(p), "--full"),
+                 ("kernel", str(p), "--circle=1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
 
 
 def test_misspelt_weyl_section_exits_two(capsys, tmp_path):
@@ -159,12 +188,17 @@ def test_misspelt_weyl_section_exits_two(capsys, tmp_path):
         assert err == "error: $.wyel: unknown key\n"
 
 
-@pytest.mark.parametrize("roots, index", [
-    ([["0", "1"]], 0), ([["0"]], 0), ([[]], 0), ([["1"], ["0"]], 1),
-], ids=["longer-than-the-rank", "zero", "empty", "second-zero"])
-def test_bad_positive_root_exits_two(capsys, tmp_path, roots, index):
-    # a root of the wrong length crashed in the root product, and a zero
-    # root passed validate and divided by zero in --nonabelian
+@pytest.mark.parametrize("roots, message", [
+    ([["0", "1"]], "0 must be nonzero with 1 entries"),
+    ([["0"]], "0 must be nonzero with 1 entries"),
+    ([[]], "0 must be nonzero with 1 entries"),
+    ([["1"], ["0"]], "1 must be nonzero with 1 entries"),
+    ([["1/2"]], "0 must be integral"),
+], ids=["longer-than-the-rank", "zero", "empty", "second-zero", "fractional"])
+def test_bad_positive_root_exits_two(capsys, tmp_path, roots, message):
+    # a root of the wrong length crashed in the root product, a zero root
+    # passed validate and divided by zero in --nonabelian, and a root of 1/2
+    # (roots are weights of T, so integral) scaled the calibration by 1/4
     obj = dataset_to_json(load_dataset("s2cubed-su2"))
     obj["weyl"]["positive_roots"] = roots
     p = tmp_path / "roots.json"
@@ -172,7 +206,7 @@ def test_bad_positive_root_exits_two(capsys, tmp_path, roots, index):
     for argv in (("validate", str(p)), ("kernel", str(p), "--nonabelian")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out
-        assert err == f"error: $.weyl: positive root {index} must be nonzero with 1 entries\n"
+        assert err == f"error: $.weyl: positive root {message}\n"
 
 
 @pytest.mark.parametrize("dim", [3, -2])

@@ -439,6 +439,21 @@ def test_circle_kernel_matches_the_whole_slice_kernel(build, directions):
             assert r.kernel.coeffs == whole_slice_kernel(model, r.degree, integral)
 
 
+@pytest.mark.parametrize("build, directions",
+                         [pytest.param(b, d, id=n) for n, b, d in CIRCLE_ORACLE_CASES])
+def test_circle_testing_classes_are_minimal(build, directions):
+    # graded Nakayama: the testing classes span every slice over Sym(ann xi),
+    # and leaving any one of them out loses part of some slice
+    ds = build()
+    model = build_model(ds.space, ds.generators, 4)
+    for xi in directions:
+        xi = CircleDirection.make(xi)
+        testing = circle_testing_classes(model, xi)
+        assert spans_every_slice(model, xi, testing)
+        for k in range(len(testing)):
+            assert not spans_every_slice(model, xi, testing[:k] + testing[k + 1:])
+
+
 @pytest.mark.parametrize("build, xi, kept, whole", [
     pytest.param(lambda: sphere_product(3), (1, 2, 4), 12, 25, id="s2x3"),
     pytest.param(lambda: projective(3, CP3_OFFSET), (1, 2, 4), 6, 15, id="cp3"),
