@@ -240,6 +240,10 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
         _known_keys(gobj, ("name", "degree", "restrictions"), path)
         gname = _expect(gobj, "name", str, path)
         degree = _expect(gobj, "degree", int, path)
+        if degree % 2 or degree < 0:
+            # every class here is even, so such a generator could only be zero
+            raise SchemaError(f"{path}.degree: degree must be even and nonnegative, "
+                              f"got {degree}")
         rmap = _expect(gobj, "restrictions", dict, path)
         restrictions = {}
         for f in space.components:

@@ -84,8 +84,8 @@ class DegreeTruncatedModel:
 
     The model walks ``generator_products`` once, to max(max_degree, dim), and
     refuses the data unless every localization sum through dim on that walk
-    is a polynomial, so no check runs on inconsistent data.  ``products``
-    keeps the products the slices are built from.
+    is a polynomial, so no check runs on inconsistent data.  The slices are
+    built from the products of that walk up to their depth.
 
     Slice d is grown from slice d - 2, one ``mul_pure`` by a variable per
     (kept element, variable), and keeps the labels, vectors and keys that
@@ -111,16 +111,15 @@ class DegreeTruncatedModel:
         if failures:
             raise ValidationError(f"inconsistent fixed-point data (run validate): {failures[0]}")
         self.space = space
-        self.generators = generators
         self.max_degree = max_degree
         depth = max(max_degree, space.dim - 2)
-        # filtering the deeper walk keeps generator_products' depth-first order
-        self.products = [(exps, cls) for exps, cls in products if cls.degree <= depth]
         self.basis_by_degree: dict[int, list[ModelElement]] = {}
         self.restriction_rows: dict[int, dict[str, list[Row]]] = {}
         self._positions: dict[int, dict[tuple[str, tuple[int, ...], int], int]] = {}
         self._keys: dict[int, list[tuple[str, tuple[int, ...], int]]] = {}
-        self._build(depth)
+        # filtering the deeper walk keeps generator_products' depth-first order
+        self._build(depth, [(exps, cls) for exps, cls in products if cls.degree <= depth],
+                    [name for name, cls in generators if cls.degree > 0])
 
     def class_vector(self, cls: RestrictedClass, degree: int) -> Row | None:
         """The restriction terms of cls by key position, or None when cls has
@@ -147,14 +146,14 @@ class DegreeTruncatedModel:
                 polys[name].terms[(exps, b)] = coefficient(c)
         return RestrictedClass(self.space, degree, polys)
 
-    def _build(self, depth: int):
+    def _build(self, depth: int, products: list[tuple[tuple[int, ...], RestrictedClass]],
+               names: list[str]):
         space = self.space
-        names = [name for name, cls in self.generators if cls.degree > 0]
         nvars = space.vars.count
         variables = [EquivariantPolynomial.variable(space.vars, j) for j in range(nvars)]
         # the candidates keyed (product index, exponents): the products first
         grown_by_degree: dict[int, dict[tuple[int, tuple[int, ...]], RestrictedClass]] = {}
-        for p, (_, cls) in enumerate(self.products):
+        for p, (_, cls) in enumerate(products):
             grown_by_degree.setdefault(cls.degree, {})[(p, (0,) * nvars)] = cls
         # the kept elements of the slice below, with their keys
         below: list[tuple[tuple[int, tuple[int, ...]], ModelElement]] = []
@@ -180,7 +179,7 @@ class DegreeTruncatedModel:
             for i in kept:
                 p, mono = order[i]
                 label = "*".join(_powers(space.vars.names, mono)
-                                 + _powers(names, self.products[p][0])) or "1"
+                                 + _powers(names, products[p][0])) or "1"
                 below.append((order[i], ModelElement(label, candidates[i], vectors[i])))
             self.basis_by_degree[degree] = [el for _, el in below]
             rows = linalg.transpose([vectors[i] for i in kept])
@@ -258,15 +257,13 @@ def circle_testing_classes(model: DegreeTruncatedModel,
     cap = dim - 2, which the model always builds.
 
     The circle integral is linear over the polynomials on t/s: it takes
-    p * eta to p * (its value on eta) for p in Sym(ann xi).  With i the first
-    index where xi_i != 0, Q[X] = Sym(ann xi)[X_i], so the classes g * X_i^j
-    (g a generator product, of degree at most cap) have the same
-    Sym(ann xi)-span as the slices, and the pairing the same null space.  By
-    graded Nakayama a minimal set of them is a basis of each slice modulo
-    (ann xi) times the slice below: by degree, in generator-product order, a
+    p * eta to p * (its value on eta) for p in Sym(ann xi), so module
+    generators of the slices give the pairing the null space the whole slices
+    give.  By graded Nakayama a minimal set of them is a basis of each slice
+    modulo (ann xi) times the slice below: by degree, in model order, a basis
     class is kept only if it lies outside the span of the kept classes of its
-    degree and of the products of the basis xi_i X_k - xi_k X_i (k != i) of
-    ann xi with the model slice below.
+    degree and of the products of the basis xi_i X_k - xi_k X_i (k != i, i the
+    first index where xi_i != 0) of ann xi with the model slice below.
     """
     space = model.space
     cap = space.dim - 2
@@ -281,22 +278,14 @@ def circle_testing_classes(model: DegreeTruncatedModel,
         echelon = linalg.Echelon(model.class_vector(el.cls.mul_pure(f), zdeg)
                                  for el in model.basis_by_degree.get(zdeg - 2, ())
                                  for f in forms)
-        for _, g in model.products:
-            if g.degree <= zdeg and (zdeg - g.degree) % 2 == 0:
-                exps = tuple((zdeg - g.degree) // 2 if k == i else 0 for k in range(n))
-                cls = g.mul_pure(EquivariantPolynomial(space.vars, POINT_ALGEBRA,
-                                                       {(exps, 0): 1}))
-                if echelon.add(model.class_vector(cls, zdeg)):
-                    kept.append(cls)
+        kept += [el.cls for el in model.basis_by_degree[zdeg] if echelon.add(el.vector)]
     return kept
 
 
 def circle_kernel(model: DegreeTruncatedModel, degree: int, integral: KirwanIntegral,
-                  testing: list[RestrictedClass] | None = None) -> Subspace:
-    """Null space of the circle-level pairing against the testing classes,
-    ``circle_testing_classes`` of the integral's direction when None."""
-    if testing is None:
-        testing = circle_testing_classes(model, integral.xi)
+                  testing: list[RestrictedClass]) -> Subspace:
+    """Null space of the circle-level pairing against the testing classes
+    (``circle_testing_classes`` of the integral's direction)."""
     classes = [el.cls for el in model.basis_by_degree[degree]]
     return Subspace(degree, pairing_kernel(integral, classes, testing))
 

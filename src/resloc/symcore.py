@@ -197,9 +197,13 @@ class GradedAlgebra:
         self.integral = tuple(coefficient(v) for v in integral)
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), row in mult_table.items():
+            i, j = int(i), int(j)
+            # every given index, zero coefficients' too, must lie in the basis
+            if not all(0 <= x < len(self.basis) for x in (i, j, *map(int, row))):
+                raise ValidationError(f"multiplication table index out of range at ({i},{j})")
             entry = {int(k): c for k, v in row.items() if (c := coefficient(v))}
-            table[(int(i), int(j))] = entry
-            table.setdefault((int(j), int(i)), entry)
+            table[(i, j)] = entry
+            table.setdefault((j, i), entry)
         self._table = table
         self._key = (self.basis, self.degrees, self.top_degree, self.integral,
                      tuple(sorted((ij, tuple(sorted(row.items()))) for ij, row in table.items())))
@@ -213,9 +217,6 @@ class GradedAlgebra:
             raise ValidationError("algebra basis/degrees/integral length mismatch")
         if any(not isinstance(b, str) for b in self.basis) or len(set(self.basis)) != n:
             raise ValidationError("algebra basis names must be distinct strings")
-        for i, j in self._table:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValidationError(f"multiplication table index out of range at ({i},{j})")
         if any(d % 2 or d < 0 for d in self.degrees):
             raise ValidationError("basis degrees must be even and nonnegative")
         if self.degrees[0] != 0:
@@ -224,9 +225,7 @@ class GradedAlgebra:
             for j in range(n):
                 row = self.mul_basis(i, j)
                 want = self.degrees[i] + self.degrees[j]
-                for k, v in row.items():
-                    if not (0 <= k < n):
-                        raise ValidationError(f"multiplication table index out of range at ({i},{j})")
+                for k in row:
                     if self.degrees[k] != want:
                         raise ValidationError(
                             f"product of basis {i},{j} has a component off degree {want}")
@@ -362,9 +361,6 @@ class EquivariantPolynomial:
     def is_homogeneous(self) -> bool:
         degs = {2 * sum(e) + self.algebra.degrees[b] for e, b in self.terms}
         return len(degs) <= 1
-
-    def involves(self, var: int) -> bool:
-        return any(e[var] for e, _ in self.terms)
 
     def involves_any_variable(self) -> bool:
         return any(sum(e) for e, _ in self.terms)
@@ -665,9 +661,6 @@ class RationalSection:
 
     def is_zero(self) -> bool:
         return self.numer.is_zero()
-
-    def involves(self, var: int) -> bool:
-        return self.numer.involves(var) or any(f.involves(var) for f in self.denom)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -159,12 +159,24 @@ def test_dataset_loader_type_errors_exit_two(capsys, tmp_path, dataset, where, v
     ("s2xs2-nonisolated",
      lambda obj: obj["components"][0]["algebra"]["mult_table"].append([-1, 0, 0, "1"]),
      "$.components[0].algebra: multiplication table index out of range at (-1,0)"),
+    ("s2xs2-nonisolated",
+     lambda obj: obj["components"][0]["algebra"]["mult_table"].append([1, 1, 7, "0"]),
+     "$.components[0].algebra: multiplication table index out of range at (1,1)"),
     ("s2", lambda obj: obj.update(torus_rank=0, variables=[]),
      "$.torus_rank: torus rank must be at least 1, got 0"),
-], ids=["mult-table-row-past-the-basis", "mult-table-row-before-the-basis", "rank-zero"])
+    ("s2", lambda obj: obj["generators"].append(
+        {"name": "z", "degree": 1, "restrictions": {"N": [], "S": []}}),
+     "$.generators[2].degree: degree must be even and nonnegative, got 1"),
+    ("s2", lambda obj: obj["generators"].append(
+        {"name": "z", "degree": -2, "restrictions": {"N": [], "S": []}}),
+     "$.generators[2].degree: degree must be even and nonnegative, got -2"),
+], ids=["mult-table-row-past-the-basis", "mult-table-row-before-the-basis",
+        "mult-table-zero-row-past-the-basis", "rank-zero", "generator-odd-degree",
+        "generator-negative-degree"])
 def test_dataset_loader_range_errors_exit_two(capsys, tmp_path, dataset, edit, message):
-    # a table row outside the basis was never read by the algebra check, and
-    # rank 0 failed in Variables with no JSON path
+    # each is refused with one line naming its JSON path, under every command:
+    # a table index outside the basis (with a zero coefficient too), rank 0,
+    # and a generator of odd or negative degree, which could only be zero
     obj = dataset_to_json(load_dataset(dataset))
     edit(obj)
     p = tmp_path / "bad.json"

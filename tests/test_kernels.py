@@ -315,17 +315,19 @@ def test_circle_kernel_stable_under_testing_slack(s2xs2_model):
     assert cap <= s2xs2_model.max_degree
     enlarged = [el.cls for zdeg in range(0, cap + 1, 2)
                 for el in s2xs2_model.basis_by_degree[zdeg]]
+    testing = circle_testing_classes(s2xs2_model, integral.xi)
     for d in (2, 4):
-        base = circle_kernel(s2xs2_model, d, integral)
+        base = circle_kernel(s2xs2_model, d, integral, testing)
         classes = [el.cls for el in s2xs2_model.basis_by_degree[d]]
         assert len(pairing_kernel(integral, classes, enlarged)) == base.dim
 
 
 def test_circle_kernel_methods_agree(s2xs2_model, poles_route):
     xi = CircleDirection.make((2, 1))
-    a = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi))
+    testing = circle_testing_classes(s2xs2_model, xi)
+    a = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi), testing)
     poles_route()
-    b = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi))
+    b = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi), testing)
     assert a.coeffs == b.coeffs
 
 
@@ -346,9 +348,10 @@ def test_circle_split_shared_integral_matches_fresh(s2xs2_model, nonisolated, me
     else:
         poles_route()
     for (model, xi), rows in zip(cases, shared):
+        testing = circle_testing_classes(model, CircleDirection.make(xi))
         for r in rows:
             fresh = circle_integral(model.space, CircleDirection.make(xi))
-            assert r.kernel.coeffs == circle_kernel(model, r.degree, fresh).coeffs
+            assert r.kernel.coeffs == circle_kernel(model, r.degree, fresh, testing).coeffs
 
 
 def whole_slice_kernel(model, degree, integral):
