@@ -243,8 +243,6 @@ def pairing_kernel(integral: KirwanIntegral, classes: list[RestrictedClass],
     A scalar value gives one row per testing class, a polynomial value one
     row per monomial.
     """
-    if not classes:
-        return []
     rows = [row for zeta in testing
             for row in linalg.transpose(integral.values(classes, zeta)).values()]
     return linalg.nullspace(rows, len(classes))

@@ -74,13 +74,6 @@ class CircleDirection:
 
     vector: tuple[int, ...]
 
-    @staticmethod
-    def make(entries: Iterable[int]) -> "CircleDirection":
-        vec = tuple(int(v) for v in entries)
-        if not any(vec):
-            raise ValidationError("circle direction must be nonzero")
-        return CircleDirection(vec)
-
     def primitive(self) -> "CircleDirection":
         g = gcd(*self.vector)
         return CircleDirection(tuple(v // g for v in self.vector))
@@ -196,12 +189,6 @@ class RestrictedClass:
             raise ValidationError("cannot add classes of different degrees")
         return RestrictedClass(self.space, degree, {
             name: p + other.restrictions[name] for name, p in self.restrictions.items()})
-
-    def __neg__(self) -> "RestrictedClass":
-        return self.scale(-1)
-
-    def __sub__(self, other: "RestrictedClass") -> "RestrictedClass":
-        return self + (-other)
 
     def __mul__(self, other: "RestrictedClass") -> "RestrictedClass":
         if self.space is not other.space:

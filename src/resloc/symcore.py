@@ -210,6 +210,12 @@ class GradedAlgebra:
         self._validate()
         self.pairing = {ij: v for ij, row in table.items()
                         if (v := sum(s * self.integral[k] for k, s in row.items()))}
+        # a fixed component is compact and oriented, so Poincare duality holds
+        from .linalg import rank  # linalg imports this module
+        n = len(self.basis)
+        if (r := rank([{j: v for (i, j), v in self.pairing.items() if i == row}
+                       for row in range(n)])) < n:
+            raise ValidationError(f"integral pairing is degenerate: rank {r} of {n}")
 
     def _validate(self):
         n = len(self.basis)
@@ -406,13 +412,6 @@ class EquivariantPolynomial:
             out._check(p)
             add_scaled(out.terms, 1, p.terms)
         return out
-
-    def __neg__(self) -> "EquivariantPolynomial":
-        return EquivariantPolynomial(self.vars, self.algebra,
-                                     {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "EquivariantPolynomial") -> "EquivariantPolynomial":
-        return self + (-other)
 
     def scale(self, value) -> "EquivariantPolynomial":
         value = coefficient(value)
@@ -641,16 +640,6 @@ class RationalSection:
         self.numer = numer
         self.denom = merged
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(vars: Variables, algebra: GradedAlgebra = POINT_ALGEBRA) -> "RationalSection":
-        return RationalSection(EquivariantPolynomial.zero(vars, algebra), ())
-
-    @staticmethod
-    def one(vars: Variables, algebra: GradedAlgebra = POINT_ALGEBRA) -> "RationalSection":
-        return RationalSection(EquivariantPolynomial.one(vars, algebra), ())
-
     @property
     def vars(self) -> Variables:
         return self.numer.vars
@@ -690,34 +679,20 @@ class RationalSection:
     @staticmethod
     def sum(vars: Variables, sections: Iterable["RationalSection"],
             algebra: GradedAlgebra = POINT_ALGEBRA) -> "RationalSection":
-        """Sum over one common denominator: every numerator is extended once
-        to the least common multiple of the denominators, the numerators are
-        added, and the result is cancelled once.
+        """Sum over one common denominator, the one way sections are added:
+        every numerator is extended once to the least common multiple of the
+        denominators, the numerators are added, and the result is cancelled
+        once.
 
         Over the point algebra a fully cancelled section is unique, since its
-        denominator is a product of normalized linear forms, so this gives
-        the same numerator and denominator as a left fold of ``+``.
+        denominator is a product of normalized linear forms, so the sum does
+        not depend on how the sections are grouped.
         """
         sections = list(sections)
         common = RationalSection.common_denominator(sections)
         numer = EquivariantPolynomial.sum(
             vars, (s.numer_over(common) for s in sections), algebra)
         return RationalSection(numer, common)
-
-    def __add__(self, other: "RationalSection") -> "RationalSection":
-        return RationalSection.sum(self.vars, (self, other), self.algebra)
-
-    def __neg__(self) -> "RationalSection":
-        return RationalSection(-self.numer, self.denom, cancel=False)
-
-    def __sub__(self, other: "RationalSection") -> "RationalSection":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalSection") -> "RationalSection":
-        denom = dict(self.denom)
-        for form, mult in other.denom.items():
-            denom[form] = denom.get(form, 0) + mult
-        return RationalSection(self.numer * other.numer, denom)
 
     def scale(self, value) -> "RationalSection":
         return RationalSection(self.numer.scale(value), self.denom, cancel=False)
@@ -761,15 +736,6 @@ class RationalSection:
             denom.append((nf, mult))
         return RationalSection(numer, denom)
 
-    def as_polynomial(self) -> EquivariantPolynomial:
-        """Clear the denominator by exact division; raises ExactDivisionError
-        if the section is not a polynomial."""
-        p = self.numer
-        for form, mult in sorted(self.denom.items(), key=lambda kv: kv[0].coeffs):
-            for _ in range(mult):
-                p = p.div_exact_linear(form)
-        return p
-
     def constant_value(self) -> Fraction:
         if self.denom:
             raise ValidationError("section still has denominator factors")
@@ -811,7 +777,8 @@ def invert_euler(vars: Variables, algebra: GradedAlgebra,
             raise ValidationError("line curvature class is not nilpotent")
         if order > 1:
             w_poly = EquivariantPolynomial.from_linear_form(vars, form)
+            minus_chern = chern.scale(-1)
             numer = numer * EquivariantPolynomial.sum(vars, (
-                ((-chern) ** r).mul_pure(w_poly ** (order - 1 - r)) for r in range(order)), algebra)
+                (minus_chern ** r).mul_pure(w_poly ** (order - 1 - r)) for r in range(order)), algebra)
         denom.append((form, order))
     return RationalSection(numer, denom)

@@ -170,13 +170,17 @@ def test_dataset_loader_type_errors_exit_two(capsys, tmp_path, dataset, where, v
     ("s2", lambda obj: obj["generators"].append(
         {"name": "z", "degree": -2, "restrictions": {"N": [], "S": []}}),
      "$.generators[2].degree: degree must be even and nonnegative, got -2"),
+    ("s2xs2-nonisolated", lambda obj: [c["algebra"].update(integral=["0", "0"])
+                                       for c in obj["components"]],
+     "$.components[0].algebra: integral pairing is degenerate: rank 0 of 2"),
 ], ids=["mult-table-row-past-the-basis", "mult-table-row-before-the-basis",
         "mult-table-zero-row-past-the-basis", "rank-zero", "generator-odd-degree",
-        "generator-negative-degree"])
+        "generator-negative-degree", "degenerate-integral-pairing"])
 def test_dataset_loader_range_errors_exit_two(capsys, tmp_path, dataset, edit, message):
     # each is refused with one line naming its JSON path, under every command:
     # a table index outside the basis (with a zero coefficient too), rank 0,
-    # and a generator of odd or negative degree, which could only be zero
+    # a generator of odd or negative degree, which could only be zero, and a
+    # component algebra whose integral pairing is degenerate
     obj = dataset_to_json(load_dataset(dataset))
     edit(obj)
     p = tmp_path / "bad.json"
@@ -525,6 +529,8 @@ def test_flag_is_not_taken_as_a_negative_value(capsys):
     (("validate", "s2", "--max-degree", "-1"), "--max-degree"),
     (("kernel", "s2", "--full", "--ordering", "1"), "--ordering"),
     (("kernel", "s2", "--full", "--delta", "0"), "--delta"),
+    (("kernel", "s2", "--circle=x"), "--circle"),
+    (("kernel", "s2", "--circle=1,"), "--circle"),
 ])
 def test_malformed_flag_exits_two(capsys, argv, flag):
     code, out, err = run(capsys, *argv)

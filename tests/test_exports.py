@@ -54,3 +54,10 @@ def test_no_unused_imports():
                    for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
     assert files
     assert [u for p in files for u in _unused_imports(p)] == []
+
+
+def test_readme_quick_start_runs(capsys):
+    # the first python block of README.md, run as it is written
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out

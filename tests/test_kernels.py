@@ -245,12 +245,12 @@ def test_subspace_classes_reconstruction(s2_model):
 
 
 def test_positive_side_both_directions(s2):
-    assert positive_side(s2.space, CircleDirection.make((1,))) == frozenset({"N"})
-    assert positive_side(s2.space, CircleDirection.make((-1,))) == frozenset({"S"})
+    assert positive_side(s2.space, CircleDirection((1,))) == frozenset({"N"})
+    assert positive_side(s2.space, CircleDirection((-1,))) == frozenset({"S"})
 
 
 def test_vanishing_subspace_s2(s2_model):
-    xi = CircleDirection.make((1,))
+    xi = CircleDirection((1,))
     plus = vanishing_subspace(s2_model, positive_side(s2_model.space, xi), 2)
     minus = vanishing_subspace(s2_model, frozenset({"S"}), 2)
     assert plus.dim == minus.dim == 1
@@ -263,7 +263,7 @@ def test_circle_split_rejects_nongeneric(s2xs2_model):
     # the circle integral the check takes cannot be built for (1, 0)
     with pytest.raises(NonGenericError):
         check_circle_kernel_split(
-            s2xs2_model, circle_integral(s2xs2_model.space, CircleDirection.make((1, 0))))
+            s2xs2_model, circle_integral(s2xs2_model.space, CircleDirection((1, 0))))
 
 
 # -- circle-level kernel -----------------------------------------------------------
@@ -271,7 +271,7 @@ def test_circle_split_rejects_nongeneric(s2xs2_model):
 
 def test_circle_split_s2_all_chambers(s2_model):
     for xi in ((1,), (-1,)):
-        integral = circle_integral(s2_model.space, CircleDirection.make(xi))
+        integral = circle_integral(s2_model.space, CircleDirection(xi))
         rows = check_circle_kernel_split(s2_model, integral)
         assert [(r.degree, r.kernel.dim, r.minus.dim, r.plus.dim) for r in rows[:3]] == \
             [(0, 0, 0, 0), (2, 2, 1, 1), (4, 2, 1, 1)]
@@ -281,7 +281,7 @@ def test_circle_split_s2_all_chambers(s2_model):
 def test_circle_split_sides_follow_the_integral_direction(s2_model):
     # the check reads xi from the integral: reversing it swaps the sides
     for xi, plus_names in (((1,), {"N"}), ((-1,), {"S"})):
-        integral = circle_integral(s2_model.space, CircleDirection.make(xi))
+        integral = circle_integral(s2_model.space, CircleDirection(xi))
         [row] = [r for r in check_circle_kernel_split(s2_model, integral) if r.degree == 2]
         minus_names = {"N", "S"} - plus_names
         assert row.plus.dim == row.minus.dim == 1
@@ -292,7 +292,7 @@ def test_circle_split_sides_follow_the_integral_direction(s2_model):
 
 
 def test_circle_split_s2xs2(s2xs2_model):
-    integral = circle_integral(s2xs2_model.space, CircleDirection.make((1, 2)))
+    integral = circle_integral(s2xs2_model.space, CircleDirection((1, 2)))
     rows = check_circle_kernel_split(s2xs2_model, integral)
     assert [(r.degree, r.kernel.dim, r.minus.dim, r.plus.dim) for r in rows[:3]] == \
         [(0, 0, 0, 0), (2, 2, 1, 1), (4, 6, 3, 3)]
@@ -301,7 +301,7 @@ def test_circle_split_s2xs2(s2xs2_model):
 
 def test_circle_split_nonisolated(nonisolated):
     model = build_model(nonisolated.space, nonisolated.generators, 4)
-    integral = circle_integral(nonisolated.space, CircleDirection.make((1,)))
+    integral = circle_integral(nonisolated.space, CircleDirection((1,)))
     rows = check_circle_kernel_split(model, integral)
     assert [(r.degree, r.kernel.dim, r.minus.dim, r.plus.dim) for r in rows] == \
         [(0, 0, 0, 0), (2, 2, 1, 1), (4, 4, 2, 2)]
@@ -310,7 +310,7 @@ def test_circle_split_nonisolated(nonisolated):
 
 def test_circle_kernel_stable_under_testing_slack(s2xs2_model):
     # testing against the slices two degrees past dim - 2 finds the same kernel
-    integral = circle_integral(s2xs2_model.space, CircleDirection.make((1, 2)))
+    integral = circle_integral(s2xs2_model.space, CircleDirection((1, 2)))
     cap = s2xs2_model.space.dim - 2 + 2
     assert cap <= s2xs2_model.max_degree
     enlarged = [el.cls for zdeg in range(0, cap + 1, 2)
@@ -323,7 +323,7 @@ def test_circle_kernel_stable_under_testing_slack(s2xs2_model):
 
 
 def test_circle_kernel_methods_agree(s2xs2_model, poles_route):
-    xi = CircleDirection.make((2, 1))
+    xi = CircleDirection((2, 1))
     testing = circle_testing_classes(s2xs2_model, xi)
     a = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi), testing)
     poles_route()
@@ -341,16 +341,16 @@ def test_circle_split_shared_integral_matches_fresh(s2xs2_model, nonisolated, me
     nonisolated_model = build_model(nonisolated.space, nonisolated.generators, 4)
     cases = [(s2xs2_model, (1, 2)), (nonisolated_model, (1,))]
     shared = [check_circle_kernel_split(model,
-                                        circle_integral(model.space, CircleDirection.make(xi)))
+                                        circle_integral(model.space, CircleDirection(xi)))
               for model, xi in cases]
     if method == "poles":
         monkeypatch.undo()
     else:
         poles_route()
     for (model, xi), rows in zip(cases, shared):
-        testing = circle_testing_classes(model, CircleDirection.make(xi))
+        testing = circle_testing_classes(model, CircleDirection(xi))
         for r in rows:
-            fresh = circle_integral(model.space, CircleDirection.make(xi))
+            fresh = circle_integral(model.space, CircleDirection(xi))
             assert r.kernel.coeffs == circle_kernel(model, r.degree, fresh, testing).coeffs
 
 
@@ -433,7 +433,7 @@ def test_circle_kernel_matches_the_whole_slice_kernel(build, directions):
     space = ds.space
     model = build_model(space, ds.generators, 4)
     for xi in directions:
-        xi = CircleDirection.make(xi)
+        xi = CircleDirection(xi)
         assert spans_every_slice(model, xi, circle_testing_classes(model, xi))
         integral = circle_integral(space, xi)
         rows = check_circle_kernel_split(model, integral)
@@ -450,7 +450,7 @@ def test_circle_testing_classes_are_minimal(build, directions):
     ds = build()
     model = build_model(ds.space, ds.generators, 4)
     for xi in directions:
-        xi = CircleDirection.make(xi)
+        xi = CircleDirection(xi)
         testing = circle_testing_classes(model, xi)
         assert spans_every_slice(model, xi, testing)
         for k in range(len(testing)):
@@ -464,7 +464,7 @@ def test_circle_testing_classes_are_minimal(build, directions):
 def test_circle_testing_classes_are_module_generators(build, xi, kept, whole):
     ds = build()
     model = build_model(ds.space, ds.generators, 4)
-    testing = circle_testing_classes(model, CircleDirection.make(xi))
+    testing = circle_testing_classes(model, CircleDirection(xi))
     assert sum(len(model.basis_by_degree[d]) for d in (0, 2, 4)) == whole
     assert len(testing) == kept
 
@@ -483,7 +483,7 @@ def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch,
         return real(h, var, series)
 
     monkeypatch.setattr(spaces, "res_x_plus_series", counted)
-    xi = CircleDirection.make((1, 2))
+    xi = CircleDirection((1, 2))
     integral = circle_integral(s2xs2_model.space, xi)
     classes = [el.cls for el in s2xs2_model.basis_by_degree[4]]
     values = [integral(cls) for cls in classes]
@@ -516,7 +516,7 @@ def test_circle_integral_adapts_only_on_residue_misses(s2xs2, monkeypatch,
     monkeypatch.setattr(spaces.AdaptedSpace, "adapt", counted_adapt)
     monkeypatch.setattr(spaces, "res_x_plus_series", counted_residue)
     model = build_model(s2xs2.space, s2xs2.generators, 4)
-    integral = circle_integral(s2xs2.space, CircleDirection.make((1, 2)))
+    integral = circle_integral(s2xs2.space, CircleDirection((1, 2)))
     check_circle_kernel_split(model, integral)
     assert calls["adapt"] == calls["residue"] == 18
     assert len(expansion_builds) == 8
@@ -525,7 +525,7 @@ def test_circle_integral_adapts_only_on_residue_misses(s2xs2, monkeypatch,
 def test_circle_integral_keeps_no_entry_that_raises(s2xs2, monkeypatch):
     # u2 and u1 both vanish at NN, on the positive side of (1, 2), and differ
     # at SN, the other component on that side
-    xi = CircleDirection.make((1, 2))
+    xi = CircleDirection((1, 2))
     assert positive_side(s2xs2.space, xi) == frozenset({"NN", "SN"})
     u1, u2 = s2xs2.generator("u1"), s2xs2.generator("u2")
     assert u1.restrictions["NN"] == u2.restrictions["NN"]
@@ -559,7 +559,7 @@ def test_circle_integral_keeps_no_entry_that_raises(s2xs2, monkeypatch):
 
 def test_circle_pairing_matches_integral(s2xs2):
     # with a negative leading entry the residue is still taken along xi itself
-    reversed_xi = CircleDirection.make((-1, 2))
+    reversed_xi = CircleDirection((-1, 2))
     u1 = s2xs2.generator("u1")
     assert circle_integral(s2xs2.space, reversed_xi)(u1).constant_value() == Q(-1, 2)
 
@@ -573,7 +573,7 @@ def test_circle_pairing_rejects_nongeneric():
                            (lf(0, 1), EquivariantPolynomial.zero(vars))))
     space = HamiltonianSpace(vars, 4, [comp])
     with pytest.raises(NonGenericError):
-        circle_integral(space, CircleDirection.make((1, 0)))
+        circle_integral(space, CircleDirection((1, 0)))
 
 
 # -- pairing rows as a bilinear form on the tau tables --------------------------------
@@ -612,9 +612,9 @@ def test_bilinear_pairing_rows_match_class_products(name, level, xi, ordering):
     ds = load_dataset(name)
     model = build_model(ds.space, ds.generators, 4)
     if level == "circle":
-        integral = circle_integral(ds.space, CircleDirection.make(xi))
+        integral = circle_integral(ds.space, CircleDirection(xi))
     else:
-        integral = torus_integral(ds.space, xi and CircleDirection.make(xi), ordering)
+        integral = torus_integral(ds.space, xi and CircleDirection(xi), ordering)
     testing = [el.cls for d in (0, 2, 4) for el in model.basis_by_degree[d]]
     nonzero = 0
     for d in (0, 2, 4):
@@ -776,7 +776,7 @@ def test_torus_kernel_unconstrained_above_complementary_range(s2xs2_model):
 def test_torus_pairing_fixed_direction_matches_default(s2xs2_model):
     unit = RestrictedClass.unit(s2xs2_model.space)
     for xi in ((1, 2), (-1, 2), (2, -1)):
-        integral = torus_integral(s2xs2_model.space, CircleDirection.make(xi))
+        integral = torus_integral(s2xs2_model.space, CircleDirection(xi))
         assert integral(unit * unit) == 1
 
 

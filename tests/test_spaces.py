@@ -130,7 +130,7 @@ def test_euler_class_with_line_class(nonisolated):
     sp = HamiltonianSpace(V2, 4, [comp])
     inv = sp.euler_inverse(comp)
     x = EquivariantPolynomial.variable(V2, 0, alg)
-    assert inv == RationalSection(x - vol, {lf(1, 0): 2})
+    assert inv == RationalSection(x + vol.scale(-1), {lf(1, 0): 2})
 
 
 def test_space_rejects_odd_dim():
@@ -176,7 +176,7 @@ def test_restricted_class_arithmetic(s2):
     # u restricts to (0, X) so u^2 restricts to (0, X^2)
     assert sq.degree == 4
     assert sq.restrictions["S"] == EquivariantPolynomial.variable(s2.space.vars, 0) ** 2
-    assert (u - u).is_zero()
+    assert (u + u.scale(-1)).is_zero()
     with pytest.raises(ValidationError):
         u + RestrictedClass.unit(s2.space)
 
@@ -186,9 +186,9 @@ def test_restricted_class_arithmetic(s2):
 
 def test_is_generic_reports_violations(s2xs2):
     sp = s2xs2.space
-    bad = is_generic(sp, CircleDirection.make((1, 0)))
+    bad = is_generic(sp, CircleDirection((1, 0)))
     assert bad and all(kind == "weight" for kind, _ in bad)
-    assert is_generic(sp, CircleDirection.make((1, 2))) == []
+    assert is_generic(sp, CircleDirection((1, 2))) == []
 
 
 def test_find_generic_direction(s2, s2xs2):
@@ -328,7 +328,7 @@ UNIMODULAR_COMPLETIONS = [
 
 def test_adapted_moment_is_pairing(s2xs2):
     sp = s2xs2.space
-    xi = CircleDirection.make((1, 2))
+    xi = CircleDirection((1, 2))
     adapted = adapt_space(sp, xi)
     for f, g in zip(sp.components, adapted.space.components):
         assert g.moment[0] == xi.pair(f.moment)
@@ -351,7 +351,7 @@ def test_localization_sum_s2(s2):
     x = EquivariantPolynomial.variable(sp.vars, 0)
     zero = EquivariantPolynomial.zero(sp.vars)
     assert localization_sum(sp, RestrictedClass.unit(sp)).is_zero()
-    assert localization_sum(sp, u) == RationalSection.one(sp.vars)
+    assert localization_sum(sp, u) == RationalSection(EquivariantPolynomial.one(sp.vars))
     flipped = RestrictedClass(sp, 2, {"N": x, "S": zero})
     assert localization_sum(sp, flipped) == RationalSection(
         EquivariantPolynomial.one(sp.vars).scale(-1))
@@ -430,9 +430,9 @@ def test_localization_sum_matches_left_fold_term_for_term(s2, s2xs2):
     cases.append((broken, RestrictedClass.unit(broken), False))
     for space, cls, is_lone in cases:
         terms = [localization_term(space, f, cls.restrictions[f.name]) for f in space.components]
-        fold = RationalSection.zero(space.vars)
+        fold = RationalSection(EquivariantPolynomial.zero(space.vars))
         for term in terms:
-            fold = fold + term
+            fold = RationalSection.sum(space.vars, (fold, term))
         one_shot = localization_sum(space, cls)
         assert one_shot.numer.terms == fold.numer.terms
         assert one_shot.denom == fold.denom
@@ -443,7 +443,7 @@ def test_localization_sum_matches_left_fold_term_for_term(s2, s2xs2):
             # over the Euler denominator of p0 alone
             assert fold.denom != euler_lcm(space)
     assert str(localization_sum(*lone[0])) == "(1) / ((Y))"
-    assert localization_sum(*lone[1]) == RationalSection.one(cp3.vars)
+    assert localization_sum(*lone[1]) == RationalSection(EquivariantPolynomial.one(cp3.vars))
     # the text the command line prints for the pole
     assert str(localization_sum(broken, RestrictedClass.unit(broken))) == "(-2) / ((X))"
     empty = RationalSection.sum(V2, [])
@@ -485,11 +485,11 @@ def test_localization_sum_builds_the_common_denominator_once(monkeypatch):
 
 def test_kappa_s_unit_both_sides(s2):
     sp = s2.space
-    plus = circle_integral(sp, CircleDirection.make((1,)))(RestrictedClass.unit(sp))
+    plus = circle_integral(sp, CircleDirection((1,)))(RestrictedClass.unit(sp))
     assert plus == EquivariantPolynomial.constant(sp.vars, -1)
     # reversing the circle swaps the selected side and, as the residue is
     # taken along xi itself, also the residue variable: the value is unchanged
-    minus = circle_integral(sp, CircleDirection.make((-1,)))(RestrictedClass.unit(sp))
+    minus = circle_integral(sp, CircleDirection((-1,)))(RestrictedClass.unit(sp))
     assert minus == EquivariantPolynomial.constant(sp.vars, -1)
 
 
@@ -497,19 +497,19 @@ def test_kappa_s_kills_class_supported_on_minus_side(s2):
     sp = s2.space
     x = EquivariantPolynomial.variable(sp.vars, 0)
     eta = RestrictedClass(sp, 2, {"N": x, "S": EquivariantPolynomial.zero(sp.vars)})
-    got = circle_integral(sp, CircleDirection.make((1,)))(eta)
+    got = circle_integral(sp, CircleDirection((1,)))(eta)
     assert got.is_zero()
 
 
 def test_kappa_s_rejects_nongeneric(s2xs2):
     with pytest.raises(NonGenericError) as info:
-        circle_integral(s2xs2.space, CircleDirection.make((1, 0)))
+        circle_integral(s2xs2.space, CircleDirection((1, 0)))
     assert info.value.violations
 
 
 def test_kappa_s_methods_agree_on_generators(s2xs2, poles_route):
     sp = s2xs2.space
-    xi = CircleDirection.make((1, 2))
+    xi = CircleDirection((1, 2))
     by_series = [circle_integral(sp, xi)(g) for _, g in s2xs2.generators]
     poles_route()
     assert [circle_integral(sp, xi)(g) for _, g in s2xs2.generators] == by_series
@@ -521,15 +521,15 @@ def test_kappa_s_methods_agree_on_generators(s2xs2, poles_route):
 def test_kappa_t_s2_chamber_independent(s2):
     sp = s2.space
     unit = RestrictedClass.unit(sp)
-    assert torus_integral(sp, CircleDirection.make((1,)))(unit) == -1
-    assert torus_integral(sp, CircleDirection.make((-1,)))(unit) == -1
+    assert torus_integral(sp, CircleDirection((1,)))(unit) == -1
+    assert torus_integral(sp, CircleDirection((-1,)))(unit) == -1
 
 
 def test_kappa_t_s2xs2_unit(s2xs2):
     sp = s2xs2.space
     unit = RestrictedClass.unit(sp)
     for xi in [(1, 2), (2, 1), (-1, 2), (1, -2)]:
-        assert torus_integral(sp, CircleDirection.make(xi))(unit) == 1
+        assert torus_integral(sp, CircleDirection(xi))(unit) == 1
 
 
 def test_kappa_t_positive_degree_classes_die(s2xs2):
@@ -557,7 +557,7 @@ def test_kappa_t_checks_first_applied_direction_when_built(s2xs2):
     # adapted to (1, 2), the second coordinate pairs to zero with the weight X
     # at NN, so applying its residue first is not generic
     with pytest.raises(NonGenericError) as info:
-        torus_integral(s2xs2.space, CircleDirection.make((1, 2)), VariableOrdering((1, 0)))
+        torus_integral(s2xs2.space, CircleDirection((1, 2)), VariableOrdering((1, 0)))
     assert info.value.violations == [("weight", "NN")]
 
 
@@ -611,7 +611,7 @@ def random_combinations(products, seed, count=12):
 def test_kappa_t_table_matches_whole_class_residue(slice_products, name, xi, ordering):
     # oracle: one iterated residue of the whole fixed-point sum per class
     space, products = slice_products[name]
-    integral = torus_integral(space, xi and CircleDirection.make(xi), ordering)
+    integral = torus_integral(space, xi and CircleDirection(xi), ordering)
     adapted = adapt_space(space, integral.xi)
     ordering = ordering or VariableOrdering(tuple(range(space.vars.count)))
     values = []
@@ -639,7 +639,7 @@ def test_kappa_s_table_matches_whole_class_residues(slice_products, poles_route,
     # oracle: the residue along xi of each positive-side component's whole
     # localization term, added one by one
     space, products = slice_products[name]
-    xi = CircleDirection.make(xi)
+    xi = CircleDirection(xi)
     adapted = adapt_space(space, xi)
     plus = positive_side(space, xi)
     if route == "poles":
@@ -648,13 +648,13 @@ def test_kappa_s_table_matches_whole_class_residues(slice_products, poles_route,
     values = []
     for seed in range(3):
         for eta in random_combinations(products, seed):
-            whole = RationalSection.zero(space.vars)
+            whole = RationalSection(EquivariantPolynomial.zero(space.vars))
             for f in adapted.space.components:
                 if f.name in plus:
-                    whole = whole + res_x_plus(localization_term(
+                    whole = RationalSection.sum(space.vars, (whole, res_x_plus(localization_term(
                         adapted.space, f, adapted.adapt(eta.restrictions[f.name])),
-                        0, method="poles")
-            assert integral(eta) == whole.as_polynomial()
+                        0, method="poles")))
+            assert not whole.denom and integral(eta) == whole.numer
             values.append(whole)
     assert any(not v.is_zero() for v in values)
 
@@ -682,7 +682,7 @@ def test_table_term_is_the_fully_cancelled_localization_term():
     directions = 0
     for space, xis in cases:
         for xi in xis:
-            adapted = adapt_space(space, CircleDirection.make(xi))
+            adapted = adapt_space(space, CircleDirection(xi))
             tau = spaces._monomial_table(adapted, lambda f, term: term)
             for f in adapted.space.components:
                 for exps in exponents_up_to(4, space.vars.count):
@@ -703,7 +703,7 @@ def test_kappa_s_entries_match_both_residue_routes():
     entries = algebra_valued = 0
     for space, xis in table_cases():
         for xi in xis:
-            integral = circle_integral(space, CircleDirection.make(xi))
+            integral = circle_integral(space, CircleDirection(xi))
             terms = spaces._monomial_table(adapt_space(space, integral.xi),
                                            lambda f, term: term)
             for f in integral.components:
@@ -726,7 +726,7 @@ def test_circle_integral_builds_each_expansion_once(expansion_builds):
     # on re-evaluation; on (S^2)^3 components share denominators, and entries
     # of one component share them too
     space = sphere_product(3).space
-    integral = circle_integral(space, CircleDirection.make((1, 2, 4)))
+    integral = circle_integral(space, CircleDirection((1, 2, 4)))
     terms = spaces._monomial_table(adapt_space(space, integral.xi), lambda f, term: term)
     keys = [(f, (exps, 0)) for f in integral.components for exps in exponents_up_to(4, 3)]
     for f, key in keys:
@@ -754,7 +754,7 @@ def test_trial_division_only_where_it_can_succeed(monkeypatch, nonisolated):
     monkeypatch.setattr(EquivariantPolynomial, "div_exact_linear", counted)
     loaded = dataset_from_json(dataset_to_json(
         Dataset("s2x3", sphere_product(3).space, [])), "s2x3").space
-    adapted = adapt_space(loaded, CircleDirection.make((1, 2, 4))).space
+    adapted = adapt_space(loaded, CircleDirection((1, 2, 4))).space
     for space in (loaded, adapted):
         # one object per distinct weight: 6 among the 24 lines
         weights = {}

@@ -188,7 +188,7 @@ def y1(vars=V2, algebra=POINT_ALGEBRA):
 
 
 def test_polynomial_rendering_is_graded_lex():
-    p = x() * x() - y1() * x().scale(3) + EquivariantPolynomial.one(V2, POINT_ALGEBRA)
+    p = x() * x() + y1() * x().scale(-3) + EquivariantPolynomial.one(V2, POINT_ALGEBRA)
     assert str(p) == "X^2 - 3*X*Y1 + 1"
 
 
@@ -214,7 +214,7 @@ def test_integrate_cp1_example():
 
 
 def test_integrate_point_algebra_is_identity():
-    p = x() * x() - y1().scale(7)
+    p = x() * x() + y1().scale(-7)
     assert p.integrate_product(EquivariantPolynomial.one(V2), {}) == p.terms
     # terms are added into the dict given, and a sum of zero leaves no term
     out = p.integrate_product(EquivariantPolynomial.one(V2), {})
@@ -237,7 +237,7 @@ def test_substitution_of_a_deep_power():
 
 
 def test_exact_division_by_linear_form():
-    p = x() * x() - y1() * y1()
+    p = x() * x() + y1() * y1().scale(-1)
     quotient = p.div_exact_linear(lf(1, -1))
     assert quotient == x() + y1()
     with pytest.raises(ExactDivisionError):
@@ -272,7 +272,7 @@ def test_ring_axioms(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert p + q == q + p
-    assert (p - p).is_zero()
+    assert (p + p.scale(-1)).is_zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -334,10 +334,10 @@ def test_division_raises_on_a_remainder_at_pivot_power_0(p, w, data):
 
 
 def test_section_cancels_common_factor():
-    p = x() * x() - y1() * y1()
+    p = x() * x() + y1() * y1().scale(-1)
     s = RationalSection(p, {lf(1, -1): 1})
     assert not s.denom
-    assert s.as_polynomial() == x() + y1()
+    assert s.numer == x() + y1()
 
 
 def test_section_equality_cross_multiplied():
@@ -360,9 +360,9 @@ def test_section_sum_over_common_denominator():
     one = EquivariantPolynomial.one(V1, POINT_ALGEBRA)
     xx = EquivariantPolynomial.variable(V1, 0)
     a = RationalSection(one, {lf(1): 1})
-    b = RationalSection(-one, {lf(1): 2})
-    total = a + b
-    assert total == RationalSection(xx - one, {lf(1): 2})
+    b = RationalSection(one.scale(-1), {lf(1): 2})
+    total = RationalSection.sum(V1, (a, b))
+    assert total == RationalSection(xx + one.scale(-1), {lf(1): 2})
 
 
 @st.composite
@@ -377,9 +377,9 @@ def point_sections(draw):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(point_sections(), max_size=5))
 def test_section_sum_is_the_left_fold(sections):
-    fold = RationalSection.zero(V2)
+    fold = RationalSection(EquivariantPolynomial.zero(V2))
     for s in sections:
-        fold = fold + s
+        fold = RationalSection.sum(V2, (fold, s))
     total = RationalSection.sum(V2, sections)
     assert total.numer == fold.numer
     assert total.denom == fold.denom
@@ -389,7 +389,7 @@ def test_section_derivative_quotient_rule():
     one = EquivariantPolynomial.one(V2, POINT_ALGEBRA)
     s = RationalSection(one, {lf(1, 0): 1})  # 1/X
     ds = s.derivative(0)
-    assert ds == RationalSection(-one, {lf(1, 0): 2})
+    assert ds == RationalSection(one.scale(-1), {lf(1, 0): 2})
 
 
 def test_section_substitution_into_denominator():
@@ -419,7 +419,7 @@ def test_invert_line_with_nilpotent_chern():
     alg = cp1_algebra()
     u = EquivariantPolynomial.from_algebra_element(V2, alg, {1: Q(1)})
     inv = invert_euler(V2, alg, [(lf(1, 0), u)])
-    assert inv == RationalSection(x(V2, alg) - u, {lf(1, 0): 2})
+    assert inv == RationalSection(x(V2, alg) + u.scale(-1), {lf(1, 0): 2})
 
 
 def test_invert_two_plain_lines():
@@ -458,9 +458,9 @@ def test_invert_euler_times_euler_is_one(data):
     for w, c in lines:
         euler = euler * (EquivariantPolynomial.from_linear_form(V2, w, alg) + c)
     inv = invert_euler(V2, alg, lines)
-    product = inv * RationalSection(euler)
+    product = RationalSection(inv.numer * euler, inv.denom)
     assert not product.denom
-    assert product.as_polynomial() == EquivariantPolynomial.one(V2, alg)
+    assert product.numer == EquivariantPolynomial.one(V2, alg)
 
 
 def invert_euler_by_lines(vars, alg, lines):
@@ -473,8 +473,8 @@ def invert_euler_by_lines(vars, alg, lines):
         w = EquivariantPolynomial.from_linear_form(vars, form)
         factor = EquivariantPolynomial.zero(vars, alg)
         for r in range(order):
-            factor = factor + ((-chern) ** r).mul_pure(w ** (order - 1 - r))
-        result = result * RationalSection(factor, [(form, order)], cancel=False)
+            factor = factor + (chern.scale(-1) ** r).mul_pure(w ** (order - 1 - r))
+        result = RationalSection(result.numer * factor, [*result.denom.items(), (form, order)])
     return result
 
 
