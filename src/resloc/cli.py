@@ -161,8 +161,12 @@ def _subspace_json(model, sub: kernels.Subspace) -> dict:
                       for vec in sub.coeffs]}
 
 
+# each kernel mode fills the report and returns its integral and the class it calibrates
+Calibrated = tuple[KirwanIntegral, RestrictedClass]
+
+
 def _kernel_circle(ds: Dataset, args, report: dict, calibration: RestrictedClass,
-                   model: kernels.DegreeTruncatedModel) -> None:
+                   model: kernels.DegreeTruncatedModel) -> Calibrated:
     try:
         xi = CircleDirection(tuple(int(v) for v in args.circle.split(",")))
     except ValueError:
@@ -184,9 +188,7 @@ def _kernel_circle(ds: Dataset, args, report: dict, calibration: RestrictedClass
         _add_check(report, f"circle-split-degree-{r.degree}", r.ok,
                    f"kernel dim {r.kernel.dim} vs {r.minus.dim}+{r.plus.dim}, "
                    f"direct={r.sum_direct}")
-    report["results"]["calibration"] = {
-        "class": args.calibrate,
-        "value": str(integral(calibration))}
+    return integral, calibration
 
 
 def _torus_integral(ds: Dataset, args, report: dict) -> KirwanIntegral:
@@ -198,7 +200,7 @@ def _torus_integral(ds: Dataset, args, report: dict) -> KirwanIntegral:
 
 
 def _kernel_full(ds: Dataset, args, report: dict, calibration: RestrictedClass,
-                 model: kernels.DegreeTruncatedModel) -> None:
+                 model: kernels.DegreeTruncatedModel) -> Calibrated:
     integral = _torus_integral(ds, args, report)
     rows, chambers = kernels.check_full_kernel(model, integral)
     report["results"]["chambers"] = {
@@ -213,13 +215,11 @@ def _kernel_full(ds: Dataset, args, report: dict, calibration: RestrictedClass,
         _add_check(report, f"full-kernel-degree-{r.degree}", r.equal,
                    f"kernel dim {r.kernel.dim} vs chamber sum "
                    f"dim {r.chamber_sum_dim}")
-    report["results"]["calibration"] = {
-        "class": args.calibrate,
-        "value": _fs(integral(calibration))}
+    return integral, calibration
 
 
 def _kernel_nonabelian(ds: Dataset, args, report: dict, calibration: RestrictedClass,
-                       model: kernels.DegreeTruncatedModel) -> None:
+                       model: kernels.DegreeTruncatedModel) -> Calibrated:
     if ds.weyl is None:
         raise SchemaError("--nonabelian requires a dataset with a weyl section")
     integral = _torus_integral(ds, args, report)
@@ -235,9 +235,7 @@ def _kernel_nonabelian(ds: Dataset, args, report: dict, calibration: RestrictedC
                    f"span dim {r.span_dim} vs kernel dim {r.kernel_dim} "
                    f"at degree {r.target_degree}")
     dpoly = ds.weyl.d_polynomial()
-    report["results"]["calibration"] = {
-        "class": args.calibrate,
-        "value": _fs(integral(calibration.mul_pure(dpoly * dpoly)))}
+    return integral, calibration.mul_pure(dpoly * dpoly)
 
 
 def _parse_ordering(args, nvars: int) -> VariableOrdering | None:
@@ -285,12 +283,12 @@ def cmd_kernel(args) -> int:
     try:
         # the model refuses inconsistent data before any other check
         model = kernels.build_model(ds.space, ds.generators, args.max_degree)
-        if modes[0] == "circle":
-            _kernel_circle(ds, args, report, calibration, model)
-        elif modes[0] == "full":
-            _kernel_full(ds, args, report, calibration, model)
-        else:
-            _kernel_nonabelian(ds, args, report, calibration, model)
+        mode = {"circle": _kernel_circle, "full": _kernel_full,
+                "nonabelian": _kernel_nonabelian}[modes[0]]
+        integral, cls = mode(ds, args, report, calibration, model)
+        # str of an int or a Fraction is its "p/q" string
+        report["results"]["calibration"] = {"class": args.calibrate,
+                                            "value": str(integral(cls))}
     except NonGenericError as exc:
         sys.stderr.write(f"error: {_nongeneric(exc)}\n")
         return 2

@@ -202,15 +202,19 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
         raise SchemaError("$.variables: expected torus_rank distinct variable names")
     vars = Variables(tuple(var_names))
 
-    components, weights = [], {}
+    # one object per distinct weight and per distinct JSON algebra
+    components, weights, algebras = [], {}, {}
     for c, cobj in enumerate(_expect(obj, "components", list, "$")):
         path = f"$.components[{c}]"
         _known_keys(cobj, ("name", "moment", "algebra", "normal_lines"), path)
         cname = _expect(cobj, "name", str, path)
         moment = tuple(_frac(v, f"{path}.moment")
                        for v in _expect(cobj, "moment", list, path))
-        algebra = _algebra_from_json(_expect(cobj, "algebra", dict, path),
-                                     f"{path}.algebra")
+        aobj = _expect(cobj, "algebra", dict, path)
+        key = json.dumps(aobj, sort_keys=True)
+        if key not in algebras:
+            algebras[key] = _algebra_from_json(aobj, f"{path}.algebra")
+        algebra = algebras[key]
         lines = []
         for l, lobj in enumerate(_expect(cobj, "normal_lines", list, path)):
             lpath = f"{path}.normal_lines[{l}]"

@@ -19,6 +19,7 @@ candidates before it, and adds neither a key nor a kept element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import linalg
 from .linalg import Row
@@ -31,15 +32,13 @@ from .spaces import (
     KirwanIntegral,
     RestrictedClass,
     _arrangement_normals,
-    _integral_moment,
-    _primitive_signed,
     generator_products,
     localization_failures,
-    positive_side,
 )
 from .symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
+    LinearForm,
     ValidationError,
     coefficient,
     monomial_sort_key,
@@ -59,7 +58,6 @@ __all__ = [
     "Chamber",
     "ChamberSet",
     "enumerate_generic_directions",
-    "positive_sides",
     "complementary_slice",
     "torus_kernel",
     "FullKernelRow",
@@ -309,9 +307,10 @@ def check_circle_kernel_split(model: DegreeTruncatedModel,
 
     The one integral and the one set of testing classes serve every degree,
     so the integral's tau table of residues, one per (positive-side
-    component, monomial), is filled once for all of them.
+    component, monomial), is filled once for all of them.  Its components
+    are the positive side.
     """
-    plus_side = positive_side(model.space, integral.xi)
+    plus_side = frozenset(f.name for f in integral.components)
     minus_side = frozenset(f.name for f in model.space.components) - plus_side
     testing = circle_testing_classes(model, integral.xi)
     rows = []
@@ -335,11 +334,11 @@ def check_circle_kernel_split(model: DegreeTruncatedModel,
 class Chamber:
     signs: tuple[int, ...]
     representative: CircleDirection
+    plus: frozenset[str]  # the representative's spaces.positive_side
 
 
 @dataclass
 class ChamberSet:
-    normals: tuple[tuple[int, ...], ...]
     chambers: tuple[Chamber, ...]
     expected: int
 
@@ -350,6 +349,13 @@ def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 def _signs(normals: list[tuple[int, ...]], point: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((d > 0) - (d < 0) for d in (_dot(w, point) for w in normals))
+
+
+def _primitive_signed(vec: tuple[int, ...]) -> tuple[int, ...]:
+    g = gcd(*vec)
+    vec = tuple(v // g for v in vec)
+    lead = next(v for v in vec if v != 0)
+    return vec if lead > 0 else tuple(-v for v in vec)
 
 
 def _chamber_points(normals: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
@@ -390,7 +396,8 @@ def _chamber_points(normals: list[tuple[int, ...]], n: int) -> list[tuple[int, .
 
 def enumerate_generic_directions(space: HamiltonianSpace) -> ChamberSet:
     """Chambers of the arrangement cut out by the moment values and weights,
-    sorted by sign vector, each with a primitive generic representative.
+    sorted by sign vector, each with a primitive generic representative and
+    its positive side.
 
     The enumeration is exact at every rank; ``expected`` is the chamber count
     of the deletion-restriction recursion, and the distinct generic sign
@@ -403,24 +410,18 @@ def enumerate_generic_directions(space: HamiltonianSpace) -> ChamberSet:
     if len(generic) != len(points):
         raise ArithmeticError(f"{len(points)} chambers but {len(generic)} distinct "
                               "generic sign vectors among their representatives")
-    chambers = tuple(Chamber(s, CircleDirection(p)) for s, p in sorted(zip(signs, points)))
-    return ChamberSet(tuple(normals), chambers, len(points))
-
-
-def positive_sides(space: HamiltonianSpace, chambers: ChamberSet) -> list[frozenset[str]]:
-    """Each chamber's positive side (``positive_side`` of its representative),
-    read from its signs: a nonzero moment's primitive normal is in the
-    arrangement, and pairs with the chamber as the moment does, up to the
-    sign of the moment's leading entry."""
-    index = {w: k for k, w in enumerate(chambers.normals)}
-    axes = []
+    # a nonzero moment is scale * primitive, the primitive one of the normals:
+    # it pairs positively with a chamber where that normal's sign is the scale's
+    index = {w: k for k, w in enumerate(normals)}
+    sides = []
     for f in space.components:
-        vec = _integral_moment(f.moment)
-        if any(vec):
-            lead = next(v for v in vec if v)
-            axes.append((f.name, index[_primitive_signed(vec)], 1 if lead > 0 else -1))
-    return [frozenset(name for name, k, sign in axes if chamber.signs[k] == sign)
-            for chamber in chambers.chambers]
+        if any(f.moment):
+            scale, prim = LinearForm(f.moment).normalized()
+            sides.append((f.name, index[tuple(map(int, prim.coeffs))], 1 if scale > 0 else -1))
+    chambers = tuple(Chamber(s, CircleDirection(p),
+                             frozenset(name for name, k, sign in sides if s[k] == sign))
+                     for s, p in sorted(zip(signs, points)))
+    return ChamberSet(chambers, len(points))
 
 
 # -- torus-level kernel -------------------------------------------------------
@@ -460,8 +461,8 @@ def check_full_kernel(model: DegreeTruncatedModel, integral: KirwanIntegral
     chambers = enumerate_generic_directions(model.space)
     everything = frozenset(f.name for f in model.space.components)
     vanishing_sets: dict[frozenset[str], None] = {}
-    for plus in positive_sides(model.space, chambers):
-        vanishing_sets.update(dict.fromkeys((everything - plus, plus)))
+    for c in chambers.chambers:
+        vanishing_sets.update(dict.fromkeys((everything - c.plus, c.plus)))
     rows = []
     for d in range(0, model.max_degree + 1, 2):
         kernel = torus_kernel(model, d, integral)

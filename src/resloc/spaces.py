@@ -259,31 +259,13 @@ def positive_side(space: HamiltonianSpace, xi: CircleDirection) -> frozenset[str
     return frozenset(f.name for f in space.components if xi.pair(f.moment) > 0)
 
 
-def _primitive_signed(vec: tuple[int, ...]) -> tuple[int, ...]:
-    g = gcd(*vec)
-    if g == 0:
-        return vec
-    vec = tuple(v // g for v in vec)
-    lead = next(v for v in vec if v != 0)
-    return vec if lead > 0 else tuple(-v for v in vec)
-
-
-def _integral_moment(moment: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """The moment scaled by the lcm of its denominators."""
-    den = lcm(*(c.denominator for c in moment))
-    return tuple(int(c * den) for c in moment)
-
-
 def _arrangement_normals(space: HamiltonianSpace) -> list[tuple[int, ...]]:
-    """The distinct primitive normals of the nonzero moments and the weights,
-    sorted: a direction is generic when it pairs to nonzero with each one."""
-    seen = set()
-    for f in space.components:
-        vec = _integral_moment(f.moment)
-        if any(vec):
-            seen.add(_primitive_signed(vec))
-        seen.update(_primitive_signed(tuple(int(c) for c in w.coeffs)) for w, _ in f.normal_lines)
-    return sorted(seen)
+    """The distinct primitive normals (``LinearForm.normalized``) of the
+    nonzero moments and the weights, sorted: a direction is generic when it
+    pairs to nonzero with each one."""
+    forms = {w for f in space.components for w, _ in f.normal_lines}
+    forms.update(LinearForm(f.moment) for f in space.components if any(f.moment))
+    return sorted({tuple(map(int, w.normalized()[1].coeffs)) for w in forms})
 
 
 def find_generic_direction(space: HamiltonianSpace) -> CircleDirection:

@@ -289,9 +289,10 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
     of the torus-level kernel there, divided by D, should span the nonabelian
     pairing kernel in the invariant slice 2r degrees down.
 
-    Each invariant slice and each pairing kernel is solved once per call, and
-    the group acts once on each basis class of a checked slice: the invariants
-    and the antisymmetrizations are both read off that action.
+    The degree rows solve each invariant slice and each pairing kernel once,
+    and the span rows read them.  The group acts once on each basis class of
+    a checked slice: the invariants and the antisymmetrizations are both read
+    off that action.
     """
     space = model.space
     r = len(weyl.positive_roots)
@@ -299,7 +300,7 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
     d2poly = dpoly * dpoly
     top = space.dim - 2 * space.vars.count - 4 * r  # degree plus its complement
     slices: dict[int, tuple[InvariantSlice, list[RestrictedClass]]] = {}
-    divided: dict[int, tuple[list[RestrictedClass], list[linalg.Row]]] = {}
+    k_pair: dict[int, list[linalg.Row]] = {}
 
     def invariant(degree: int) -> tuple[InvariantSlice, list[RestrictedClass]]:
         if degree not in slices:
@@ -307,22 +308,15 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
             slices[degree] = (inv, inv.classes(model))
         return slices[degree]
 
-    def pairing(degree: int) -> tuple[list[RestrictedClass], list[linalg.Row]]:
-        """The invariant classes times D^2, and the pairing kernel: the null
-        space (in invariant coordinates) of kappa_T(eta * zeta * D^2) over
-        invariant zeta."""
-        if degree not in divided:
-            twice = [cls.mul_pure(d2poly) for cls in invariant(degree)[1]]
-            comp = top - degree
-            testing = invariant(comp)[1] if comp >= 0 else []
-            divided[degree] = (twice, pairing_kernel(integral, twice, testing))
-        return divided[degree]
-
     degrees = range(0, model.max_degree + 1, 2)
     rows = []
     for d in degrees:
         inv_classes = invariant(d)[1]
-        twice, k_pair = pairing(d)  # (i) the pairing kernel
+        twice = [cls.mul_pure(d2poly) for cls in inv_classes]
+        # (i) the pairing kernel: the null space (in invariant coordinates) of
+        # kappa_T(eta * zeta * D^2) over invariant zeta
+        comp = top - d
+        k_pair[d] = pairing_kernel(integral, twice, invariant(comp)[1] if comp >= 0 else [])
         once = [cls.mul_pure(dpoly) for cls in inv_classes]
         # (ii) once-divided: D * eta in the torus-level kernel
         k_once = pairing_kernel(integral, once, complementary_slice(model, d + 2 * r))
@@ -330,9 +324,9 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
         k_twice = pairing_kernel(integral, twice, complementary_slice(model, d + 4 * r))
 
         once_span = linalg.Echelon(k_once)  # reduced once for both comparisons
-        equal = (linalg.span_equal(once_span, k_pair)
+        equal = (linalg.span_equal(once_span, k_pair[d])
                  and linalg.span_equal(once_span, k_twice))
-        rows.append(NonabelianRow(d, len(inv_classes), len(k_pair),
+        rows.append(NonabelianRow(d, len(inv_classes), len(k_pair[d]),
                                   len(k_once), len(k_twice), equal))
 
     span_rows = []
@@ -344,7 +338,7 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
         # into which the slice's coordinates map injectively
         basis = [el.vector for el in model.basis_by_degree[target]]
         vectors = [el.vector for el in model.basis_by_degree[source]]
-        moved = invariant(source)[0].moved
+        moved = slices[source][0].moved
         produced: list[linalg.Row] = []
         for coeffs in torus_kernel(model, source, integral).coeffs:
             # the antisymmetrization (1/|W|) sum_w sign(w) w.eta, in coordinates
@@ -358,8 +352,8 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
             produced.append(model.class_vector(brion_divide(weyl, anti_cls), target))
         if None in produced or linalg.rank(basis + produced) != len(basis):
             raise ValidationError("divided antisymmetrization left the model span")
-        inv_vectors = [linalg.combine(c, basis) for c in invariant(target)[0].coeffs]
-        kernel = [linalg.combine(k, inv_vectors) for k in pairing(target)[1]]
+        inv_vectors = [linalg.combine(c, basis) for c in slices[target][0].coeffs]
+        kernel = [linalg.combine(k, inv_vectors) for k in k_pair[target]]
         produced_span = linalg.Echelon(produced)
         span_rows.append(AntisymmetrizedSpanRow(
             source, target, len(produced_span.rows), len(kernel),

@@ -5,13 +5,17 @@ Everything here is exact rational arithmetic; there are no tolerances.
 """
 
 import hashlib
-import json
+import os
+import pathlib
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction as Q
 
+from test_report_digests import GOLDEN, write_inputs
+
+import resloc
 from resloc import linalg
 from resloc.datasets import BUNDLED, load_dataset
 from resloc.kernels import build_model, check_circle_kernel_split, check_full_kernel
@@ -256,65 +260,19 @@ def test_weyl_group_laws_randomized(antisymmetrize):
 
 
 def test_cli_reports_are_deterministic(tmp_path):
-    """Every CLI command, run twice in fresh interpreters on bundled data,
-    emits byte-identical reports, and those reports hash to the recorded
-    digests.  The residue report embeds its input path, so it has none."""
-    expr = tmp_path / "expr.json"
-    expr.write_text(json.dumps({
-        "variables": ["X", "Y1"],
-        "numerator": [{"coeff": "1", "exponents": [1, 0]}],
-        "denominator": [{"form": ["1", "-1"]}, {"form": ["1", "1"]}],
-    }))
-    commands = [
-        (["validate", "s2"],
-         "c4ca14841808678ef73e2da2173d60b9932d65b733658eee697bfe1923d38cb8"),
-        (["validate", "s2xs2-t2"],
-         "6efd5b465704f0a4e262eb636417369f57885a7add2425d06daef579e3af68de"),
-        (["validate", "s2xs2-nonisolated"],
-         "40121cc5b6a3be6e04b6d0e318357ca3f2064bb546f56597d4188c97f5d6d43a"),
-        (["validate", "s2cubed-su2"],
-         "a20baa2c654eda24e63d23392af9fc772eefb5cc294a82ec3baebaf6842b3283"),
-        (["residue", str(expr)], None),
-        (["kernel", "s2", "--circle", "1"],
-         "fb7e0bd736dee664ddbc3f816be194cbae7e24ce3260cc225bdc8e3faea58024"),
-        (["kernel", "s2xs2-t2", "--circle", "1,2"],
-         "f4726d024001ba9c0b669121e18da164cb6e6742db36b7b1f85493752d84330b"),
-        (["kernel", "s2xs2-nonisolated", "--circle", "1"],
-         "19aafe261c1e4c2a2fcc8110d6ab8d49b05b22378e23d9eac5a27307e97b7478"),
-        (["kernel", "s2", "--full"],
-         "0d70d3a7843f549cb489d2734b0a8a5024e327ebe6a5c12deb6ab425fdfecde9"),
-        (["kernel", "s2xs2-t2", "--full"],
-         "f59e1b2fa97c1d3a18102b3567abc38ee72c710a88f13052135e3866374acd4e"),
-        (["kernel", "s2cubed-su2", "--nonabelian"],
-         "5ad8ffee3d30dff6b7e1ead22a7a9a7b6ca79dc4f1f01d0f90a54d7ae51aafaa"),
-        (["kernel", "s2", "--circle", "1", "--format", "text"],
-         "a31f92157693c96e0b157508ce512751d1fe99bcd511eca76735286059af3d16"),
-        # a negative leading entry: the calibration integrates along xi as given
-        (["kernel", "s2", "--circle=-1"],
-         "47896a1ec6eaac0159753b5b727afe4c19ef8daef160a64bb61dc355a45ca12a"),
-        (["kernel", "s2xs2-t2", "--circle=-1,2"],
-         "570d28c143efe3c53205986148571e0718c6310487e3e5f0981ff83d5cb95ca6"),
-        # the same value as a separate argument gives the same bytes
-        (["kernel", "s2xs2-t2", "--circle", "-1,2"],
-         "570d28c143efe3c53205986148571e0718c6310487e3e5f0981ff83d5cb95ca6"),
-        # pairings whose keys multiply algebra basis elements, on the negative
-        # side of a circle and at the torus level, and a rank-one circle
-        (["kernel", "s2xs2-nonisolated", "--circle=-1", "--max-degree", "6"],
-         "8de3de9515e05785cf32a32dd2fdae599d153229065d46aee77bbcf592317394"),
-        (["kernel", "s2xs2-nonisolated", "--full"],
-         "9e5d6cc661d03d4e3b72f42c76f98fb82ab41f4e32cf2c921b63a6f0121b9322"),
-        (["kernel", "s2cubed-su2", "--circle", "1"],
-         "771343dbd00ad3fd7fb0e8bf2ae473125406da8191676767a84a21f17a169fd6"),
-    ]
-    for argv, digest in commands:
-        outs = []
+    """Every command of the golden digest table, run twice in fresh
+    interpreters, emits byte-identical reports with the recorded exit code
+    and digests."""
+    src = str(pathlib.Path(resloc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, expected in GOLDEN.items():
+        write_inputs(argv, tmp_path)
+        runs = []
         for _ in range(2):
-            proc = subprocess.run([sys.executable, "-m", "resloc", *argv],
-                                  capture_output=True)
-            assert proc.returncode == 0, (argv, proc.stderr)
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1], f"nondeterministic report for {argv}"
-        assert outs[0], f"empty report for {argv}"
-        if digest is not None:
-            assert hashlib.sha256(outs[0]).hexdigest() == digest, \
-                f"report bytes changed for {argv}"
+            proc = subprocess.run([sys.executable, "-m", "resloc", *argv.split()],
+                                  capture_output=True, cwd=tmp_path, env=env)
+            runs.append((proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
+                         hashlib.sha256(proc.stderr).hexdigest()))
+        assert runs[0] == runs[1], f"nondeterministic report for {argv}"
+        assert runs[0] == expected, f"report bytes changed for {argv}"

@@ -76,6 +76,28 @@ def test_load_from_file(tmp_path, s2_json):
     assert len(ds.space.components) == 2
 
 
+def test_components_share_one_algebra_per_distinct_json_algebra(tmp_path):
+    # (S^2)^5 has 32 point components with one and the same JSON algebra
+    p = tmp_path / "s2x5.json"
+    p.write_text(json.dumps(dataset_to_json(sphere_product(5))))
+    components = load_dataset(str(p)).space.components
+    assert len(components) == 32
+    assert len({id(f.algebra) for f in components}) == 1
+
+
+def test_bad_algebra_named_at_its_first_component():
+    # the two components of s2xs2-nonisolated share one JSON algebra: a
+    # degenerate integral on the second alone names the second, on both the first
+    obj = dataset_to_json(load_dataset("s2xs2-nonisolated"))
+    assert obj["components"][0]["algebra"] == obj["components"][1]["algebra"]
+    obj["components"][1]["algebra"]["integral"] = ["0", "0"]
+    with pytest.raises(SchemaError, match=r"^\$\.components\[1\]\.algebra: integral pairing"):
+        dataset_from_json(copy.deepcopy(obj), "bad")
+    obj["components"][0]["algebra"]["integral"] = ["0", "0"]
+    with pytest.raises(SchemaError, match=r"^\$\.components\[0\]\.algebra: integral pairing"):
+        dataset_from_json(obj, "bad")
+
+
 def test_load_rejects_invalid_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

@@ -25,7 +25,6 @@ from resloc.kernels import (
     circle_testing_classes,
     enumerate_generic_directions,
     pairing_kernel,
-    positive_sides,
     torus_kernel,
     vanishing_subspace,
 )
@@ -662,8 +661,9 @@ def test_chambers_exact_on_sphere_products(k, count):
     # hyperplanes orthogonal to the moment values (+-1, ..., +-1)
     space = sphere_product(k).space
     chambers = enumerate_generic_directions(space)
+    normals = spaces._arrangement_normals(space)
     # Whitney's formula: r(A) = sum over subsets S of A of (-1)^(|S| - rank S)
-    rows = [dict(enumerate(map(Q, w))) for w in chambers.normals]
+    rows = [dict(enumerate(map(Q, w))) for w in normals]
     whitney = sum((-1) ** (size - linalg.rank(list(subset)))
                   for size in range(len(rows) + 1)
                   for subset in combinations(rows, size))
@@ -673,11 +673,10 @@ def test_chambers_exact_on_sphere_products(k, count):
     for ch in chambers.chambers:
         assert is_generic(space, ch.representative) == []
         assert ch.signs == tuple(1 if ch.representative.pair(w) > 0 else -1
-                                 for w in chambers.normals)
+                                 for w in normals)
     if k > 3:
         return
     # a wider sweep discovers no new sign patterns
-    normals = chambers.normals
     extra = set()
     for x in range(-3, 4):
         for y in range(-3, 4):
@@ -739,7 +738,7 @@ def test_full_kernel_rank_four_sphere_product():
     assert [(r.degree, r.kernel.dim, r.chamber_sum_dim) for r in rows] == \
         [(0, 0, 0), (2, 8, 8), (4, 32, 32)]
     assert all(r.equal for r in rows)
-    assert positive_sides(space, chambers) == [
+    assert [ch.plus for ch in chambers.chambers] == [
         positive_side(space, ch.representative) for ch in chambers.chambers]
 
 
@@ -753,7 +752,7 @@ def test_positive_sides_follow_moment_orientation():
              for name, m in moments.items()]
     space = HamiltonianSpace(vars, 4, comps)
     chambers = enumerate_generic_directions(space)
-    sides = positive_sides(space, chambers)
+    sides = [ch.plus for ch in chambers.chambers]
     assert sides == [positive_side(space, ch.representative) for ch in chambers.chambers]
     assert len(set(sides)) > 2
 
