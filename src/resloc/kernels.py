@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from . import linalg
 from .linalg import Row
@@ -343,55 +344,121 @@ class ChamberSet:
     expected: int
 
 
+Normals = tuple[tuple[int, ...], ...]
+# a point with its pairings against the normals of the arrangement it is for
+Found = tuple[tuple[int, ...], tuple[int, ...]]
+# lead, the restriction's normals, and (index, factor) per other normal
+Restriction = tuple[int, Normals, tuple[tuple[int, int], ...]]
+
+
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
-def _signs(normals: list[tuple[int, ...]], point: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((d > 0) - (d < 0) for d in (_dot(w, point) for w in normals))
+def _signs(normals: Normals, point: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([(d > 0) - (d < 0) for d in (_dot(w, point) for w in normals)])
 
 
-def _primitive_signed(vec: tuple[int, ...]) -> tuple[int, ...]:
-    g = gcd(*vec)
-    vec = tuple(v // g for v in vec)
-    lead = next(v for v in vec if v != 0)
-    return vec if lead > 0 else tuple(-v for v in vec)
+def _sides(pairings: tuple[int, ...]) -> tuple[bool, ...]:
+    # the sign vector of pairings that are all nonzero
+    return tuple([d > 0 for d in pairings])
 
 
-def _chamber_points(normals: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+def _restriction(normals: Normals, n: int) -> Restriction:
+    """The restriction A^H of an arrangement A in Q^n to the hyperplane H of
+    its last normal w, in the integer basis b_j = w_lead e_j - w_j e_lead
+    (j != lead) of H, lead the index of w's first nonzero entry (positive):
+    lead, the sorted primitive normals of A^H, and for each other normal u of
+    A the index k of its restriction among them and the integer c with
+    u . sum_j p_j b_j = c * (normals of A^H)[k] . p."""
+    *rest, w = normals
+    lead = next(i for i, v in enumerate(w) if v)
+    scaled = []
+    for u in rest:
+        # u . b_j, nonzero somewhere as u and w are not proportional
+        row = tuple(w[lead] * u[j] - w[j] * u[lead] for j in range(n) if j != lead)
+        g = gcd(*row)
+        c = g if next(v for v in row if v) > 0 else -g
+        scaled.append((c, tuple(v // c for v in row)))
+    restricted = tuple(sorted({prim for _, prim in scaled}))
+    index = {prim: k for k, prim in enumerate(restricted)}
+    return lead, restricted, tuple((index[prim], c) for c, prim in scaled)
+
+
+class _SubArrangements:
+    """The sub-arrangements, keyed by (normals, n), that the deletion-
+    restriction recursion of one arrangement meets.  Each is solved once;
+    its points are kept until the last arrangement that reads them has read
+    them, and then dropped."""
+
+    def __init__(self, normals: Normals, n: int):
+        self._restrictions: dict[tuple[Normals, int], Restriction] = {}
+        self._readers: dict[tuple[Normals, int], int] = {}
+        self._found: dict[tuple[Normals, int], list[Found]] = {}
+        self._plan(normals, n)
+
+    def _plan(self, normals: Normals, n: int) -> None:
+        key = (normals, n)
+        self._readers[key] = self._readers.get(key, 0) + 1
+        if self._readers[key] == 1 and normals:
+            restriction = self._restrictions[key] = _restriction(normals, n)
+            self._plan(restriction[1], n - 1)
+            self._plan(normals[:-1], n)
+
+    def restriction(self, normals: Normals, n: int) -> Restriction:
+        return self._restrictions.pop((normals, n))
+
+    def points(self, normals: Normals, n: int) -> list[Found]:
+        key = (normals, n)
+        found = self._found.pop(key, None)
+        if found is None:
+            found = _chamber_points(normals, n, self)
+        self._readers[key] -= 1
+        if self._readers[key]:
+            self._found[key] = found
+        return found
+
+
+def _chamber_points(normals: Normals, n: int, sub: _SubArrangements) -> list[Found]:
     """One primitive integer point inside each chamber of the central
-    arrangement in Q^n with these pairwise non-proportional normals.
+    arrangement in Q^n with these pairwise non-proportional normals, each
+    with its integer pairings against them.
 
     Deletion-restriction on the last hyperplane H (Zaslavsky 1975): a chamber
     of A minus H either misses H and is a chamber of A, or meets H in a chamber
     of the restriction A^H and splits into the two chambers on either side of
-    it, so r(A) = r(A minus H) + r(A^H).
+    it, so r(A) = r(A minus H) + r(A^H).  Both come from ``sub``, which solves
+    each sub-arrangement once.  The pairings are carried up, not recomputed:
+    a point of A^H pairs with u as c times its pairing with u's restriction;
+    a lifted point (m q +- w) / g pairs with u as (m (u.q) +- u.w) / g; only
+    a point of A minus H is paired anew, with w alone.
     """
     if not normals:
-        return [tuple(int(i == 0) for i in range(n))]
-    *rest, w = normals
-    # integer basis of H (the null space of w scaled by its leading entry, which
-    # is positive), and the other normals restricted to it
-    lead = next(i for i, v in enumerate(w) if v)
-    basis = []
-    for j in range(n):
-        if j != lead:
-            b = [0] * n
-            b[j], b[lead] = w[lead], -w[j]
-            basis.append(b)
-    restricted = sorted({_primitive_signed(tuple(_dot(u, b) for b in basis))
-                         for u in rest})
-    on_h = [tuple(sum(c * b[k] for c, b in zip(p, basis)) for k in range(n))
-            for p in _chamber_points(restricted, n - 1)]
-    cut = {_signs(rest, q) for q in on_h}
-    points = [p for p in _chamber_points(rest, n) if _signs(rest, p) not in cut]
-    for q in on_h:
+        return [(tuple(int(i == 0) for i in range(n)), ())]
+    rest, w = normals[:-1], normals[-1]
+    lead, restricted, factors = sub.restriction(normals, n)
+    w_others = w[:lead] + w[lead + 1:]
+    on_h = []
+    for p, pairings in sub.points(restricted, n - 1):
+        # sum_j p_j b_j
+        q = [w[lead] * c for c in p]
+        q.insert(lead, -_dot(w_others, p))
+        on_h.append((q, tuple([c * pairings[k] for k, c in factors])))
+    cut = {_sides(pairings) for _, pairings in on_h}
+    found = [(p, pairings + (_dot(w, p),)) for p, pairings in sub.points(rest, n)
+             if _sides(pairings) not in cut]
+    uw = [_dot(u, w) for u in rest]
+    ww = _dot(w, w)
+    for q, uq in on_h:
         # m*q +- w keeps the sign of every other normal u, as m*|u.q| > |u.w|
-        m = 1 + max((abs(_dot(u, w)) // abs(_dot(u, q)) for u in rest), default=0)
+        m = 1 + max([abs(a) // abs(b) for a, b in zip(uw, uq)], default=0)
         for side in (1, -1):
-            points.append(CircleDirection(tuple(m * a + side * b for a, b in zip(q, w)))
-                          .primitive().vector)
-    return points
+            point = [m * a + side * b for a, b in zip(q, w)]
+            g = gcd(*point)
+            found.append((tuple([a // g for a in point]),
+                          tuple([(m * a + side * b) // g for a, b in zip(uq, uw)])
+                          + (side * ww // g,)))
+    return found
 
 
 def enumerate_generic_directions(space: HamiltonianSpace) -> ChamberSet:
@@ -403,8 +470,10 @@ def enumerate_generic_directions(space: HamiltonianSpace) -> ChamberSet:
     of the deletion-restriction recursion, and the distinct generic sign
     vectors of the representatives must reach it.
     """
-    normals = _arrangement_normals(space)
-    points = _chamber_points(normals, space.vars.count)
+    normals = tuple(_arrangement_normals(space))
+    n = space.vars.count
+    points = [p for p, _ in _SubArrangements(normals, n).points(normals, n)]
+    # the representatives are paired anew, not trusted from the recursion
     signs = [_signs(normals, p) for p in points]
     generic = {s for s in signs if 0 not in s}
     if len(generic) != len(points):

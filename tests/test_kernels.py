@@ -1,8 +1,9 @@
 """Degree-truncated models, one-sided vanishing subspaces, circle and torus
 kernel comparisons, and chamber enumeration."""
 
+import hashlib
 from fractions import Fraction as Q
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -655,11 +656,30 @@ def test_chambers_rank_one_weight_arrangement():
     assert {c.representative.vector for c in chambers.chambers} == {(1,), (-1,)}
 
 
-@pytest.mark.parametrize("k, count", [(3, 32), (4, 192)])
-def test_chambers_exact_on_sphere_products(k, count):
+def projective_off_axes(n):
+    # CP^n with the moments moved off the axes by the offset (i + 1)/50
+    return projective(n, tuple(Q(i + 1, 50) for i in range(n)))
+
+
+# builder, chamber count, and whether the +-3 lattice sweep meets every
+# chamber (None: not swept).  CP^3's chambers at this offset are too thin for
+# the sweep: it meets 30 of the 72.
+CHAMBER_ORACLES = {
+    "3-32": (lambda: sphere_product(3), 32, True),
+    "4-192": (lambda: sphere_product(4), 192, None),
+    "s2xs2-t2": (lambda: load_dataset("s2xs2-t2"), 8, True),
+    "cp3": (lambda: projective_off_axes(3), 72, False),
+}
+
+
+@pytest.mark.parametrize("build, count, swept_all", list(CHAMBER_ORACLES.values()),
+                         ids=list(CHAMBER_ORACLES))
+def test_chambers_exact_on_sphere_products(build, count, swept_all):
     # (S^2)^k with the full k-torus: k coordinate hyperplanes and 2^(k-1)
-    # hyperplanes orthogonal to the moment values (+-1, ..., +-1)
-    space = sphere_product(k).space
+    # hyperplanes orthogonal to the moment values (+-1, ..., +-1); CP^3 with
+    # its 10 normals, the moments off the axes.  Neither oracle shares code
+    # with the deletion-restriction recursion.
+    space = build().space
     chambers = enumerate_generic_directions(space)
     normals = spaces._arrangement_normals(space)
     # Whitney's formula: r(A) = sum over subsets S of A of (-1)^(|S| - rank S)
@@ -674,22 +694,64 @@ def test_chambers_exact_on_sphere_products(k, count):
         assert is_generic(space, ch.representative) == []
         assert ch.signs == tuple(1 if ch.representative.pair(w) > 0 else -1
                                  for w in normals)
-    if k > 3:
+    if swept_all is None:
         return
-    # a wider sweep discovers no new sign patterns
-    extra = set()
-    for x in range(-3, 4):
-        for y in range(-3, 4):
-            for z in range(-3, 4):
-                signs = []
-                for w in normals:
-                    s = w[0] * x + w[1] * y + w[2] * z
-                    if s == 0:
-                        break
-                    signs.append(1 if s > 0 else -1)
-                else:
-                    extra.add(tuple(signs))
-    assert extra == patterns
+    # every sign pattern of a lattice sweep is a chamber found, and where the
+    # sweep meets them all it finds nothing else
+    swept = set()
+    for x in product(range(-3, 4), repeat=space.vars.count):
+        signs = tuple(sum(a * b for a, b in zip(w, x)) for w in normals)
+        if 0 not in signs:
+            swept.add(tuple(1 if s > 0 else -1 for s in signs))
+    assert swept <= patterns
+    assert (swept == patterns) == swept_all
+
+
+# sha256 of the ordered (signs, representative, sorted positive side) lines,
+# as the recursion that re-paired every point with every normal gave them
+REPRESENTATIVE_DIGESTS = {
+    "s2x4": (lambda: sphere_product(4), 192,
+             "23b3d4cbb1f2476b36095f98ba6e84dcea7a2ebfe9c125545018e99be8816c3a"),
+    "s2x5": (lambda: sphere_product(5), 2592,
+             "661bff97d8529a07b78e41392fb96a48f840fb044edc0734937756f89d9b9bd5"),
+    "cp4": (lambda: projective_off_axes(4), 480,
+            "e7c0690010d173d116b386b97c2223df91516ae6bba0dff66fbae26f307a4121"),
+    "cp5": (lambda: projective_off_axes(5), 3600,
+            "21f1626d666459385f1db6b8ef76feb2ab5228726d380536919ab2e83c92622e"),
+}
+
+
+@pytest.mark.parametrize("build, count, digest", list(REPRESENTATIVE_DIGESTS.values()),
+                         ids=list(REPRESENTATIVE_DIGESTS))
+def test_chamber_representatives_pinned(build, count, digest):
+    chambers = enumerate_generic_directions(build().space)
+    assert len(chambers.chambers) == chambers.expected == count
+    h = hashlib.sha256()
+    for ch in chambers.chambers:
+        h.update(repr((ch.signs, ch.representative.vector, sorted(ch.plus))).encode() + b"\n")
+    assert h.hexdigest() == digest
+
+
+def test_each_sub_arrangement_is_solved_once_per_call(monkeypatch):
+    # the recursion meets 383 sub-arrangements of (S^2)^4, 51 of them distinct
+    solve = kernels._chamber_points
+    solved, stores = [], []
+
+    def counted(normals, n, sub):
+        solved.append((normals, n))
+        stores.append(sub)
+        return solve(normals, n, sub)
+
+    monkeypatch.setattr(kernels, "_chamber_points", counted)
+    space = sphere_product(4).space
+    for _ in range(2):
+        solved.clear()
+        stores.clear()
+        assert len(enumerate_generic_directions(space).chambers) == 192
+        assert len(solved) == len(set(solved)) == 51
+        # one store per call, emptied by the last read of each solution
+        assert len({id(sub) for sub in stores}) == 1
+        assert not stores[0]._found and not any(stores[0]._readers.values())
 
 
 # -- torus-level kernel ----------------------------------------------------------------
