@@ -91,10 +91,11 @@ class DegreeTruncatedModel:
     every product times every monomial gives (see the module docstring).
 
     A slice's coordinates are its restriction keys (component index, torus
-    exponents, algebra basis index), sorted; a class's vector holds its
-    nonzero restriction terms by key position.  ``restriction_rows`` keeps,
-    per degree and component, the rows of the basis at that component's keys:
-    a class vanishes there exactly when its basis coefficients annihilate them.
+    exponents, algebra basis index), sorted, named in ``keys`` and inverted in
+    ``positions``; a class's vector holds its nonzero restriction terms by key
+    position.  ``restriction_rows`` keeps, per degree and component, the rows
+    of the basis at that component's keys: a class vanishes there exactly
+    when its basis coefficients annihilate them.
     """
 
     def __init__(self, space: HamiltonianSpace,
@@ -114,8 +115,8 @@ class DegreeTruncatedModel:
         depth = max(max_degree, space.dim - 2)
         self.basis_by_degree: dict[int, list[ModelElement]] = {}
         self.restriction_rows: dict[int, dict[str, list[Row]]] = {}
-        self._positions: dict[int, dict[tuple[str, tuple[int, ...], int], int]] = {}
-        self._keys: dict[int, list[tuple[str, tuple[int, ...], int]]] = {}
+        self.positions: dict[int, dict[tuple[str, tuple[int, ...], int], int]] = {}
+        self.keys: dict[int, list[tuple[str, tuple[int, ...], int]]] = {}
         # filtering the deeper walk keeps generator_products' depth-first order
         self._build(depth, [(exps, cls) for exps, cls in products if cls.degree <= depth],
                     [name for name, cls in generators if cls.degree > 0])
@@ -123,27 +124,32 @@ class DegreeTruncatedModel:
     def class_vector(self, cls: RestrictedClass, degree: int) -> Row | None:
         """The restriction terms of cls by key position, or None when cls has
         a term at another key (so it lies outside every span of the slice)."""
-        positions = self._positions[degree]
-        out = []
-        for name, poly in cls.restrictions.items():
+        vec = self.place(degree, cls.restrictions.items())
+        return None if any(type(k) is tuple for k in vec) else dict(sorted(vec.items()))
+
+    def place(self, degree: int, pieces) -> Row:
+        """The nonzero terms of (component name, restriction) pieces by key
+        position; a term at another key stays under the key itself."""
+        positions, out = self.positions[degree], {}
+        for name, poly in pieces:
             for (exps, b), c in poly.terms.items():
                 if c:
-                    pos = positions.get((name, exps, b))
-                    if pos is None:
-                        return None
-                    out.append((pos, c))
-        return dict(sorted(out))
+                    out[positions.get((name, exps, b), (name, exps, b))] = c
+        return out
 
-    def vector_class(self, vec: Row, degree: int) -> RestrictedClass:
-        """The class whose restriction terms are vec by key position: the
-        inverse of class_vector."""
+    def restrictions(self, vec: Row, degree: int) -> dict[str, EquivariantPolynomial]:
+        """The restrictions whose terms are vec by key position, by component."""
         polys = {f.name: EquivariantPolynomial(self.space.vars, f.algebra)
                  for f in self.space.components}
         for pos, c in vec.items():
             if c:
-                name, exps, b = self._keys[degree][pos]
+                name, exps, b = self.keys[degree][pos]
                 polys[name].terms[(exps, b)] = coefficient(c)
-        return RestrictedClass(self.space, degree, polys)
+        return polys
+
+    def vector_class(self, vec: Row, degree: int) -> RestrictedClass:
+        """The class whose restriction terms are vec: the inverse of class_vector."""
+        return RestrictedClass(self.space, degree, self.restrictions(vec, degree))
 
     def _build(self, depth: int, products: list[tuple[tuple[int, ...], RestrictedClass]],
                names: list[str]):
@@ -169,9 +175,9 @@ class DegreeTruncatedModel:
             keys = sorted({(ci, exps, b) for cls in candidates
                            for ci, f in enumerate(space.components)
                            for exps, b in cls.restrictions[f.name].terms})
-            self._keys[degree] = [(space.components[ci].name, exps, b)
+            self.keys[degree] = [(space.components[ci].name, exps, b)
                                   for ci, exps, b in keys]
-            self._positions[degree] = {key: pos for pos, key in enumerate(self._keys[degree])}
+            self.positions[degree] = {key: pos for pos, key in enumerate(self.keys[degree])}
             vectors = [self.class_vector(cls, degree) for cls in candidates]
             kept = linalg.independent_indices(vectors)
             below = []

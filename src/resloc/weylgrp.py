@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import linalg
 from .kernels import (
@@ -94,15 +95,15 @@ class WeylData:
 
     def act(self, w: WeylElement, cls: RestrictedClass) -> RestrictedClass:
         """w, one of the group's elements, applied to cls."""
-        space = self.space
-        substitute = self._substitute[w]
-        out: dict[str, EquivariantPolynomial] = {}
-        for i, f in enumerate(space.components):
-            target = space.components[w.perm[i]]
-            poly = substitute(cls.restrictions[f.name])
-            out[target.name] = poly.map_basis(target.algebra,
-                                              [list(r) for r in w.algebra_maps[i]])
-        return RestrictedClass(space, cls.degree, out)
+        return RestrictedClass(self.space, cls.degree, dict(
+            self.move(w, i, cls.restrictions[f.name].terms)
+            for i, f in enumerate(self.space.components)))
+
+    def move(self, w: WeylElement, i: int, terms: dict) -> tuple[str, EquivariantPolynomial]:
+        """w applied to the restriction terms at component i: where they land, by name."""
+        source, target = self.space.components[i], self.space.components[w.perm[i]]
+        poly = EquivariantPolynomial(self.space.vars, source.algebra, terms)
+        return target.name, self._substitute[w](poly).map_basis(target.algebra, w.algebra_maps[i])
 
     def d_polynomial(self) -> EquivariantPolynomial:
         """Product of the positive roots, as a polynomial in the torus variables."""
@@ -119,6 +120,7 @@ class WeylData:
         ncomp = len(space.components)
         # substitution of each element's variable images, built once
         self._substitute = {}
+        checked: set = set()  # (source algebra, target algebra, map) triples
         if not self.elements:
             raise ValidationError("group must be nonempty")
         for w in self.elements:
@@ -131,7 +133,7 @@ class WeylData:
             if w.sign() not in (Q(1), Q(-1)):
                 raise ValidationError("group element matrix must have determinant +-1")
             self._substitute[w] = substitution(w.variable_images(space))
-            self._check_space_preserved(w)
+            self._check_space_preserved(w, checked)
         ident = self.identity()
         if ident not in self.elements:
             raise ValidationError("group must contain the identity")
@@ -156,7 +158,7 @@ class WeylData:
                 raise ValidationError(
                     "positive-root product is not alternating under the group")
 
-    def _check_space_preserved(self, w: WeylElement):
+    def _check_space_preserved(self, w: WeylElement, checked: set):
         space = self.space
         substitute = self._substitute[w]
         for i, f in enumerate(space.components):
@@ -165,8 +167,10 @@ class WeylData:
             if moved_moment != g.moment:
                 raise ValidationError(
                     f"moment of {f.name} does not map to moment of {g.name}")
-            amap = [list(r) for r in w.algebra_maps[i]]
-            self._check_algebra_map(f.algebra, g.algebra, amap, f.name, g.name)
+            amap = w.algebra_maps[i]
+            if (triple := (f.algebra, g.algebra, amap)) not in checked:
+                checked.add(triple)
+                self._check_algebra_map(*triple, f.name, g.name)
             moved_lines = []
             for wgt, chern in f.normal_lines:
                 moved_lines.append((wgt.times(w.matrix),
@@ -205,19 +209,30 @@ class WeylData:
                         f"algebra map {src_name}->{dst_name} is not multiplicative")
 
 
+def _divide_by_roots(weyl: WeylData, name: str, poly: EquivariantPolynomial):
+    """The restriction poly at component name, divided exactly by each root."""
+    for root in weyl.positive_roots:
+        try:
+            poly = poly.div_exact_linear(root)
+        except ExactDivisionError as exc:
+            raise ExactDivisionError(f"restriction at {name} is not divisible by {root}") from exc
+    return poly
+
+
 def brion_divide(weyl: WeylData, cls: RestrictedClass) -> RestrictedClass:
     """Exact componentwise division by the product of the positive roots."""
-    out: dict[str, EquivariantPolynomial] = {}
-    for f in weyl.space.components:
-        poly = cls.restrictions[f.name]
-        for root in weyl.positive_roots:
-            try:
-                poly = poly.div_exact_linear(root)
-            except ExactDivisionError as exc:
-                raise ExactDivisionError(
-                    f"restriction at {f.name} is not divisible by {root}") from exc
-        out[f.name] = poly
-    return RestrictedClass(weyl.space, cls.degree - 2 * len(weyl.positive_roots), out)
+    return RestrictedClass(weyl.space, cls.degree - 2 * len(weyl.positive_roots), {
+        f.name: _divide_by_roots(weyl, f.name, cls.restrictions[f.name])
+        for f in weyl.space.components})
+
+
+def _brion_divide_vector(model: DegreeTruncatedModel, weyl: WeylData, vec: linalg.Row,
+                         degree: int) -> linalg.Row:
+    """``brion_divide`` on restriction vectors, from this degree's slice to the
+    slice 2r degrees down, where a term at another key stays under the key."""
+    return model.place(degree - 2 * len(weyl.positive_roots), [
+        (name, _divide_by_roots(weyl, name, poly))
+        for name, poly in model.restrictions(vec, degree).items() if poly])
 
 
 # -- nonabelian kernel comparisons --------------------------------------------
@@ -227,33 +242,34 @@ def brion_divide(weyl: WeylData, cls: RestrictedClass) -> RestrictedClass:
 class InvariantSlice(Subspace):
     """The invariant classes of a degree slice, with the group action they are
     read off: moved[k][i] is the vector of basis class i under the k-th
-    non-identity element."""
+    non-identity element; span is the slice basis, reduced once."""
 
     moved: list[list[linalg.Row]]
+    span: linalg.Echelon
 
 
 def invariant_subspace(model: DegreeTruncatedModel, weyl: WeylData,
                        degree: int) -> InvariantSlice:
     """Coefficient vectors of the group-invariant classes in a degree slice.
 
-    Each non-identity w acts once on each slice basis class b_i; c is
+    Each non-identity w moves once each restriction key the basis reads, and
+    basis class b_i moves to its vector's combination of the key images; c is
     invariant when sum_i c_i (w.b_i - b_i) = 0 for every w, read off in the
     model's restriction coordinates, where the basis is independent."""
-    basis = model.basis_by_degree[degree]
-    vectors = [el.vector for el in basis]
-    moved = []
-    rows: list[linalg.Row] = []
+    index = {f.name: i for i, f in enumerate(model.space.components)}
+    vectors = [el.vector for el in model.basis_by_degree[degree]]
+    span = linalg.Echelon(vectors)
+    read = {pos: model.keys[degree][pos] for vec in vectors for pos in vec}
+    moved, rows = [], []
     for w in weyl.nonidentity:
-        images = [model.class_vector(weyl.act(w, el.cls), degree) for el in basis]
-        if None in images or linalg.rank(vectors + images) != len(basis):
-            raise ValidationError(
-                f"model slice of degree {degree} is not stable under the group")
-        moved.append(images)
-        differences = [dict(m) for m in images]  # (w - 1) applied to b_i
-        for m, v in zip(differences, vectors):
-            linalg.add_scaled(m, -1, v)
-        rows.extend(linalg.transpose(differences).values())
-    return InvariantSlice(degree, linalg.nullspace(rows, len(basis)), moved)
+        images = {pos: model.place(degree, [weyl.move(w, index[name], {(exps, b): 1})])
+                  for pos, (name, exps, b) in read.items()}
+        moved.append([linalg.combine(vec, images) for vec in vectors])
+        if any(span.remainder(m) for m in moved[-1]):
+            raise ValidationError(f"model slice of degree {degree} is not stable under the group")
+        differences = [linalg.combine({0: 1, 1: -1}, pair) for pair in zip(moved[-1], vectors)]
+        rows.extend(linalg.transpose(differences).values())  # (w - 1) b_i, by key
+    return InvariantSlice(degree, linalg.nullspace(rows, len(vectors)), moved, span)
 
 
 @dataclass
@@ -289,45 +305,44 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
     of the torus-level kernel there, divided by D, should span the nonabelian
     pairing kernel in the invariant slice 2r degrees down.
 
-    The degree rows solve each invariant slice and each pairing kernel once,
-    and the span rows read them.  The group acts once on each basis class of
-    a checked slice: the invariants and the antisymmetrizations are both read
-    off that action.
+    The degree rows solve each invariant slice and pairing kernel once, and
+    the span rows read them, with the group action each slice keeps; the
+    antisymmetrizations are divided as vectors, and D * eta and D^2 * eta are
+    built only for a pairing with testing classes.
     """
     space = model.space
     r = len(weyl.positive_roots)
     dpoly = weyl.d_polynomial()
-    d2poly = dpoly * dpoly
+    factors = {1: dpoly, 2: dpoly * dpoly}
+    signs = [w.sign() for w in weyl.nonidentity]
     top = space.dim - 2 * space.vars.count - 4 * r  # degree plus its complement
-    slices: dict[int, tuple[InvariantSlice, list[RestrictedClass]]] = {}
+    slices: dict[int, InvariantSlice] = {}
     k_pair: dict[int, list[linalg.Row]] = {}
 
-    def invariant(degree: int) -> tuple[InvariantSlice, list[RestrictedClass]]:
+    def invariant(degree: int) -> InvariantSlice:
         if degree not in slices:
-            inv = invariant_subspace(model, weyl, degree)
-            slices[degree] = (inv, inv.classes(model))
+            slices[degree] = invariant_subspace(model, weyl, degree)
         return slices[degree]
+
+    invariant_classes = cache(lambda degree: invariant(degree).classes(model))  # for pairings
 
     degrees = range(0, model.max_degree + 1, 2)
     rows = []
     for d in degrees:
-        inv_classes = invariant(d)[1]
-        twice = [cls.mul_pure(d2poly) for cls in inv_classes]
-        # (i) the pairing kernel: the null space (in invariant coordinates) of
-        # kappa_T(eta * zeta * D^2) over invariant zeta
-        comp = top - d
-        k_pair[d] = pairing_kernel(integral, twice, invariant(comp)[1] if comp >= 0 else [])
-        once = [cls.mul_pure(dpoly) for cls in inv_classes]
-        # (ii) once-divided: D * eta in the torus-level kernel
-        k_once = pairing_kernel(integral, once, complementary_slice(model, d + 2 * r))
-        # (iii) twice-divided: D^2 * eta in the torus-level kernel
-        k_twice = pairing_kernel(integral, twice, complementary_slice(model, d + 4 * r))
-
+        dim, comp = invariant(d).dim, top - d
+        multiple = cache(lambda k: [cls.mul_pure(factors[k]) for cls in invariant_classes(d)])
+        # D^k * eta against each testing list, the whole slice against none:
+        # (i) the pairing kernel, kappa_T(eta * zeta * D^2) over invariant zeta;
+        # D * eta (ii) and D^2 * eta (iii) in the torus-level kernel
+        k_pair[d], k_once, k_twice = [
+            pairing_kernel(integral, multiple(k), tests) if tests else linalg.nullspace([], dim)
+            for k, tests in ((2, invariant_classes(comp) if comp >= 0 else []),
+                             (1, complementary_slice(model, d + 2 * r)),
+                             (2, complementary_slice(model, d + 4 * r)))]
         once_span = linalg.Echelon(k_once)  # reduced once for both comparisons
         equal = (linalg.span_equal(once_span, k_pair[d])
                  and linalg.span_equal(once_span, k_twice))
-        rows.append(NonabelianRow(d, len(inv_classes), len(k_pair[d]),
-                                  len(k_once), len(k_twice), equal))
+        rows.append(NonabelianRow(d, dim, len(k_pair[d]), len(k_once), len(k_twice), equal))
 
     span_rows = []
     for source in degrees:
@@ -338,21 +353,20 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
         # into which the slice's coordinates map injectively
         basis = [el.vector for el in model.basis_by_degree[target]]
         vectors = [el.vector for el in model.basis_by_degree[source]]
-        moved = slices[source][0].moved
+        moved = slices[source].moved
+        below = slices.pop(target)  # no later row reads the target slice
         produced: list[linalg.Row] = []
         for coeffs in torus_kernel(model, source, integral).coeffs:
             # the antisymmetrization (1/|W|) sum_w sign(w) w.eta, in coordinates
             anti = linalg.combine(coeffs, vectors)
-            for w, images in zip(weyl.nonidentity, moved):
-                linalg.add_scaled(anti, w.sign(), linalg.combine(coeffs, images))
-            if not anti:
-                continue
-            anti_cls = model.vector_class(
-                {k: v * Q(1, weyl.order) for k, v in anti.items()}, source)
-            produced.append(model.class_vector(brion_divide(weyl, anti_cls), target))
-        if None in produced or linalg.rank(basis + produced) != len(basis):
+            for sign, images in zip(signs, moved):
+                linalg.add_scaled(anti, sign, linalg.combine(coeffs, images))
+            if anti:
+                produced.append(_brion_divide_vector(
+                    model, weyl, {k: v * Q(1, weyl.order) for k, v in anti.items()}, source))
+        if any(below.span.remainder(p) for p in produced):
             raise ValidationError("divided antisymmetrization left the model span")
-        inv_vectors = [linalg.combine(c, basis) for c in slices[target][0].coeffs]
+        inv_vectors = [linalg.combine(c, basis) for c in below.coeffs]
         kernel = [linalg.combine(k, inv_vectors) for k in k_pair[target]]
         produced_span = linalg.Echelon(produced)
         span_rows.append(AntisymmetrizedSpanRow(

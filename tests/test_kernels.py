@@ -218,7 +218,7 @@ def test_grown_slices_match_the_full_candidate_slices(build, degree):
     for d, (labels, vectors, keys, rows) in oracle.items():
         assert [el.label for el in model.basis_by_degree[d]] == labels, d
         assert [el.vector for el in model.basis_by_degree[d]] == vectors, d
-        assert model._keys[d] == keys, d
+        assert model.keys[d] == keys, d
         assert model.restriction_rows[d] == rows, d
 
 

@@ -25,11 +25,13 @@ EXPRESSION = {"variables": ["X", "Y"],
                               {"form": ["1", "1"]}, {"form": ["0", "2"]}]}
 
 # generated inputs: CP^3's moments lie off the axes, so its chamber sides are
-# not coordinate signs; diagonal (S^2)^5 has span rows from larger slices
+# not coordinate signs; diagonal (S^2)^5 has span rows from larger slices;
+# diagonal (S^2)^3 to degree 12 is the benchmark's slowest nonabelian op
 GENERATED = {
     "cp3.json": lambda: projective(3, tuple(Q(i + 1, 50) for i in range(3))),
     "s2x5-diag.json": lambda: sphere_product_diagonal(5),
     "s2x3.json": lambda: sphere_product(3),
+    "s2x3-diag.json": lambda: sphere_product_diagonal(3),
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -105,6 +107,9 @@ GOLDEN = {
          EMPTY),
     "kernel s2x5-diag.json --nonabelian --max-degree 6":
         (0, "7eb11c65a09e49cf866c2dc1727f042b125d51db8dd495e3fc8c69d6f167bd5e",
+         EMPTY),
+    "kernel s2x3-diag.json --nonabelian --max-degree 12":
+        (0, "34753eb887b587d68e8501dce0d81b09e306389e42b2934e882a36363f9e9aa1",
          EMPTY),
     "kernel s2x3.json --circle=1,2,4 --max-degree 4":
         (0, "debc9d98a61b2eac7b6ff17afbeaec20d40cf33491f14b6767a16b2f63cbed1e",

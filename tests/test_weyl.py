@@ -225,7 +225,10 @@ def test_invariant_subspace_rejects_unstable_slice(ds, monkeypatch):
                                    ("u1", ds.generator("u1"))], 4)
     assert invariant_subspace(model, ds.weyl, 2).dim == 1
     u2 = ds.generator("u2")  # not in the span of X and u1
-    monkeypatch.setattr(WeylData, "act", lambda self, w, cls: u2)
+    # every key of the slice moves to u2's restriction at its component, so
+    # X, which reads every key once, moves to u2
+    monkeypatch.setattr(WeylData, "move", lambda self, w, i, terms: (
+        self.space.components[i].name, u2.restrictions[self.space.components[i].name]))
     with pytest.raises(ValidationError, match="degree 2 is not stable"):
         invariant_subspace(model, ds.weyl, 2)
 
@@ -242,29 +245,41 @@ def test_antisymmetrized_span_rejects_class_outside_the_slice(ds, monkeypatch):
     # division of a degree-4 class landing on u2 has left it
     model = build_model(ds.space, [("one", ds.generator("one")),
                                    ("u1", ds.generator("u1"))], 4)
-    u2 = ds.generator("u2")
-    real = weylgrp.brion_divide
-    monkeypatch.setattr(weylgrp, "brion_divide",
-                        lambda weyl, cls: u2 if cls.degree == 4 else real(weyl, cls))
+    u2 = model.class_vector(ds.generator("u2"), 2)
+    assert u2 is not None  # u2 lies at the slice's keys, outside its span
+    real = weylgrp._brion_divide_vector
+    monkeypatch.setattr(weylgrp, "_brion_divide_vector", lambda model, weyl, vec, degree:
+                        u2 if degree == 4 else real(model, weyl, vec, degree))
     with pytest.raises(ValidationError, match="left the model span"):
         check_nonabelian_kernels(model, ds.weyl, torus_integral(ds.space))
 
 
+def moves(monkeypatch):
+    """The (element, component, term) of every ``WeylData.move`` from here on."""
+    moved = []
+    real = WeylData.move
+
+    def counted(self, w, i, terms):
+        moved.append((w, i, tuple(terms)))
+        return real(self, w, i, terms)
+
+    monkeypatch.setattr(WeylData, "move", counted)
+    return moved
+
+
 def test_nonabelian_check_acts_once_per_element_and_basis_class(model, ds, monkeypatch):
-    # the invariants and the antisymmetrizations share one action per slice
-    acted = []
-    real = WeylData.act
-
-    def counted(self, w, cls):
-        acted.append((w, cls))
-        return real(self, w, cls)
-
-    monkeypatch.setattr(WeylData, "act", counted)
+    # the invariants and the antisymmetrizations share one action per slice:
+    # each key its basis reads moves once per element, and no class is acted
+    # on as a whole
+    moved = moves(monkeypatch)
+    monkeypatch.setattr(WeylData, "act", None)
     check_nonabelian_kernels(model, ds.weyl, torus_integral(ds.space))
     sizes = [len(model.basis_by_degree[d]) for d in (0, 2, 4, 6)]
-    assert sizes == [1, 4, 7, 8]
-    assert len(acted) == len(ds.weyl.nonidentity) * sum(sizes) == 20
-    assert not any(v == w and a == b for k, (v, a) in enumerate(acted) for w, b in acted[:k])
+    keys = [len({p for el in model.basis_by_degree[d] for p in el.vector}) for d in (0, 2, 4, 6)]
+    assert sizes == [1, 4, 7, 8] and keys == [8, 8, 8, 8]
+    assert len(moved) == len(ds.weyl.nonidentity) * sum(keys) == 32
+    assert all(len(terms) == 1 for _, _, terms in moved)
+    assert len(set(moved)) == len(moved)
 
 
 def test_each_element_builds_its_variable_images_once(monkeypatch, tmp_path):
@@ -309,40 +324,101 @@ def test_coordinate_route_equals_class_route(ds, antisymmetrize, monkeypatch,
     degrees = list(range(0, max_degree + 1, 2))
     r = len(weyl.positive_roots)
     divided = []
-    real = weylgrp.brion_divide
+    real = weylgrp._brion_divide_vector
 
-    def recorded(weyl, cls):
-        quotient = real(weyl, cls)
-        divided.append((cls.degree, cls, model.class_vector(quotient, quotient.degree)))
+    def recorded(model, weyl, vec, degree):
+        quotient = real(model, weyl, vec, degree)
+        divided.append((degree, model.vector_class(vec, degree), quotient))
         return quotient
 
-    monkeypatch.setattr(weylgrp, "brion_divide", recorded)
+    monkeypatch.setattr(weylgrp, "_brion_divide_vector", recorded)
     check_nonabelian_kernels(model, weyl, integral)
     expected = []
     for source in degrees[r:]:
         for cls in folded_classes(model, torus_kernel(model, source, integral)):
             anti = antisymmetrize(weyl, cls)
             if not anti.is_zero():
-                expected.append((source, anti,
-                                 model.class_vector(real(weyl, anti), source - 2 * r)))
+                expected.append((source, anti, model.class_vector(
+                    brion_divide(weyl, anti), source - 2 * r)))
     assert expected and divided == expected
     for d in degrees:
         inv = invariant_subspace(model, weyl, d)
         assert inv.classes(model) == folded_classes(model, inv)
 
 
+def flipped_projective_planes():
+    """two_projective_planes with the flip X -> -X, which swaps N and S and
+    conjugates CP^2 (h -> -h), and generators 1, h and the Thom class u of S."""
+    space = two_projective_planes()
+    vars, cp2 = space.vars, space.components[0].algebra
+    eye = tuple(tuple(Q(int(i == j)) for j in range(3)) for i in range(3))
+    conj = tuple(tuple(Q(v) for v in row) for row in ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
+    weyl = WeylData(space, [WeylElement(((Q(1),),), (0, 1), (eye, eye)),
+                            WeylElement(((Q(-1),),), (1, 0), (conj, conj))],
+                    [LinearForm.make([1])])
+    h = EquivariantPolynomial.from_algebra_element(vars, cp2, {1: 1})
+    gens = [("one", RestrictedClass.unit(space)),
+            ("h", RestrictedClass(space, 2, {"N": h, "S": h})),
+            ("u", RestrictedClass(space, 2, {"N": EquivariantPolynomial.zero(vars, cp2),
+                                             "S": EquivariantPolynomial.variable(vars, 0, cp2)}))]
+    return space, weyl, gens
+
+
+@pytest.mark.parametrize("case", ["s2cubed-su2", "diagonal-s2x3", "flipped-cp2-pair"])
+def test_key_images_are_the_class_action(ds, monkeypatch, case):
+    """The action the check reads off the moved keys is the class action on
+    every basis class, for every non-identity element and degree, and the
+    flipped CP^2 pair moves the algebra too (h -> -h).  On the spheres,
+    everything the check divides is alternating: sign(w) times itself under
+    each w."""
+    if case == "flipped-cp2-pair":
+        space, weyl, gens = flipped_projective_planes()
+        h, u = gens[1][1], gens[2][1]
+        [flip] = weyl.nonidentity
+        assert weyl.act(flip, h) == h.scale(-1)
+        assert weyl.act(flip, u) == u + RestrictedClass.unit(space).mul_pure(
+            EquivariantPolynomial.variable(space.vars, 0)).scale(-1)
+    else:
+        data = ds if case == "s2cubed-su2" else sphere_product_diagonal(3)
+        space, weyl, gens = data.space, data.weyl, data.generators
+    model = build_model(space, gens, 6 if case != "diagonal-s2x3" else 10)
+    for d in range(0, model.max_degree + 1, 2):
+        inv = invariant_subspace(model, weyl, d)
+        assert [[model.class_vector(weyl.act(w, el.cls), d)
+                 for el in model.basis_by_degree[d]] for w in weyl.nonidentity] == inv.moved
+    if case == "flipped-cp2-pair":
+        # conjugation acts on H^2(CP^2) by -1, so it is no Weyl action: the
+        # antisymmetrization of h*u divides to (-h/2, h/2), which no class
+        # restricts to
+        with pytest.raises(ValidationError, match="left the model span"):
+            check_nonabelian_kernels(model, weyl, torus_integral(space))
+        return
+    divided = []
+    real = weylgrp._brion_divide_vector
+
+    def recorded(model, weyl, vec, degree):
+        divided.append(model.vector_class(vec, degree))
+        return real(model, weyl, vec, degree)
+
+    monkeypatch.setattr(weylgrp, "_brion_divide_vector", recorded)
+    check_nonabelian_kernels(model, weyl, torus_integral(space))
+    assert divided and all(weyl.act(w, cls) == cls.scale(w.sign())
+                           for cls in divided for w in weyl.elements)
+
+
+def test_vector_division_error_names_component():
+    # h at N is no multiple of X: the check's division of a vector names N
+    space, weyl, gens = flipped_projective_planes()
+    model = build_model(space, gens, 4)
+    with pytest.raises(ExactDivisionError, match="restriction at N is not divisible"):
+        weylgrp._brion_divide_vector(model, weyl, model.class_vector(gens[1][1], 2), 2)
+
+
 def test_nonabelian_check_never_acts_with_the_identity(model, ds, monkeypatch):
-    acted = []
-    real = WeylData.act
-
-    def counted(self, w, cls):
-        acted.append(w)
-        return real(self, w, cls)
-
-    monkeypatch.setattr(WeylData, "act", counted)
+    moved = moves(monkeypatch)
     check_nonabelian_kernels(model, ds.weyl, torus_integral(ds.space))
-    assert acted
-    assert ds.weyl.identity() not in acted
+    assert moved
+    assert ds.weyl.identity() not in [w for w, _, _ in moved]
 
 
 # -- randomized group laws ------------------------------------------------------------
