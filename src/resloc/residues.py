@@ -13,10 +13,11 @@ independent implementations are kept deliberately:
   denominator is a ``ReciprocalSeries``, grown as deeper coefficients are
   asked for, so a caller that meets one denominator many times keeps one.
 
-The circle-level Kirwan integral takes every residue by the series route,
-from one kept expansion per (component, denominator).  The pole route
-cross-checks it: the test suite sends every circle-level table entry through
-both, and the ``residue`` command runs both and insists they agree.
+The circle-level Kirwan integral takes every residue at infinity, from one
+kept ``ReciprocalSeries`` per distinct cancelled denominator, shared by the
+components.  The pole route cross-checks it: the test suite sends every
+circle-level table entry through both routes, and the ``residue`` command
+runs both and insists they agree.
 
 The iterated operator composes one-variable residues over an ordering of the
 variables.  ``iterated_residue_selected`` additionally carries a moment
@@ -120,9 +121,8 @@ class ReciprocalSeries:
     c_k = -sum_{i=1..min(k,N)} b_i c_(k-i), so S_r = c_(r-N).
     """
 
-    def __init__(self, var: int, vars: Variables, algebra: GradedAlgebra,
+    def __init__(self, vars: Variables, algebra: GradedAlgebra,
                  factors: Iterable[tuple[Fraction, EquivariantPolynomial, int]]):
-        self.var = var
         self.vars = vars
         self.algebra = algebra
         zero = EquivariantPolynomial.zero(vars, algebra)
@@ -141,7 +141,7 @@ class ReciprocalSeries:
     def of_denominator(denom: Mapping[LinearForm, int], var: int, vars: Variables,
                        algebra: GradedAlgebra) -> "ReciprocalSeries":
         """The expansion of 1 over the factors of denom that involve x_var."""
-        return ReciprocalSeries(var, vars, algebra, (
+        return ReciprocalSeries(vars, algebra, (
             (form.coeffs[var], EquivariantPolynomial.from_linear_form(vars, LinearForm(tuple(
                 Q(0) if i == var else c for i, c in enumerate(form.coeffs))), algebra), mult)
             for form, mult in denom.items() if form.involves(var)))
@@ -158,24 +158,17 @@ class ReciprocalSeries:
                 step * c[j - i] for i, step in enumerate(self._steps[:j], 1)), self.algebra))
         return c[k]
 
-    def contract(self, numer: EquivariantPolynomial) -> EquivariantPolynomial:
-        """The coefficient of 1/x_var in numer / D: the sum over d of the
-        x_var^d slice of numer times S_(d+1)."""
-        return EquivariantPolynomial.sum(self.vars, (
-            piece * self.coefficient(d + 1)
-            for d, piece in numer.coefficients_in(self.var).items()), numer.algebra)
 
-
-def res_x_plus_series(h: RationalSection, var: int,
-                      series: ReciprocalSeries | None = None) -> RationalSection:
+def res_x_plus_series(h: RationalSection, var: int) -> RationalSection:
     """Sum of residues at all finite poles, read off as the coefficient of
-    1/x_var in the Laurent expansion of h at infinity.  ``series`` is the
-    expansion of 1 over the factors of h's denominator that involve x_var,
-    when the caller keeps one; the other factors stay in the denominator."""
-    if series is None:
-        series = ReciprocalSeries.of_denominator(h.denom, var, h.vars, h.algebra)
+    1/x_var in the Laurent expansion of h at infinity; the denominator
+    factors free of x_var stay in the denominator."""
+    series = ReciprocalSeries.of_denominator(h.denom, var, h.vars, h.algebra)
     keep = {f: m for f, m in h.denom.items() if not f.involves(var)}
-    return RationalSection(series.contract(h.numer), keep)
+    # the x_var^d slice of the numerator meets S_(d+1)
+    return RationalSection(EquivariantPolynomial.sum(h.vars, (
+        piece * series.coefficient(d + 1) for d, piece in h.numer.coefficients_in(var).items()),
+        h.algebra), keep)
 
 
 def res_x_plus(h: RationalSection, var: int, method: str = "poles") -> RationalSection:

@@ -9,10 +9,11 @@ space are handled purely through their restrictions to the components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
@@ -21,7 +22,6 @@ from .residues import (
     ReciprocalSeries,
     VariableOrdering,
     iterated_residue_selected,
-    res_x_plus_series,
 )
 from .symcore import (
     POINT_ALGEBRA,
@@ -78,8 +78,11 @@ class CircleDirection:
         g = gcd(*self.vector)
         return CircleDirection(tuple(v // g for v in self.vector))
 
-    def pair(self, covector: Iterable[Fraction]) -> Fraction:
-        return sum((Q(c) * v for c, v in zip(covector, self.vector)), Q(0))
+    def pair(self, covector: Sequence[Fraction]) -> Fraction:
+        """The pairing with a rational covector, added in integers."""
+        den = lcm(*(c.denominator for c in covector))
+        return Q(sum(c.numerator * (den // c.denominator) * v
+                     for c, v in zip(covector, self.vector)), den)
 
 
 @dataclass(frozen=True)
@@ -243,13 +246,17 @@ def generator_products(space: HamiltonianSpace,
 
 
 def is_generic(space: HamiltonianSpace, xi: CircleDirection) -> list[tuple[str, str]]:
-    """Violation certificate for a circle direction; empty means generic."""
+    """Violation certificate for a circle direction; empty means generic.
+    Each distinct weight object is paired once."""
     violations: list[tuple[str, str]] = []
+    pairings: dict[LinearForm, Fraction] = {}
     for f in space.components:
         if xi.pair(f.moment) == 0:
             violations.append(("moment", f.name))
         for w, _ in f.normal_lines:
-            if xi.pair(w.coeffs) == 0:
+            if (p := pairings.get(w)) is None:
+                p = pairings[w] = xi.pair(w.coeffs)
+            if p == 0:
                 violations.append(("weight", f"{f.name}:{w.render(space.vars.names)}"))
     return violations
 
@@ -354,36 +361,79 @@ def unimodular_completion(xi: tuple[int, ...]) -> list[list[int]]:
 
 @dataclass
 class AdaptedSpace:
-    """A space re-expressed in a basis whose first direction is a given circle."""
+    """A space re-expressed in a basis whose first direction is a given circle.
+    It keeps what ``term`` builds: the adapted image of each monomial met and,
+    per component, its Euler numerator integrated against each basis element."""
 
     space: HamiltonianSpace
     xi: CircleDirection
     axes: tuple[LinearForm, ...]   # old variable i in the new ones
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _own_axes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def _substitute(self):  # one substitution keeps the axis images' powers for every call
         return substitution([EquivariantPolynomial.from_linear_form(self.space.vars, a) for a in self.axes])
 
-    def adapt(self, poly: EquivariantPolynomial) -> EquivariantPolynomial:
-        """A restriction of the original space in the adapted variables."""
-        return self._substitute(poly)
+    def term(self, f: FixedComponent, key: _Key
+             ) -> tuple[dict[tuple[int, ...], int], int, dict[LinearForm, int]]:
+        """The localization term of the monomial key = (exponents, basis index
+        b) at f, a component of this space, in the adapted variables: integer
+        numerator terms by exponents, their positive denominator, and the
+        linear forms left in the denominator.
+
+        The term is cancelled as it is built, so the residues see low pole
+        orders: the adapted image s_i * P_i of variable i (P_i primitive)
+        cancels min(k_i, mult of P_i) times against the Euler denominator, s_i
+        moving to the numerator.  At a point no other form can divide what is
+        left; a factor left elsewhere would raise a pole order, not change a
+        residue.  The numerator is then s times the image of the x^e left
+        times the integral over f of b times the Euler numerator."""
+        inv = self.space.euler_inverse(f)
+        denom, exps, scale = dict(inv.denom), list(key[0]), Q(1)
+        if (own := self._own_axes.get(f.name)) is None:  # f's own forms, found by identity
+            own = self._own_axes[f.name] = [(s, next((w for w in denom if w == p), p))
+                                            for s, p in map(LinearForm.normalized, self.axes)]
+        for i, (s, prim) in enumerate(own):
+            if m := min(exps[i], denom.get(prim, 0)):
+                exps[i] -= m
+                denom[prim] -= m
+                scale *= s ** m
+        if (weights := self._weights.get((f.name, key[1]))) is None:
+            unit = EquivariantPolynomial(self.space.vars, f.algebra,
+                                         {(self.space.vars.zero_exps(), key[1]): 1})
+            weights = self._weights[f.name, key[1]] = _integer_terms(
+                unit.integrate_product(inv.numer, {}))
+        if (image := self._images.get(exps := tuple(exps))) is None:  # x^exps adapted, once
+            image = self._images[exps] = self._substitute(
+                EquivariantPolynomial(self.space.vars, POINT_ALGEBRA, {(exps, 0): 1})).terms
+        terms: dict[tuple[int, ...], int] = {}
+        for (e1, _), c1 in image.items():
+            for (e2, _), c2 in weights[0].items():
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2 * scale.numerator
+        return ({e: c for e, c in terms.items() if c}, weights[1] * scale.denominator,
+                {p: k for p, k in denom.items() if k})
 
 
 def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
     """Rotate coordinates by a unimodular map so xi becomes the first axis.
 
     Moments and weights are re-expressed by pairing with the new basis
-    vectors, each distinct weight once, so equal weights stay one object.
-    The first adapted moment coordinate is the pairing of the moment with xi.
+    vectors (``CircleDirection.pair``, in integers), each distinct weight
+    once, so equal weights stay one object.  The first adapted moment
+    coordinate is the pairing of the moment with xi.
     """
     xi = xi.primitive()
     basis_cols = unimodular_completion(xi.vector)
-    images = {w: w.times(basis_cols)
+    columns = [CircleDirection(col) for col in zip(*basis_cols)]
+    images = {w: LinearForm(tuple(col.pair(w.coeffs) for col in columns))
               for w in {w for f in space.components for w, _ in f.normal_lines}}
     components = []
     for f in space.components:
         lines = tuple((images[w], c) for w, c in f.normal_lines)
-        components.append(FixedComponent(f.name, LinearForm(f.moment).times(basis_cols).coeffs,
+        components.append(FixedComponent(f.name, tuple(col.pair(f.moment) for col in columns),
                                          f.algebra, lines))
     # old variable i is row i of the basis matrix in the new variables
     return AdaptedSpace(HamiltonianSpace(space.vars, space.dim, components), xi,
@@ -510,43 +560,40 @@ class KirwanIntegral:
         return terms, den
 
 
+def _lazy_table(compute: Callable[[FixedComponent, _Key], _Entry]
+                ) -> Callable[[FixedComponent, _Key], _Entry]:
+    """tau(F, k) = compute(F, k), computed on first use and kept (an entry
+    that raises is not)."""
+    tau: dict[tuple[str, _Key], _Entry] = {}
+
+    def lookup(f: FixedComponent, key: _Key) -> _Entry:
+        if (value := tau.get((f.name, key))) is None:
+            value = tau[f.name, key] = compute(f, key)
+        return value
+
+    return lookup
+
+
 def _monomial_table(adapted: AdaptedSpace, entry: Callable[[FixedComponent, RationalSection], _Entry]
                     ) -> Callable[[FixedComponent, _Key], _Entry]:
     """The lazy table tau of a fixed-point functional that is linear in each
     component's restriction: tau(F, k) is ``entry`` applied to the adapted
     localization term of the single monomial k = (exponents, algebra basis
-    index) at F, computed on first use and kept (an entry that raises is not).
+    index) at F, cancelled as ``AdaptedSpace.term`` builds it."""
 
-    The term is cancelled as it is built, so the residues see low pole
-    orders: the adapted image s_i * P_i of variable i (P_i primitive) cancels
-    min(k_i, mult of P_i) times against the Euler denominator, s_i moving to
-    the numerator.  At a point no other form can divide what is left; a
-    factor left elsewhere would raise a pole order, not change a residue.
-    """
-    space = adapted.space
-    axes = [form.normalized() for form in adapted.axes]
-    own_axes: dict[str, list[tuple[Fraction, LinearForm]]] = {}
-    tau: dict[tuple[str, _Key], _Entry] = {}
+    def compute(f: FixedComponent, key: _Key) -> _Entry:
+        terms, den, denom = adapted.term(f, key)
+        numer = {(e, 0): Fraction(c, den) for e, c in terms.items()}
+        return entry(f, RationalSection(EquivariantPolynomial(adapted.space.vars, POINT_ALGEBRA,
+                                                              numer), denom, cancel=False))
 
-    def lookup(f: FixedComponent, key: _Key) -> _Entry:
-        value = tau.get((f.name, key))
-        if value is None:
-            inv = space.euler_inverse(f)
-            denom, exps, scale = dict(inv.denom), list(key[0]), Q(1)
-            if f.name not in own_axes:  # F's own forms, which denom finds by identity
-                own_axes[f.name] = [(s, next((w for w in denom if w == p), p)) for s, p in axes]
-            for i, (s, prim) in enumerate(own_axes[f.name]):
-                if m := min(exps[i], denom.get(prim, 0)):
-                    exps[i] -= m
-                    denom[prim] -= m
-                    scale *= s ** m
-            monomial = EquivariantPolynomial(space.vars, f.algebra, {(tuple(exps), key[1]): scale})
-            numer = EquivariantPolynomial(space.vars, POINT_ALGEBRA,
-                                          adapted.adapt(monomial).integrate_product(inv.numer, {}))
-            value = tau[f.name, key] = entry(f, RationalSection(numer, denom, cancel=False))
-        return value
+    return _lazy_table(compute)
 
-    return lookup
+
+def _integer_terms(terms: Mapping) -> _Entry:
+    """Rational terms as integer numerators over their least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
 def circle_integral(space: HamiltonianSpace, xi: CircleDirection) -> KirwanIntegral:
@@ -556,36 +603,56 @@ def circle_integral(space: HamiltonianSpace, xi: CircleDirection) -> KirwanInteg
 
     The integral is linear in each component's restriction, so it is read off
     a table: tau[F, k] is the residue along xi of the localization term of
-    monomial k at a positive-side component F, computed once on first use and
-    kept for the life of the returned object; reuse one object across many
-    classes.  Every adapted weight involves the circle variable x0, so the
-    residue is minus the residue at x0 = infinity: the sum over d of the x0^d
-    slice of the term's numerator times S_(d+1), the coefficient of x0^(-d-1)
-    in the expansion of 1 over its denominator.  Terms share few
-    denominators, so the object also keeps one ``ReciprocalSeries`` per
-    (component, denominator), grown as deeper coefficients are needed.  Each
-    entry is a polynomial free of x0, as no denominator factor is free of x0.
+    monomial k at a positive-side component F (``AdaptedSpace.term``, over a
+    cancelled denominator D), computed once on first use and kept for the
+    life of the returned object; reuse one object across many classes.  Every
+    adapted weight involves the circle variable x0, so the residue is minus
+    the residue at x0 = infinity: the sum over d of the x0^d slice of the
+    term's numerator times S_(d+1), the coefficient of x0^(-d-1) in the
+    expansion of 1/D, contracted in integers.  The expansion depends on D
+    alone, so the components share it: the object keeps one
+    ``ReciprocalSeries`` per distinct D, grown as deeper coefficients are
+    needed.  A factor of D free of x0 would leave a pole in the entry, and
+    raises.
     """
     violations = is_generic(space, xi)
     if violations:
         raise NonGenericError(f"direction {xi.vector} is not generic", violations)
     adapted = adapt_space(space, xi)
     plus_names = positive_side(space, xi)
-    expansions: dict[tuple[str, frozenset], ReciprocalSeries] = {}
+    expansions: dict[frozenset, tuple[ReciprocalSeries, list[_Entry]]] = {}
 
-    def entry(f: FixedComponent, term: RationalSection) -> _Entry:
-        key = (f.name, frozenset(term.denom.items()))
-        series = expansions.get(key)
-        if series is None:
-            series = expansions[key] = ReciprocalSeries.of_denominator(
-                term.denom, 0, term.vars, term.algebra)
-        terms = res_x_plus_series(term, 0, series).numer.terms
-        den = lcm(*(c.denominator for c in terms.values()))
-        return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+    def compute(f: FixedComponent, key: _Key) -> _Entry:
+        terms, den, denom = adapted.term(f, key)
+        if not (terms and denom):  # zero, or a polynomial: no residue
+            return {}, 1
+        if (dkey := frozenset(denom.items())) not in expansions:
+            if free := [w for w in denom if not w.involves(0)]:
+                raise ValidationError(f"denominator factor {free[0]} at {f.name} is free of x0")
+            expansions[dkey] = (ReciprocalSeries.of_denominator(denom, 0, space.vars,
+                                                                POINT_ALGEBRA), [])
+        series, known = expansions[dkey]
+        # the x0^d slice of the numerator meets S_(d+1), kept as integer terms
+        # over one denominator
+        slices = {e[0] for e in terms}
+        while len(known) <= max(slices) + 1:
+            coefficients, d = _integer_terms(series.coefficient(len(known)).terms)
+            known.append(({e[1:]: c for (e, _), c in coefficients.items()}, d))
+        common = lcm(*(known[d + 1][1] for d in slices))
+        total: dict[tuple[int, ...], int] = {}
+        for e, c in terms.items():
+            coefficients, d = known[e[0] + 1]
+            c *= common // d
+            for rest, s in coefficients.items():
+                r = tuple(map(add, e[1:], rest))
+                total[r] = total.get(r, 0) + c * s
+        den *= common
+        g = gcd(den, *total.values())
+        return {((0, *r), 0): v // g for r, v in total.items() if v}, den // g
 
     return KirwanIntegral(adapted.xi,
                           tuple(f for f in adapted.space.components if f.name in plus_names),
-                          _monomial_table(adapted, entry), space.vars)
+                          _lazy_table(compute), space.vars)
 
 
 def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,

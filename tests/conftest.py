@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -24,18 +25,28 @@ def antisymmetrize():
 
 
 @pytest.fixture
-def poles_route(monkeypatch):
-    """Call to make the circle integral take every residue pole by pole
-    instead of from its kept expansion at infinity, so a value can be
-    checked through both routes."""
+def poles_circle_integral():
+    """A reference for ``spaces.circle_integral(space, xi)``: the same
+    functional over the same positive-side components, each entry of its
+    table the residue of the cancelled localization term taken pole by pole
+    (``res_x_plus_poles``), so that a value can be checked through both
+    residue routes."""
 
-    def use():
-        def by_poles(h, var, series):
-            return res_x_plus_poles(h, var)
+    def entry(f, term):
+        residue = res_x_plus_poles(term, 0)
+        assert not residue.denom
+        terms = residue.numer.terms
+        den = lcm(*(c.denominator for c in terms.values()))
+        return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
-        monkeypatch.setattr(spaces, "res_x_plus_series", by_poles)
+    def build(space, xi):
+        adapted = spaces.adapt_space(space, xi)
+        plus = spaces.positive_side(space, xi)
+        return spaces.KirwanIntegral(
+            adapted.xi, tuple(f for f in adapted.space.components if f.name in plus),
+            spaces._monomial_table(adapted, entry), space.vars)
 
-    return use
+    return build
 
 
 @pytest.fixture
@@ -51,3 +62,20 @@ def expansion_builds(monkeypatch):
 
     monkeypatch.setattr(ReciprocalSeries, "of_denominator", staticmethod(counted))
     return builds
+
+
+@pytest.fixture
+def cancelled(monkeypatch):
+    """(component, monomial key, cancelled denominator) of every circle or
+    torus table entry computed from here on, in order:
+    ``AdaptedSpace.term`` runs once per entry."""
+    calls = []
+    real = spaces.AdaptedSpace.term
+
+    def counted(self, f, key):
+        result = real(self, f, key)
+        calls.append((f.name, key, frozenset(result[2].items())))
+        return result
+
+    monkeypatch.setattr(spaces.AdaptedSpace, "term", counted)
+    return calls

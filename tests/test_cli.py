@@ -417,22 +417,18 @@ def test_kernel_circle_wrong_arity(capsys):
     assert code == 2 and "expected 2 integers" in err
 
 
-def test_kernel_circle_builds_one_integral(capsys, monkeypatch, expansion_builds):
+def test_kernel_circle_builds_one_integral(capsys, cancelled, expansion_builds):
     # the calibration value comes from the integral the check used, so no
-    # residue is computed twice: one per (positive-side component, monomial),
-    # and one expansion at infinity per (positive-side component, denominator)
-    calls = []
-    real = spaces.res_x_plus_series
-
-    def counted(h, var, series):
-        calls.append(h)
-        return real(h, var, series)
-
-    monkeypatch.setattr(spaces, "res_x_plus_series", counted)
+    # entry is computed twice: one per (positive-side component, monomial),
+    # and one expansion at infinity per distinct nonempty cancelled
+    # denominator: 3, where the 16 (component, denominator) pairs each built
+    # one when the components did not share them
     code, _, _ = run(capsys, "kernel", "s2cubed-su2", "--circle=1")
     assert code == 0
-    assert len(calls) == 24
-    assert len(expansion_builds) == 16
+    assert len(cancelled) == len(set(cancelled)) == 24
+    assert len({(name, denom) for name, _, denom in cancelled}) == 16
+    denominators = {denom for *_, denom in cancelled} - {frozenset()}
+    assert len(expansion_builds) == len(denominators) == 3
 
 
 def test_kernel_full_s2xs2(capsys):

@@ -29,7 +29,7 @@ from resloc.kernels import (
     torus_kernel,
     vanishing_subspace,
 )
-from resloc.residues import VariableOrdering
+from resloc.residues import ReciprocalSeries, VariableOrdering
 from resloc.spaces import (
     CircleDirection,
     FixedComponent,
@@ -322,36 +322,45 @@ def test_circle_kernel_stable_under_testing_slack(s2xs2_model):
         assert len(pairing_kernel(integral, classes, enlarged)) == base.dim
 
 
-def test_circle_kernel_methods_agree(s2xs2_model, poles_route):
+def test_circle_kernel_methods_agree(s2xs2_model, poles_circle_integral):
+    # the pairing values themselves agree, not only the kernel they leave,
+    # which a wrong entry can leave unchanged
     xi = CircleDirection((2, 1))
     testing = circle_testing_classes(s2xs2_model, xi)
-    a = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi), testing)
-    poles_route()
-    b = circle_kernel(s2xs2_model, 4, circle_integral(s2xs2_model.space, xi), testing)
+    series = circle_integral(s2xs2_model.space, xi)
+    poles = poles_circle_integral(s2xs2_model.space, xi)
+    a = circle_kernel(s2xs2_model, 4, series, testing)
+    b = circle_kernel(s2xs2_model, 4, poles, testing)
     assert a.coeffs == b.coeffs
+    for degree in (0, 2, 4):
+        classes = [el.cls for el in s2xs2_model.basis_by_degree[degree]]
+        assert all(series.values(classes, zeta) == poles.values(classes, zeta)
+                   for zeta in testing)
 
 
 @pytest.mark.parametrize("method", ["poles", "series"])
 def test_circle_split_shared_integral_matches_fresh(s2xs2_model, nonisolated, method,
-                                                    poles_route, monkeypatch):
+                                                    poles_circle_integral):
     # one integral serves every degree; a fresh one per degree, with its
     # residues taken by the other route, gives the same kernels
-    if method == "poles":
-        poles_route()
+    routes = {"poles": poles_circle_integral, "series": circle_integral}
+    shared_route = routes[method]
+    fresh_route = routes["series" if method == "poles" else "poles"]
     nonisolated_model = build_model(nonisolated.space, nonisolated.generators, 4)
     cases = [(s2xs2_model, (1, 2)), (nonisolated_model, (1,))]
-    shared = [check_circle_kernel_split(model,
-                                        circle_integral(model.space, CircleDirection(xi)))
+    shared = [check_circle_kernel_split(model, shared_route(model.space, CircleDirection(xi)))
               for model, xi in cases]
-    if method == "poles":
-        monkeypatch.undo()
-    else:
-        poles_route()
     for (model, xi), rows in zip(cases, shared):
         testing = circle_testing_classes(model, CircleDirection(xi))
         for r in rows:
-            fresh = circle_integral(model.space, CircleDirection(xi))
+            fresh = fresh_route(model.space, CircleDirection(xi))
             assert r.kernel.coeffs == circle_kernel(model, r.degree, fresh, testing).coeffs
+        # and both routes give the same pairing values, degree by degree
+        a = shared_route(model.space, CircleDirection(xi))
+        b = fresh_route(model.space, CircleDirection(xi))
+        for r in rows:
+            classes = [el.cls for el in model.basis_by_degree[r.degree]]
+            assert all(a.values(classes, zeta) == b.values(classes, zeta) for zeta in testing)
 
 
 def whole_slice_kernel(model, degree, integral):
@@ -469,20 +478,12 @@ def test_circle_testing_classes_are_module_generators(build, xi, kept, whole):
     assert len(testing) == kept
 
 
-def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch,
-                                                   expansion_builds):
-    # one residue per (positive-side component, monomial key), shared by every
+def test_circle_integral_computes_each_residue_once(s2xs2_model, cancelled, expansion_builds):
+    # one entry per (positive-side component, monomial key), shared by every
     # class whose restriction there has that monomial, and none on
-    # re-evaluation; the six entries have six (component, denominator) pairs,
-    # but only three denominators
-    calls = []
-    real = spaces.res_x_plus_series
-
-    def counted(h, var, series):
-        calls.append(h)
-        return real(h, var, series)
-
-    monkeypatch.setattr(spaces, "res_x_plus_series", counted)
+    # re-evaluation; the six entries have six (component, denominator) pairs
+    # but three denominators, one of them empty: a polynomial has no residue,
+    # and each other denominator has one expansion at infinity
     xi = CircleDirection((1, 2))
     integral = circle_integral(s2xs2_model.space, xi)
     classes = [el.cls for el in s2xs2_model.basis_by_degree[4]]
@@ -490,39 +491,28 @@ def test_circle_integral_computes_each_residue_once(s2xs2_model, monkeypatch,
     plus = positive_side(s2xs2_model.space, xi)
     distinct = {(name, key) for cls in classes for name in plus
                 for key in cls.restrictions[name].terms}
-    assert len(calls) == len(distinct) == len(expansion_builds) == 6
-    assert len({frozenset(denom.items()) for denom in expansion_builds}) == 3
+    assert len(cancelled) == len(set(cancelled)) == len(distinct) == 6
+    denominators = {denom for *_, denom in cancelled}
+    assert len(denominators) == 3 and frozenset() in denominators
+    assert len(expansion_builds) == 2
+    assert {frozenset(denom.items()) for denom in expansion_builds} == denominators - {frozenset()}
     assert [integral(cls) for cls in classes] == values
-    assert len(calls) == len(expansion_builds) == 6
+    assert (len(cancelled), len(expansion_builds)) == (6, 2)
 
 
-def test_circle_integral_adapts_only_on_residue_misses(s2xs2, monkeypatch,
-                                                      expansion_builds):
-    # a monomial is moved into adapted coordinates only when its residue is
-    # computed, never for a table hit or a whole class, and an expansion at
-    # infinity is built only for a (component, denominator) not seen before:
-    # 8 for the 18 entries of the split check
-    calls = {"adapt": 0, "residue": 0}
-    adapt, residue = spaces.AdaptedSpace.adapt, spaces.res_x_plus_series
-
-    def counted_adapt(self, poly):
-        calls["adapt"] += 1
-        return adapt(self, poly)
-
-    def counted_residue(h, var, series):
-        calls["residue"] += 1
-        return residue(h, var, series)
-
-    monkeypatch.setattr(spaces.AdaptedSpace, "adapt", counted_adapt)
-    monkeypatch.setattr(spaces, "res_x_plus_series", counted_residue)
+def test_circle_integral_adapts_only_on_residue_misses(s2xs2, cancelled, expansion_builds):
+    # a monomial is cancelled and its adapted term built only when its entry
+    # is computed, never for a table hit or a whole class, and an expansion
+    # at infinity only for a denominator not seen before: 3 for the 18
+    # entries of the split check, whose other entries cancel to polynomials
     model = build_model(s2xs2.space, s2xs2.generators, 4)
     integral = circle_integral(s2xs2.space, CircleDirection((1, 2)))
     check_circle_kernel_split(model, integral)
-    assert calls["adapt"] == calls["residue"] == 18
-    assert len(expansion_builds) == 8
+    assert len(cancelled) == len(set(cancelled)) == 18
+    assert len(expansion_builds) == len({denom for *_, denom in cancelled} - {frozenset()}) == 3
 
 
-def test_circle_integral_keeps_no_entry_that_raises(s2xs2, monkeypatch):
+def test_circle_integral_keeps_no_entry_that_raises(s2xs2, monkeypatch, cancelled):
     # u2 and u1 both vanish at NN, on the positive side of (1, 2), and differ
     # at SN, the other component on that side
     xi = CircleDirection((1, 2))
@@ -530,31 +520,36 @@ def test_circle_integral_keeps_no_entry_that_raises(s2xs2, monkeypatch):
     u1, u2 = s2xs2.generator("u1"), s2xs2.generator("u2")
     assert u1.restrictions["NN"] == u2.restrictions["NN"]
     assert u1.restrictions["SN"] != u2.restrictions["SN"]
+    want = circle_integral(s2xs2.space, xi)(u1)
     integral = circle_integral(s2xs2.space, xi)
     assert integral(u2).is_zero()
-    # From here on every residue not yet taken raises.  u2 reads only entries
+    filled = len(cancelled)
+    # From here on every series coefficient raises.  u2 reads only entries
     # already filled.  u1 needs the entry of its monomial X at SN, which
     # raises as it is filled; an entry that raises is not kept, so every
     # later evaluation, also inside a pairing, computes it again and raises
     # again.
-    calls = []
+    real = ReciprocalSeries.coefficient
 
-    def failing(h, var, series):
-        calls.append(h)
-        raise ArithmeticError("no residue")
+    def failing(self, r):
+        raise ArithmeticError("no coefficient")
 
-    monkeypatch.setattr(spaces, "res_x_plus_series", failing)
+    monkeypatch.setattr(ReciprocalSeries, "coefficient", failing)
     assert integral(u2).is_zero()
-    assert calls == []
+    assert len(cancelled) == filled
     for n in (1, 2):
-        with pytest.raises(ArithmeticError, match="no residue"):
+        with pytest.raises(ArithmeticError, match="no coefficient"):
             integral(u1)
-        assert len(calls) == n
-    with pytest.raises(ArithmeticError, match="no residue"):
+        assert len(cancelled) == filled + n
+    with pytest.raises(ArithmeticError, match="no coefficient"):
         pairing_kernel(integral, [u2, u1], [RestrictedClass.unit(s2xs2.space)])
-    assert len(calls) == 3
-    # the same entry each time
-    assert all(h.numer == calls[0].numer and h.denom == calls[0].denom for h in calls)
+    assert len(cancelled) == filled + 3
+    # the same entry each time, and once the coefficients come back it is
+    # filled with the value a fresh integral gives
+    assert len(set(cancelled[filled:])) == 1 and cancelled[-1][0] == "SN"
+    monkeypatch.setattr(ReciprocalSeries, "coefficient", real)
+    assert integral(u1) == want
+    assert len(cancelled) == filled + 4
 
 
 def test_circle_pairing_matches_integral(s2xs2):

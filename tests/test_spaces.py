@@ -76,6 +76,14 @@ def localization_term(space, f, restriction):
                            inv.denom, cancel=False)
 
 
+def adapt(adapted, poly):
+    """A restriction of the original space in the adapted variables, by
+    substituting each variable's axis: the oracle for the tables' own
+    adapted images."""
+    return symcore.substitution([EquivariantPolynomial.from_linear_form(adapted.space.vars, a)
+                                 for a in adapted.axes])(poly)
+
+
 def zero2():
     return EquivariantPolynomial.zero(V2, POINT_ALGEBRA)
 
@@ -507,12 +515,24 @@ def test_kappa_s_rejects_nongeneric(s2xs2):
     assert info.value.violations
 
 
-def test_kappa_s_methods_agree_on_generators(s2xs2, poles_route):
+def test_kappa_s_refuses_a_denominator_factor_free_of_x0(s2xs2, monkeypatch):
+    # past the genericity check, a weight that (1, 0) annihilates stays in a
+    # denominator free of the circle variable: its pole would not be a
+    # residue at x0 = infinity, so the entry raises rather than drop it
+    monkeypatch.setattr(spaces, "is_generic", lambda space, xi: [])
+    integral = circle_integral(s2xs2.space, CircleDirection((1, 0)))
+    with pytest.raises(ValidationError, match="free of x0"):
+        integral(RestrictedClass.unit(s2xs2.space))
+
+
+def test_kappa_s_methods_agree_on_generators(s2xs2, poles_circle_integral):
+    # on the generators and their products of two
     sp = s2xs2.space
     xi = CircleDirection((1, 2))
-    by_series = [circle_integral(sp, xi)(g) for _, g in s2xs2.generators]
-    poles_route()
-    assert [circle_integral(sp, xi)(g) for _, g in s2xs2.generators] == by_series
+    classes = [g for _, g in s2xs2.generators]
+    classes += [g * h for g in classes for h in classes]
+    by_series = [circle_integral(sp, xi)(g) for g in classes]
+    assert [poles_circle_integral(sp, xi)(g) for g in classes] == by_series
 
 
 # -- torus-level integral ----------------------------------------------------------
@@ -619,7 +639,7 @@ def test_kappa_t_table_matches_whole_class_residue(slice_products, name, xi, ord
         for eta in random_combinations(products, seed):
             whole = iterated_residue_selected(
                 [MomentTerm(f.moment, localization_term(
-                    adapted.space, f, adapted.adapt(eta.restrictions[f.name])))
+                    adapted.space, f, adapt(adapted, eta.restrictions[f.name])))
                  for f in adapted.space.components], ordering)
             assert integral(eta) == whole
             values.append(whole)
@@ -634,7 +654,7 @@ def test_kappa_t_table_matches_whole_class_residue(slice_products, name, xi, ord
     ("s2xs2-nonisolated", (1,)),
     ("s2xs2-nonisolated", (-1,)),
 ])
-def test_kappa_s_table_matches_whole_class_residues(slice_products, poles_route,
+def test_kappa_s_table_matches_whole_class_residues(slice_products, poles_circle_integral,
                                                     name, xi, route):
     # oracle: the residue along xi of each positive-side component's whole
     # localization term, added one by one
@@ -642,9 +662,7 @@ def test_kappa_s_table_matches_whole_class_residues(slice_products, poles_route,
     xi = CircleDirection(xi)
     adapted = adapt_space(space, xi)
     plus = positive_side(space, xi)
-    if route == "poles":
-        poles_route()
-    integral = circle_integral(space, xi)
+    integral = (poles_circle_integral if route == "poles" else circle_integral)(space, xi)
     values = []
     for seed in range(3):
         for eta in random_combinations(products, seed):
@@ -652,7 +670,7 @@ def test_kappa_s_table_matches_whole_class_residues(slice_products, poles_route,
             for f in adapted.space.components:
                 if f.name in plus:
                     whole = RationalSection.sum(space.vars, (whole, res_x_plus(localization_term(
-                        adapted.space, f, adapted.adapt(eta.restrictions[f.name])),
+                        adapted.space, f, adapt(adapted, eta.restrictions[f.name])),
                         0, method="poles")))
             assert not whole.denom and integral(eta) == whole.numer
             values.append(whole)
@@ -688,7 +706,7 @@ def test_table_term_is_the_fully_cancelled_localization_term():
                 for exps in exponents_up_to(4, space.vars.count):
                     for b in range(len(f.algebra.basis)):
                         monomial = EquivariantPolynomial(space.vars, f.algebra, {(exps, b): 1})
-                        whole = localization_term(adapted.space, f, adapted.adapt(monomial))
+                        whole = localization_term(adapted.space, f, adapt(adapted, monomial))
                         want = RationalSection(whole.numer, whole.denom)
                         got = tau(f, (exps, b))
                         assert got.numer.terms == want.numer.terms
@@ -722,9 +740,9 @@ def test_kappa_s_entries_match_both_residue_routes():
 
 
 def test_circle_integral_builds_each_expansion_once(expansion_builds):
-    # one expansion per (component, denominator) of the entries filled, none
-    # on re-evaluation; on (S^2)^3 components share denominators, and entries
-    # of one component share them too
+    # one expansion per distinct nonempty cancelled denominator of the entries
+    # filled, none on re-evaluation; on (S^2)^3 entries of one component share
+    # denominators, and so do the components
     space = sphere_product(3).space
     integral = circle_integral(space, CircleDirection((1, 2, 4)))
     terms = spaces._monomial_table(adapt_space(space, integral.xi), lambda f, term: term)
@@ -732,12 +750,14 @@ def test_circle_integral_builds_each_expansion_once(expansion_builds):
     for f, key in keys:
         integral.tau(f, key)
     pairs = {(f.name, frozenset(terms(f, key).denom.items())) for f, key in keys}
-    assert len(expansion_builds) == len(pairs)
-    assert len({denom for _, denom in pairs}) < len(pairs) < len(keys)
+    denominators = {denom for _, denom in pairs} - {frozenset()}
+    assert len(expansion_builds) == len(denominators)
+    assert {frozenset(denom.items()) for denom in expansion_builds} == denominators
+    assert len(denominators) < len(pairs) < len(keys)
     for f, key in keys:
         integral.tau(f, key)
     integral(RestrictedClass.unit(space))
-    assert len(expansion_builds) == len(pairs)
+    assert len(expansion_builds) == len(denominators)
 
 
 def test_trial_division_only_where_it_can_succeed(monkeypatch, nonisolated):
