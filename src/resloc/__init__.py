@@ -54,7 +54,6 @@ from .kernels import (
 from .weylgrp import (
     WeylData,
     WeylElement,
-    brion_divide,
     check_nonabelian_kernels,
     invariant_subspace,
 )

@@ -96,15 +96,21 @@ class Dataset:
 # -- parsing -------------------------------------------------------------------
 
 
-def _frac(value, path: str) -> Fraction:
-    try:
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, (int, str)):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise SchemaError(f"{path}: expected a rational 'p/q' string, got {value!r}")
+class _Rationals(dict):
+    """The rational slots of one load, each distinct raw value parsed once,
+    keyed by JSON type too: True == 1, but a ``true`` is no rational."""
+
+    def __call__(self, value, path: str) -> Fraction:
+        if type(value) in (int, str):
+            key = (type(value), value)
+            if (q := self.get(key)) is not None:
+                return q
+            try:
+                q = self[key] = Fraction(value)
+                return q
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise SchemaError(f"{path}: expected a rational 'p/q' string, got {value!r}")
 
 
 _KINDS = {int: "an integer", list: "an array", str: "a string", dict: "an object"}
@@ -117,9 +123,9 @@ def _typed(value, kind, path: str):
     return value
 
 
-def _rational_rows(rows: list, path: str) -> tuple[tuple[Fraction, ...], ...]:
+def _rational_rows(rows: list, path: str, frac: _Rationals) -> tuple[tuple[Fraction, ...], ...]:
     """An array of arrays of rationals, e.g. a matrix."""
-    return tuple(tuple(_frac(v, f"{path}[{r}]") for v in _typed(row, list, f"{path}[{r}]"))
+    return tuple(tuple(frac(v, f"{path}[{r}]") for v in _typed(row, list, f"{path}[{r}]"))
                  for r, row in enumerate(rows))
 
 
@@ -137,7 +143,7 @@ def _expect(obj, key, kind, path: str):
     return obj[key] if kind is None else _typed(obj[key], kind, f"{path}.{key}")
 
 
-def _algebra_from_json(obj, path: str) -> GradedAlgebra:
+def _algebra_from_json(obj, path: str, frac: _Rationals) -> GradedAlgebra:
     _known_keys(obj, ("basis", "degrees", "mult_table", "integral", "top_degree"), path)
     basis = _expect(obj, "basis", list, path)
     degrees = [_typed(d, int, f"{path}.degrees[{n}]")
@@ -153,17 +159,17 @@ def _algebra_from_json(obj, path: str) -> GradedAlgebra:
         c = row[3]
         table.setdefault((i, j), {})[k] = (
             table.get((i, j), {}).get(k, Q(0))
-            + _frac(c, f"{path}.mult_table[{t}]"))
+            + frac(c, f"{path}.mult_table[{t}]"))
     try:
         return GradedAlgebra(basis, degrees, table,
-                             [_frac(v, f"{path}.integral") for v in integral], top)
+                             [frac(v, f"{path}.integral") for v in integral], top)
     except ValidationError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _term(term, count: int, path: str) -> tuple[tuple[int, ...], Fraction]:
+def _term(term, count: int, path: str, frac: _Rationals) -> tuple[tuple[int, ...], Fraction]:
     """The exponents and the coefficient of one {"coeff", "exponents"} term."""
-    coeff = _frac(_expect(term, "coeff", None, path), f"{path}.coeff")
+    coeff = frac(_expect(term, "coeff", None, path), f"{path}.coeff")
     exps = _expect(term, "exponents", list, path)
     if len(exps) != count or any(
             isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps):
@@ -171,14 +177,14 @@ def _term(term, count: int, path: str) -> tuple[tuple[int, ...], Fraction]:
     return tuple(exps), coeff
 
 
-def _poly_from_terms(vars: Variables, algebra: GradedAlgebra, terms, path: str
-                     ) -> EquivariantPolynomial:
+def _poly_from_terms(vars: Variables, algebra: GradedAlgebra, terms, path: str,
+                     frac: _Rationals) -> EquivariantPolynomial:
     if not isinstance(terms, list):
         raise SchemaError(f"{path}: expected an array of terms")
     out: dict[tuple[tuple[int, ...], int], Fraction] = {}
     for t, term in enumerate(terms):
         _known_keys(term, ("coeff", "exponents", "basis_index"), f"{path}[{t}]")
-        exps, coeff = _term(term, vars.count, f"{path}[{t}]")
+        exps, coeff = _term(term, vars.count, f"{path}[{t}]", frac)
         b = _expect(term, "basis_index", int, f"{path}[{t}]")
         if not 0 <= b < len(algebra.basis):
             raise SchemaError(f"{path}[{t}].basis_index: out of range")
@@ -202,33 +208,37 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
         raise SchemaError("$.variables: expected torus_rank distinct variable names")
     vars = Variables(tuple(var_names))
 
-    # one object per distinct weight and per distinct JSON algebra
-    components, weights, algebras = [], {}, {}
+    # once per load: each distinct raw rational is parsed, and each distinct
+    # weight, all-integer weight array and JSON algebra made into one object
+    frac, components, weights, raw_weights, algebras = _Rationals(), [], {}, {}, {}
     for c, cobj in enumerate(_expect(obj, "components", list, "$")):
         path = f"$.components[{c}]"
         _known_keys(cobj, ("name", "moment", "algebra", "normal_lines"), path)
         cname = _expect(cobj, "name", str, path)
-        moment = tuple(_frac(v, f"{path}.moment")
+        moment = tuple(frac(v, f"{path}.moment")
                        for v in _expect(cobj, "moment", list, path))
         aobj = _expect(cobj, "algebra", dict, path)
         key = json.dumps(aobj, sort_keys=True)
         if key not in algebras:
-            algebras[key] = _algebra_from_json(aobj, f"{path}.algebra")
+            algebras[key] = _algebra_from_json(aobj, f"{path}.algebra", frac)
         algebra = algebras[key]
         lines = []
         for l, lobj in enumerate(_expect(cobj, "normal_lines", list, path)):
             lpath = f"{path}.normal_lines[{l}]"
             _known_keys(lobj, ("weight", "chern"), lpath)
             wraw = _expect(lobj, "weight", list, lpath)
-            weight = LinearForm.make([_frac(v, f"{lpath}.weight") for v in wraw])
-            weight = weights.setdefault(weight, weight)   # normalized once per space
+            # a bool is no integer, though True == 1: an array with one is read afresh
+            raw = tuple(wraw) if all(type(v) is int for v in wraw) else None
+            if raw is None or (weight := raw_weights.get(raw)) is None:
+                weight = LinearForm.make([frac(v, f"{lpath}.weight") for v in wraw])
+                raw_weights[raw] = weight = weights.setdefault(weight, weight)
             craw = _expect(lobj, "chern", list, lpath)
             if len(craw) != len(algebra.basis):
                 raise SchemaError(f"{lpath}.chern: expected one coefficient per "
                                   "algebra basis element")
             chern = EquivariantPolynomial.from_algebra_element(
                 vars, algebra,
-                {i: _frac(v, f"{lpath}.chern") for i, v in enumerate(craw)})
+                {i: frac(v, f"{lpath}.chern") for i, v in enumerate(craw)})
             lines.append((weight, chern))
         components.append(FixedComponent(cname, moment, algebra, tuple(lines)))
 
@@ -254,7 +264,7 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
             if f.name not in rmap:
                 raise SchemaError(f"{path}.restrictions.{f.name}: missing")
             restrictions[f.name] = _poly_from_terms(
-                vars, f.algebra, rmap[f.name], f"{path}.restrictions.{f.name}")
+                vars, f.algebra, rmap[f.name], f"{path}.restrictions.{f.name}", frac)
         unknown = set(rmap) - {f.name for f in space.components}
         if unknown:
             raise SchemaError(f"{path}.restrictions: unknown components "
@@ -280,27 +290,27 @@ def dataset_from_json(obj: dict, name: str) -> Dataset:
 
     weyl = None
     if "weyl" in obj:
-        weyl = _weyl_from_json(obj["weyl"], space)
+        weyl = _weyl_from_json(obj["weyl"], space, frac)
     return Dataset(name, space, generators, weyl)
 
 
-def _weyl_from_json(wobj, space: HamiltonianSpace) -> WeylData:
+def _weyl_from_json(wobj, space: HamiltonianSpace, frac: _Rationals) -> WeylData:
     path = "$.weyl"
     _known_keys(wobj, ("elements", "positive_roots"), path)
     elements = []
     for e, eobj in enumerate(_expect(wobj, "elements", list, path)):
         epath = f"{path}.elements[{e}]"
         _known_keys(eobj, ("matrix", "perm", "algebra_maps"), epath)
-        matrix = _rational_rows(_expect(eobj, "matrix", list, epath), f"{epath}.matrix")
+        matrix = _rational_rows(_expect(eobj, "matrix", list, epath), f"{epath}.matrix", frac)
         perm = tuple(_typed(v, int, f"{epath}.perm[{n}]")
                      for n, v in enumerate(_expect(eobj, "perm", list, epath)))
         maps = tuple(_rational_rows(_typed(mat, list, f"{epath}.algebra_maps[{m}]"),
-                                    f"{epath}.algebra_maps[{m}]")
+                                    f"{epath}.algebra_maps[{m}]", frac)
                      for m, mat in enumerate(_expect(eobj, "algebra_maps", list, epath)))
         elements.append(WeylElement(matrix, perm, maps))
     roots = [LinearForm.make(row) for row in
              _rational_rows(_expect(wobj, "positive_roots", list, path),
-                            f"{path}.positive_roots")]
+                            f"{path}.positive_roots", frac)]
     try:
         return WeylData(space, elements, roots)
     except ValidationError as exc:
@@ -410,17 +420,17 @@ def load_expression(path: str) -> tuple[RationalSection, int, str, str]:
             or any(not isinstance(n, str) for n in names) or len(set(names)) != len(names)):
         raise SchemaError("$.variables: expected a nonempty array of distinct names")
     vars = Variables(tuple(names))
-    terms = {}
+    frac, terms = _Rationals(), {}
     for t, term in enumerate(_expect(obj, "numerator", list, "$")):
         _known_keys(term, ("coeff", "exponents"), f"$.numerator[{t}]")
-        exps, coeff = _term(term, vars.count, f"$.numerator[{t}]")
+        exps, coeff = _term(term, vars.count, f"$.numerator[{t}]", frac)
         terms[(exps, 0)] = terms.get((exps, 0), Q(0)) + coeff
     numer = EquivariantPolynomial(vars, POINT_ALGEBRA, terms)
     denom: dict[LinearForm, int] = {}
     for d, factor in enumerate(_expect(obj, "denominator", list, "$")):
         dpath = f"$.denominator[{d}]"
         _known_keys(factor, ("form", "multiplicity"), dpath)
-        coeffs = [_frac(v, f"{dpath}.form") for v in _expect(factor, "form", list, dpath)]
+        coeffs = [frac(v, f"{dpath}.form") for v in _expect(factor, "form", list, dpath)]
         if len(coeffs) != vars.count:
             raise SchemaError(f"{dpath}.form: expected {vars.count} entries")
         form = LinearForm.make(coeffs)

@@ -157,7 +157,13 @@ class HamiltonianSpace:
 
 class RestrictedClass:
     """Equivariant cohomology class given by its restrictions to the fixed
-    components; the faithful representation when restriction is injective."""
+    components; the faithful representation when restriction is injective.
+
+    The constructor checks each restriction is zero or homogeneous of the
+    class's degree, for classes from outside data (the loader, the family
+    builders, ``vector_class``).  Products of checked classes are not checked
+    again: ``GradedAlgebra`` puts each basis product in the summed degree.  A
+    product keeps a factor's zero restriction, the same object, unchanged."""
 
     __slots__ = ("space", "degree", "restrictions")
 
@@ -193,18 +199,28 @@ class RestrictedClass:
         return RestrictedClass(self.space, degree, {
             name: p + other.restrictions[name] for name, p in self.restrictions.items()})
 
+    @staticmethod
+    def _product(space: HamiltonianSpace, degree: int, restrictions: dict) -> "RestrictedClass":
+        """A product of checked classes, built without the constructor's check."""
+        out = object.__new__(RestrictedClass)
+        out.space, out.degree, out.restrictions = space, degree, restrictions
+        return out
+
     def __mul__(self, other: "RestrictedClass") -> "RestrictedClass":
         if self.space is not other.space:
             raise ValidationError("classes live on different spaces")
-        return RestrictedClass(self.space, self.degree + other.degree, {
-            name: p * other.restrictions[name] for name, p in self.restrictions.items()})
+        restrictions = {}
+        for name, p in self.restrictions.items():
+            q = other.restrictions[name]
+            restrictions[name] = p * q if p.terms and q.terms else q if p.terms else p
+        return RestrictedClass._product(self.space, self.degree + other.degree, restrictions)
 
     def mul_pure(self, poly: EquivariantPolynomial) -> "RestrictedClass":
         """Multiply by a homogeneous polynomial in the variables."""
         if not poly.is_homogeneous():
             raise ValidationError("pure factor must be homogeneous")
-        return RestrictedClass(self.space, self.degree + max(poly.degree(), 0), {
-            name: p.mul_pure(poly) for name, p in self.restrictions.items()})
+        return RestrictedClass._product(self.space, self.degree + max(poly.degree(), 0), {
+            name: p.mul_pure(poly) if p.terms else p for name, p in self.restrictions.items()})
 
     def scale(self, value) -> "RestrictedClass":
         return RestrictedClass(self.space, self.degree, {
@@ -460,7 +476,8 @@ def localization_sum(space: HamiltonianSpace, eta: RestrictedClass) -> RationalS
     common, numers = space._common_euler()
     terms: dict = {}
     for f in space.components:
-        eta.restrictions[f.name].integrate_product(numers[f.name], terms)
+        if (p := eta.restrictions[f.name]).terms:  # a zero restriction adds nothing
+            p.integrate_product(numers[f.name], terms)
     return RationalSection(EquivariantPolynomial(space.vars, POINT_ALGEBRA, terms), common)
 
 

@@ -21,7 +21,7 @@ from .kernels import (
     pairing_kernel,
     torus_kernel,
 )
-from .spaces import HamiltonianSpace, KirwanIntegral, RestrictedClass
+from .spaces import HamiltonianSpace, KirwanIntegral
 from .symcore import (
     POINT_ALGEBRA,
     EquivariantPolynomial,
@@ -35,7 +35,6 @@ from .symcore import (
 __all__ = [
     "WeylElement",
     "WeylData",
-    "brion_divide",
     "InvariantSlice",
     "invariant_subspace",
     "NonabelianRow",
@@ -92,12 +91,6 @@ class WeylData:
                   for i in range(len(f.algebra.basis)))
             for f in self.space.components)
         return WeylElement(eye, tuple(range(len(self.space.components))), maps)
-
-    def act(self, w: WeylElement, cls: RestrictedClass) -> RestrictedClass:
-        """w, one of the group's elements, applied to cls."""
-        return RestrictedClass(self.space, cls.degree, dict(
-            self.move(w, i, cls.restrictions[f.name].terms)
-            for i, f in enumerate(self.space.components)))
 
     def move(self, w: WeylElement, i: int, terms: dict) -> tuple[str, EquivariantPolynomial]:
         """w applied to the restriction terms at component i: where they land, by name."""
@@ -219,17 +212,11 @@ def _divide_by_roots(weyl: WeylData, name: str, poly: EquivariantPolynomial):
     return poly
 
 
-def brion_divide(weyl: WeylData, cls: RestrictedClass) -> RestrictedClass:
-    """Exact componentwise division by the product of the positive roots."""
-    return RestrictedClass(weyl.space, cls.degree - 2 * len(weyl.positive_roots), {
-        f.name: _divide_by_roots(weyl, f.name, cls.restrictions[f.name])
-        for f in weyl.space.components})
-
-
 def _brion_divide_vector(model: DegreeTruncatedModel, weyl: WeylData, vec: linalg.Row,
                          degree: int) -> linalg.Row:
-    """``brion_divide`` on restriction vectors, from this degree's slice to the
-    slice 2r degrees down, where a term at another key stays under the key."""
+    """Exact division by the product of the positive roots, restriction by
+    restriction, on restriction vectors: from this degree's slice to the slice
+    2r degrees down, where a term at another key stays under the key."""
     return model.place(degree - 2 * len(weyl.positive_roots), [
         (name, _divide_by_roots(weyl, name, poly))
         for name, poly in model.restrictions(vec, degree).items() if poly])

@@ -5,8 +5,24 @@ from math import lcm
 
 import pytest
 
-from resloc import spaces
+from resloc import spaces, weylgrp
 from resloc.residues import ReciprocalSeries, res_x_plus_poles
+
+
+def act(weyl, w, cls):
+    """w, one of the group's elements, applied to cls, class by class: the
+    oracle for the action the nonabelian check reads off the moved keys."""
+    return spaces.RestrictedClass(weyl.space, cls.degree, dict(
+        weyl.move(w, i, cls.restrictions[f.name].terms)
+        for i, f in enumerate(weyl.space.components)))
+
+
+def brion_divide(weyl, cls):
+    """Exact division of cls by the product of the positive roots, class by
+    class: the oracle for the check's division of restriction vectors."""
+    return spaces.RestrictedClass(weyl.space, cls.degree - 2 * len(weyl.positive_roots), {
+        f.name: weylgrp._divide_by_roots(weyl, f.name, cls.restrictions[f.name])
+        for f in weyl.space.components})
 
 
 @pytest.fixture
@@ -18,7 +34,7 @@ def antisymmetrize():
     def anti(weyl, cls):
         total = cls
         for w in weyl.nonidentity:
-            total = total + weyl.act(w, cls).scale(w.sign())
+            total = total + act(weyl, w, cls).scale(w.sign())
         return total.scale(Fraction(1, weyl.order))
 
     return anti

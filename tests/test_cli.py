@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from resloc import kernels, spaces
+from resloc import cli, kernels, spaces
 from resloc.cli import main
 from resloc.datasets import dataset_to_json, load_dataset
 
@@ -621,6 +621,30 @@ def test_kernel_walks_the_generator_products_once(capsys, monkeypatch, argv, dep
     code, _, _ = run(capsys, "kernel", *argv)
     assert code == 0
     assert walks == [depth]
+
+
+@pytest.mark.parametrize("name, modes", [
+    ("s2cubed-su2", ["--full", "--nonabelian", "--circle=1"]),
+    ("s2xs2-nonisolated", ["--full", "--circle=1"]),  # no weyl section
+])
+def test_checks_leave_the_generators_unchanged(capsys, monkeypatch, name, modes):
+    # a product's restriction at a zero factor is that factor's own zero
+    # polynomial: no check may change one in place
+    loaded = []
+    real = cli.load_dataset
+
+    def recorded(source):
+        loaded.append(real(source))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_dataset", recorded)
+    for argv in [("validate", name)] + [("kernel", name, mode) for mode in modes]:
+        assert run(capsys, *argv)[0] == 0
+    fresh = load_dataset(name).generators
+    assert len(loaded) == 1 + len(modes)
+    for ds in loaded:
+        assert [(n, cls.degree, cls.restrictions) for n, cls in ds.generators] == \
+            [(n, cls.degree, cls.restrictions) for n, cls in fresh]
 
 
 # -- output handling ---------------------------------------------------------------

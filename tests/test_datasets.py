@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from resloc.cli import main
 from resloc.datasets import (
     BUILDERS,
     BUNDLED,
@@ -25,6 +26,11 @@ from resloc.spaces import RestrictedClass, localization_sum
 @pytest.fixture(scope="module")
 def s2_json():
     return dataset_to_json(load_dataset("s2"))
+
+
+@pytest.fixture(scope="module")
+def nonisolated_json():
+    return dataset_to_json(load_dataset("s2xs2-nonisolated"))
 
 
 def test_bundled_datasets_load():
@@ -208,6 +214,79 @@ def test_bad_weyl_perm_reported():
     obj["weyl"]["elements"][1]["perm"] = [0, 1, 2, 3, 4, 5, 6, 6]
     with pytest.raises(SchemaError, match=r"\$\.weyl.*permute"):
         dataset_from_json(obj, "s2cubed-su2")
+
+
+# -- each distinct raw value parsed once per load ----------------------------------
+
+
+def set_slot(obj, kind, component, value):
+    """obj with one rational slot of this kind set to value: in the given
+    component (a moment, a weight or the Chern entry of its top basis
+    element), or in the restriction there of the given generator (a term's
+    coefficient)."""
+    comp = obj["components"][component]
+    if kind == "moment":
+        comp["moment"][0] = value
+    elif kind in ("weight", "chern"):
+        comp["normal_lines"][0][kind][-1] = value
+    else:
+        obj["generators"][component]["restrictions"][comp["name"]][0]["coeff"] = value
+    return obj
+
+
+SLOT_PATHS = {"weight": r"$.components[1].normal_lines[0].weight",
+              "moment": r"$.components[1].moment",
+              "chern": r"$.components[1].normal_lines[0].chern",
+              "coeff": r"$.generators[1].restrictions.FS[0].coeff"}
+
+
+@pytest.mark.parametrize("kind", sorted(SLOT_PATHS))
+def test_true_after_a_parsed_one_exits_two(capsys, tmp_path, nonisolated_json, kind):
+    # True == 1 and hash(True) == hash(1) in Python: the parse memo is keyed
+    # by JSON type, so a true after an integer 1 of its slot kind is refused
+    obj = set_slot(set_slot(copy.deepcopy(nonisolated_json), kind, 0, 1), kind, 1, True)
+    path = tmp_path / "true.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1
+    assert err.startswith(f"error: {SLOT_PATHS[kind]}: expected a rational"), err
+    # the same input with 1 in place of true is read
+    dataset_from_json(set_slot(obj, kind, 1, 1), "edited")
+
+
+@pytest.mark.parametrize("kind", sorted(SLOT_PATHS))
+def test_one_as_integer_string_and_fraction_loads_equal(nonisolated_json, kind):
+    loads = [dataset_to_json(dataset_from_json(set_slot(set_slot(
+                 copy.deepcopy(nonisolated_json), kind, 0, raw), kind, 1, raw), "edited"))
+             for raw in (1, "1", "2/2")]
+    assert loads[0] == loads[1] == loads[2]
+
+
+def test_no_parse_outlives_its_load(s2_json):
+    # nothing parsed by one load, refused or not, is read by the next
+    fresh = dataset_to_json(dataset_from_json(copy.deepcopy(s2_json), "s2"))
+    dataset_from_json(set_slot(copy.deepcopy(s2_json), "moment", 0, 1), "s2")
+    with pytest.raises(SchemaError, match=r"components\[0\]\.moment"):
+        dataset_from_json(set_slot(copy.deepcopy(s2_json), "moment", 0, True), "s2")
+    with pytest.raises(SchemaError, match=r"components\[1\]\.moment"):
+        dataset_from_json(set_slot(set_slot(copy.deepcopy(s2_json), "moment", 0, 1),
+                                   "moment", 1, True), "s2")
+    assert dataset_to_json(dataset_from_json(copy.deepcopy(s2_json), "s2")) == fresh
+
+
+def test_equal_weight_lists_share_one_form(tmp_path):
+    # (S^2)^2's four fixed points hold eight weight lists, four distinct;
+    # a string list equal to an integer one is the same form too
+    obj = dataset_to_json(sphere_product(2))
+    obj["components"][3]["normal_lines"][1]["weight"] = [
+        str(v) for v in obj["components"][3]["normal_lines"][1]["weight"]]
+    ds = dataset_from_json(obj, "s2x2")
+    forms: dict = {}
+    for f in ds.space.components:
+        for w, _ in f.normal_lines:
+            forms.setdefault(w.coeffs, set()).add(id(w))
+    assert len(forms) == 4 and all(len(ids) == 1 for ids in forms.values())
 
 
 # -- structurally valid but inconsistent data --------------------------------------

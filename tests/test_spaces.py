@@ -365,6 +365,29 @@ def test_localization_sum_s2(s2):
         EquivariantPolynomial.one(sp.vars).scale(-1))
 
 
+@pytest.mark.parametrize("name", [*BUNDLED, "s2x3", "cp3"])
+def test_products_pass_the_constructor_check(monkeypatch, name):
+    """Products are built without the constructor's homogeneity check, which
+    they always pass: every generator product to max(dim M, 8) and every
+    model candidate grown by ``mul_pure`` is rebuilt through the constructor."""
+    ds = {"s2x3": lambda: sphere_product(3),
+          "cp3": lambda: projective(3, CP3_OFFSET)}.get(name, lambda: load_dataset(name))()
+    space = ds.space
+    grown = []
+    real = RestrictedClass.mul_pure
+
+    def recorded(self, poly):
+        grown.append(real(self, poly))
+        return grown[-1]
+
+    monkeypatch.setattr(RestrictedClass, "mul_pure", recorded)
+    build_model(space, ds.generators, 8)
+    products = [cls for _, cls in generator_products(space, ds.generators, max(space.dim, 8))]
+    assert grown and len(products) > len(ds.generators)
+    for cls in products + grown:
+        assert RestrictedClass(space, cls.degree, cls.restrictions) == cls
+
+
 def test_localization_polynomial_on_all_datasets():
     for name in ("s2", "s2xs2-t2", "s2xs2-nonisolated", "s2cubed-su2"):
         ds = load_dataset(name)

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from conftest import act, brion_divide
 
 from resloc import cli, linalg, weylgrp
 from resloc.datasets import load_dataset, sphere_product_diagonal
@@ -21,7 +22,6 @@ from resloc.symcore import (
 from resloc.weylgrp import (
     WeylData,
     WeylElement,
-    brion_divide,
     check_nonabelian_kernels,
     invariant_subspace,
 )
@@ -61,7 +61,7 @@ def test_identity_element(ds):
     e = ds.weyl.identity()
     assert e.sign() == 1
     u1 = ds.generator("u1")
-    assert ds.weyl.act(e, u1) == u1
+    assert act(ds.weyl, e, u1) == u1
 
 
 def test_d_polynomial_is_root_product(ds):
@@ -72,7 +72,7 @@ def test_flip_action_on_generator(ds):
     # the reflection sends u1 to u1 - X (degree-2 sphere class convention)
     u1 = ds.generator("u1")
     expected = u1 + RestrictedClass.unit(ds.space).mul_pure(x_poly(ds)).scale(-1)
-    assert ds.weyl.act(flip_of(ds), u1) == expected
+    assert act(ds.weyl, flip_of(ds), u1) == expected
 
 
 def half_x(ds):
@@ -85,8 +85,8 @@ def test_symmetrize_and_antisymmetrize(ds, antisymmetrize):
     u1 = ds.generator("u1")
     assert antisymmetrize(weyl, u1) == half_x(ds)
     fixed = u1 + half_x(ds).scale(-1)
-    assert all(weyl.act(w, fixed) == fixed for w in weyl.elements)
-    assert weyl.act(flip_of(ds), u1) != u1
+    assert all(act(weyl, w, fixed) == fixed for w in weyl.elements)
+    assert act(weyl, flip_of(ds), u1) != u1
 
 
 def test_antisymmetrization_divides_by_root_product(ds, antisymmetrize):
@@ -269,10 +269,9 @@ def moves(monkeypatch):
 
 def test_nonabelian_check_acts_once_per_element_and_basis_class(model, ds, monkeypatch):
     # the invariants and the antisymmetrizations share one action per slice:
-    # each key its basis reads moves once per element, and no class is acted
-    # on as a whole
+    # each key its basis reads moves once per element, one term at a time,
+    # and no class is moved as a whole
     moved = moves(monkeypatch)
-    monkeypatch.setattr(WeylData, "act", None)
     check_nonabelian_kernels(model, ds.weyl, torus_integral(ds.space))
     sizes = [len(model.basis_by_degree[d]) for d in (0, 2, 4, 6)]
     keys = [len({p for el in model.basis_by_degree[d] for p in el.vector}) for d in (0, 2, 4, 6)]
@@ -375,8 +374,8 @@ def test_key_images_are_the_class_action(ds, monkeypatch, case):
         space, weyl, gens = flipped_projective_planes()
         h, u = gens[1][1], gens[2][1]
         [flip] = weyl.nonidentity
-        assert weyl.act(flip, h) == h.scale(-1)
-        assert weyl.act(flip, u) == u + RestrictedClass.unit(space).mul_pure(
+        assert act(weyl, flip, h) == h.scale(-1)
+        assert act(weyl, flip, u) == u + RestrictedClass.unit(space).mul_pure(
             EquivariantPolynomial.variable(space.vars, 0)).scale(-1)
     else:
         data = ds if case == "s2cubed-su2" else sphere_product_diagonal(3)
@@ -384,7 +383,7 @@ def test_key_images_are_the_class_action(ds, monkeypatch, case):
     model = build_model(space, gens, 6 if case != "diagonal-s2x3" else 10)
     for d in range(0, model.max_degree + 1, 2):
         inv = invariant_subspace(model, weyl, d)
-        assert [[model.class_vector(weyl.act(w, el.cls), d)
+        assert [[model.class_vector(act(weyl, w, el.cls), d)
                  for el in model.basis_by_degree[d]] for w in weyl.nonidentity] == inv.moved
     if case == "flipped-cp2-pair":
         # conjugation acts on H^2(CP^2) by -1, so it is no Weyl action: the
@@ -402,7 +401,7 @@ def test_key_images_are_the_class_action(ds, monkeypatch, case):
 
     monkeypatch.setattr(weylgrp, "_brion_divide_vector", recorded)
     check_nonabelian_kernels(model, weyl, torus_integral(space))
-    assert divided and all(weyl.act(w, cls) == cls.scale(w.sign())
+    assert divided and all(act(weyl, w, cls) == cls.scale(w.sign())
                            for cls in divided for w in weyl.elements)
 
 
@@ -442,7 +441,7 @@ def test_pairing_is_group_invariant(model, ds):
         zeta = random_class(model, rng, 4 - d1 if d1 <= 4 else 0)
         base = integral(eta * zeta)
         for w in weyl.elements:
-            assert integral(weyl.act(w, eta) * weyl.act(w, zeta)) == base
+            assert integral(act(weyl, w, eta) * act(weyl, w, zeta)) == base
 
 
 def test_divided_pairing_shuffle(model, ds):
