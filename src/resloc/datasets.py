@@ -456,15 +456,10 @@ def _point_lines(vars: Variables, weights) -> tuple:
 
 
 def build_s2() -> Dataset:
-    """Rotation of the two-sphere: two fixed points at moment levels +-1."""
-    vars = Variables(("X",))
-    north = FixedComponent("N", (Q(1),), POINT_ALGEBRA, _point_lines(vars, [[-1]]))
-    south = FixedComponent("S", (Q(-1),), POINT_ALGEBRA, _point_lines(vars, [[1]]))
-    space = HamiltonianSpace(vars, 2, (north, south))
-    zero = EquivariantPolynomial.zero(vars, POINT_ALGEBRA)
-    x = EquivariantPolynomial.variable(vars, 0)
-    u = RestrictedClass(space, 2, {"N": zero, "S": x})
-    return Dataset("s2", space, [("one", RestrictedClass.unit(space)), ("u", u)])
+    """Rotation of the two-sphere: two fixed points at moment levels +-1, the
+    (S^2)^k family at k = 1 with its generator u1 named u."""
+    ds = sphere_product(1, ("X",))
+    return Dataset("s2", ds.space, [ds.generators[0], ("u", ds.generators[1][1])])
 
 
 def build_s2xs2_nonisolated() -> Dataset:

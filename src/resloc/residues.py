@@ -9,15 +9,14 @@ independent implementations are kept deliberately:
   evaluated at x = b; the pieces of each pole, and the poles, are each added
   by one ``RationalSection.sum``, cancelled once;
 * ``res_x_plus_series`` expands the section as a Laurent series at infinity
-  and reads off the coefficient of 1/x.  The expansion of 1 over the
-  denominator is a ``ReciprocalSeries``, grown as deeper coefficients are
-  asked for, so a caller that meets one denominator many times keeps one.
+  and reads off the coefficient of 1/x, in integers over the point algebra.
 
-The circle-level Kirwan integral takes every residue at infinity, from one
-kept ``ReciprocalSeries`` per distinct cancelled denominator, shared by the
-components.  The pole route cross-checks it: the test suite sends every
-circle-level table entry through both routes, and the ``residue`` command
-runs both and insists they agree.
+Both the series route and the circle-level Kirwan integral contract through
+``ReciprocalSeries.residue``, the one contraction of numerator slices with
+the expansion of 1 over a denominator; the integral keeps one series per
+distinct cancelled denominator, shared by the components.  The pole route
+cross-checks it: the test suite sends every circle-level table entry through
+both routes, and the ``residue`` command runs both and insists they agree.
 
 The iterated operator composes one-variable residues over an ordering of the
 variables.  ``iterated_residue_selected`` additionally carries a moment
@@ -32,12 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Mapping
+from math import factorial, lcm
+from operator import add
+from typing import Mapping
 
 from .symcore import (
+    POINT_ALGEBRA,
     EquivariantPolynomial,
-    GradedAlgebra,
     LinearForm,
     Q,
     RationalSection,
@@ -108,12 +108,19 @@ def res_x_plus_poles(h: RationalSection, var: int) -> RationalSection:
     return RationalSection.sum(h.vars, (c for _, c in residues_at_poles(h, var)), h.algebra)
 
 
+def _integer_terms(terms: Mapping) -> tuple[dict, int]:
+    """Rational terms as integer numerators over their least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
 class ReciprocalSeries:
-    """Laurent expansion at x_var = infinity of 1 / D, where D is a product
-    of factors (n * x_var + u)^m with n a nonzero rational and u a linear
-    form free of x_var.  ``coefficient(r)`` is S_r, the polynomial
-    coefficient of x_var^(-r); coefficients are computed on first use and
-    kept, so the expansion grows as deeper ones are asked for.
+    """Laurent expansion at x_var = infinity, over the point algebra, of 1
+    over the factors (n * x_var + u)^m of denom that involve x_var, with n a
+    nonzero rational and u a linear form free of x_var.  ``coefficient(r)``
+    is S_r, the polynomial coefficient of x_var^(-r), computed on first use
+    and kept; ``residue`` keeps each S_r it reads as integer terms over one
+    denominator, so the expansion grows as deeper ones are asked for.
 
     With N the total multiplicity, a0 the product of the n^m and b_i the
     coefficients of D / a0 = sum b_i x_var^(N-i), the expansion is
@@ -121,54 +128,72 @@ class ReciprocalSeries:
     c_k = -sum_{i=1..min(k,N)} b_i c_(k-i), so S_r = c_(r-N).
     """
 
-    def __init__(self, vars: Variables, algebra: GradedAlgebra,
-                 factors: Iterable[tuple[Fraction, EquivariantPolynomial, int]]):
+    def __init__(self, denom: Mapping[LinearForm, int], var: int, vars: Variables):
         self.vars = vars
-        self.algebra = algebra
-        zero = EquivariantPolynomial.zero(vars, algebra)
-        monic = [EquivariantPolynomial.one(vars, algebra)]
+        self.var = var
+        zero = EquivariantPolynomial.zero(vars)
+        monic = [EquivariantPolynomial.one(vars)]
         lead = Q(1)
-        for n, u, mult in factors:
-            u = u.scale(Q(1) / n)
+        for form, mult in denom.items():
+            if not (n := form.coeffs[var]):
+                continue
+            u = EquivariantPolynomial.from_linear_form(vars, LinearForm(tuple(
+                Q(0) if i == var else c / n for i, c in enumerate(form.coeffs))))
             for _ in range(mult):
                 lead *= n
                 monic = [p + q * u for p, q in zip(monic + [zero], [zero] + monic)]
         self._order = len(monic) - 1
         self._steps = [b.scale(-1) for b in monic[1:]]
-        self._c = [EquivariantPolynomial.constant(vars, Q(1) / lead, algebra)]
-
-    @staticmethod
-    def of_denominator(denom: Mapping[LinearForm, int], var: int, vars: Variables,
-                       algebra: GradedAlgebra) -> "ReciprocalSeries":
-        """The expansion of 1 over the factors of denom that involve x_var."""
-        return ReciprocalSeries(vars, algebra, (
-            (form.coeffs[var], EquivariantPolynomial.from_linear_form(vars, LinearForm(tuple(
-                Q(0) if i == var else c for i, c in enumerate(form.coeffs))), algebra), mult)
-            for form, mult in denom.items() if form.involves(var)))
+        self._c = [EquivariantPolynomial.constant(vars, Q(1) / lead)]
+        self._known: list[tuple[dict[tuple[int, ...], int], int]] = []
 
     def coefficient(self, r: int) -> EquivariantPolynomial:
         """S_r, the coefficient of x_var^(-r)."""
         k = r - self._order
         if k < 0:
-            return EquivariantPolynomial.zero(self.vars, self.algebra)
+            return EquivariantPolynomial.zero(self.vars)
         c = self._c
         while len(c) <= k:
             j = len(c)
             c.append(EquivariantPolynomial.sum(self.vars, (
-                step * c[j - i] for i, step in enumerate(self._steps[:j], 1)), self.algebra))
+                step * c[j - i] for i, step in enumerate(self._steps[:j], 1))))
         return c[k]
+
+    def residue(self, terms: Mapping[tuple[int, ...], int]) -> tuple[dict, int]:
+        """Minus the residue at x_var = infinity of the numerator sum c * x^e
+        (integer terms by exponents) over the denominator: the sum over d of
+        its x_var^d slice times S_(d+1), as integer terms free of x_var over
+        their common denominator, not reduced."""
+        var, known = self.var, self._known
+        slices = {e[var] for e in terms}
+        while len(known) <= max(slices, default=-1) + 1:
+            coefficients, d = _integer_terms(self.coefficient(len(known)).terms)
+            known.append(({e: c for (e, _), c in coefficients.items()}, d))
+        common = lcm(*(known[d + 1][1] for d in slices))
+        total: dict[tuple[int, ...], int] = {}
+        for e, c in terms.items():
+            coefficients, d = known[e[var] + 1]
+            c *= common // d
+            e = e[:var] + (0,) + e[var + 1:]
+            for rest, s in coefficients.items():
+                r = tuple(map(add, e, rest))
+                total[r] = total.get(r, 0) + c * s
+        return {r: v for r, v in total.items() if v}, common
 
 
 def res_x_plus_series(h: RationalSection, var: int) -> RationalSection:
     """Sum of residues at all finite poles, read off as the coefficient of
-    1/x_var in the Laurent expansion of h at infinity; the denominator
-    factors free of x_var stay in the denominator."""
-    series = ReciprocalSeries.of_denominator(h.denom, var, h.vars, h.algebra)
+    1/x_var in the Laurent expansion of h at infinity by the contraction the
+    circle-level integral runs, ``ReciprocalSeries.residue``; the factors
+    free of x_var stay in the denominator.  h must be over the point algebra."""
+    if h.algebra != POINT_ALGEBRA:
+        raise ValidationError("the series route takes sections over the point algebra")
+    numer, den = _integer_terms(h.numer.terms)
+    total, common = ReciprocalSeries(h.denom, var, h.vars).residue(
+        {e: c for (e, _), c in numer.items()})
     keep = {f: m for f, m in h.denom.items() if not f.involves(var)}
-    # the x_var^d slice of the numerator meets S_(d+1)
-    return RationalSection(EquivariantPolynomial.sum(h.vars, (
-        piece * series.coefficient(d + 1) for d, piece in h.numer.coefficients_in(var).items()),
-        h.algebra), keep)
+    return RationalSection(EquivariantPolynomial(h.vars, POINT_ALGEBRA, {
+        (e, 0): Q(c, den * common) for e, c in total.items()}), keep)
 
 
 def res_x_plus(h: RationalSection, var: int, method: str = "poles") -> RationalSection:

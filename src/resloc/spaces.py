@@ -21,6 +21,7 @@ from .residues import (
     MomentTerm,
     ReciprocalSeries,
     VariableOrdering,
+    _integer_terms,
     iterated_residue_selected,
 )
 from .symcore import (
@@ -378,8 +379,10 @@ def unimodular_completion(xi: tuple[int, ...]) -> list[list[int]]:
 @dataclass
 class AdaptedSpace:
     """A space re-expressed in a basis whose first direction is a given circle.
-    It keeps what ``term`` builds: the adapted image of each monomial met and,
-    per component, its Euler numerator integrated against each basis element."""
+    ``term`` builds one monomial's cancelled localization term in integers,
+    ``section`` the same as a RationalSection.  It keeps the adapted image of
+    each monomial met and, per component, its Euler numerator integrated
+    against each basis element."""
 
     space: HamiltonianSpace
     xi: CircleDirection
@@ -431,6 +434,13 @@ class AdaptedSpace:
                 terms[e] = terms.get(e, 0) + c1 * c2 * scale.numerator
         return ({e: c for e, c in terms.items() if c}, weights[1] * scale.denominator,
                 {p: k for p, k in denom.items() if k})
+
+    def section(self, f: FixedComponent, key: _Key) -> RationalSection:
+        """What ``term`` returns, as a section over the point algebra, not
+        cancelled further."""
+        terms, den, denom = self.term(f, key)
+        return RationalSection(EquivariantPolynomial(self.space.vars, POINT_ALGEBRA, {
+            (e, 0): Fraction(c, den) for e, c in terms.items()}), denom, cancel=False)
 
 
 def adapt_space(space: HamiltonianSpace, xi: CircleDirection) -> AdaptedSpace:
@@ -591,81 +601,39 @@ def _lazy_table(compute: Callable[[FixedComponent, _Key], _Entry]
     return lookup
 
 
-def _monomial_table(adapted: AdaptedSpace, entry: Callable[[FixedComponent, RationalSection], _Entry]
-                    ) -> Callable[[FixedComponent, _Key], _Entry]:
-    """The lazy table tau of a fixed-point functional that is linear in each
-    component's restriction: tau(F, k) is ``entry`` applied to the adapted
-    localization term of the single monomial k = (exponents, algebra basis
-    index) at F, cancelled as ``AdaptedSpace.term`` builds it."""
-
-    def compute(f: FixedComponent, key: _Key) -> _Entry:
-        terms, den, denom = adapted.term(f, key)
-        numer = {(e, 0): Fraction(c, den) for e, c in terms.items()}
-        return entry(f, RationalSection(EquivariantPolynomial(adapted.space.vars, POINT_ALGEBRA,
-                                                              numer), denom, cancel=False))
-
-    return _lazy_table(compute)
-
-
-def _integer_terms(terms: Mapping) -> _Entry:
-    """Rational terms as integer numerators over their least common denominator."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
-
-
 def circle_integral(space: HamiltonianSpace, xi: CircleDirection) -> KirwanIntegral:
     """Residue form of the circle-level Kirwan integral: sum over the components
     on the positive side of xi of the residue along xi.  Values are polynomials
     in the non-circle variables, up to a global constant.
 
     The integral is linear in each component's restriction, so it is read off
-    a table: tau[F, k] is the residue along xi of the localization term of
-    monomial k at a positive-side component F (``AdaptedSpace.term``, over a
-    cancelled denominator D), computed once on first use and kept for the
-    life of the returned object; reuse one object across many classes.  Every
-    adapted weight involves the circle variable x0, so the residue is minus
-    the residue at x0 = infinity: the sum over d of the x0^d slice of the
-    term's numerator times S_(d+1), the coefficient of x0^(-d-1) in the
-    expansion of 1/D, contracted in integers.  The expansion depends on D
-    alone, so the components share it: the object keeps one
-    ``ReciprocalSeries`` per distinct D, grown as deeper coefficients are
-    needed.  A factor of D free of x0 would leave a pole in the entry, and
-    raises.
+    a table, kept for the life of the returned object (reuse one object
+    across many classes): tau[F, k] is the residue along xi of the
+    localization term of monomial k at a positive-side component F
+    (``AdaptedSpace.term``, over a cancelled denominator D).  Every adapted
+    weight involves the circle variable x0, so that is minus the residue at
+    x0 = infinity: ``ReciprocalSeries.residue`` of the term, reduced once.
+    The components share one series per distinct D.  A factor of D free of
+    x0 would leave a pole in the entry, and raises.
     """
     violations = is_generic(space, xi)
     if violations:
         raise NonGenericError(f"direction {xi.vector} is not generic", violations)
     adapted = adapt_space(space, xi)
     plus_names = positive_side(space, xi)
-    expansions: dict[frozenset, tuple[ReciprocalSeries, list[_Entry]]] = {}
+    expansions: dict[frozenset, ReciprocalSeries] = {}
 
     def compute(f: FixedComponent, key: _Key) -> _Entry:
         terms, den, denom = adapted.term(f, key)
         if not (terms and denom):  # zero, or a polynomial: no residue
             return {}, 1
-        if (dkey := frozenset(denom.items())) not in expansions:
+        if (series := expansions.get(dkey := frozenset(denom.items()))) is None:
             if free := [w for w in denom if not w.involves(0)]:
                 raise ValidationError(f"denominator factor {free[0]} at {f.name} is free of x0")
-            expansions[dkey] = (ReciprocalSeries.of_denominator(denom, 0, space.vars,
-                                                                POINT_ALGEBRA), [])
-        series, known = expansions[dkey]
-        # the x0^d slice of the numerator meets S_(d+1), kept as integer terms
-        # over one denominator
-        slices = {e[0] for e in terms}
-        while len(known) <= max(slices) + 1:
-            coefficients, d = _integer_terms(series.coefficient(len(known)).terms)
-            known.append(({e[1:]: c for (e, _), c in coefficients.items()}, d))
-        common = lcm(*(known[d + 1][1] for d in slices))
-        total: dict[tuple[int, ...], int] = {}
-        for e, c in terms.items():
-            coefficients, d = known[e[0] + 1]
-            c *= common // d
-            for rest, s in coefficients.items():
-                r = tuple(map(add, e[1:], rest))
-                total[r] = total.get(r, 0) + c * s
-        den *= common
-        g = gcd(den, *total.values())
-        return {((0, *r), 0): v // g for r, v in total.items() if v}, den // g
+            series = expansions[dkey] = ReciprocalSeries(denom, 0, space.vars)
+        total, common = series.residue(terms)
+        g = gcd(den * common, *total.values())
+        return {(e, 0): v // g for e, v in total.items()}, den * common // g
 
     return KirwanIntegral(adapted.xi,
                           tuple(f for f in adapted.space.components if f.name in plus_names),
@@ -683,8 +651,8 @@ def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,
     The iterated residue is linear in each component's restriction, so the
     integral is read off a table of rationals: tau[F, k] is the iterated
     residue of the moment-weighted localization term of monomial k at
-    component F alone, computed once on first use, and a class's value is the
-    sum of eta_F[k] * tau[F, k].
+    component F alone (``AdaptedSpace.section``), computed once on first use,
+    and a class's value is the sum of eta_F[k] * tau[F, k].
     """
     if xi is None:
         xi = find_generic_direction(space)
@@ -703,8 +671,8 @@ def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,
                     f"first-applied direction annihilates a weight at {f.name}",
                     [("weight", f.name)])
 
-    def entry(f: FixedComponent, term: RationalSection) -> _Entry:
-        value = iterated_residue_selected([MomentTerm(f.moment, term)], ordering)
+    def compute(f: FixedComponent, key: _Key) -> _Entry:
+        value = iterated_residue_selected([MomentTerm(f.moment, adapted.section(f, key))], ordering)
         return {(): value.numerator} if value else {}, value.denominator
 
-    return KirwanIntegral(adapted.xi, adapted.space.components, _monomial_table(adapted, entry))
+    return KirwanIntegral(adapted.xi, adapted.space.components, _lazy_table(compute))

@@ -380,18 +380,6 @@ class EquivariantPolynomial:
             raise ValidationError("polynomial is not a scalar constant")
         return c
 
-    def coefficients_in(self, var: int) -> dict[int, "EquivariantPolynomial"]:
-        """Slice by the exponent of one variable; slices keep full arity with
-        that exponent zeroed."""
-        out: dict[int, EquivariantPolynomial] = {}
-        for (e, b), c in self.terms.items():
-            k = e[var]
-            rest = list(e)
-            rest[var] = 0
-            slot = out.setdefault(k, EquivariantPolynomial(self.vars, self.algebra))
-            slot.terms[(tuple(rest), b)] = c
-        return out
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "EquivariantPolynomial"):

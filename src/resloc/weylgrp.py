@@ -136,9 +136,7 @@ class WeylData:
             for b in self.elements:
                 if self.compose(a, b) not in self.elements:
                     raise ValidationError("group is not closed under composition")
-        for a in self.elements:
-            if not any(self.compose(a, b) == ident for b in self.elements):
-                raise ValidationError("group element has no inverse")
+        # closed, finite and invertible: a^k = e for some k, so a^(k-1) inverts a
         for r, root in enumerate(self.positive_roots):
             if len(root.coeffs) != n or root.is_zero():
                 raise ValidationError(f"positive root {r} must be nonzero with {n} entries")

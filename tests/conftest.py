@@ -1,12 +1,14 @@
 """Fixtures shared by the test modules."""
 
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
 
 import pytest
 
 from resloc import spaces, weylgrp
-from resloc.residues import ReciprocalSeries, res_x_plus_poles
+from resloc.datasets import Dataset
+from resloc.residues import ReciprocalSeries, _integer_terms, res_x_plus_poles
+from resloc.symcore import POINT_ALGEBRA, EquivariantPolynomial, LinearForm, Variables
 
 
 def act(weyl, w, cls):
@@ -23,6 +25,33 @@ def brion_divide(weyl, cls):
     return spaces.RestrictedClass(weyl.space, cls.degree - 2 * len(weyl.positive_roots), {
         f.name: weylgrp._divide_by_roots(weyl, f.name, cls.restrictions[f.name])
         for f in weyl.space.components})
+
+
+def grassmannian(n, level):
+    """Gr(2, n) under T^(n-1) with x_n = 0, a space that is not toric (n < 10):
+    a fixed point per 2-subset S = {i, j} of 1..n, with weights x_b - x_a for
+    a in S and b not in S and moment e_i + e_j - level, and the generators
+    c1 = x_i + x_j and c2 = x_i * x_j at S, the equivariant Chern classes of
+    the tautological bundle.  dim M = 4(n - 2)."""
+    vars = Variables(tuple(f"X{i + 1}" for i in range(n - 1)))
+    e = [[int(k == i) for k in range(n - 1)] for i in range(n)]
+    x = [EquivariantPolynomial.variable(vars, i) for i in range(n - 1)]
+    x.append(EquivariantPolynomial.zero(vars))
+    zero = EquivariantPolynomial.zero(vars)
+    subsets = {f"S{i + 1}{j + 1}": (i, j) for i, j in combinations(range(n), 2)}
+    space = spaces.HamiltonianSpace(vars, 4 * (n - 2), [spaces.FixedComponent(
+        name, tuple(a + b - Fraction(c) for a, b, c in zip(e[i], e[j], level)), POINT_ALGEBRA,
+        tuple((LinearForm.make([p - q for p, q in zip(e[b], e[a])]), zero)
+              for a in (i, j) for b in range(n) if b not in (i, j)))
+        for name, (i, j) in subsets.items()])
+
+    def chern(degree, c):
+        return spaces.RestrictedClass(space, degree, {
+            name: c(x[i], x[j]) for name, (i, j) in subsets.items()})
+
+    return Dataset(f"gr2-{n}", space, [("one", spaces.RestrictedClass.unit(space)),
+                                        ("c1", chern(2, lambda a, b: a + b)),
+                                        ("c2", chern(4, lambda a, b: a * b))])
 
 
 @pytest.fixture
@@ -48,19 +77,18 @@ def poles_circle_integral():
     (``res_x_plus_poles``), so that a value can be checked through both
     residue routes."""
 
-    def entry(f, term):
-        residue = res_x_plus_poles(term, 0)
-        assert not residue.denom
-        terms = residue.numer.terms
-        den = lcm(*(c.denominator for c in terms.values()))
-        return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
-
     def build(space, xi):
         adapted = spaces.adapt_space(space, xi)
         plus = spaces.positive_side(space, xi)
+
+        def compute(f, key):
+            residue = res_x_plus_poles(adapted.section(f, key), 0)
+            assert not residue.denom
+            return _integer_terms(residue.numer.terms)
+
         return spaces.KirwanIntegral(
             adapted.xi, tuple(f for f in adapted.space.components if f.name in plus),
-            spaces._monomial_table(adapted, entry), space.vars)
+            spaces._lazy_table(compute), space.vars)
 
     return build
 
@@ -70,13 +98,13 @@ def expansion_builds(monkeypatch):
     """The denominators of the expansions at infinity built from here on,
     in the order they were built."""
     builds = []
-    real = ReciprocalSeries.of_denominator
+    real = ReciprocalSeries.__init__
 
-    def counted(denom, var, vars, algebra):
+    def counted(self, denom, var, vars):
         builds.append(dict(denom))
-        return real(denom, var, vars, algebra)
+        real(self, denom, var, vars)
 
-    monkeypatch.setattr(ReciprocalSeries, "of_denominator", staticmethod(counted))
+    monkeypatch.setattr(ReciprocalSeries, "__init__", counted)
     return builds
 
 

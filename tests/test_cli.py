@@ -6,10 +6,12 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction as Q
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from conftest import grassmannian
 
 from resloc import cli, kernels, spaces
 from resloc.cli import main
@@ -645,6 +647,30 @@ def test_checks_leave_the_generators_unchanged(capsys, monkeypatch, name, modes)
     for ds in loaded:
         assert [(n, cls.degree, cls.restrictions) for n, cls in ds.generators] == \
             [(n, cls.degree, cls.restrictions) for n, cls in fresh]
+
+
+GR24_LEVEL = (Q(1, 2) + Q(1, 17), Q(1, 2) + Q(1, 19), Q(1, 2) - Q(1, 23))
+GR24_CIRCLE = ["kernel dim 0 vs 0+0, direct=True", "kernel dim 0 vs 0+0, direct=True",
+               "kernel dim 2 vs 1+1, direct=True", "kernel dim 8 vs 4+4, direct=True",
+               "kernel dim 20 vs 10+10, direct=True"]
+
+
+@pytest.mark.parametrize("argv, details", [
+    (("validate",), ["6 components, 3 generators", "found [-2, -1, 1]",
+                     "9 products through degree 8"]),
+    # M//T is a sphere, so ker kappa_T is not all of positive degree and a
+    # chamber sum that misses part of it shows
+    (("kernel", "--full"), [f"kernel dim {k} vs chamber sum dim {k}" for k in (0, 3, 11, 23, 41)]),
+    (("kernel", "--circle=1,2,4"), GR24_CIRCLE),
+    (("kernel", "--circle=-3,1,2"), GR24_CIRCLE),
+], ids=["validate", "full", "circle", "circle-negative"])
+def test_grassmannian_passes(capsys, tmp_path, argv, details):
+    # Gr(2,4) at a generic level, a space that is not toric, through degree 8
+    path = tmp_path / "gr24.json"
+    path.write_text(json.dumps(dataset_to_json(grassmannian(4, GR24_LEVEL))))
+    code, report, _ = run_json(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0 and report["pass"]
+    assert [check["detail"] for check in report["checks"]] == details
 
 
 # -- output handling ---------------------------------------------------------------

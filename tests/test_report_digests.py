@@ -24,6 +24,13 @@ EXPRESSION = {"variables": ["X", "Y"],
               "denominator": [{"form": ["1", "-1"], "multiplicity": 2},
                               {"form": ["1", "1"]}, {"form": ["0", "2"]}]}
 
+# the same with X and Y swapped and its residue taken in Y, so that the series
+# route contracts slices of a variable other than the first
+EXPRESSION_Y = {"variables": ["X", "Y"], "variable": "Y",
+                "numerator": [{"coeff": "1", "exponents": [0, 2]}],
+                "denominator": [{"form": ["-1", "1"], "multiplicity": 2},
+                                {"form": ["1", "1"]}, {"form": ["2", "0"]}]}
+
 # generated inputs: CP^3's moments lie off the axes, so its chamber sides are
 # not coordinate signs; diagonal (S^2)^5 has span rows from larger slices;
 # diagonal (S^2)^3 to degree 12 is the benchmark's slowest nonabelian op
@@ -117,6 +124,14 @@ GOLDEN = {
     "residue expr.json":
         (0, "0c7c88d5297a485d809de109b7f50dead9338c4c71526e7e6d7345d035a71c5d",
          EMPTY),
+    "residue expr-y.json":
+        (0, "c80ca485d8f2501e0cd053f3fd19b2a54f66ace1270b5b0f8b9ab699a16e5c30",
+         EMPTY),
+    # the rank-one space that is not toric: a chamber sum that drops a
+    # component from a vanishing set shows here
+    "kernel s2cubed-su2 --full":
+        (0, "04668519e23a76dc0e887c0e845cd75ae0dcfbe93eabe47f27daea032110b82a",
+         EMPTY),
 }
 
 
@@ -128,6 +143,7 @@ def write_inputs(argv: str, directory: pathlib.Path) -> None:
     """Write the files that argv reads into directory.  Reports record the
     input path, so argv names them relative to it."""
     (directory / "expr.json").write_text(json.dumps(EXPRESSION) + "\n")
+    (directory / "expr-y.json").write_text(json.dumps(EXPRESSION_Y) + "\n")
     for name in set(argv.split()) & set(GENERATED):
         (directory / name).write_text(json.dumps(dataset_to_json(GENERATED[name]())) + "\n")
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resloc.datasets import load_dataset
 from resloc.residues import (
     MomentTerm,
     VariableOrdering,
@@ -97,6 +98,37 @@ def test_residues_at_poles_with_exponential_weight():
     [(pole, contribution)] = residues_at_poles(h, 0, weight=Q(3))
     assert pole == (Q(0),)
     assert contribution == RationalSection(one(V1).scale(3))
+
+
+@pytest.mark.parametrize("v", [0, 1, 2])
+def test_series_route_at_every_variable(v):
+    # x_v^2 / ((x_v - x_a)^2 (x_v + x_a) 2 x_b), with a and b the other two
+    # variables: a double pole, a second simple pole and a factor free of
+    # x_v, whose residue sum in x_v is 1 / (2 x_b) by both routes
+    a, b = (v + 1) % 3, (v + 2) % 3
+
+    def form(cv, ca, cb):
+        coeffs = [0] * 3
+        coeffs[v], coeffs[a], coeffs[b] = cv, ca, cb
+        return lf(*coeffs)
+
+    h = sec(var(V3, v) ** 2, {form(1, -1, 0): 2, form(1, 1, 0): 1, form(0, 0, 2): 1})
+    assert res(h, v, "check") == sec(one(V3).scale(Q(1, 2)), {form(0, 0, 1): 1})
+
+
+def test_series_route_refuses_other_algebras():
+    # the series route contracts integer terms over the point algebra; the
+    # pole route takes a component's algebra: (X + vol) / X^2 on a sphere
+    # component of s2xs2-nonisolated has residue 1
+    space = load_dataset("s2xs2-nonisolated").space
+    algebra = space.components[0].algebra
+    numer = EquivariantPolynomial.variable(space.vars, 0, algebra) + \
+        EquivariantPolynomial.from_algebra_element(space.vars, algebra, {1: Q(1)})
+    h = sec(numer, {lf(1): 2})
+    with pytest.raises(ValidationError, match="point algebra"):
+        res_x_plus(h, 0, "series")
+    assert res_x_plus(h, 0, "poles") == RationalSection(EquivariantPolynomial.one(space.vars,
+                                                                                  algebra))
 
 
 # -- an inverted Euler class through both routes ----------------------------------
@@ -191,13 +223,15 @@ def sections(draw, vars=V3, max_factors=3, pole_var=None):
 @settings(max_examples=60, deadline=None)
 @given(sections())
 def test_law_methods_agree(h):
-    res(h, 0, "check")
+    for v in range(3):  # the series route contracts slices of every variable
+        res(h, v, "check")
 
 
 @settings(max_examples=40, deadline=None)
 @given(sections())
 def test_law_residue_of_derivative_vanishes(h):
-    assert res(h.derivative(0), 0, "check").is_zero()
+    for v in range(3):
+        assert res(h.derivative(v), v, "check").is_zero()
 
 
 @settings(max_examples=40, deadline=None)

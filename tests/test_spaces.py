@@ -724,29 +724,37 @@ def test_table_term_is_the_fully_cancelled_localization_term():
     for space, xis in cases:
         for xi in xis:
             adapted = adapt_space(space, CircleDirection(xi))
-            tau = spaces._monomial_table(adapted, lambda f, term: term)
             for f in adapted.space.components:
                 for exps in exponents_up_to(4, space.vars.count):
                     for b in range(len(f.algebra.basis)):
                         monomial = EquivariantPolynomial(space.vars, f.algebra, {(exps, b): 1})
                         whole = localization_term(adapted.space, f, adapt(adapted, monomial))
                         want = RationalSection(whole.numer, whole.denom)
-                        got = tau(f, (exps, b))
+                        got = adapted.section(f, (exps, b))
                         assert got.numer.terms == want.numer.terms
                         assert got.denom == want.denom
             directions += 1
     assert directions == 2 * len(cases)
 
 
+def reversed_variables(h):
+    """h with the order of its variables reversed."""
+    return RationalSection(
+        EquivariantPolynomial(h.vars, h.algebra, {
+            (e[::-1], b): c for (e, b), c in h.numer.terms.items()}),
+        {LinearForm(f.coeffs[::-1]): m for f, m in h.denom.items()}, cancel=False)
+
+
 def test_kappa_s_entries_match_both_residue_routes():
     # every entry read off a kept expansion at infinity is the residue of its
-    # table term pole by pole, and by the series route built afresh
+    # table term pole by pole, and by the series route built afresh, also
+    # with the variables reversed, so that the series route contracts slices
+    # of the last variable rather than of x0
     entries = algebra_valued = 0
     for space, xis in table_cases():
         for xi in xis:
             integral = circle_integral(space, CircleDirection(xi))
-            terms = spaces._monomial_table(adapt_space(space, integral.xi),
-                                           lambda f, term: term)
+            adapted = adapt_space(space, integral.xi)
             for f in integral.components:
                 for exps in exponents_up_to(4, space.vars.count):
                     for b in range(len(f.algebra.basis)):
@@ -754,9 +762,11 @@ def test_kappa_s_entries_match_both_residue_routes():
                         assert den > 0 and all(type(v) is int for v in numerators.values())
                         got = RationalSection(EquivariantPolynomial(
                             space.vars, POINT_ALGEBRA, numerators).scale(Q(1, den)))
-                        term = terms(f, (exps, b))
+                        term = adapted.section(f, (exps, b))
                         assert got == res_x_plus(term, 0, "poles")
                         assert got == res_x_plus(term, 0, "series")
+                        assert reversed_variables(got) == res_x_plus(
+                            reversed_variables(term), space.vars.count - 1, "series")
                         entries += 1
                         algebra_valued += b > 0 and not got.is_zero()
     assert (entries, algebra_valued) == (515, 2)
@@ -768,11 +778,11 @@ def test_circle_integral_builds_each_expansion_once(expansion_builds):
     # denominators, and so do the components
     space = sphere_product(3).space
     integral = circle_integral(space, CircleDirection((1, 2, 4)))
-    terms = spaces._monomial_table(adapt_space(space, integral.xi), lambda f, term: term)
+    adapted = adapt_space(space, integral.xi)
     keys = [(f, (exps, 0)) for f in integral.components for exps in exponents_up_to(4, 3)]
     for f, key in keys:
         integral.tau(f, key)
-    pairs = {(f.name, frozenset(terms(f, key).denom.items())) for f, key in keys}
+    pairs = {(f.name, frozenset(adapted.section(f, key).denom.items())) for f, key in keys}
     denominators = {denom for _, denom in pairs} - {frozenset()}
     assert len(expansion_builds) == len(denominators)
     assert {frozenset(denom.items()) for denom in expansion_builds} == denominators
