@@ -155,7 +155,7 @@ def cmd_residue(args) -> int:
 
 
 def _subspace_json(model, sub: kernels.Subspace) -> dict:
-    labels = [el.label for el in model.basis_by_degree[sub.degree]]
+    labels = model.slice(sub.degree).labels
     return {"degree": sub.degree, "model_basis": labels,
             "basis": [[_fs(vec.get(i, 0)) for i in range(len(labels))]
                       for vec in sub.coeffs]}

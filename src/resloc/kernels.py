@@ -46,7 +46,7 @@ from .symcore import (
 )
 
 __all__ = [
-    "ModelElement",
+    "Slice",
     "DegreeTruncatedModel",
     "build_model",
     "Subspace",
@@ -70,32 +70,34 @@ __all__ = [
 
 
 @dataclass
-class ModelElement:
-    label: str
-    cls: RestrictedClass
-    vector: Row
+class Slice:
+    """One even-degree slice: its basis as ``labels``, ``classes`` and
+    ``vectors``, index-aligned; its coordinates, the restriction keys (component
+    name, torus exponents, algebra basis index) sorted in component order, in
+    ``keys`` and inverted in ``positions``, a vector holding a class's nonzero
+    terms by key position; and per component the ``rows`` of the basis at its
+    keys, which a class's basis coefficients annihilate iff it vanishes there."""
+
+    labels: list[str]
+    classes: list[RestrictedClass]
+    vectors: list[Row]
+    keys: list[tuple[str, tuple[int, ...], int]]
+    positions: dict[tuple[str, tuple[int, ...], int], int]
+    rows: dict[str, list[Row]]
 
 
 class DegreeTruncatedModel:
-    """Independent spanning sets for the even-degree slices.  The checks run
-    through max_degree; the slices are built through max(max_degree, dim - 2),
-    as the checks pair against slices up to dim - 2.
+    """Independent spanning sets for the even-degree slices, checked through
+    max_degree.  The model walks ``generator_products`` once, to
+    max(max_degree, dim), and refuses the data unless every localization sum
+    through dim on that walk is a polynomial, so no check runs on
+    inconsistent data.
 
-    The model walks ``generator_products`` once, to max(max_degree, dim), and
-    refuses the data unless every localization sum through dim on that walk
-    is a polynomial, so no check runs on inconsistent data.  The slices are
-    built from the products of that walk up to their depth.
-
-    Slice d is grown from slice d - 2, one ``mul_pure`` by a variable per
-    (kept element, variable), and keeps the labels, vectors and keys that
-    every product times every monomial gives (see the module docstring).
-
-    A slice's coordinates are its restriction keys (component index, torus
-    exponents, algebra basis index), sorted, named in ``keys`` and inverted in
-    ``positions``; a class's vector holds its nonzero restriction terms by key
-    position.  ``restriction_rows`` keeps, per degree and component, the rows
-    of the basis at that component's keys: a class vanishes there exactly
-    when its basis coefficients annihilate them.
+    A slice is built from the products of that walk the first time it is
+    read (``slice``); each check reads the slices it pairs against, and none
+    reads past the walk.  Slice d grows from slice d - 2, one ``mul_pure`` by
+    a variable per (kept class, variable), and keeps the labels, vectors and
+    keys that every product times every monomial gives (module docstring).
     """
 
     def __init__(self, space: HamiltonianSpace,
@@ -112,14 +114,24 @@ class DegreeTruncatedModel:
             raise ValidationError(f"inconsistent fixed-point data (run validate): {failures[0]}")
         self.space = space
         self.max_degree = max_degree
-        depth = max(max_degree, space.dim - 2)
-        self.basis_by_degree: dict[int, list[ModelElement]] = {}
-        self.restriction_rows: dict[int, dict[str, list[Row]]] = {}
-        self.positions: dict[int, dict[tuple[str, tuple[int, ...], int], int]] = {}
-        self.keys: dict[int, list[tuple[str, tuple[int, ...], int]]] = {}
-        # filtering the deeper walk keeps generator_products' depth-first order
-        self._build(depth, [(exps, cls) for exps, cls in products if cls.degree <= depth],
-                    [name for name, cls in generators if cls.degree > 0])
+        self.slices: dict[int, Slice] = {}
+        # the growth state: each unbuilt slice's candidates, keyed (product
+        # index, exponents), the products first; the generator names and the
+        # products' exponents, for labels; the top slice's kept keys and classes
+        self._candidates: dict[int, dict[tuple[int, tuple[int, ...]], RestrictedClass]] = {}
+        for p, (_, cls) in enumerate(products):
+            self._candidates.setdefault(cls.degree, {})[(p, (0,) * space.vars.count)] = cls
+        self._names = [name for name, cls in generators if cls.degree > 0]
+        self._exponents = [exps for exps, _ in products]
+        self._kept: list[tuple[tuple[int, tuple[int, ...]], RestrictedClass]] = []
+
+    def slice(self, degree: int) -> Slice:
+        """Slice degree, grown with every slice below it that is not yet built."""
+        if degree > max(self.max_degree, self.space.dim):
+            raise ValueError(f"slice {degree} lies past the product walk")
+        for d in range(2 * len(self.slices), degree + 1, 2):
+            self.slices[d] = self._grow(d)
+        return self.slices[degree]
 
     def class_vector(self, cls: RestrictedClass, degree: int) -> Row | None:
         """The restriction terms of cls by key position, or None when cls has
@@ -130,7 +142,7 @@ class DegreeTruncatedModel:
     def place(self, degree: int, pieces) -> Row:
         """The nonzero terms of (component name, restriction) pieces by key
         position; a term at another key stays under the key itself."""
-        positions, out = self.positions[degree], {}
+        positions, out = self.slice(degree).positions, {}
         for name, poly in pieces:
             for (exps, b), c in poly.terms.items():
                 if c:
@@ -139,11 +151,12 @@ class DegreeTruncatedModel:
 
     def restrictions(self, vec: Row, degree: int) -> dict[str, EquivariantPolynomial]:
         """The restrictions whose terms are vec by key position, by component."""
+        keys = self.slice(degree).keys
         polys = {f.name: EquivariantPolynomial(self.space.vars, f.algebra)
                  for f in self.space.components}
         for pos, c in vec.items():
             if c:
-                name, exps, b = self.keys[degree][pos]
+                name, exps, b = keys[pos]
                 polys[name].terms[(exps, b)] = coefficient(c)
         return polys
 
@@ -151,47 +164,36 @@ class DegreeTruncatedModel:
         """The class whose restriction terms are vec: the inverse of class_vector."""
         return RestrictedClass(self.space, degree, self.restrictions(vec, degree))
 
-    def _build(self, depth: int, products: list[tuple[tuple[int, ...], RestrictedClass]],
-               names: list[str]):
+    def _grow(self, degree: int) -> Slice:
+        # the products of this degree, then the slice below times each variable
         space = self.space
-        nvars = space.vars.count
-        variables = [EquivariantPolynomial.variable(space.vars, j) for j in range(nvars)]
-        # the candidates keyed (product index, exponents): the products first
-        grown_by_degree: dict[int, dict[tuple[int, tuple[int, ...]], RestrictedClass]] = {}
-        for p, (_, cls) in enumerate(products):
-            grown_by_degree.setdefault(cls.degree, {})[(p, (0,) * nvars)] = cls
-        # the kept elements of the slice below, with their keys
-        below: list[tuple[tuple[int, tuple[int, ...]], ModelElement]] = []
-        for degree in range(0, depth + 1, 2):
-            # then the slice below times each variable
-            grown = grown_by_degree.pop(degree, {})
-            for (p, mono), el in below:
-                for j in range(nvars):
-                    key = (p, mono[:j] + (mono[j] + 1,) + mono[j + 1:])
-                    if key not in grown:
-                        grown[key] = el.cls.mul_pure(variables[j])
-            order = sorted(grown, key=lambda k: (k[0], monomial_sort_key(k[1])))
-            candidates = [grown[k] for k in order]
-            keys = sorted({(ci, exps, b) for cls in candidates
-                           for ci, f in enumerate(space.components)
-                           for exps, b in cls.restrictions[f.name].terms})
-            self.keys[degree] = [(space.components[ci].name, exps, b)
-                                  for ci, exps, b in keys]
-            self.positions[degree] = {key: pos for pos, key in enumerate(self.keys[degree])}
-            vectors = [self.class_vector(cls, degree) for cls in candidates]
-            kept = linalg.independent_indices(vectors)
-            below = []
-            for i in kept:
-                p, mono = order[i]
-                label = "*".join(_powers(space.vars.names, mono)
-                                 + _powers(names, products[p][0])) or "1"
-                below.append((order[i], ModelElement(label, candidates[i], vectors[i])))
-            self.basis_by_degree[degree] = [el for _, el in below]
-            rows = linalg.transpose([vectors[i] for i in kept])
-            by_component = self.restriction_rows[degree] = {f.name: [] for f in space.components}
-            for pos, (ci, _, _) in enumerate(keys):
-                if pos in rows:
-                    by_component[space.components[ci].name].append(rows[pos])
+        grown = self._candidates.pop(degree, {})
+        for (p, mono), cls in self._kept:
+            for j in range(space.vars.count):
+                key = (p, mono[:j] + (mono[j] + 1,) + mono[j + 1:])
+                if key not in grown:
+                    grown[key] = cls.mul_pure(EquivariantPolynomial.variable(space.vars, j))
+        order = sorted(grown, key=lambda k: (k[0], monomial_sort_key(k[1])))
+        candidates = [grown[k] for k in order]
+        keys = [(space.components[ci].name, exps, b) for ci, exps, b in sorted({
+            (ci, exps, b) for cls in candidates for ci, f in enumerate(space.components)
+            for exps, b in cls.restrictions[f.name].terms})]
+        positions = {key: pos for pos, key in enumerate(keys)}
+        vectors = [dict(sorted((positions[(name, exps, b)], c)
+                               for name, poly in cls.restrictions.items()
+                               for (exps, b), c in poly.terms.items() if c))
+                   for cls in candidates]
+        kept = linalg.independent_indices(vectors)
+        self._kept = [(order[i], candidates[i]) for i in kept]
+        rows = linalg.transpose([vectors[i] for i in kept])
+        by_component: dict[str, list[Row]] = {f.name: [] for f in space.components}
+        for pos in sorted(rows):
+            by_component[keys[pos][0]].append(rows[pos])
+        return Slice(["*".join(_powers(space.vars.names, mono)
+                               + _powers(self._names, self._exponents[p])) or "1"
+                      for (p, mono), _ in self._kept],
+                     [candidates[i] for i in kept], [vectors[i] for i in kept],
+                     keys, positions, by_component)
 
 
 def _powers(names, exps: tuple[int, ...]) -> list[str]:
@@ -221,7 +223,7 @@ class Subspace:
 
     def classes(self, model: DegreeTruncatedModel) -> list[RestrictedClass]:
         """Each vector's class, combined in the model's restriction coordinates."""
-        vectors = [el.vector for el in model.basis_by_degree[self.degree]]
+        vectors = model.slice(self.degree).vectors
         return [model.vector_class(linalg.combine(vec, vectors), self.degree)
                 for vec in self.coeffs]
 
@@ -231,9 +233,9 @@ def vanishing_subspace(model: DegreeTruncatedModel, names: frozenset[str],
     """Classes in the degree slice vanishing on the named components: the null
     space of their restriction rows.  For the components on one side of a
     generic circle, these are the one-sided subspaces of the kernel theorems."""
-    rows = [row for f in model.space.components if f.name in names
-            for row in model.restriction_rows[degree][f.name]]
-    return Subspace(degree, linalg.nullspace(rows, len(model.basis_by_degree[degree])))
+    piece = model.slice(degree)
+    rows = [row for f in model.space.components if f.name in names for row in piece.rows[f.name]]
+    return Subspace(degree, linalg.nullspace(rows, len(piece.vectors)))
 
 
 # -- pairing kernels -----------------------------------------------------------
@@ -257,7 +259,7 @@ def circle_testing_classes(model: DegreeTruncatedModel,
                            xi: CircleDirection) -> list[RestrictedClass]:
     """Testing classes for the circle-level pairing along xi: module
     generators, over Sym(ann xi), of the model slices up to total degree
-    cap = dim - 2, which the model always builds.
+    cap = dim - 2.
 
     The circle integral is linear over the polynomials on t/s: it takes
     p * eta to p * (its value on eta) for p in Sym(ann xi), so module
@@ -278,10 +280,11 @@ def circle_testing_classes(model: DegreeTruncatedModel,
              for k in range(n) if k != i]
     kept: list[RestrictedClass] = []
     for zdeg in range(0, cap + 1, 2):
-        echelon = linalg.Echelon(model.class_vector(el.cls.mul_pure(f), zdeg)
-                                 for el in model.basis_by_degree.get(zdeg - 2, ())
-                                 for f in forms)
-        kept += [el.cls for el in model.basis_by_degree[zdeg] if echelon.add(el.vector)]
+        below = model.slice(zdeg - 2).classes if zdeg else []
+        echelon = linalg.Echelon(model.class_vector(cls.mul_pure(f), zdeg)
+                                 for cls in below for f in forms)
+        piece = model.slice(zdeg)
+        kept += [cls for cls, vec in zip(piece.classes, piece.vectors) if echelon.add(vec)]
     return kept
 
 
@@ -289,8 +292,7 @@ def circle_kernel(model: DegreeTruncatedModel, degree: int, integral: KirwanInte
                   testing: list[RestrictedClass]) -> Subspace:
     """Null space of the circle-level pairing against the testing classes
     (``circle_testing_classes`` of the integral's direction)."""
-    classes = [el.cls for el in model.basis_by_degree[degree]]
-    return Subspace(degree, pairing_kernel(integral, classes, testing))
+    return Subspace(degree, pairing_kernel(integral, model.slice(degree).classes, testing))
 
 
 @dataclass
@@ -504,18 +506,17 @@ def enumerate_generic_directions(space: HamiltonianSpace) -> ChamberSet:
 
 def complementary_slice(model: DegreeTruncatedModel, degree: int) -> list[RestrictedClass]:
     """The testing classes of the torus-level pairing on classes of this
-    degree: the model slice of degree dim - 2 * rank - degree, which is at
-    most dim - 2 and so built, or none when that degree is negative."""
+    degree: the model slice of degree dim - 2 * rank - degree, or none when
+    that degree is negative."""
     comp = model.space.dim - 2 * model.space.vars.count - degree
-    return [el.cls for el in model.basis_by_degree[comp]] if comp >= 0 else []
+    return model.slice(comp).classes if comp >= 0 else []
 
 
 def torus_kernel(model: DegreeTruncatedModel, degree: int,
                  integral: KirwanIntegral) -> Subspace:
     """Null space of the torus-level pairing against the complementary slice;
     slices with no complementary classes are unconstrained."""
-    classes = [el.cls for el in model.basis_by_degree[degree]]
-    return Subspace(degree, pairing_kernel(integral, classes,
+    return Subspace(degree, pairing_kernel(integral, model.slice(degree).classes,
                                            complementary_slice(model, degree)))
 
 

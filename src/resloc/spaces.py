@@ -188,18 +188,6 @@ class RestrictedClass:
             f.name: EquivariantPolynomial.one(space.vars, f.algebra)
             for f in space.components})
 
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.restrictions.values())
-
-    def __add__(self, other: "RestrictedClass") -> "RestrictedClass":
-        if self.space is not other.space:
-            raise ValidationError("classes live on different spaces")
-        degree = self.degree if not self.is_zero() else other.degree
-        if not self.is_zero() and not other.is_zero() and self.degree != other.degree:
-            raise ValidationError("cannot add classes of different degrees")
-        return RestrictedClass(self.space, degree, {
-            name: p + other.restrictions[name] for name, p in self.restrictions.items()})
-
     @staticmethod
     def _product(space: HamiltonianSpace, degree: int, restrictions: dict) -> "RestrictedClass":
         """A product of checked classes, built without the constructor's check."""

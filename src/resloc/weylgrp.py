@@ -242,9 +242,10 @@ def invariant_subspace(model: DegreeTruncatedModel, weyl: WeylData,
     invariant when sum_i c_i (w.b_i - b_i) = 0 for every w, read off in the
     model's restriction coordinates, where the basis is independent."""
     index = {f.name: i for i, f in enumerate(model.space.components)}
-    vectors = [el.vector for el in model.basis_by_degree[degree]]
+    piece = model.slice(degree)
+    vectors = piece.vectors
     span = linalg.Echelon(vectors)
-    read = {pos: model.keys[degree][pos] for vec in vectors for pos in vec}
+    read = {pos: piece.keys[pos] for vec in vectors for pos in vec}
     moved, rows = [], []
     for w in weyl.nonidentity:
         images = {pos: model.place(degree, [weyl.move(w, index[name], {(exps, b): 1})])
@@ -336,8 +337,7 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
             continue
         # both spans are compared in the slice's restriction coordinates,
         # into which the slice's coordinates map injectively
-        basis = [el.vector for el in model.basis_by_degree[target]]
-        vectors = [el.vector for el in model.basis_by_degree[source]]
+        vectors = model.slice(source).vectors
         moved = slices[source].moved
         below = slices.pop(target)  # no later row reads the target slice
         produced: list[linalg.Row] = []
@@ -351,6 +351,7 @@ def check_nonabelian_kernels(model: DegreeTruncatedModel, weyl: WeylData,
                     model, weyl, {k: v * Q(1, weyl.order) for k, v in anti.items()}, source))
         if any(below.span.remainder(p) for p in produced):
             raise ValidationError("divided antisymmetrization left the model span")
+        basis = model.slice(target).vectors
         inv_vectors = [linalg.combine(c, basis) for c in below.coeffs]
         kernel = [linalg.combine(k, inv_vectors) for k in k_pair[target]]
         produced_span = linalg.Echelon(produced)

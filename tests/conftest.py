@@ -11,6 +11,19 @@ from resloc.residues import ReciprocalSeries, _integer_terms, res_x_plus_poles
 from resloc.symcore import POINT_ALGEBRA, EquivariantPolynomial, LinearForm, Variables
 
 
+def class_sum(classes, start):
+    """start plus the classes, all of start's degree, restriction by
+    restriction: the oracles' addition, which the checks never need."""
+    classes = list(classes)
+    return spaces.RestrictedClass(start.space, start.degree, {
+        name: sum((cls.restrictions[name] for cls in classes), p)
+        for name, p in start.restrictions.items()})
+
+
+def class_is_zero(cls):
+    return all(p.is_zero() for p in cls.restrictions.values())
+
+
 def act(weyl, w, cls):
     """w, one of the group's elements, applied to cls, class by class: the
     oracle for the action the nonabelian check reads off the moved keys."""
@@ -54,6 +67,12 @@ def grassmannian(n, level):
                                         ("c2", chern(4, lambda a, b: a * b))])
 
 
+# generic levels near the centre of the moment polytopes of Gr(2,4), Gr(2,5)
+GR24_LEVEL = (Fraction(1, 2) + Fraction(1, 17), Fraction(1, 2) + Fraction(1, 19),
+              Fraction(1, 2) - Fraction(1, 23))
+GR25_LEVEL = tuple(Fraction(2, 5) + Fraction(1, p) for p in (101, 103, 107, 109))
+
+
 @pytest.fixture
 def antisymmetrize():
     """The antisymmetrization (1/|W|) sum_w sign(w) w.cls, class by class:
@@ -61,10 +80,8 @@ def antisymmetrize():
     restriction coordinates."""
 
     def anti(weyl, cls):
-        total = cls
-        for w in weyl.nonidentity:
-            total = total + act(weyl, w, cls).scale(w.sign())
-        return total.scale(Fraction(1, weyl.order))
+        moved = [act(weyl, w, cls).scale(w.sign()) for w in weyl.nonidentity]
+        return class_sum(moved, cls).scale(Fraction(1, weyl.order))
 
     return anti
 

@@ -6,12 +6,11 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction as Q
 from importlib import resources
 from pathlib import Path
 
 import pytest
-from conftest import grassmannian
+from conftest import GR24_LEVEL, grassmannian
 
 from resloc import cli, kernels, spaces
 from resloc.cli import main
@@ -649,7 +648,6 @@ def test_checks_leave_the_generators_unchanged(capsys, monkeypatch, name, modes)
             [(n, cls.degree, cls.restrictions) for n, cls in fresh]
 
 
-GR24_LEVEL = (Q(1, 2) + Q(1, 17), Q(1, 2) + Q(1, 19), Q(1, 2) - Q(1, 23))
 GR24_CIRCLE = ["kernel dim 0 vs 0+0, direct=True", "kernel dim 0 vs 0+0, direct=True",
                "kernel dim 2 vs 1+1, direct=True", "kernel dim 8 vs 4+4, direct=True",
                "kernel dim 20 vs 10+10, direct=True"]

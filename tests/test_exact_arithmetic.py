@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import class_sum
 
 from resloc import linalg, spaces
 from resloc.datasets import (
@@ -66,18 +67,18 @@ def test_integral_values_are_ints_everywhere(name, monkeypatch):
     check_circle_kernel_split(model, integrals[0])
     check_full_kernel(model, integrals[1])
     assert reduced and kernels
-    for els in model.basis_by_degree.values():
-        for el in els:
-            assert_exact(el.vector.values())
-            for poly in el.cls.restrictions.values():
+    for piece in model.slices.values():
+        for vec, cls in zip(piece.vectors, piece.classes):
+            assert_exact(vec.values())
+            for poly in cls.restrictions.values():
                 assert_exact(poly.terms.values())
     for row in reduced + kernels:
         assert_exact(row.values())
     entries = 0
     for integral in integrals:
         for f in integral.components:
-            keys = {k for els in model.basis_by_degree.values() for el in els
-                    for k in el.cls.restrictions[f.name].terms}
+            keys = {k for piece in model.slices.values() for cls in piece.classes
+                    for k in cls.restrictions[f.name].terms}
             for key in keys:
                 terms, den = integral.tau(f, key)
                 assert type(den) is int and den > 0
@@ -130,16 +131,16 @@ def test_integer_contraction_matches_fraction_oracle(name, level, monkeypatch):
     rng = random.Random(name + level)
     nonzero = 0
     for degree in (0, 2, 4):
-        basis = [el.cls for el in model.basis_by_degree[degree]]
+        basis = model.slice(degree).classes
         classes = basis + [
-            sum((cls.scale(Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+            class_sum((cls.scale(Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
                  for cls in rng.sample(basis, min(3, len(basis)))[1:]),
                 basis[0].scale(Fraction(rng.randint(1, 9), rng.randint(2, 7))))
             for _ in range(4)]
         classes.append(RestrictedClass(space, degree, {
             f.name: basis[-1].restrictions[f.name].scale(Fraction(1, i + 2))
             for i, f in enumerate(space.components)}))
-        for zeta in [None] + [el.cls for d in (0, 2) for el in model.basis_by_degree[d]]:
+        for zeta in [None] + [cls for d in (0, 2) for cls in model.slice(d).classes]:
             values = integral.values(classes, zeta)
             assert values == [oracle(integral, b, zeta) for b in classes]
             for row in values:

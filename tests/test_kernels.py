@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
+from conftest import GR24_LEVEL, GR25_LEVEL, class_sum, grassmannian
 
 from resloc import kernels, linalg, spaces
 from resloc.datasets import (
@@ -87,15 +88,13 @@ def s2xs2_model(s2xs2):
 
 
 def test_model_slice_dimensions(s2_model, s2xs2_model):
-    assert {d: len(b) for d, b in s2_model.basis_by_degree.items()} == \
-        {0: 1, 2: 2, 4: 2, 6: 2}
-    assert {d: len(b) for d, b in s2xs2_model.basis_by_degree.items()} == \
-        {0: 1, 2: 4, 4: 8, 6: 12}
+    assert [len(s2_model.slice(d).classes) for d in (0, 2, 4, 6)] == [1, 2, 2, 2]
+    assert [len(s2xs2_model.slice(d).classes) for d in (0, 2, 4, 6)] == [1, 4, 8, 12]
 
 
 def test_model_labels(s2xs2_model):
-    assert [el.label for el in s2xs2_model.basis_by_degree[2]] == ["X", "Y", "u1", "u2"]
-    assert "X*u1" in [el.label for el in s2xs2_model.basis_by_degree[4]]
+    assert s2xs2_model.slice(2).labels == ["X", "Y", "u1", "u2"]
+    assert "X*u1" in s2xs2_model.slice(4).labels
 
 
 def test_model_relation_found(s2, s2_model):
@@ -103,7 +102,7 @@ def test_model_relation_found(s2, s2_model):
     u = s2.generator("u")
     x = EquivariantPolynomial.variable(s2.space.vars, 0)
     assert u * u == u.mul_pure(x)
-    basis = [el.vector for el in s2_model.basis_by_degree[4]]
+    basis = s2_model.slice(4).vectors
     assert len(basis) == 2
     vector = s2_model.class_vector(u * u, 4)
     assert vector is not None
@@ -111,10 +110,11 @@ def test_model_relation_found(s2, s2_model):
 
 
 def test_model_coefficients_roundtrip(s2xs2_model):
-    for el in s2xs2_model.basis_by_degree[4]:
-        assert s2xs2_model.class_vector(el.cls, 4) == el.vector
-    [unit] = s2xs2_model.basis_by_degree[0]
-    assert s2xs2_model.class_vector(RestrictedClass.unit(s2xs2_model.space), 0) == unit.vector
+    piece = s2xs2_model.slice(4)
+    for cls, vec in zip(piece.classes, piece.vectors):
+        assert s2xs2_model.class_vector(cls, 4) == vec
+    [unit] = s2xs2_model.slice(0).vectors
+    assert s2xs2_model.class_vector(RestrictedClass.unit(s2xs2_model.space), 0) == unit
 
 
 def test_model_coefficients_reject_terms_outside_the_slice(nonisolated):
@@ -123,6 +123,16 @@ def test_model_coefficients_reject_terms_outside_the_slice(nonisolated):
     gens = [g for g in nonisolated.generators if g[0] != "v"]
     model = build_model(nonisolated.space, gens, 2)
     assert model.class_vector(nonisolated.generator("v"), 2) is None
+
+
+def test_model_builds_slices_on_first_read_and_none_past_the_walk(s2):
+    # the walk reaches max(max_degree, dim): a slice past it would miss the
+    # products of its degree, so it is refused rather than grown
+    model = build_model(s2.space, s2.generators, 4)
+    assert not model.slices
+    assert len(model.slice(4).classes) == 2 and sorted(model.slices) == [0, 2, 4]
+    with pytest.raises(ValueError, match="past the product walk"):
+        model.slice(6)
 
 
 def test_model_rejects_duplicate_generator_names(s2):
@@ -197,7 +207,7 @@ def with_dependent_generator():
     # u1 + u2 is a whole generator product that the slices already span
     ds = load_dataset("s2xs2-t2")
     return Dataset(ds.name, ds.space,
-                   ds.generators + [("w", ds.generator("u1") + ds.generator("u2"))])
+                   ds.generators + [("w", class_sum([ds.generator("u2")], ds.generator("u1")))])
 
 
 @pytest.mark.parametrize("build, degree", [
@@ -214,12 +224,10 @@ def test_grown_slices_match_the_full_candidate_slices(build, degree):
     ds = build()
     model = build_model(ds.space, ds.generators, degree)
     oracle = full_candidate_slices(ds.space, ds.generators, degree)
-    assert sorted(model.basis_by_degree) == sorted(oracle)
     for d, (labels, vectors, keys, rows) in oracle.items():
-        assert [el.label for el in model.basis_by_degree[d]] == labels, d
-        assert [el.vector for el in model.basis_by_degree[d]] == vectors, d
-        assert model.keys[d] == keys, d
-        assert model.restriction_rows[d] == rows, d
+        piece = model.slice(d)
+        assert (piece.labels, piece.vectors, piece.keys, piece.rows) == \
+            (labels, vectors, keys, rows), d
 
 
 def test_model_build_is_linear_in_the_degree(s2, monkeypatch):
@@ -231,7 +239,8 @@ def test_model_build_is_linear_in_the_degree(s2, monkeypatch):
     monkeypatch.setattr(RestrictedClass, "mul_pure",
                         lambda self, poly: calls.append(1) or mul_pure(self, poly))
     model = build_model(s2.space, s2.generators, 1000)
-    below = sum(len(model.basis_by_degree[d]) for d in range(0, 1000, 2))
+    model.slice(1000)
+    below = sum(len(model.slice(d).classes) for d in range(0, 1000, 2))
     assert len(calls) == below * s2.space.vars.count == 999
 
 
@@ -313,12 +322,11 @@ def test_circle_kernel_stable_under_testing_slack(s2xs2_model):
     integral = circle_integral(s2xs2_model.space, CircleDirection((1, 2)))
     cap = s2xs2_model.space.dim - 2 + 2
     assert cap <= s2xs2_model.max_degree
-    enlarged = [el.cls for zdeg in range(0, cap + 1, 2)
-                for el in s2xs2_model.basis_by_degree[zdeg]]
+    enlarged = [cls for zdeg in range(0, cap + 1, 2) for cls in s2xs2_model.slice(zdeg).classes]
     testing = circle_testing_classes(s2xs2_model, integral.xi)
     for d in (2, 4):
         base = circle_kernel(s2xs2_model, d, integral, testing)
-        classes = [el.cls for el in s2xs2_model.basis_by_degree[d]]
+        classes = s2xs2_model.slice(d).classes
         assert len(pairing_kernel(integral, classes, enlarged)) == base.dim
 
 
@@ -333,7 +341,7 @@ def test_circle_kernel_methods_agree(s2xs2_model, poles_circle_integral):
     b = circle_kernel(s2xs2_model, 4, poles, testing)
     assert a.coeffs == b.coeffs
     for degree in (0, 2, 4):
-        classes = [el.cls for el in s2xs2_model.basis_by_degree[degree]]
+        classes = s2xs2_model.slice(degree).classes
         assert all(series.values(classes, zeta) == poles.values(classes, zeta)
                    for zeta in testing)
 
@@ -359,16 +367,16 @@ def test_circle_split_shared_integral_matches_fresh(s2xs2_model, nonisolated, me
         a = shared_route(model.space, CircleDirection(xi))
         b = fresh_route(model.space, CircleDirection(xi))
         for r in rows:
-            classes = [el.cls for el in model.basis_by_degree[r.degree]]
+            classes = model.slice(r.degree).classes
             assert all(a.values(classes, zeta) == b.values(classes, zeta) for zeta in testing)
 
 
 def whole_slice_kernel(model, degree, integral):
     """The circle kernel against every model class of degree at most dim - 2:
     the testing set the module generators replace."""
-    testing = [el.cls for zdeg in range(0, model.space.dim - 1, 2)
-               for el in model.basis_by_degree[zdeg]]
-    classes = [el.cls for el in model.basis_by_degree[degree]]
+    testing = [cls for zdeg in range(0, model.space.dim - 1, 2)
+               for cls in model.slice(zdeg).classes]
+    classes = model.slice(degree).classes
     return pairing_kernel(integral, classes, testing)
 
 
@@ -413,7 +421,7 @@ def spans_every_slice(model, xi, testing):
                     for form in monomial:
                         multiple = multiple.mul_pure(form)
                     span.append(model.class_vector(multiple, zdeg))
-        basis = [el.vector for el in model.basis_by_degree[zdeg]]
+        basis = model.slice(zdeg).vectors
         if linalg.rank(span + basis) != linalg.rank(span):
             return False
     return True
@@ -474,7 +482,7 @@ def test_circle_testing_classes_are_module_generators(build, xi, kept, whole):
     ds = build()
     model = build_model(ds.space, ds.generators, 4)
     testing = circle_testing_classes(model, CircleDirection(xi))
-    assert sum(len(model.basis_by_degree[d]) for d in (0, 2, 4)) == whole
+    assert sum(len(model.slice(d).classes) for d in (0, 2, 4)) == whole
     assert len(testing) == kept
 
 
@@ -486,7 +494,7 @@ def test_circle_integral_computes_each_residue_once(s2xs2_model, cancelled, expa
     # and each other denominator has one expansion at infinity
     xi = CircleDirection((1, 2))
     integral = circle_integral(s2xs2_model.space, xi)
-    classes = [el.cls for el in s2xs2_model.basis_by_degree[4]]
+    classes = s2xs2_model.slice(4).classes
     values = [integral(cls) for cls in classes]
     plus = positive_side(s2xs2_model.space, xi)
     distinct = {(name, key) for cls in classes for name in plus
@@ -610,10 +618,10 @@ def test_bilinear_pairing_rows_match_class_products(name, level, xi, ordering):
         integral = circle_integral(ds.space, CircleDirection(xi))
     else:
         integral = torus_integral(ds.space, xi and CircleDirection(xi), ordering)
-    testing = [el.cls for d in (0, 2, 4) for el in model.basis_by_degree[d]]
+    testing = [cls for d in (0, 2, 4) for cls in model.slice(d).classes]
     nonzero = 0
     for d in (0, 2, 4):
-        classes = [el.cls for el in model.basis_by_degree[d]]
+        classes = model.slice(d).classes
         for zeta in testing:
             values = integral.values(classes, zeta)
             assert values == [value_terms(integral(b * zeta)) for b in classes]
@@ -826,7 +834,7 @@ def test_torus_kernel_unconstrained_above_complementary_range(s2xs2_model):
     # complementary degree is negative from degree 2 on: no constraints
     integral = torus_integral(s2xs2_model.space)
     sub = torus_kernel(s2xs2_model, 6, integral)
-    assert sub.dim == len(s2xs2_model.basis_by_degree[6])
+    assert sub.dim == len(s2xs2_model.slice(6).classes)
 
 
 def test_torus_pairing_fixed_direction_matches_default(s2xs2_model):
@@ -865,7 +873,7 @@ def all_check_rows(ds, max_degree):
 @pytest.mark.parametrize("build", DEPTH_CASES)
 def test_checks_do_not_depend_on_the_requested_depth(build):
     # a check on a shallow model reads the leading rows of the same check on
-    # the model through dim M: the model itself reaches dim - 2
+    # the model through dim M: each check builds the slices it pairs against
     ds = build()
     deepest = all_check_rows(ds, ds.space.dim)
     for max_degree in range(0, ds.space.dim + 1, 2):
@@ -873,3 +881,44 @@ def test_checks_do_not_depend_on_the_requested_depth(build):
         assert [r.degree for r in rows["circle"]] == list(range(0, max_degree + 1, 2))
         for check, got in rows.items():
             assert got == deepest[check][:len(got)], (check, max_degree)
+
+
+@pytest.mark.parametrize("max_degree", [0, 2, 4])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: grassmannian(4, GR24_LEVEL), id="gr2-4"),
+    pytest.param(lambda: load_dataset("s2cubed-su2"), id="s2cubed-su2"),
+    pytest.param(lambda: sphere_product(3), id="s2x3"),
+    pytest.param(lambda: sphere_product_diagonal(3), id="s2x3-diag"),
+])
+def test_each_check_builds_the_slices_it_pairs_against(build, max_degree):
+    # on a fresh model, a check's deepest slice is the deeper of max_degree
+    # and its deepest testing slice: dim - 2 rank for the full kernel, dim - 2
+    # for the circle split, dim - 2 rank - 2 #roots for the nonabelian check
+    ds = build()
+    dim, rank = ds.space.dim, ds.space.vars.count
+    runs = [(dim - 2 * rank, lambda model: check_full_kernel(model, torus_integral(ds.space))),
+            (dim - 2, lambda model: check_circle_kernel_split(
+                model, circle_integral(ds.space, find_generic_direction(ds.space))))]
+    if ds.weyl is not None:
+        runs.append((dim - 2 * rank - 2 * len(ds.weyl.positive_roots),
+                     lambda model: check_nonabelian_kernels(
+                         model, ds.weyl, torus_integral(ds.space))))
+    for deepest, run in runs:
+        model = build_model(ds.space, ds.generators, max_degree)
+        assert not model.slices
+        run(model)
+        assert max(model.slices) == max(max_degree, deepest), deepest
+
+
+@pytest.mark.parametrize("n, level, max_degree, betti", [
+    pytest.param(4, GR24_LEVEL, 8, [1, 1, 0, 0, 0], id="gr2-4"),
+    pytest.param(5, GR25_LEVEL, 4, [1, 5, 1], id="gr2-5"),
+])
+def test_grassmannian_kernel_leaves_the_reduced_space(n, level, max_degree, betti):
+    # by Kirwan surjectivity a slice modulo ker kappa_T is H^d(M//T): a
+    # sphere for Gr(2,4) and, for Gr(2,5), a surface with b_2 = 5
+    ds = grassmannian(n, level)
+    model = build_model(ds.space, ds.generators, max_degree)
+    rows, _ = check_full_kernel(model, torus_integral(ds.space))
+    assert all(r.equal for r in rows)
+    assert [len(model.slice(r.degree).classes) - r.kernel.dim for r in rows] == betti

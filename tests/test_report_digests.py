@@ -14,6 +14,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conftest import GR24_LEVEL, GR25_LEVEL, grassmannian
 from resloc.cli import main
 from resloc.datasets import (dataset_to_json, projective, sphere_product,
                              sphere_product_diagonal)
@@ -33,12 +34,15 @@ EXPRESSION_Y = {"variables": ["X", "Y"], "variable": "Y",
 
 # generated inputs: CP^3's moments lie off the axes, so its chamber sides are
 # not coordinate signs; diagonal (S^2)^5 has span rows from larger slices;
-# diagonal (S^2)^3 to degree 12 is the benchmark's slowest nonabelian op
+# diagonal (S^2)^3 to degree 12 is the benchmark's slowest nonabelian op;
+# Gr(2,4) and Gr(2,5) are the inputs of rank >= 2 that are not toric
 GENERATED = {
     "cp3.json": lambda: projective(3, tuple(Q(i + 1, 50) for i in range(3))),
     "s2x5-diag.json": lambda: sphere_product_diagonal(5),
     "s2x3.json": lambda: sphere_product(3),
     "s2x3-diag.json": lambda: sphere_product_diagonal(3),
+    "gr2-4.json": lambda: grassmannian(4, GR24_LEVEL),
+    "gr2-5.json": lambda: grassmannian(5, GR25_LEVEL),
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -131,6 +135,23 @@ GOLDEN = {
     # component from a vanishing set shows here
     "kernel s2cubed-su2 --full":
         (0, "04668519e23a76dc0e887c0e845cd75ae0dcfbe93eabe47f27daea032110b82a",
+         EMPTY),
+    # spaces that are not toric, and degrees below dim M - 2: the checks
+    # pair against slices deeper than the ones they report
+    "kernel gr2-4.json --full":
+        (0, "12048df0c4d4ad513002eda979e06f095906871742454ce1bee17126b22082a0",
+         EMPTY),
+    "kernel gr2-4.json --full --max-degree 2":
+        (0, "b469e41257e16992f3c175801cd6c9fae074624ede08723007ea46e0d0f41b3c",
+         EMPTY),
+    "kernel gr2-4.json --circle=1,2,4 --max-degree 2":
+        (0, "3288c5ff147c45b69b5942746a29016f8aecf41da15db2739dd408a35cb980e6",
+         EMPTY),
+    "kernel gr2-5.json --full --max-degree 4":
+        (0, "c7825875447c2edd8bfe380a7c2298eaed6ca44fa04145c5d633d7153a665413",
+         EMPTY),
+    "kernel s2cubed-su2 --nonabelian --max-degree 0":
+        (0, "17a9a2905fcc1431190c273ebe386b0d140b7c4e2b7eb7072eeda0d1c8374bd4",
          EMPTY),
 }
 
