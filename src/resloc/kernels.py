@@ -37,7 +37,6 @@ from .spaces import (
     localization_failures,
 )
 from .symcore import (
-    POINT_ALGEBRA,
     EquivariantPolynomial,
     LinearForm,
     ValidationError,
@@ -91,7 +90,8 @@ class DegreeTruncatedModel:
     max_degree.  The model walks ``generator_products`` once, to
     max(max_degree, dim), and refuses the data unless every localization sum
     through dim on that walk is a polynomial, so no check runs on
-    inconsistent data.
+    inconsistent data.  The walk starts at the unit and skips degree-0
+    generators, so the generator list need not name the unit.
 
     A slice is built from the products of that walk the first time it is
     read (``slice``); each check reads the slices it pairs against, and none
@@ -105,9 +105,6 @@ class DegreeTruncatedModel:
         names = [n for n, _ in generators]
         if len(set(names)) != len(names):
             raise ValidationError("generator names must be distinct")
-        if not any(cls.degree == 0 and cls == RestrictedClass.unit(space)
-                   for _, cls in generators):
-            raise ValidationError("generator list must contain the unit class")
         products = list(generator_products(space, generators, max(max_degree, space.dim)))
         _, failures = localization_failures(space, generators, products, space.dim)
         if failures:
@@ -274,9 +271,8 @@ def circle_testing_classes(model: DegreeTruncatedModel,
     cap = space.dim - 2
     n, vec = space.vars.count, xi.vector
     i = next(k for k, v in enumerate(vec) if v)
-    e = [tuple(int(m == k) for m in range(n)) for k in range(n)]
-    forms = [EquivariantPolynomial(space.vars, POINT_ALGEBRA,
-                                   {(e[k], 0): vec[i], (e[i], 0): -vec[k]})
+    forms = [EquivariantPolynomial.from_linear_form(space.vars, LinearForm.make(
+                 vec[i] if m == k else -vec[k] if m == i else 0 for m in range(n)))
              for k in range(n) if k != i]
     kept: list[RestrictedClass] = []
     for zdeg in range(0, cap + 1, 2):

@@ -104,8 +104,6 @@ class HamiltonianSpace:
         self.dim = int(dim)
         self.components = tuple(components)
         self._euler_inverse_cache: dict[str, RationalSection] = {}
-        self._common_euler_cache: tuple[dict[LinearForm, int],
-                                        dict[str, EquivariantPolynomial]] | None = None
         self._validate()
 
     def _validate(self):
@@ -144,16 +142,14 @@ class HamiltonianSpace:
             self._euler_inverse_cache[f.name] = sec
         return sec
 
+    @cached_property
     def _common_euler(self) -> tuple[dict[LinearForm, int], dict[str, EquivariantPolynomial]]:
         """The least common multiple C of the components' Euler denominators,
         and each component's Euler numerator extended to C, by component
         name; built on first use and kept."""
-        if self._common_euler_cache is None:
-            inverses = {f.name: self.euler_inverse(f) for f in self.components}
-            common = RationalSection.common_denominator(inverses.values())
-            self._common_euler_cache = (common, {
-                name: inv.numer_over(common) for name, inv in inverses.items()})
-        return self._common_euler_cache
+        inverses = {f.name: self.euler_inverse(f) for f in self.components}
+        common = RationalSection.common_denominator(inverses.values())
+        return common, {name: inv.numer_over(common) for name, inv in inverses.items()}
 
 
 class RestrictedClass:
@@ -251,17 +247,14 @@ def generator_products(space: HamiltonianSpace,
 
 
 def is_generic(space: HamiltonianSpace, xi: CircleDirection) -> list[tuple[str, str]]:
-    """Violation certificate for a circle direction; empty means generic.
-    Each distinct weight object is paired once."""
+    """Violation certificate for a circle direction: each moment value and
+    weight that pairs to zero with it, in component order; empty means generic."""
     violations: list[tuple[str, str]] = []
-    pairings: dict[LinearForm, Fraction] = {}
     for f in space.components:
         if xi.pair(f.moment) == 0:
             violations.append(("moment", f.name))
         for w, _ in f.normal_lines:
-            if (p := pairings.get(w)) is None:
-                p = pairings[w] = xi.pair(w.coeffs)
-            if p == 0:
+            if xi.pair(w.coeffs) == 0:
                 violations.append(("weight", f"{f.name}:{w.render(space.vars.names)}"))
     return violations
 
@@ -471,7 +464,7 @@ def localization_sum(space: HamiltonianSpace, eta: RestrictedClass) -> RationalS
     integral over the total space, hence a polynomial; failure of the
     polynomiality is the data-validity signal used throughout.
     """
-    common, numers = space._common_euler()
+    common, numers = space._common_euler
     terms: dict = {}
     for f in space.components:
         if (p := eta.restrictions[f.name]).terms:  # a zero restriction adds nothing
@@ -536,15 +529,14 @@ class KirwanIntegral:
     vars: Variables | None = None
 
     def __call__(self, eta: RestrictedClass) -> int | Fraction | EquivariantPolynomial:
-        [terms] = self.values([eta])
+        [terms] = self.values([eta], RestrictedClass.unit(eta.space))
         if self.vars is None:
             return terms.get((), 0)
         return EquivariantPolynomial(self.vars, POINT_ALGEBRA, terms)
 
-    def values(self, classes: Sequence[RestrictedClass],
-               zeta: RestrictedClass | None = None) -> list[dict]:
-        """The terms of the integral of b * zeta for each class b (zeta None
-        is the unit), read off the table bilinearly: the sum over F, k1, k2
+    def values(self, classes: Sequence[RestrictedClass], zeta: RestrictedClass) -> list[dict]:
+        """The terms of the integral of b * zeta for each class b (``__call__``
+        passes the unit), read off the table bilinearly: the sum over F, k1, k2
         of b_F[k1] * zeta_F[k2] * tau[F, k1 k2], where k1 k2 adds exponents
         and multiplies basis elements by the algebra's structure constants.
         No product class is formed, and zeta is contracted with tau once per
@@ -564,9 +556,7 @@ class KirwanIntegral:
                        {k: coefficient(Fraction(v, den)) for k, v in total.items()})
         return out
 
-    def _contract(self, f: FixedComponent, k1: _Key, zeta: RestrictedClass | None) -> _Entry:
-        if zeta is None:
-            return self.tau(f, k1)
+    def _contract(self, f: FixedComponent, k1: _Key, zeta: RestrictedClass) -> _Entry:
         (e1, b1), terms, den = k1, {}, 1
         for (e2, b2), c2 in zeta.restrictions[f.name].terms.items():
             exps = tuple(a + b for a, b in zip(e1, e2))
@@ -633,8 +623,9 @@ def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,
     """Torus-level Kirwan integral (up to a global constant) as a moment-
     weighted iterated residue of the fixed-point sum, innermost residue taken
     along a generic circle direction (``find_generic_direction``'s if None).
-    The first-applied direction of the ordering must be generic; that is
-    checked here, once.
+    The ordering's first-applied direction, the column of xi's unimodular
+    completion that its first index names, must be generic: ``is_generic``
+    checks it here, once, as it checks xi in ``circle_integral``.
 
     The iterated residue is linear in each component's restriction, so the
     integral is read off a table of rationals: tau[F, k] is the iterated
@@ -647,17 +638,10 @@ def torus_integral(space: HamiltonianSpace, xi: CircleDirection | None = None,
     adapted = adapt_space(space, xi)
     n = space.vars.count
     ordering = (ordering or VariableOrdering(tuple(range(n)))).validated(n)
-    first = ordering.order[0]
-    for f in adapted.space.components:
-        if f.moment[first] == 0:
-            raise NonGenericError(
-                f"first-applied direction meets the moment of {f.name}",
-                [("moment", f.name)])
-        for w, _ in f.normal_lines:
-            if w.coeffs[first] == 0:
-                raise NonGenericError(
-                    f"first-applied direction annihilates a weight at {f.name}",
-                    [("weight", f.name)])
+    k = ordering.order[0]  # adapted coordinate k pairs with column k of the completion
+    first = CircleDirection(tuple(int(a.coeffs[k]) for a in adapted.axes))
+    if violations := is_generic(space, first):
+        raise NonGenericError(f"first-applied direction {first.vector} is not generic", violations)
 
     def compute(f: FixedComponent, key: _Key) -> _Entry:
         value = iterated_residue_selected([MomentTerm(f.moment, adapted.section(f, key))], ordering)

@@ -13,12 +13,12 @@ import sys
 import time
 from fractions import Fraction as Q
 
-from conftest import act, brion_divide, class_is_zero
+from conftest import act, brion_divide, class_is_zero, grassmannian
 from test_report_digests import GOLDEN, write_inputs
 
 import resloc
 from resloc import linalg
-from resloc.datasets import BUNDLED, load_dataset
+from resloc.datasets import BUNDLED, load_dataset, sphere_product_diagonal
 from resloc.kernels import build_model, check_circle_kernel_split, check_full_kernel
 from resloc.residues import res_x_plus
 from resloc.spaces import (
@@ -213,6 +213,26 @@ def test_antisymmetrized_torus_kernel_spans_nonabelian_kernel():
             for r in span_rows] == [(2, 0, 0, 0), (4, 2, 3, 3), (6, 4, 4, 4)]
     for row in span_rows:
         assert row.equal, row
+
+
+def test_gelfand_macpherson_pentagons():
+    """Gr(2,5)//T at the equilateral level (2/5, ..., 2/5) is the space of
+    equilateral pentagons, which is also diagonal (S^2)^5 // SU(2)
+    (Gelfand-MacPherson; Kapovich-Millson; Hausmann-Knutson).  Its Betti
+    numbers read off the torus kernel of the one, as slice dim minus kernel
+    dim, and off the nonabelian kernel of the other, as invariant dim minus
+    kernel dim, must agree: 1, 5, 1."""
+    gr = grassmannian(5, (Q(2, 5),) * 4)
+    model = build_model(gr.space, gr.generators, 4)
+    rows, _ = check_full_kernel(model, torus_integral(gr.space))
+    assert all(r.equal for r in rows)
+    torus_betti = [len(model.slice(r.degree).classes) - r.kernel.dim for r in rows]
+    pentagons = sphere_product_diagonal(5)
+    model = build_model(pentagons.space, pentagons.generators, 4)
+    rows, _ = check_nonabelian_kernels(model, pentagons.weyl, torus_integral(pentagons.space))
+    assert all(r.equal for r in rows)
+    weyl_betti = [r.invariant_dim - r.pairing_kernel_dim for r in rows]
+    assert torus_betti == weyl_betti == [1, 5, 1]
 
 
 def test_weyl_group_laws_randomized(antisymmetrize):

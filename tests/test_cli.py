@@ -226,6 +226,33 @@ def test_bad_positive_root_exits_two(capsys, tmp_path, roots, message):
         assert err == f"error: $.weyl: positive root {message}\n"
 
 
+def _negate_first_weight(obj):
+    line = obj["components"][0]["normal_lines"][0]
+    line["weight"] = [-w for w in line["weight"]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj["weyl"]["elements"][1].update(matrix=[["2"]]),
+     "group element matrix must have determinant +-1"),
+    (lambda obj: obj["weyl"].update(elements=[]), "group must be nonempty"),
+    (_negate_first_weight, "normal data of NNN does not map to SSS"),
+    (lambda obj: obj["weyl"]["elements"][1]["algebra_maps"].__setitem__(0, [["2"]]),
+     "algebra map NNN->SSS moves the unit"),
+], ids=["determinant", "no-elements", "normal-data", "algebra-map-unit"])
+def test_bad_weyl_group_exits_two(capsys, tmp_path, edit, message):
+    # the flip of s2cubed-su2 edited out of being a Weyl group: a matrix that
+    # is not invertible over Z, no elements, a weight the flip no longer
+    # matches, an algebra map that scales the unit
+    obj = dataset_to_json(load_dataset("s2cubed-su2"))
+    edit(obj)
+    p = tmp_path / "weyl.json"
+    p.write_text(json.dumps(obj))
+    for argv in (("validate", str(p)), ("kernel", str(p), "--nonabelian")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == f"error: $.weyl: {message}\n"
+
+
 @pytest.mark.parametrize("dim", [3, -2])
 def test_bad_dimension_names_dim_m(capsys, tmp_path, dim):
     obj = dataset_to_json(load_dataset("s2"))
@@ -350,9 +377,10 @@ GOOD_EXPRESSION = {
     # a misspelt key read as multiplicity 1 gives the residue of 1/X, not of 1/X^2
     (("denominator", 0, "multiplicty"), 2, "error: $.denominator[0].multiplicty: unknown key"),
     (("numerator", 0, "basis_index"), 0, "error: $.numerator[0].basis_index: unknown key"),
+    (("denominator", 0, "multiplicity"), 0, "error: $.denominator[0].multiplicity: must be >= 1"),
 ], ids=["top-level-array", "term-not-object", "exponents-not-array", "negative-exponent",
         "form-not-array", "variables-not-strings", "variables-not-distinct",
-        "misspelt-multiplicity", "basis-index-in-a-term"])
+        "misspelt-multiplicity", "basis-index-in-a-term", "multiplicity-zero"])
 def test_residue_loader_rejects_malformed_input(capsys, tmp_path, where, value, json_path):
     obj = json.loads(json.dumps(GOOD_EXPRESSION))
     if where:

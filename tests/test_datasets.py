@@ -67,6 +67,14 @@ def test_families_match_the_benchmarks(monkeypatch):
         assert dataset_to_json(ours) == dataset_to_json(theirs), ours.name
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_diagonal_family_refuses_even_k(k):
+    # the fixed points with as many N as S factors sit at moment 0, where no
+    # circle direction is generic
+    with pytest.raises(ValueError, match="needs odd k"):
+        sphere_product_diagonal(k)
+
+
 def test_round_trip_is_identity():
     for name in BUNDLED:
         obj = dataset_to_json(load_dataset(name))

@@ -92,9 +92,8 @@ def oracle(integral, b, zeta):
     one term at a time."""
     total = {}
     for f in integral.components:
-        zterms = zeta.restrictions[f.name].terms if zeta else {((0,) * len(f.moment), 0): 1}
         for (e1, b1), c1 in b.restrictions[f.name].terms.items():
-            for (e2, b2), c2 in zterms.items():
+            for (e2, b2), c2 in zeta.restrictions[f.name].terms.items():
                 exps = tuple(a + c for a, c in zip(e1, e2))
                 for k, s in f.algebra.mul_basis(b1, b2).items():
                     terms, den = integral.tau(f, (exps, k))
@@ -140,7 +139,8 @@ def test_integer_contraction_matches_fraction_oracle(name, level, monkeypatch):
         classes.append(RestrictedClass(space, degree, {
             f.name: basis[-1].restrictions[f.name].scale(Fraction(1, i + 2))
             for i, f in enumerate(space.components)}))
-        for zeta in [None] + [cls for d in (0, 2) for cls in model.slice(d).classes]:
+        for zeta in [RestrictedClass.unit(space)] + [
+                cls for d in (0, 2) for cls in model.slice(d).classes]:
             values = integral.values(classes, zeta)
             assert values == [oracle(integral, b, zeta) for b in classes]
             for row in values:

@@ -2,7 +2,7 @@
 re-exports."""
 
 import ast
-import importlib
+import importlib.util
 from pathlib import Path
 
 import resloc
@@ -28,32 +28,37 @@ def test_exported_names_resolve():
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _unused_imports(path: Path) -> list[str]:
-    """Names bound by an import and never named again in the file (a name in
-    a quoted annotation is not seen: the modules use postponed annotations
-    instead).  An import line marked "# noqa: F401" is kept on purpose."""
-    source = path.read_text()
-    lines = source.splitlines()
-    imported: dict[str, int] = {}
-    read: set[str] = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if getattr(node, "module", None) != "__future__" \
-                    and "# noqa: F401" not in lines[node.lineno - 1]:
-                imported.update((a.asname or a.name.split(".")[0], node.lineno)
-                                for a in node.names)
-        elif isinstance(node, ast.Name):
-            read.add(node.id)
-    return [f"{path.relative_to(ROOT)}:{line}: {name}"
-            for name, line in imported.items() if name not in read]
+_spec = importlib.util.spec_from_file_location("unused_imports",
+                                               ROOT / "scripts" / "unused_imports.py")
+unused_imports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(unused_imports)
 
 
 def test_no_unused_imports():
+    # the directories CI's unused-import step checks
+    assert unused_imports.main([str(ROOT / d) for d in ("src", "tests", "scripts",
+                                                          "perfbench")]) == 0
+
+
+def test_unused_import_check_finds_only_the_import_nothing_reads(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from fractions import Fraction as Q\n"
+        "from itertools import (\n"
+        "    chain,\n"
+        "    count,\n"
+        ")\n"
+        "from math import gcd  # noqa: F401\n"
+        "from typing import Sequence\n"
+        "def f(x: Sequence[int]) -> int:\n"
+        "    return os.path.sep + Q(1) + chain\n")
+    assert unused_imports.unused_imports(module) == [(6, "count")]
     # a package's __init__ imports only to re-export, which the test above checks
-    files = sorted(p for d in ("src/resloc", "tests", "scripts")
-                   for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
-    assert files
-    assert [u for p in files for u in _unused_imports(p)] == []
+    (tmp_path / "__init__.py").write_text("from .module import f\n")
+    assert unused_imports.unused_imports(tmp_path / "__init__.py") == []
+    assert unused_imports.main([str(tmp_path)]) == 1
 
 
 def test_readme_quick_start_runs(capsys):

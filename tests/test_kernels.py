@@ -3,7 +3,7 @@ kernel comparisons, and chamber enumeration."""
 
 import hashlib
 from fractions import Fraction as Q
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from conftest import GR24_LEVEL, GR25_LEVEL, class_sum, grassmannian
@@ -140,9 +140,14 @@ def test_model_rejects_duplicate_generator_names(s2):
         build_model(s2.space, s2.generators + [("u", s2.generator("u"))], 4)
 
 
-def test_model_requires_unit(s2):
-    with pytest.raises(ValidationError, match="unit"):
-        build_model(s2.space, [("u", s2.generator("u"))], 4)
+def test_model_without_the_unit_listed_is_the_same_model(s2xs2):
+    # the product walk starts at the unit and skips degree-0 generators, so
+    # naming the unit or not gives the same slices
+    listed = build_model(s2xs2.space, s2xs2.generators, 4)
+    unlisted = build_model(s2xs2.space, [g for g in s2xs2.generators if g[1].degree], 4)
+    for degree in (0, 2, 4):
+        a, b = listed.slice(degree), unlisted.slice(degree)
+        assert (a.labels, a.vectors, a.keys) == (b.labels, b.vectors, b.keys)
 
 
 def test_model_refuses_inconsistent_data(s2xs2):
@@ -757,6 +762,21 @@ def test_each_sub_arrangement_is_solved_once_per_call(monkeypatch):
         assert not stores[0]._found and not any(stores[0]._readers.values())
 
 
+def test_chamber_certificate_refuses_a_repeated_representative(monkeypatch, s2xs2):
+    # the representatives are paired anew: a recursion that handed back one
+    # chamber's point in place of another's would leave a chamber unreported
+    solve = kernels._chamber_points
+    top = tuple(spaces._arrangement_normals(s2xs2.space))
+
+    def repeated(normals, n, sub):
+        found = solve(normals, n, sub)
+        return found[:-1] + found[:1] if normals == top else found
+
+    monkeypatch.setattr(kernels, "_chamber_points", repeated)
+    with pytest.raises(ArithmeticError, match="8 chambers but 7 distinct generic sign vectors"):
+        enumerate_generic_directions(s2xs2.space)
+
+
 # -- torus-level kernel ----------------------------------------------------------------
 
 
@@ -922,3 +942,30 @@ def test_grassmannian_kernel_leaves_the_reduced_space(n, level, max_degree, bett
     rows, _ = check_full_kernel(model, torus_integral(ds.space))
     assert all(r.equal for r in rows)
     assert [len(model.slice(r.degree).classes) - r.kernel.dim for r in rows] == betti
+
+
+def test_torus_kernel_independent_of_direction_and_ordering():
+    # ker kappa_T depends neither on the generic xi nor on the ordering: on
+    # Gr(2,4), not toric, so the kernel is not all of positive degree, each
+    # pair of every 10th chamber's representative and ordering is either
+    # refused, its first-applied direction meeting a weight or a moment, or
+    # gives the default integral's kernel through degree 8
+    ds = grassmannian(4, GR24_LEVEL)
+    model = build_model(ds.space, ds.generators, 8)
+    default = torus_integral(ds.space)
+    expected = [torus_kernel(model, d, default).coeffs for d in range(0, 9, 2)]
+    chambers = enumerate_generic_directions(ds.space).chambers
+    accepted = refused = 0
+    for chamber in chambers[::10]:
+        for order in permutations(range(3)):
+            try:
+                integral = torus_integral(ds.space, chamber.representative,
+                                          VariableOrdering(order))
+            except NonGenericError:
+                refused += 1
+                continue
+            accepted += 1
+            for d, kernel in zip(range(0, 9, 2), expected):
+                assert linalg.span_equal(kernel, torus_kernel(model, d, integral).coeffs), \
+                    (chamber.representative, order, d)
+    assert (len(chambers), accepted, refused) == (102, 34, 32)

@@ -1,12 +1,16 @@
 """Exact sparse rational linear algebra used by the kernel computations."""
 
+import random
 from fractions import Fraction as Q
+from itertools import combinations, permutations
+from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resloc.linalg import (
     Echelon,
+    det,
     independent_indices,
     nullspace,
     rank,
@@ -26,6 +30,29 @@ def dense(vec, ncols):
 
 def apply(row, vec):
     return sum((row.get(k, 0) * v for k, v in vec.items()), Q(0))
+
+
+def permutation_det(rows):
+    """The Leibniz sum over permutations, each signed by its inversions."""
+    n = len(rows)
+    return sum((-1) ** sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+               * prod(rows[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+
+
+def test_det_matches_the_permutation_sum():
+    # every Weyl group so far has rank 1, so nothing else expands a cofactor;
+    # a zero in the first row skips its minor
+    rng = random.Random(5)
+    for n in (2, 3, 4):
+        for _ in range(20):
+            ints = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            fracs = [[Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                     for _ in range(n)]
+            for rows in (ints, fracs):
+                assert det(rows) == permutation_det(rows)
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+    assert det([[Q(1, 2), 0], [0, Q(2, 3)]]) == Q(1, 3)
 
 
 def test_row_reduce_pivots():

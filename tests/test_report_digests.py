@@ -97,7 +97,7 @@ GOLDEN = {
          EMPTY),
     "kernel s2xs2-t2 --full --ordering 1,0 --delta -3/2":
         (2, EMPTY,
-         "7ac5f926a3e14b93943777a6c88dee5342b66943003c10d365a565e4dc192dce"),
+         "4d450bd91a3bd53bb1b9614754caeed6db6129650aa2aee1a62f0a1a883cdcc4"),
     "kernel s2 --circle 1 --format text":
         (0, "a31f92157693c96e0b157508ce512751d1fe99bcd511eca76735286059af3d16",
          EMPTY),

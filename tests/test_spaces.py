@@ -593,11 +593,13 @@ def test_kappa_t_rejects_bad_ordering(s2xs2):
 
 
 def test_kappa_t_checks_first_applied_direction_when_built(s2xs2):
-    # adapted to (1, 2), the second coordinate pairs to zero with the weight X
-    # at NN, so applying its residue first is not generic
+    # adapted to (1, 2), the second coordinate is the pairing with the
+    # completion's second column, which annihilates the weights +-X at every
+    # fixed point, so applying its residue first is not generic
     with pytest.raises(NonGenericError) as info:
         torus_integral(s2xs2.space, CircleDirection((1, 2)), VariableOrdering((1, 0)))
-    assert info.value.violations == [("weight", "NN")]
+    assert info.value.violations == [("weight", "NN:-X"), ("weight", "NS:-X"),
+                                     ("weight", "SN:X"), ("weight", "SS:X")]
 
 
 def test_kappa_t_against_root_square_s2cubed(s2cubed):
